@@ -141,18 +141,18 @@ def test_perf_campaign_runtime(tmp_path):
                                     engine="batched")
 
     # Adaptive grid: same workload on the LTE-controlled time base.
-    from repro.spice import ADAPTIVE_STATS
+    from repro.runtime import stats_scope
 
-    stats_before = dict(ADAPTIVE_STATS)
     t0 = time.perf_counter()
-    adaptive_rows = sweep_pulse_measurements(
-        samples, fault, resistances,
-        runtime=Runtime(executor=SerialExecutor()), adaptive=True,
-        **sweep_kwargs)
+    with stats_scope() as adaptive_stats:
+        adaptive_rows = sweep_pulse_measurements(
+            samples, fault, resistances,
+            runtime=Runtime(executor=SerialExecutor()), adaptive=True,
+            **sweep_kwargs)
     adaptive_s = time.perf_counter() - t0
-    adaptive_accepted = ADAPTIVE_STATS["accepted"] - stats_before["accepted"]
-    adaptive_rejected = ADAPTIVE_STATS["rejected"] - stats_before["rejected"]
-    adaptive_runs = ADAPTIVE_STATS["runs"] - stats_before["runs"]
+    adaptive_accepted = adaptive_stats.total("adaptive_accepted")
+    adaptive_rejected = adaptive_stats.total("adaptive_rejected")
+    adaptive_runs = adaptive_stats.total("adaptive_runs")
     if cpus > 1:
         parallel_rows, parallel_s = timed(
             Runtime(executor=ProcessPoolExecutor(n_jobs=n_jobs)))
@@ -466,71 +466,3 @@ def test_perf_solver_fast_path():
     # short chain it must at least not regress (timing noise aside).
     assert scenarios["chain_31"]["speedup_vs_exact"] >= 1.5
     assert scenarios["chain_7"]["speedup_vs_exact"] >= 0.9
-
-
-def test_perf_service_throughput(tmp_path):
-    """Job-service throughput: N tiny sweep jobs over real HTTP.
-
-    Submits the same batch of signature-compatible sweep jobs twice —
-    once with dynamic batch aggregation enabled, once without — and
-    records jobs/s plus the coalescing speedup in the ``service``
-    section of ``BENCH_runtime.json`` (read-modify-write: the main
-    runtime bench owns the rest of the file).  Knob:
-    ``REPRO_BENCH_SERVICE_JOBS`` (default 6).
-    """
-    from repro.service import JobManager, JobServer, ServiceClient
-
-    n_jobs = int(os.environ.get("REPRO_BENCH_SERVICE_JOBS", "6"))
-    spec = {"kind": "sweep", "fault": "external_open", "stage": 2,
-            "resistances": [2e3, 8e3], "n_samples": 2, "dt": 6e-12}
-
-    def run_batch(aggregate, data_dir):
-        manager = JobManager(data_dir=data_dir, cache=False,
-                             max_concurrency=1, aggregate=aggregate,
-                             aggregate_limit=n_jobs).start()
-        server = JobServer(manager).start_background()
-        client = ServiceClient(server.url, timeout=60.0)
-        try:
-            t0 = time.perf_counter()
-            records = [client.submit(dict(spec, seed=seed))
-                       for seed in range(n_jobs)]
-            finals = [client.wait(r["id"], poll=0.05, timeout=600.0)
-                      for r in records]
-            elapsed = time.perf_counter() - t0
-        finally:
-            server.shutdown()
-            manager.stop(wait=True, cancel_running=True)
-        assert all(f["state"] == "DONE" for f in finals), [
-            f.get("error") for f in finals]
-        grouped = max(len(f["report"].get("aggregated_jobs", []))
-                      for f in finals)
-        return elapsed, grouped
-
-    solo_s, solo_grouped = run_batch(False, str(tmp_path / "solo"))
-    agg_s, agg_grouped = run_batch(True, str(tmp_path / "agg"))
-
-    assert solo_grouped == 0  # aggregation off: nobody coalesced
-    assert agg_grouped >= 2   # aggregation on: at least one real group
-
-    section = {
-        "workload": dict(spec, n_jobs=n_jobs),
-        "sequential": {"wall_time_s": solo_s,
-                       "jobs_per_second": n_jobs / solo_s},
-        "aggregated": {"wall_time_s": agg_s,
-                       "jobs_per_second": n_jobs / agg_s,
-                       "largest_group": agg_grouped,
-                       "speedup_vs_sequential": solo_s / agg_s},
-    }
-    out = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "BENCH_runtime.json")
-    try:
-        with open(out) as handle:
-            report = json.load(handle)
-    except (OSError, ValueError):
-        report = {}
-    report["service"] = section
-    with open(out, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-    print("\nservice bench: {} jobs sequential {:.1f}s, aggregated "
-          "{:.1f}s (x{:.2f}, largest group {})".format(
-              n_jobs, solo_s, agg_s, solo_s / agg_s, agg_grouped))

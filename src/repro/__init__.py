@@ -20,9 +20,9 @@ Package map
 ``repro.logic``
     Gate-level substrate: netlists, ISCAS-85 parsing, timing simulation,
     logic-level pulse propagation, path enumeration and ATPG.
-``repro.service``
-    Campaign-as-a-service: HTTP/JSON job server over the campaign
-    runtime (async scheduling, dynamic batch aggregation, live events).
+``repro.runtime``
+    Campaign execution: process-pool dispatch, result cache,
+    checkpoint/resume, solver telemetry and task traces.
 """
 
 __version__ = "1.0.0"
@@ -34,9 +34,8 @@ from . import faults  # noqa: F401
 from . import logic  # noqa: F401
 from . import montecarlo  # noqa: F401
 from . import reporting  # noqa: F401
-from . import service  # noqa: F401
 from . import spice  # noqa: F401
 from . import testckt  # noqa: F401
 
 __all__ = ["spice", "cells", "faults", "montecarlo", "dft", "core",
-           "logic", "reporting", "service", "testckt", "__version__"]
+           "logic", "reporting", "testckt", "__version__"]

@@ -15,11 +15,8 @@ from .core.experiments import (ExperimentConfig, run_adaptive_coverage,
                                run_waveform_experiment)
 from .reporting import ascii_plot, coverage_table, format_table
 
-#: exit codes: 0 ok, 2 argparse, 3 failed tasks / FAILED job,
-#: 4 cancelled job, 5 service unreachable or over capacity
+#: exit codes: 0 ok, 2 argparse, 3 failed or timed-out tasks
 EXIT_FAILED = 3
-EXIT_CANCELLED = 4
-EXIT_SERVICE = 5
 
 
 def _report_exit(args, report):
@@ -278,163 +275,6 @@ def _cmd_onchip(args):
     return 0
 
 
-# ----------------------------------------------------------------------
-# Service verbs (campaign-as-a-service)
-# ----------------------------------------------------------------------
-
-def _cmd_serve(args):
-    from .service import JobManager, JobServer
-
-    manager = JobManager(
-        data_dir=args.data_dir,
-        max_concurrency=args.concurrency,
-        queue_capacity=args.queue_capacity,
-        runtime_jobs=args.jobs or 1,
-        cache=not args.no_cache,
-        aggregate=not args.no_aggregate,
-        aggregate_limit=args.aggregate_limit).start()
-    server = JobServer(manager, host=args.host, port=args.port,
-                       verbose=args.verbose)
-    print("serving jobs on {} (data dir: {})".format(
-        server.url, args.data_dir), flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down", file=sys.stderr)
-    finally:
-        server.shutdown()
-        manager.stop()
-    return 0
-
-
-def _service_spec(args):
-    """Build the job spec the ``submit`` verb describes."""
-    kind = args.kind
-    if kind == "coverage":
-        if args.fast:
-            config = {"n_samples": 3, "dt": 5e-12, "n_paths": 3,
-                      "rop_resistances": [1e3, 5e3, 20e3, 60e3],
-                      "bridging_resistances": [500.0, 2e3, 8e3, 30e3]}
-        else:
-            config = ExperimentConfig.from_env().to_jsonable()
-        return {"kind": "coverage", "fault": args.fault or "open",
-                "config": config}
-    if kind == "campaign":
-        return {"kind": "campaign", "seed": args.seed,
-                "samples": args.samples, "sites": args.sites,
-                "stride": args.stride, "fast": args.fast}
-    if kind == "transfer":
-        return {"kind": "transfer",
-                "config": ExperimentConfig.from_env().to_jsonable()}
-    spec = {"kind": "sweep", "measure": args.measure,
-            "fault": args.fault or "external_open", "stage": args.stage,
-            "resistances": [float(r)
-                            for r in args.resistances.split(",")],
-            "n_samples": args.samples, "seed": args.seed}
-    if args.dt is not None:
-        spec["dt"] = args.dt
-    if args.batch_size is not None:
-        spec["batch_size"] = args.batch_size
-    return spec
-
-
-def _job_exit_code(record):
-    state = record["state"]
-    if state == "DONE":
-        return 0
-    if state == "CANCELLED":
-        return EXIT_CANCELLED
-    return EXIT_FAILED
-
-
-def _print_event(event):
-    name = event.get("event")
-    if name == "state":
-        line = "[{}] state={}".format(event.get("job"),
-                                      event.get("state"))
-        if event.get("error"):
-            line += " error={}".format(event["error"])
-    elif name == "progress":
-        line = "[{}] progress {}/{}".format(
-            event.get("job"), event.get("done"), event.get("total"))
-    elif name == "aggregated":
-        line = "[{}] coalesced into a {}-job batch".format(
-            event.get("job"), event.get("group_size"))
-    else:
-        return  # per-task trace events are too chatty for the console
-    print(line, flush=True)
-
-
-def _client(args):
-    from .service import ServiceClient
-
-    return ServiceClient(args.url)
-
-
-def _cmd_submit(args):
-    from .service import ServiceError, ServiceUnavailable
-
-    client = _client(args)
-    spec = _service_spec(args)
-    try:
-        record = client.submit(spec, priority=args.priority)
-    except ServiceUnavailable as exc:
-        print("queue full; retry in {:.0f}s".format(exc.retry_after),
-              file=sys.stderr)
-        return EXIT_SERVICE
-    except ServiceError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SERVICE
-    print("submitted {} job {} (state {})".format(
-        spec["kind"], record["id"], record["state"]))
-    if not args.watch:
-        return 0
-    final = client.watch(record["id"], on_event=_print_event)
-    print("final state: {}".format(final["state"]))
-    return _job_exit_code(final)
-
-
-def _cmd_jobs(args):
-    from .service import ServiceError
-
-    try:
-        records = _client(args).jobs()
-    except ServiceError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SERVICE
-    rows = [[r["id"], r["spec"].get("kind"), r["state"], r["priority"],
-             "{}/{}".format(r["progress"]["done"], r["progress"]["total"])
-             if r.get("progress") else "-",
-             r.get("error") or ""] for r in records]
-    print(format_table(
-        ["id", "kind", "state", "prio", "progress", "error"], rows))
-    return 0
-
-
-def _cmd_watch(args):
-    from .service import ServiceError
-
-    try:
-        final = _client(args).watch(args.job_id, on_event=_print_event)
-    except ServiceError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SERVICE
-    print("final state: {}".format(final["state"]))
-    return _job_exit_code(final)
-
-
-def _cmd_cancel(args):
-    from .service import ServiceError
-
-    try:
-        record = _client(args).cancel(args.job_id)
-    except ServiceError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SERVICE
-    print("job {} -> {}".format(record["id"], record["state"]))
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pulsetest",
@@ -556,77 +396,6 @@ def build_parser():
                    help="exit nonzero when any task failed, timed out, "
                         "or any site errored (default: on)")
     p.set_defaults(func=_cmd_campaign)
-
-    # ---- service verbs ------------------------------------------------
-
-    p = sub.add_parser("serve",
-                       help="run the campaign job server (HTTP/JSON)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8787,
-                   help="listen port (0 = ephemeral; default 8787)")
-    p.add_argument("--data-dir", default=".repro_service",
-                   help="durable root: job records + shared result cache")
-    p.add_argument("--concurrency", type=int, default=2,
-                   help="jobs running at once")
-    p.add_argument("--queue-capacity", type=int, default=64,
-                   help="queued-job bound before 429 backpressure")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes per job's runtime")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the shared result cache (jobs stop "
-                        "being resumable)")
-    p.add_argument("--no-aggregate", action="store_true",
-                   help="disable dynamic batching of compatible sweeps")
-    p.add_argument("--aggregate-limit", type=int, default=4,
-                   help="max sweep jobs coalesced into one batch")
-    p.add_argument("--verbose", action="store_true",
-                   help="log every HTTP request")
-    p.set_defaults(func=_cmd_serve)
-
-    url_kw = dict(default="http://127.0.0.1:8787",
-                  help="job server base URL")
-
-    p = sub.add_parser("submit", help="submit a job to the server")
-    p.add_argument("kind",
-                   choices=["coverage", "campaign", "transfer", "sweep"])
-    p.add_argument("--url", **url_kw)
-    p.add_argument("--priority", type=int, default=0)
-    p.add_argument("--watch", action="store_true",
-                   help="follow the job's events until it finishes "
-                        "(exit code reflects the final state)")
-    p.add_argument("--fault", default=None,
-                   help="coverage: open|bridging; "
-                        "sweep: external_open|internal_open|bridging")
-    p.add_argument("--fast", action="store_true",
-                   help="coverage/campaign: tiny smoke-sized spec")
-    p.add_argument("--seed", type=int, default=432)
-    p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--sites", type=int, default=None)
-    p.add_argument("--stride", type=int, default=2)
-    p.add_argument("--measure", choices=["pulse", "delay"],
-                   default="pulse", help="sweep measurement")
-    p.add_argument("--stage", type=int, default=2,
-                   help="sweep fault injection stage")
-    p.add_argument("--resistances", default="2e3,8e3,20e3",
-                   help="sweep resistance grid (comma separated, ohm)")
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.set_defaults(func=_cmd_submit)
-
-    p = sub.add_parser("jobs", help="list the server's jobs")
-    p.add_argument("--url", **url_kw)
-    p.set_defaults(func=_cmd_jobs)
-
-    p = sub.add_parser("watch",
-                       help="follow one job's live events to completion")
-    p.add_argument("job_id")
-    p.add_argument("--url", **url_kw)
-    p.set_defaults(func=_cmd_watch)
-
-    p = sub.add_parser("cancel", help="cancel a queued or running job")
-    p.add_argument("job_id")
-    p.add_argument("--url", **url_kw)
-    p.set_defaults(func=_cmd_cancel)
     return parser
 
 

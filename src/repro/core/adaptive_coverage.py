@@ -31,7 +31,6 @@ report identical solver counters.
 
 import math
 
-from ..faults import FaultSpec
 from ..montecarlo import wilson_excludes, wilson_halfwidth
 from ..runtime import Runtime, RunReport
 from .coverage import (CoverageCurve, _sweep_chunk_task, _sweep_row_task,
@@ -122,11 +121,6 @@ class _SweepMeasurer:
     def __init__(self, samples, fault, tech, dt, runtime, report,
                  engine, batch_size, adaptive, lte_tol, solver,
                  path_kwargs, label, measure_spec):
-        if not isinstance(fault, FaultSpec):
-            raise TypeError(
-                "adaptive sweeps need a picklable FaultSpec prototype, "
-                "got {!r} (legacy r -> FaultSpec callables are only "
-                "supported by the fixed-grid sweeps)".format(fault))
         if engine not in ("scalar", "batched"):
             raise ValueError("unknown engine {!r}".format(engine))
         self.samples = list(samples)

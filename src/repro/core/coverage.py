@@ -10,23 +10,21 @@ of the decision threshold.
 The per-sample sweep rows are embarrassingly parallel, so they are
 dispatched through the campaign runtime (:mod:`repro.runtime`): pass a
 ``runtime`` to fan rows out over a process pool and/or skip rows whose
-content-addressed result is already cached.  ``fault_family`` may be a
-:class:`~repro.faults.models.FaultSpec` prototype (preferred — picklable
-and cacheable; the row worker rescales it with ``with_resistance``) or a
-legacy ``r -> FaultSpec`` callable (serial in-process path only).
+content-addressed result is already cached.  ``fault_family`` is a
+:class:`~repro.faults.models.FaultSpec` prototype (picklable and
+cacheable; the row worker rescales it with ``with_resistance``).
 """
 
 import math
 
 from ..cells import default_technology
 from ..faults import FaultSpec, inject, set_fault_resistance
-from ..montecarlo import run_population, wilson_interval
+from ..montecarlo import wilson_interval
 from ..runtime import Runtime, engine_cache_tag, stable_hash
 from ..spice.mna import resolve_solver_mode
 from .pulse import (assert_chunk_compatible, build_instance,
                     measure_output_pulse, measure_output_pulse_batch,
-                    measure_path_delay, measure_path_delay_batch,
-                    transient_kwargs)
+                    measure_path_delay, measure_path_delay_batch)
 
 
 class CoverageCurve:
@@ -209,26 +207,6 @@ def _sweep_chunk_task(payloads):
     return rows
 
 
-def _legacy_measure_kwargs(dt, adaptive, lte_tol, solver, engine):
-    """Measurement kwargs for the legacy ``r -> FaultSpec`` callable path.
-
-    An earlier version built ``{"dt": dt}`` by hand and silently dropped
-    the ``adaptive``/``lte_tol``/``solver`` knobs (and ignored
-    ``engine="batched"`` outright), so a legacy-callable sweep quietly
-    measured on a different grid and solver than the FaultSpec path of
-    the same campaign.  Legacy callables stay serial and in-process, but
-    they honour every measurement setting.
-    """
-    if engine == "batched":
-        raise ValueError(
-            "engine='batched' requires a picklable FaultSpec prototype; "
-            "legacy r -> FaultSpec callables run on the scalar engine "
-            "only")
-    kwargs = {} if dt is None else {"dt": dt}
-    kwargs.update(transient_kwargs(adaptive, lte_tol, solver=solver))
-    return kwargs
-
-
 def build_sweep_payloads(samples, fault, resistances, tech=None, dt=None,
                          engine="scalar", adaptive=False, lte_tol=None,
                          solver=None, path_kwargs=None, with_keys=True,
@@ -236,14 +214,20 @@ def build_sweep_payloads(samples, fault, resistances, tech=None, dt=None,
     """Payloads + cache keys for a per-sample measurement sweep.
 
     This is the single source of truth for the sweep task contract:
-    the in-process drivers (:func:`sweep_pulse_measurements` /
-    :func:`sweep_delay_measurements`) and the job service's batch
-    aggregator both build their payloads here, so a row computed
-    through either path lands under the same content-addressed cache
-    key.  ``measure_spec`` is ``measure="pulse", omega_in=..., kind=...``
-    or ``measure="delay", direction=...``; returns ``(payloads, keys)``
-    with ``keys=None`` when ``with_keys`` is false.
+    the fixed-grid drivers (:func:`sweep_pulse_measurements` /
+    :func:`sweep_delay_measurements`) and the adaptive campaign
+    (:mod:`repro.core.adaptive_coverage`) both build their payloads
+    here, so a row computed through either path lands under the same
+    content-addressed cache key.  ``fault`` must be a picklable
+    :class:`~repro.faults.models.FaultSpec` prototype (``TypeError``
+    otherwise).  ``measure_spec`` is ``measure="pulse", omega_in=...,
+    kind=...`` or ``measure="delay", direction=...``; returns
+    ``(payloads, keys)`` with ``keys=None`` when ``with_keys`` is false.
     """
+    if not isinstance(fault, FaultSpec):
+        raise TypeError(
+            "sweeps need a picklable FaultSpec prototype, got {!r}"
+            .format(fault))
     if engine not in ("scalar", "batched"):
         raise ValueError("unknown engine {!r}".format(engine))
     tech = default_technology() if tech is None else tech
@@ -305,26 +289,10 @@ def sweep_pulse_measurements(samples, fault_family, resistances,
                              lte_tol=None, solver=None, **path_kwargs):
     """Per-sample, per-R output pulse widths for a fault family.
 
-    ``fault_family`` is a fault prototype (any resistance) or a legacy
-    ``r -> FaultSpec`` callable.  ``engine="batched"`` simulates chunks
-    of ``batch_size`` samples in lockstep (FaultSpec prototypes only).
+    ``fault_family`` is a fault prototype (any resistance).
+    ``engine="batched"`` simulates chunks of ``batch_size`` samples in
+    lockstep.
     """
-    if not isinstance(fault_family, FaultSpec):
-        kwargs = _legacy_measure_kwargs(dt, adaptive, lte_tol, solver,
-                                        engine)
-
-        def worker(sample):
-            base = build_instance(sample=sample, tech=tech, **path_kwargs)
-            faulty = inject(base, fault_family(resistances[0]))
-            row = []
-            for r in resistances:
-                set_fault_resistance(faulty, r)
-                w_out, _ = measure_output_pulse(faulty, omega_in,
-                                                kind=kind, **kwargs)
-                row.append(w_out)
-            return row
-
-        return run_population(worker, samples).values
     return _sweep_rows(samples, fault_family, resistances, tech, dt,
                        runtime, "pulse-sweep", report, path_kwargs,
                        engine=engine, batch_size=batch_size,
@@ -339,22 +307,6 @@ def sweep_delay_measurements(samples, fault_family, resistances,
                              batch_size=None, adaptive=False,
                              lte_tol=None, solver=None, **path_kwargs):
     """Per-sample, per-R path delays for a fault family."""
-    if not isinstance(fault_family, FaultSpec):
-        kwargs = _legacy_measure_kwargs(dt, adaptive, lte_tol, solver,
-                                        engine)
-
-        def worker(sample):
-            base = build_instance(sample=sample, tech=tech, **path_kwargs)
-            faulty = inject(base, fault_family(resistances[0]))
-            row = []
-            for r in resistances:
-                set_fault_resistance(faulty, r)
-                d, _ = measure_path_delay(faulty, direction=direction,
-                                          **kwargs)
-                row.append(d)
-            return row
-
-        return run_population(worker, samples).values
     return _sweep_rows(samples, fault_family, resistances, tech, dt,
                        runtime, "delay-sweep", report, path_kwargs,
                        engine=engine, batch_size=batch_size,

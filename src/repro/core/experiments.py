@@ -111,45 +111,6 @@ class ExperimentConfig:
             overrides.setdefault("trace", os.environ["REPRO_TRACE"])
         return cls(**overrides)
 
-    #: the experiment knobs that travel inside a serialised job spec.
-    #: Host-side runtime knobs (``n_jobs``/``cache_dir``/``trace``) are
-    #: deliberately excluded: where and how a job runs is the serving
-    #: host's decision, not the submitter's.
-    SPEC_FIELDS = ("n_samples", "dt", "seed", "fault_stage",
-                   "rop_resistances", "bridging_resistances", "n_paths",
-                   "engine", "batch_size", "adaptive", "lte_tol",
-                   "solver")
-
-    def to_jsonable(self):
-        """The experiment knobs as a plain JSON-serialisable dict.
-
-        Round-trips through :meth:`from_jsonable`; used as the
-        ``config`` section of service job specs.
-        """
-        out = {}
-        for field in self.SPEC_FIELDS:
-            value = getattr(self, field)
-            if isinstance(value, list):
-                value = [float(v) for v in value]
-            out[field] = value
-        return out
-
-    @classmethod
-    def from_jsonable(cls, data):
-        """Rebuild a config from :meth:`to_jsonable` output.
-
-        Unknown keys raise ``ValueError`` (a submitted spec with a
-        typo'd knob must fail loudly at submission, not run with the
-        default silently).
-        """
-        data = dict(data or {})
-        unknown = sorted(set(data) - set(cls.SPEC_FIELDS))
-        if unknown:
-            raise ValueError(
-                "unknown experiment config field(s): {} (known: {})"
-                .format(", ".join(unknown), ", ".join(cls.SPEC_FIELDS)))
-        return cls(**data)
-
     def samples(self):
         return sample_population(self.n_samples, base_seed=self.seed)
 

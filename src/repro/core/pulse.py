@@ -55,9 +55,8 @@ def chunk_signature(payload, fields):
     """Cheap comparable signature of one chunk payload's shared settings.
 
     Lists become tuples and fault specs their ``repr`` (kind + stage +
-    resistance) so payloads built by different producers — e.g. two
-    service jobs coalesced into one lockstep batch — compare by value,
-    not identity.
+    resistance) so payloads built separately compare by value, not
+    identity.
     """
     sig = []
     for field in fields:

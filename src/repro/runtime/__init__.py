@@ -13,19 +13,18 @@ from .executors import (FAILED, PoisonTask, ProcessPoolExecutor,
                         WorkerCrash, WorkerError, backoff_schedule,
                         default_n_jobs)
 from .hashing import canonical_token, stable_hash
-from .runner import (DEFAULT_BATCH_SIZE, DEFAULT_CACHE_DIR,
-                     CampaignCancelled, CampaignRun, Runtime,
-                     engine_cache_tag)
+from .runner import (DEFAULT_BATCH_SIZE, DEFAULT_CACHE_DIR, CampaignRun,
+                     Runtime, engine_cache_tag)
 from .schema import (SCHEMA_VERSION, SchemaVersionError,
                      check_schema_version)
-from .stats import (SolverStats, StatsView, current_stats, record,
-                    root_stats, stats_scope)
+from .stats import (SolverStats, current_stats, record, root_stats,
+                    stats_scope)
 from .telemetry import RunReport
 from .trace import TraceWriter, read_trace
 
 __all__ = [
     "Runtime", "CampaignRun", "RunReport", "DEFAULT_CACHE_DIR",
-    "DEFAULT_BATCH_SIZE", "engine_cache_tag", "CampaignCancelled",
+    "DEFAULT_BATCH_SIZE", "engine_cache_tag",
     "SerialExecutor", "ProcessPoolExecutor", "TaskOutcome", "FAILED",
     "WorkerError", "TaskTimeout", "WorkerCrash", "PoisonTask",
     "default_n_jobs", "backoff_schedule",
@@ -33,6 +32,6 @@ __all__ = [
     "ResultCache", "CacheMiss", "atomic_write", "CampaignCheckpoint",
     "stable_hash", "canonical_token",
     "SCHEMA_VERSION", "SchemaVersionError", "check_schema_version",
-    "SolverStats", "StatsView", "stats_scope", "current_stats",
+    "SolverStats", "stats_scope", "current_stats",
     "root_stats", "record", "TraceWriter", "read_trace",
 ]

@@ -51,8 +51,8 @@ def fsync_directory(path):
 def atomic_write(path, writer, binary=False, durable=True):
     """Write ``path`` atomically: temp file + fsync + ``os.replace``.
 
-    The single durable-write helper shared by the result cache, the
-    checkpoint manifests and the service job store.  ``writer`` receives
+    The single durable-write helper shared by the result cache and the
+    checkpoint manifests.  ``writer`` receives
     the open temp-file handle.  With ``durable`` (the default) the temp
     file is fsynced before the rename and the directory after it, so a
     power loss can neither tear the object nor lose the rename; pass

@@ -204,8 +204,8 @@ def _execute_one(fn, payload, index, chaos=None, attempt=0):
     The scope isolates this task's solver effort from everything else
     in the process (no global diffing, so concurrent tasks cannot
     clobber each other's counters); the snapshot rides back on the
-    outcome and the scope's totals still fold into the process root for
-    the deprecated global views.
+    outcome and the scope's totals still fold into the enclosing scope
+    (ultimately the process root).
 
     ``chaos`` (a :class:`~repro.runtime.chaos.ChaosConfig`) may kill
     this worker or stall the task *before* any work happens, so an
@@ -508,9 +508,9 @@ class ProcessPoolExecutor:
                 settled.add(future)
                 return True
             # on_result runs *outside* the pool-fault guard: an
-            # exception it raises (cooperative cancellation, a broken
-            # cache) is the caller unwinding the round, not a task
-            # failure to be recorded.
+            # exception it raises (a broken cache, KeyboardInterrupt)
+            # is the caller unwinding the round, not a task failure to
+            # be recorded.
             for outcome in outcomes:
                 outcome.retries = attempt
                 outcome.crashes = crash_counts.get(outcome.index, 0)
@@ -635,10 +635,10 @@ class ProcessPoolExecutor:
                         if not settle(future):
                             broke = True
                     except BaseException:
-                        # The caller is unwinding (cancellation): don't
-                        # join workers still grinding through chunks —
-                        # their per-item results were never settled and
-                        # a cancelled run must return promptly.
+                        # The caller is unwinding: don't join workers
+                        # still grinding through chunks — their
+                        # per-item results were never settled and an
+                        # interrupted run must return promptly.
                         kill = True
                         raise
                 if broke:

@@ -34,24 +34,6 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 DEFAULT_BATCH_SIZE = 32
 
 
-class CampaignCancelled(Exception):
-    """A run was cancelled cooperatively via its ``should_stop`` callback.
-
-    Raised by :meth:`Runtime.run`/:meth:`Runtime.run_batched` between
-    settled tasks/chunks.  By the time this propagates the checkpoint
-    manifest has been flushed and every already-settled result is in the
-    cache, so re-running the same campaign resumes instead of
-    restarting — a cancelled run is a paused run, not a torn one.
-    """
-
-    def __init__(self, label, done=0, total=0):
-        super().__init__("campaign {!r} cancelled after {}/{} tasks"
-                         .format(label, done, total))
-        self.label = label
-        self.done = done
-        self.total = total
-
-
 def engine_cache_tag(engine="scalar", adaptive=False, lte_tol=None,
                      solver=None):
     """Cache-key tag tuple for the simulation-engine configuration.
@@ -118,13 +100,6 @@ class Runtime:
         A :class:`~repro.runtime.trace.TraceWriter` (or path string) to
         append one JSONL event per executed task, or None (default) to
         disable tracing.
-    should_stop:
-        Optional zero-argument callable polled between settled
-        tasks/chunks by every :meth:`run`/:meth:`run_batched` call on
-        this runtime (a per-call ``should_stop`` overrides it).  When
-        it returns true the run flushes its checkpoint and raises
-        :class:`CampaignCancelled` — cooperative cancellation for
-        long-lived hosts such as the job service.
     chaos:
         A :class:`~repro.runtime.chaos.ChaosConfig` (or spec string such
         as ``"kill=0.2,corrupt=0.1,seed=7"``) enabling deterministic
@@ -135,7 +110,7 @@ class Runtime:
     """
 
     def __init__(self, executor=None, cache=None, checkpoint_every=8,
-                 trace=None, should_stop=None, chaos=None):
+                 trace=None, chaos=None):
         self.executor = SerialExecutor() if executor is None else executor
         if isinstance(cache, str):
             cache = ResultCache(cache)
@@ -144,7 +119,6 @@ class Runtime:
         if isinstance(trace, str):
             trace = TraceWriter(trace)
         self.trace = trace
-        self.should_stop = should_stop
         if isinstance(chaos, str):
             chaos = ChaosConfig.parse(chaos)
         self.chaos = chaos
@@ -288,22 +262,6 @@ class Runtime:
             settle()
         return checkpoint, pending
 
-    def _cancel_check(self, should_stop, label, done, total):
-        """The cancellation poll shared by :meth:`run`/:meth:`run_batched`.
-
-        Returns a zero-argument callable raising
-        :class:`CampaignCancelled` when the effective ``should_stop``
-        (per-call, else runtime-wide) reports true.
-        """
-        if should_stop is None:
-            should_stop = self.should_stop
-
-        def check():
-            if should_stop is not None and should_stop():
-                raise CampaignCancelled(label, done=done[0], total=total)
-
-        return check
-
     def _robustness_baseline(self):
         """Snapshot the cumulative fault counters before a run.
 
@@ -330,15 +288,12 @@ class Runtime:
             self.chaos.corrupt_object(self.cache, key)
 
     def run(self, fn, payloads, keys=None, label="campaign",
-            report=None, progress=None, should_stop=None):
+            report=None, progress=None):
         """Map ``fn`` over ``payloads``; returns a :class:`CampaignRun`.
 
         ``keys`` enables caching/checkpointing: one stable cache key per
         payload (see :func:`repro.runtime.hashing.stable_hash`).
         ``progress(done, total)`` is invoked after every settled task.
-        ``should_stop()`` is polled after every settled task; when true
-        the run raises :class:`CampaignCancelled` with the checkpoint
-        manifest flushed (the run stays resumable).
         """
         payloads = list(payloads)
         n = len(payloads)
@@ -347,7 +302,6 @@ class Runtime:
         values = [FAILED] * n
         errors = {}
         done = [0]
-        check_cancel = self._cancel_check(should_stop, label, done, n)
 
         def settle(count=1):
             done[0] += count
@@ -368,14 +322,12 @@ class Runtime:
                              keys[index] if keys is not None else None,
                              outcome)
             settle()
-            check_cancel()
 
         # The manifest must always flush — a clean finish may hold up to
         # ``checkpoint_every - 1`` unflushed marks, and an exception
-        # escaping the dispatch (cache write failure, cancellation,
-        # KeyboardInterrupt) must not lose the progress already made.
+        # escaping the dispatch (cache write failure, KeyboardInterrupt)
+        # must not lose the progress already made.
         try:
-            check_cancel()
             if pending:
                 outcomes = self.executor.map_tasks(
                     fn, [payloads[i] for i in pending],
@@ -396,8 +348,7 @@ class Runtime:
         return CampaignRun(values, errors, report)
 
     def run_batched(self, fn, payloads, keys=None, batch_size=None,
-                    label="campaign", report=None, progress=None,
-                    should_stop=None):
+                    label="campaign", report=None, progress=None):
         """Map a *chunk* task over ``payloads`` in lockstep batches.
 
         ``fn`` receives a **list** of payloads and must return a list of
@@ -409,8 +360,6 @@ class Runtime:
         granularity stays **per item**: cached items never re-enter a
         chunk, and every item of a completed chunk is persisted under
         its own key.  A failed chunk marks all of its items failed.
-        ``should_stop()`` is polled between settled chunks (see
-        :meth:`run`); a cancelled run keeps every completed chunk.
         """
         payloads = list(payloads)
         n = len(payloads)
@@ -421,7 +370,6 @@ class Runtime:
         values = [FAILED] * n
         errors = {}
         done = [0]
-        check_cancel = self._cancel_check(should_stop, label, done, n)
 
         def settle(count=1):
             done[0] += count
@@ -460,10 +408,8 @@ class Runtime:
                     checkpoint.mark_done(keys[index])
             self._trace_chunk(label, chunk, keys, outcome)
             settle(len(chunk))
-            check_cancel()
 
         try:
-            check_cancel()
             if chunks:
                 outcomes = self.executor.map_tasks(
                     fn, [[payloads[i] for i in chunk] for chunk in chunks],

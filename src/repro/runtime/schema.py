@@ -1,8 +1,8 @@
 """Schema versioning for persisted runtime records.
 
-Three kinds of records outlive the process that wrote them: run-report
-JSON summaries, JSONL trace events, and the service job store's job
-records.  Each carries a ``schema_version`` of the form
+Two kinds of records outlive the process that wrote them: run-report
+JSON summaries and JSONL trace events.  Each carries a
+``schema_version`` of the form
 ``"<major>.<minor>"``:
 
 * **major** bumps on incompatible shape changes (renamed/retyped

@@ -1,10 +1,9 @@
 """Context-scoped solver instrumentation.
 
-Solver effort used to be tracked in module-global mutable dicts
-(``repro.spice.mna.NEWTON_STATS`` and
-``repro.spice.transient.ADAPTIVE_STATS``).  Globals lose information in
-exactly the situations the campaign runtime cares about: counters
-incremented inside worker processes never travel back to the parent's
+Solver effort used to be tracked in module-global mutable dicts.
+Globals lose information in exactly the situations the campaign
+runtime cares about: counters incremented inside worker processes
+never travel back to the parent's
 :class:`~repro.runtime.telemetry.RunReport`, two concurrent scopes in
 one process clobber each other's deltas, and a lockstep batch lumps a
 whole chunk's effort into one number with no per-sample attribution.
@@ -20,10 +19,6 @@ This module replaces them with an explicit collector:
   the innermost open scope (or the process-root collector when none is
   open).  When a scope exits, its counters fold into the enclosing
   scope, so totals are conserved all the way up to the root.
-* :class:`StatsView` — the deprecated read-only mapping the old global
-  dict names are bound to.  It reads the process-root collector live,
-  so existing benchmarks that snapshot ``dict(NEWTON_STATS)`` around a
-  workload keep working; writes raise ``TypeError``.
 
 The executor opens one scope per campaign task
 (:func:`repro.runtime.executors._execute_one`) and ships the snapshot
@@ -34,7 +29,6 @@ back across the process boundary on the
 import contextvars
 import threading
 import time
-from collections.abc import Mapping
 from contextlib import contextmanager
 
 #: every counter a :class:`SolverStats` tracks
@@ -156,7 +150,7 @@ _SCOPE = contextvars.ContextVar("repro_solver_stats")
 
 
 def root_stats():
-    """The process-root collector (what the deprecated views read)."""
+    """The process-root collector (every closed scope's totals end here)."""
     return _ROOT
 
 
@@ -186,37 +180,3 @@ def stats_scope(stats=None):
 def record(name, amount=1):
     """Increment ``name`` on the active collector (hot-path helper)."""
     current_stats().count(name, amount)
-
-
-class StatsView(Mapping):
-    """Deprecated read-only live view of the process-root collector.
-
-    Bound to the historical global names (``NEWTON_STATS``,
-    ``ADAPTIVE_STATS``) with their historical key spellings.  Reading
-    works exactly as before for code that snapshots deltas around a
-    workload; mutation raises ``TypeError`` — hot paths must record
-    through :func:`current_stats` instead.
-    """
-
-    __slots__ = ("_keymap",)
-
-    def __init__(self, keymap):
-        self._keymap = dict(keymap)
-
-    def __getitem__(self, key):
-        return _ROOT.counters[self._keymap[key]]
-
-    def __iter__(self):
-        return iter(self._keymap)
-
-    def __len__(self):
-        return len(self._keymap)
-
-    def __setitem__(self, key, value):
-        raise TypeError(
-            "{} is a deprecated read-only view; record solver effort "
-            "via repro.runtime.stats.current_stats()".format(
-                type(self).__name__))
-
-    def __repr__(self):
-        return repr(dict(self))

@@ -8,9 +8,9 @@ measurements (pulse width at 0.5*VDD, propagation delay, slew) the paper's
 metrics are built from.
 """
 
-from .analysis import (ADAPTIVE_STATS, BACKWARD_EULER, DEFAULT_LTE_TOL,
-                       TRAPEZOIDAL, BatchTransient, operating_point,
-                       run_transient, run_transient_batch)
+from .analysis import (BACKWARD_EULER, DEFAULT_LTE_TOL, TRAPEZOIDAL,
+                       BatchTransient, operating_point, run_transient,
+                       run_transient_batch)
 from .batch import BatchCompiledCircuit
 from .dcsweep import SweepResult, dc_sweep
 from .elements import (Capacitor, CurrentSource, Resistor, VoltageSource)
@@ -28,7 +28,7 @@ __all__ = [
     "Dc", "Pulse", "Pwl", "Stimulus", "make_stimulus",
     "operating_point", "run_transient", "run_transient_batch",
     "BatchTransient", "BatchCompiledCircuit",
-    "BACKWARD_EULER", "TRAPEZOIDAL", "ADAPTIVE_STATS", "DEFAULT_LTE_TOL",
+    "BACKWARD_EULER", "TRAPEZOIDAL", "DEFAULT_LTE_TOL",
     "dc_sweep", "SweepResult",
     "Waveform",
     "SpiceError", "NetlistError", "ConvergenceError", "AnalysisError",

@@ -31,18 +31,11 @@ except ImportError:  # pragma: no cover - exercised where scipy is absent
     _getrf = None
     _getrs = None
 
-from ..runtime.stats import StatsView, current_stats
+from ..runtime.stats import current_stats
 from .elements import Capacitor, CurrentSource, Resistor, VoltageSource
 from .errors import ConvergenceError, NetlistError
 from .mosfet import Mosfet, evaluate_level1, evaluate_level1_fast
 from .netlist import is_ground
-
-#: deprecated read-only view of the process-root solver counters.
-#: Newton effort is recorded through the context-scoped collector
-#: (:mod:`repro.runtime.stats`); this name survives for benchmarks that
-#: snapshot ``dict(NEWTON_STATS)`` around a workload.  Writes raise.
-NEWTON_STATS = StatsView({"solves": "newton_solves",
-                          "iterations": "newton_iterations"})
 
 SOLVER_EXACT = "exact"
 SOLVER_REUSE = "reuse"

@@ -23,7 +23,7 @@ while using materially fewer steps.
 
 import numpy as np
 
-from ..runtime.stats import StatsView, record
+from ..runtime.stats import record
 from .batch import (BatchCompiledCircuit, BatchNewtonState,
                     gmin_ladder_batch, newton_solve_batch, solve_dc_batch)
 from .errors import AnalysisError, ConvergenceError
@@ -47,15 +47,6 @@ MAX_STEP_GROWTH = 2.0
 
 #: target-error safety factor in the step-size controller
 STEP_SAFETY = 0.9
-
-#: deprecated read-only view of the process-root adaptive-stepper
-#: counters (mirrors :data:`repro.spice.mna.NEWTON_STATS`).  Effort is
-#: recorded through the context-scoped collector
-#: (:mod:`repro.runtime.stats`); benchmarks that snapshot deltas around
-#: a workload keep working, writes raise.
-ADAPTIVE_STATS = StatsView({"runs": "adaptive_runs",
-                            "accepted": "adaptive_accepted",
-                            "rejected": "adaptive_rejected"})
 
 
 def _fixed_step_count(tstop, dt):

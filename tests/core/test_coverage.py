@@ -193,9 +193,9 @@ class TestVariableNCoverageCurve:
 
 
 class TestLegacyCallablePath:
-    """The legacy ``r -> FaultSpec`` callable path must honour the same
-    measurement settings as the FaultSpec path — it used to silently
-    drop ``adaptive``/``lte_tol``/``solver`` and ignore the engine."""
+    """Sweeps honour every measurement setting (``adaptive``,
+    ``solver``), and a fault family that is not a FaultSpec prototype
+    is rejected."""
 
     PATH = dict(gate_kinds=("inv",) * 3)
 
@@ -206,7 +206,7 @@ class TestLegacyCallablePath:
 
         samples = sample_population(1, base_seed=3)
         return sweep_pulse_measurements(
-            samples, lambda r: ExternalOpen(2, r), [8e3], 0.40e-9,
+            samples, ExternalOpen(2, 8e3), [8e3], 0.40e-9,
             dt=8e-12, **dict(self.PATH, **kwargs))
 
     def test_adaptive_honoured(self):
@@ -230,8 +230,15 @@ class TestLegacyCallablePath:
         assert reuse.total("lu_reuses") > 0
 
     def test_batched_engine_rejected(self):
-        with pytest.raises(ValueError, match="FaultSpec"):
-            self._sweep(engine="batched")
+        from repro.core.coverage import sweep_pulse_measurements
+        from repro.faults import ExternalOpen
+        from repro.montecarlo import sample_population
+
+        samples = sample_population(1, base_seed=3)
+        with pytest.raises(TypeError, match="FaultSpec"):
+            sweep_pulse_measurements(samples, lambda r: ExternalOpen(2, r),
+                                     [8e3], 0.40e-9, engine="batched",
+                                     **self.PATH)
 
     def test_delay_path_rejects_batched_too(self):
         from repro.core.coverage import sweep_delay_measurements
@@ -239,9 +246,23 @@ class TestLegacyCallablePath:
         from repro.montecarlo import sample_population
 
         samples = sample_population(1, base_seed=3)
-        with pytest.raises(ValueError, match="FaultSpec"):
+        with pytest.raises(TypeError, match="FaultSpec"):
             sweep_delay_measurements(samples, lambda r: ExternalOpen(2, r),
                                      [8e3], engine="batched", **self.PATH)
+
+    def test_callable_fault_family_rejected(self):
+        from repro.core.coverage import (sweep_delay_measurements,
+                                         sweep_pulse_measurements)
+        from repro.faults import ExternalOpen
+        from repro.montecarlo import sample_population
+
+        samples = sample_population(1, base_seed=3)
+        with pytest.raises(TypeError, match="FaultSpec"):
+            sweep_pulse_measurements(samples, lambda r: ExternalOpen(2, r),
+                                     [8e3], 0.40e-9, **self.PATH)
+        with pytest.raises(TypeError, match="FaultSpec"):
+            sweep_delay_measurements(samples, lambda r: ExternalOpen(2, r),
+                                     [8e3], **self.PATH)
 
 
 class TestChunkSignature:

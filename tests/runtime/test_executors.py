@@ -98,6 +98,17 @@ class TestOrdering:
                            on_result=lambda o: seen.append(o.index))
         assert sorted(seen) == list(range(7))
 
+    def test_on_result_exception_propagates(self):
+        class Boom(RuntimeError):
+            pass
+
+        def on_result(outcome):
+            raise Boom()
+
+        with pytest.raises(Boom):
+            SerialExecutor().map_tasks(_square, PAYLOADS,
+                                       on_result=on_result)
+
 
 class TestFailures:
     def test_taxonomy_captured(self, executor):

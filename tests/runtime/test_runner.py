@@ -190,6 +190,28 @@ class TestCheckpointFlush:
         assert rerun.report.cache_hits == 2
         assert rerun.report.resumed == 2
 
+    def test_batched_interrupt_flushes_and_resumes(self, tmp_path):
+        """^C on the second chunk: the first chunk's items are cached
+        per item and in the manifest, and a rerun executes only the
+        remaining chunks."""
+        cache_dir = str(tmp_path / "cache")
+        runtime = Runtime(cache=cache_dir, checkpoint_every=100)
+        with pytest.raises(KeyboardInterrupt):
+            runtime.run_batched(_chunk_interrupt_on_two, _payloads(8),
+                                keys=_keys(8), batch_size=2, label="kb")
+        assert _read_manifest(cache_dir)["n_completed"] == 2
+        assert runtime.cache.get(_keys(8)[0]) == 0
+        assert runtime.cache.get(_keys(8)[1]) == 2
+
+        log = str(tmp_path / "log")
+        rerun = runtime.run_batched(_chunk_record_and_double,
+                                    _payloads(8, log), keys=_keys(8),
+                                    batch_size=2, label="kb")
+        assert rerun.values == [2 * i for i in range(8)]
+        assert rerun.report.cache_hits == 2
+        assert rerun.report.resumed == 2
+        assert _executions(log) == 6  # chunks 2-4 only
+
     def test_pending_marks_counter(self, tmp_path):
         checkpoint = CampaignCheckpoint("abc123", root=str(tmp_path),
                                         every=10)
@@ -271,6 +293,12 @@ def _chunk_short(payloads):
 def _chunk_boom(payloads):
     if any(p["x"] == 2 for p in payloads):
         raise ValueError("chunk boom")
+    return [2 * p["x"] for p in payloads]
+
+
+def _chunk_interrupt_on_two(payloads):
+    if any(p["x"] == 2 for p in payloads):
+        raise KeyboardInterrupt("simulated ^C mid-campaign")
     return [2 * p["x"] for p in payloads]
 
 

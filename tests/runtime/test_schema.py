@@ -1,4 +1,4 @@
-"""Schema versioning of persisted records (reports, traces, job store)."""
+"""Schema versioning of persisted records (reports and traces)."""
 
 import json
 

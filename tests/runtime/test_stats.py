@@ -1,17 +1,16 @@
 """Context-scoped solver instrumentation (repro.runtime.stats).
 
 Covers the collector semantics the campaign runtime depends on: scope
-isolation, fold-on-exit up to the process root, per-sample attribution
-for the batched engine, and the deprecated read-only views bound to the
-historical global names.
+isolation, fold-on-exit up to the process root, and per-sample
+attribution for the batched engine.
 """
 
 import pickle
 
 import pytest
 
-from repro.runtime.stats import (SolverStats, StatsView, current_stats,
-                                 root_stats, stats_scope)
+from repro.runtime.stats import (SolverStats, current_stats, root_stats,
+                                 stats_scope)
 
 
 class TestSolverStats:
@@ -126,42 +125,6 @@ class TestScopes:
             assert active is mine
             current_stats().count("adaptive_runs")
         assert mine.total("adaptive_runs") == 1
-
-
-class TestDeprecatedViews:
-    def test_view_reads_root_with_old_spellings(self):
-        view = StatsView({"solves": "newton_solves"})
-        before = view["solves"]
-        with stats_scope():
-            current_stats().count("newton_solves", 6)
-        assert view["solves"] == before + 6
-
-    def test_view_snapshots_like_a_dict(self):
-        """The benchmark idiom: ``dict(VIEW)`` before/after a workload."""
-        view = StatsView({"solves": "newton_solves",
-                          "iterations": "newton_iterations"})
-        snap = dict(view)
-        assert set(snap) == {"solves", "iterations"}
-        with stats_scope():
-            current_stats().count("newton_iterations", 5)
-        assert dict(view)["iterations"] - snap["iterations"] == 5
-
-    def test_view_rejects_writes(self):
-        view = StatsView({"solves": "newton_solves"})
-        with pytest.raises(TypeError):
-            view["solves"] = 0
-        with pytest.raises(TypeError):
-            view["solves"] += 1
-
-    def test_public_globals_are_views(self):
-        from repro.spice.mna import NEWTON_STATS
-        from repro.spice.transient import ADAPTIVE_STATS
-        assert isinstance(NEWTON_STATS, StatsView)
-        assert isinstance(ADAPTIVE_STATS, StatsView)
-        assert set(NEWTON_STATS) == {"solves", "iterations"}
-        assert set(ADAPTIVE_STATS) == {"runs", "accepted", "rejected"}
-        with pytest.raises(TypeError):
-            NEWTON_STATS["solves"] = 0
 
 
 class TestSolverIntegration:

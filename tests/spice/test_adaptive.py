@@ -18,8 +18,9 @@ from repro.core.pulse import (DEFAULT_DT, build_instance,
                               measure_output_pulse_batch,
                               measure_path_delay, measure_path_delay_batch,
                               simulation_window)
-from repro.spice import (ADAPTIVE_STATS, BACKWARD_EULER, Circuit, Pulse,
-                         Pwl, run_transient, run_transient_batch)
+from repro.runtime import stats_scope
+from repro.spice import (BACKWARD_EULER, Circuit, Pulse, Pwl,
+                         run_transient, run_transient_batch)
 from repro.spice.errors import AnalysisError
 from repro.spice.sources import collect_breakpoints
 
@@ -78,10 +79,10 @@ class TestAdaptiveRc:
         assert len(tight.t) > len(loose.t)
 
     def test_stats_counters_increment(self):
-        before = dict(ADAPTIVE_STATS)
-        run_transient(rc_circuit(), 6e-9, 20e-12, adaptive=True)
-        assert ADAPTIVE_STATS["runs"] == before["runs"] + 1
-        assert ADAPTIVE_STATS["accepted"] > before["accepted"]
+        with stats_scope() as stats:
+            run_transient(rc_circuit(), 6e-9, 20e-12, adaptive=True)
+        assert stats.total("adaptive_runs") == 1
+        assert stats.total("adaptive_accepted") > 0
 
 
 class TestAdaptiveArguments:
@@ -153,10 +154,10 @@ class TestPaperBenchEquivalence:
     def test_w_out_equivalence_and_step_budget(self):
         path = build_instance()
         w_fine, _ = measure_output_pulse(path, W_IN, dt=DEFAULT_DT / 4)
-        before = ADAPTIVE_STATS["accepted"]
-        w_adaptive, _ = measure_output_pulse(path, W_IN, dt=DEFAULT_DT,
-                                             adaptive=True)
-        accepted = ADAPTIVE_STATS["accepted"] - before
+        with stats_scope() as stats:
+            w_adaptive, _ = measure_output_pulse(path, W_IN, dt=DEFAULT_DT,
+                                                 adaptive=True)
+        accepted = stats.total("adaptive_accepted")
         assert abs(w_adaptive - w_fine) < 0.1e-12
 
         delay = path.set_input_pulse(W_IN, kind="h")
@@ -167,10 +168,10 @@ class TestPaperBenchEquivalence:
     def test_d_p_equivalence_and_step_budget(self):
         path = build_instance()
         d_fine, _ = measure_path_delay(path, dt=DEFAULT_DT / 4)
-        before = ADAPTIVE_STATS["accepted"]
-        d_adaptive, _ = measure_path_delay(path, dt=DEFAULT_DT,
-                                           adaptive=True)
-        accepted = ADAPTIVE_STATS["accepted"] - before
+        with stats_scope() as stats:
+            d_adaptive, _ = measure_path_delay(path, dt=DEFAULT_DT,
+                                               adaptive=True)
+        accepted = stats.total("adaptive_accepted")
         assert abs(d_adaptive - d_fine) < 0.1e-12
 
         stim_delay = path.set_input_transition("rise")

@@ -18,10 +18,10 @@ from repro.core.pulse import (build_instance, measure_output_pulse,
                               simulation_window)
 from repro.faults import ExternalOpen, inject, set_fault_resistance
 from repro.montecarlo import sample_population
+from repro.runtime import stats_scope
 from repro.spice import (BatchCompiledCircuit, BatchTransient, Circuit,
                          run_transient, run_transient_batch)
 from repro.spice.errors import NetlistError
-from repro.spice.mna import NEWTON_STATS
 
 DT = 6e-12
 W_IN = 0.40e-9
@@ -95,11 +95,11 @@ class TestNewtonAccounting:
         samples = sample_population(4, base_seed=5)
         paths = [build_instance(sample=s) for s in samples]
         tstop = _pulse_window(paths)
-        before = dict(NEWTON_STATS)
-        run_transient_batch([p.circuit for p in paths], tstop, DT,
-                            record=[paths[0].output_node])
-        solves = NEWTON_STATS["solves"] - before["solves"]
-        iterations = NEWTON_STATS["iterations"] - before["iterations"]
+        with stats_scope() as stats:
+            run_transient_batch([p.circuit for p in paths], tstop, DT,
+                                record=[paths[0].output_node])
+        solves = stats.total("newton_solves")
+        iterations = stats.total("newton_iterations")
         n_steps = int(round(tstop / DT))
         # >= one batched Newton call (S solves) per time step + DC init
         assert solves >= len(paths) * n_steps

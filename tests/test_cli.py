@@ -86,59 +86,6 @@ class TestVersion:
         assert __version__ in capsys.readouterr().out
 
 
-class TestServiceVerbs:
-    def test_serve_args(self):
-        args = build_parser().parse_args(
-            ["serve", "--port", "0", "--concurrency", "4",
-             "--queue-capacity", "8", "--no-aggregate"])
-        assert args.port == 0
-        assert args.concurrency == 4
-        assert args.queue_capacity == 8
-        assert args.no_aggregate
-
-    def test_submit_builds_sweep_spec(self):
-        from repro.cli import _service_spec
-        args = build_parser().parse_args(
-            ["submit", "sweep", "--fault", "bridging", "--stage", "3",
-             "--resistances", "1e3,4e3", "--samples", "7",
-             "--batch-size", "4"])
-        spec = _service_spec(args)
-        assert spec == {"kind": "sweep", "measure": "pulse",
-                        "fault": "bridging", "stage": 3,
-                        "resistances": [1e3, 4e3], "n_samples": 7,
-                        "seed": 432, "batch_size": 4}
-
-    def test_submit_builds_fast_coverage_spec(self):
-        from repro.cli import _service_spec
-        from repro.service import normalize_spec
-        args = build_parser().parse_args(
-            ["submit", "coverage", "--fast"])
-        spec = _service_spec(args)
-        assert spec["kind"] == "coverage"
-        assert spec["config"]["n_samples"] == 3
-        normalize_spec(spec)  # the fast spec must validate
-
-    def test_submit_builds_campaign_spec(self):
-        from repro.cli import _service_spec
-        args = build_parser().parse_args(
-            ["submit", "campaign", "--samples", "2", "--sites", "4",
-             "--fast"])
-        spec = _service_spec(args)
-        assert spec == {"kind": "campaign", "seed": 432, "samples": 2,
-                        "sites": 4, "stride": 2, "fast": True}
-
-    def test_unreachable_server_exit_code(self, capsys):
-        rc = main(["jobs", "--url", "http://127.0.0.1:1"])
-        assert rc == 5
-        assert "cannot reach" in capsys.readouterr().err
-
-    def test_job_exit_codes(self):
-        from repro.cli import _job_exit_code
-        assert _job_exit_code({"state": "DONE"}) == 0
-        assert _job_exit_code({"state": "FAILED"}) == 3
-        assert _job_exit_code({"state": "CANCELLED"}) == 4
-
-
 class TestFailOnErrors:
     def test_default_on(self):
         args = build_parser().parse_args(["coverage", "open"])
