@@ -389,10 +389,6 @@ def test_perf_solver_fast_path():
     from repro.core.pulse import build_instance, simulation_window
     from repro.runtime import SolverStats, stats_scope
     from repro.spice import run_transient
-    from repro.spice.mna import scipy_available
-
-    if not scipy_available():
-        pytest.skip("scipy not installed: reuse solver degrades to exact")
 
     repeats = int(os.environ.get("REPRO_BENCH_SOLVER_REPEATS", "3"))
     w_in = 0.40e-9

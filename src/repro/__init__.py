@@ -11,7 +11,7 @@ Package map
 ``repro.faults``
     Resistive-open and bridging fault models and electrical injectors.
 ``repro.montecarlo``
-    Parameter-fluctuation sampling and Monte Carlo execution engine.
+    Parameter-fluctuation sampling and coverage statistics.
 ``repro.dft``
     Reduced-clock delay-fault testing baseline (C_del).
 ``repro.core``

@@ -69,11 +69,6 @@ def _cmd_coverage(args):
         config.batch_size = args.batch_size
     if args.adaptive:
         config.adaptive = True
-    if args.lte_tol is not None:
-        config.adaptive = True
-        config.lte_tol = args.lte_tol
-    if args.solver is not None:
-        config.solver = args.solver
     if args.trace:
         config.trace = args.trace
     if (args.ci_width is not None or args.min_wave is not None
@@ -310,13 +305,6 @@ def build_parser():
     p.add_argument("--adaptive", action="store_true",
                    help="LTE-controlled adaptive time grid "
                         "(default: REPRO_ADAPTIVE or fixed-step)")
-    p.add_argument("--lte-tol", type=float, default=None,
-                   help="adaptive per-step error tolerance in volts "
-                        "(implies --adaptive; default: engine default)")
-    p.add_argument("--solver", choices=["exact", "reuse"], default=None,
-                   help="Newton variant: reuse = factorization-reuse "
-                        "fast path, exact = per-iteration refactor "
-                        "(default: REPRO_SOLVER or reuse)")
     p.add_argument("--trace", default=None,
                    help="append one JSONL event per executed task to "
                         "this file (default: REPRO_TRACE or off)")

@@ -119,8 +119,8 @@ class _SweepMeasurer:
     """
 
     def __init__(self, samples, fault, tech, dt, runtime, report,
-                 engine, batch_size, adaptive, lte_tol, solver,
-                 path_kwargs, label, measure_spec):
+                 engine, batch_size, adaptive, path_kwargs, label,
+                 measure_spec):
         if engine not in ("scalar", "batched"):
             raise ValueError("unknown engine {!r}".format(engine))
         self.samples = list(samples)
@@ -132,8 +132,6 @@ class _SweepMeasurer:
         self.engine = engine
         self.batch_size = batch_size
         self.adaptive = adaptive
-        self.lte_tol = lte_tol
-        self.solver = solver
         self.path_kwargs = path_kwargs
         self.label = label
         self.measure_spec = dict(measure_spec)
@@ -144,8 +142,7 @@ class _SweepMeasurer:
         return build_sweep_payloads(
             [self.samples[i] for i in indices], self.fault, [r],
             tech=self.tech, dt=self.dt, engine=self.engine,
-            adaptive=self.adaptive, lte_tol=self.lte_tol,
-            solver=self.solver, path_kwargs=self.path_kwargs,
+            adaptive=self.adaptive, path_kwargs=self.path_kwargs,
             with_keys=self.runtime.cache is not None,
             **self.measure_spec)
 
@@ -267,8 +264,7 @@ def adaptive_sweep(samples, fault, resistances, decide,
                    initial_points=DEFAULT_INITIAL_POINTS,
                    tech=None, dt=None, runtime=None, report=None,
                    engine="scalar", batch_size=None, adaptive=False,
-                   lte_tol=None, solver=None, path_kwargs=None,
-                   label="adaptive-sweep", measurer=None,
+                   path_kwargs=None, label="adaptive-sweep", measurer=None,
                    **measure_spec):
     """Adaptive-precision coverage sweep over one fault family.
 
@@ -301,8 +297,7 @@ def adaptive_sweep(samples, fault, resistances, decide,
     if measurer is None:
         measurer = _SweepMeasurer(
             samples, fault, tech, dt, runtime, report, engine,
-            batch_size, adaptive, lte_tol, solver, path_kwargs, label,
-            measure_spec)
+            batch_size, adaptive, path_kwargs, label, measure_spec)
 
     full_grid = sorted(set(float(r) for r in resistances))
     grid = subsample_grid(full_grid, initial_points)

@@ -13,28 +13,18 @@ from ..cells import default_technology
 from ..dft import FlipFlopTiming, calibrate_t_star
 from ..montecarlo import NominalModel
 from ..runtime import CacheMiss, Runtime, engine_cache_tag, stable_hash
-from ..spice.mna import resolve_solver_mode
+from .coverage import _measure_kwargs
 from .pulse import (assert_chunk_compatible, build_instance,
                     measure_output_pulse, measure_output_pulse_batch,
-                    measure_path_delay, measure_path_delay_batch,
-                    transient_kwargs)
+                    measure_path_delay, measure_path_delay_batch)
 from .sensing import PulseDetector
 from .transfer import (TransferCurve, characterize_transfer,
                        default_w_in_grid, recommended_w_in)
 
 
-def _grid_kwargs(payload):
-    """Time-grid/solver kwargs (dt + adaptive + solver) in a payload."""
-    kwargs = {} if payload["dt"] is None else {"dt": payload["dt"]}
-    kwargs.update(transient_kwargs(payload.get("adaptive", False),
-                                   payload.get("lte_tol"),
-                                   solver=payload.get("solver")))
-    return kwargs
-
-
 def _fault_free_pulse_task(payload):
     """Worker: one fault-free instance's w_out at the calibrated ω_in."""
-    kwargs = _grid_kwargs(payload)
+    kwargs = _measure_kwargs(payload)
     path = build_instance(sample=payload["sample"], fault=payload["fault"],
                           tech=payload["tech"], **payload["path_kwargs"])
     w_out, _ = measure_output_pulse(path, payload["omega_in"],
@@ -44,7 +34,7 @@ def _fault_free_pulse_task(payload):
 
 def _fault_free_delay_task(payload):
     """Worker: one fault-free instance's path delay."""
-    kwargs = _grid_kwargs(payload)
+    kwargs = _measure_kwargs(payload)
     path = build_instance(sample=payload["sample"], fault=payload["fault"],
                           tech=payload["tech"], **payload["path_kwargs"])
     d, _ = measure_path_delay(path, direction=payload["direction"],
@@ -60,8 +50,8 @@ def _build_chunk_instances(payloads):
 
 #: payload fields every member of one fault-free lockstep chunk must
 #: agree on (the chunk tasks read them from their first payload)
-CALIBRATION_CHUNK_FIELDS = ("dt", "adaptive", "lte_tol", "solver",
-                            "omega_in", "kind", "direction", "fault")
+CALIBRATION_CHUNK_FIELDS = ("dt", "adaptive", "omega_in", "kind",
+                            "direction", "fault")
 
 
 def _fault_free_pulse_chunk_task(payloads):
@@ -70,7 +60,7 @@ def _fault_free_pulse_chunk_task(payloads):
     assert_chunk_compatible(payloads, CALIBRATION_CHUNK_FIELDS,
                             task="fault-free pulse chunk")
     first = payloads[0]
-    kwargs = _grid_kwargs(first)
+    kwargs = _measure_kwargs(first)
     paths = _build_chunk_instances(payloads)
     wouts, _ = measure_output_pulse_batch(paths, first["omega_in"],
                                           kind=first["kind"], **kwargs)
@@ -82,7 +72,7 @@ def _fault_free_delay_chunk_task(payloads):
     assert_chunk_compatible(payloads, CALIBRATION_CHUNK_FIELDS,
                             task="fault-free delay chunk")
     first = payloads[0]
-    kwargs = _grid_kwargs(first)
+    kwargs = _measure_kwargs(first)
     paths = _build_chunk_instances(payloads)
     delays, _ = measure_path_delay_batch(paths,
                                          direction=first["direction"],
@@ -91,29 +81,20 @@ def _fault_free_delay_chunk_task(payloads):
 
 
 def _nominal_transfer(builder, w_in_grid, kind, dt, fault, tech,
-                      path_kwargs, runtime, adaptive=False, lte_tol=None,
-                      solver=None):
+                      path_kwargs, runtime, adaptive=False):
     """Nominal transfer curve, memoised in the runtime's result cache
     (it is the fixed, sample-independent part of every calibration).
 
-    The time-grid/solver knobs are threaded through to
-    :func:`characterize_transfer` and into the cache key: an earlier
-    version characterised the nominal curve on the fixed-grid default
-    solver no matter what the caller asked for, and keyed the cache on
-    the grid alone — so an exact-solver curve could be served to a
-    reuse-solver calibration, and an adaptive calibration picked ω_in*
-    from a fixed-grid curve, i.e. on a different time grid than the
-    population it calibrates.  The key gains the standard
-    :func:`~repro.runtime.engine_cache_tag` tokens; fixed-grid
-    exact-solver curves contribute no tokens, so their pre-existing
-    cache entries stay valid.
+    ``adaptive`` is threaded through to :func:`characterize_transfer`
+    and, via the standard :func:`~repro.runtime.engine_cache_tag`
+    tokens, into the cache key, so an adaptive calibration picks ω_in*
+    on the same time grid as the population it calibrates.
     """
-    solver = resolve_solver_mode(solver)
     cache = None if runtime is None else runtime.cache
     key = None
     if cache is not None:
         resolved_tech = default_technology() if tech is None else tech
-        tag = engine_cache_tag("scalar", adaptive, lte_tol, solver)
+        tag = engine_cache_tag("scalar", adaptive)
         key = stable_hash("nominal-transfer", resolved_tech, fault,
                           [float(w) for w in w_in_grid], kind, dt,
                           path_kwargs, *tag)
@@ -125,8 +106,7 @@ def _nominal_transfer(builder, w_in_grid, kind, dt, fault, tech,
             return TransferCurve(stored["w_in"], stored["w_out"],
                                  kind=kind)
     curve = characterize_transfer(builder, w_in_grid, kind=kind, dt=dt,
-                                  adaptive=adaptive, lte_tol=lte_tol,
-                                  solver=solver)
+                                  adaptive=adaptive)
     if key is not None:
         cache.put(key, {"w_in": [float(w) for w in curve.w_in],
                         "w_out": [float(w) for w in curve.w_out]})
@@ -135,8 +115,7 @@ def _nominal_transfer(builder, w_in_grid, kind, dt, fault, tech,
 
 def _measure_population(task, samples, payload_base, label, runtime,
                         report, key_parts, engine="scalar",
-                        batch_task=None, batch_size=None, adaptive=False,
-                        lte_tol=None, solver=None):
+                        batch_task=None, batch_size=None, adaptive=False):
     """Run one per-sample measurement task over the population.
 
     ``engine="batched"`` dispatches ``batch_task`` over sample chunks
@@ -146,15 +125,11 @@ def _measure_population(task, samples, payload_base, label, runtime,
     if engine not in ("scalar", "batched"):
         raise ValueError("unknown engine {!r}".format(engine))
     runtime = Runtime() if runtime is None else runtime
-    # Resolved here so payloads and cache keys always describe the same
-    # concrete solver mode (see build_sweep_payloads).
-    solver = resolve_solver_mode(solver)
-    payloads = [dict(payload_base, sample=sample, adaptive=adaptive,
-                     lte_tol=lte_tol, solver=solver)
+    payloads = [dict(payload_base, sample=sample, adaptive=adaptive)
                 for sample in samples]
     keys = None
     if runtime.cache is not None:
-        tag = engine_cache_tag(engine, adaptive, lte_tol, solver)
+        tag = engine_cache_tag(engine, adaptive)
         keys = [stable_hash(label, key_parts, sample, *tag)
                 for sample in samples]
     if engine == "batched":
@@ -194,8 +169,7 @@ def calibrate_pulse_test(samples, fault=None, tech=None, kind="h",
                          w_in_grid=None, sensing_tolerance=0.1,
                          margin=0.03e-9, dt=None, omega_in=None,
                          runtime=None, report=None, engine="scalar",
-                         batch_size=None, adaptive=False, lte_tol=None,
-                         solver=None, **path_kwargs):
+                         batch_size=None, adaptive=False, **path_kwargs):
     """Select (ω_in*, ω_th*) for the path described by ``path_kwargs``.
 
     Steps (Sec. 5 rule + Sec. 4 yield constraint):
@@ -216,8 +190,7 @@ def calibrate_pulse_test(samples, fault=None, tech=None, kind="h",
 
     curve = _nominal_transfer(nominal_builder, w_in_grid, kind, dt,
                               fault, tech, path_kwargs, runtime,
-                              adaptive=adaptive, lte_tol=lte_tol,
-                              solver=solver)
+                              adaptive=adaptive)
     if omega_in is None:
         omega_in = recommended_w_in(curve, margin=margin)
 
@@ -229,8 +202,7 @@ def calibrate_pulse_test(samples, fault=None, tech=None, kind="h",
         "pulse-calibration", runtime, report,
         [resolved_tech, fault, float(omega_in), kind, dt, path_kwargs],
         engine=engine, batch_task=_fault_free_pulse_chunk_task,
-        batch_size=batch_size, adaptive=adaptive, lte_tol=lte_tol,
-        solver=solver)
+        batch_size=batch_size, adaptive=adaptive)
     weakest = min(wouts)
     if weakest <= 0.0:
         raise ValueError(
@@ -245,8 +217,7 @@ def calibrate_pulse_test(samples, fault=None, tech=None, kind="h",
 def calibrate_delay_test(samples, fault=None, tech=None, direction="rise",
                          flipflop=None, skew_tolerance=0.1, dt=None,
                          runtime=None, report=None, engine="scalar",
-                         batch_size=None, adaptive=False, lte_tol=None,
-                         solver=None, **path_kwargs):
+                         batch_size=None, adaptive=False, **path_kwargs):
     """Calibrate the reduced-clock baseline on the same population.
 
     Returns ``(DelayFaultTest, fault_free_delays)``.
@@ -261,8 +232,7 @@ def calibrate_delay_test(samples, fault=None, tech=None, direction="rise",
         "delay-calibration", runtime, report,
         [resolved_tech, fault, direction, dt, path_kwargs],
         engine=engine, batch_task=_fault_free_delay_chunk_task,
-        batch_size=batch_size, adaptive=adaptive, lte_tol=lte_tol,
-        solver=solver)
+        batch_size=batch_size, adaptive=adaptive)
     test = calibrate_t_star(delays, samples, flipflop,
                             skew_tolerance=skew_tolerance)
     return test, delays

@@ -21,7 +21,6 @@ from ..cells import default_technology
 from ..faults import FaultSpec, inject, set_fault_resistance
 from ..montecarlo import wilson_interval
 from ..runtime import Runtime, engine_cache_tag, stable_hash
-from ..spice.mna import resolve_solver_mode
 from .pulse import (assert_chunk_compatible, build_instance,
                     measure_output_pulse, measure_output_pulse_batch,
                     measure_path_delay, measure_path_delay_batch)
@@ -137,14 +136,11 @@ class CoverageResult:
 # ----------------------------------------------------------------------
 
 def _measure_kwargs(payload):
-    """Measurement kwargs (time grid + solver) encoded in a row payload."""
-    kwargs = {} if payload["dt"] is None else {"dt": payload["dt"]}
-    if payload.get("solver") is not None:
-        kwargs["solver"] = payload["solver"]
-    if payload.get("adaptive"):
-        kwargs["adaptive"] = True
-        if payload.get("lte_tol") is not None:
-            kwargs["lte_tol"] = payload["lte_tol"]
+    """Time-grid kwargs (dt + adaptive) encoded in a sweep-row or
+    calibration payload."""
+    kwargs = {"adaptive": payload.get("adaptive", False)}
+    if payload["dt"] is not None:
+        kwargs["dt"] = payload["dt"]
     return kwargs
 
 
@@ -173,8 +169,7 @@ def _sweep_row_task(payload):
 #: payload fields every member of one lockstep sweep chunk must agree on
 #: (the chunk task applies the first payload's settings to all samples)
 SWEEP_CHUNK_FIELDS = ("measure", "resistances", "dt", "adaptive",
-                      "lte_tol", "solver", "omega_in", "kind",
-                      "direction", "fault")
+                      "omega_in", "kind", "direction", "fault")
 
 
 def _sweep_chunk_task(payloads):
@@ -208,9 +203,8 @@ def _sweep_chunk_task(payloads):
 
 
 def build_sweep_payloads(samples, fault, resistances, tech=None, dt=None,
-                         engine="scalar", adaptive=False, lte_tol=None,
-                         solver=None, path_kwargs=None, with_keys=True,
-                         **measure_spec):
+                         engine="scalar", adaptive=False, path_kwargs=None,
+                         with_keys=True, **measure_spec):
     """Payloads + cache keys for a per-sample measurement sweep.
 
     This is the single source of truth for the sweep task contract:
@@ -233,18 +227,13 @@ def build_sweep_payloads(samples, fault, resistances, tech=None, dt=None,
     tech = default_technology() if tech is None else tech
     path_kwargs = {} if path_kwargs is None else dict(path_kwargs)
     resistances = [float(r) for r in resistances]
-    # Resolve the solver mode here, not in the worker: the payload and
-    # the cache key must describe the same concrete configuration no
-    # matter what REPRO_SOLVER says in the worker process.
-    solver = resolve_solver_mode(solver)
     payloads = [dict(sample=sample, fault=fault, resistances=resistances,
                      tech=tech, dt=dt, path_kwargs=path_kwargs,
-                     adaptive=adaptive, lte_tol=lte_tol, solver=solver,
-                     **measure_spec)
+                     adaptive=adaptive, **measure_spec)
                 for sample in samples]
     keys = None
     if with_keys:
-        tag = engine_cache_tag(engine, adaptive, lte_tol, solver)
+        tag = engine_cache_tag(engine, adaptive)
         keys = [stable_hash("sweep-row", tech, sample, fault, resistances,
                             dt, path_kwargs, measure_spec, *tag)
                 for sample in samples]
@@ -253,8 +242,7 @@ def build_sweep_payloads(samples, fault, resistances, tech=None, dt=None,
 
 def _sweep_rows(samples, fault, resistances, tech, dt, runtime, label,
                 report, path_kwargs, engine="scalar", batch_size=None,
-                adaptive=False, lte_tol=None, solver=None,
-                **measure_spec):
+                adaptive=False, **measure_spec):
     """Dispatch the per-sample measurement rows through the runtime.
 
     ``engine="scalar"`` runs one task per sample (the reference path);
@@ -267,9 +255,8 @@ def _sweep_rows(samples, fault, resistances, tech, dt, runtime, label,
     runtime = Runtime() if runtime is None else runtime
     payloads, keys = build_sweep_payloads(
         samples, fault, resistances, tech=tech, dt=dt, engine=engine,
-        adaptive=adaptive, lte_tol=lte_tol, solver=solver,
-        path_kwargs=path_kwargs, with_keys=runtime.cache is not None,
-        **measure_spec)
+        adaptive=adaptive, path_kwargs=path_kwargs,
+        with_keys=runtime.cache is not None, **measure_spec)
     if engine == "batched":
         run = runtime.run_batched(_sweep_chunk_task, payloads, keys=keys,
                                   batch_size=batch_size, label=label,
@@ -286,7 +273,7 @@ def sweep_pulse_measurements(samples, fault_family, resistances,
                              omega_in, kind="h", tech=None, dt=None,
                              runtime=None, report=None, engine="scalar",
                              batch_size=None, adaptive=False,
-                             lte_tol=None, solver=None, **path_kwargs):
+                             **path_kwargs):
     """Per-sample, per-R output pulse widths for a fault family.
 
     ``fault_family`` is a fault prototype (any resistance).
@@ -296,22 +283,21 @@ def sweep_pulse_measurements(samples, fault_family, resistances,
     return _sweep_rows(samples, fault_family, resistances, tech, dt,
                        runtime, "pulse-sweep", report, path_kwargs,
                        engine=engine, batch_size=batch_size,
-                       adaptive=adaptive, lte_tol=lte_tol, solver=solver,
-                       measure="pulse", omega_in=float(omega_in),
-                       kind=kind)
+                       adaptive=adaptive, measure="pulse",
+                       omega_in=float(omega_in), kind=kind)
 
 
 def sweep_delay_measurements(samples, fault_family, resistances,
                              direction="rise", tech=None, dt=None,
                              runtime=None, report=None, engine="scalar",
                              batch_size=None, adaptive=False,
-                             lte_tol=None, solver=None, **path_kwargs):
+                             **path_kwargs):
     """Per-sample, per-R path delays for a fault family."""
     return _sweep_rows(samples, fault_family, resistances, tech, dt,
                        runtime, "delay-sweep", report, path_kwargs,
                        engine=engine, batch_size=batch_size,
-                       adaptive=adaptive, lte_tol=lte_tol, solver=solver,
-                       measure="delay", direction=direction)
+                       adaptive=adaptive, measure="delay",
+                       direction=direction)
 
 
 def pulse_coverage(raw, samples, resistances, calibration,

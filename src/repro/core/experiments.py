@@ -38,21 +38,17 @@ class ExperimentConfig:
     reference, one sample per task) or ``"batched"`` (lockstep chunks
     of ``batch_size`` samples; ``REPRO_ENGINE=batched``).  ``adaptive``
     switches both engines to the LTE-controlled time grid
-    (``REPRO_ADAPTIVE=1``) with per-step tolerance ``lte_tol``
-    (``REPRO_LTE_TOL``, volts; None uses the engine default).
-    ``solver`` selects the Newton variant for every transient in the
-    experiment (``"reuse"`` = factorization-reuse fast path, ``"exact"``
-    = per-iteration refactor reference; ``REPRO_SOLVER``; None defers to
-    the engine default, which resolves to ``"reuse"``).  ``trace`` names
-    a JSONL file receiving one event per executed task (``REPRO_TRACE``;
-    None disables tracing).
+    (``REPRO_ADAPTIVE=1``).  ``trace`` names a JSONL file receiving one
+    event per executed task (``REPRO_TRACE``; None disables tracing).
+    The Newton solver and the adaptive step tolerance are not settings
+    here: :mod:`repro.spice` fixes both.
     """
 
     def __init__(self, n_samples=16, dt=3e-12, seed=1, fault_stage=2,
                  rop_resistances=None, bridging_resistances=None,
                  n_paths=10, n_jobs=None, cache_dir=None,
                  engine="scalar", batch_size=None, adaptive=False,
-                 lte_tol=None, solver=None, trace=None):
+                 trace=None):
         self.n_samples = int(n_samples)
         self.dt = float(dt)
         self.seed = int(seed)
@@ -71,10 +67,6 @@ class ExperimentConfig:
         self.engine = engine
         self.batch_size = None if batch_size is None else int(batch_size)
         self.adaptive = bool(adaptive)
-        self.lte_tol = None if lte_tol is None else float(lte_tol)
-        if solver is not None and solver not in ("exact", "reuse"):
-            raise ValueError("unknown solver {!r}".format(solver))
-        self.solver = solver
         self.trace = None if trace is None else str(trace)
 
     @classmethod
@@ -102,11 +94,6 @@ class ExperimentConfig:
             overrides.setdefault("engine", os.environ["REPRO_ENGINE"])
         if os.environ.get("REPRO_ADAPTIVE"):
             overrides.setdefault("adaptive", True)
-        if os.environ.get("REPRO_LTE_TOL"):
-            overrides.setdefault("lte_tol",
-                                 float(os.environ["REPRO_LTE_TOL"]))
-        if os.environ.get("REPRO_SOLVER"):
-            overrides.setdefault("solver", os.environ["REPRO_SOLVER"])
         if os.environ.get("REPRO_TRACE"):
             overrides.setdefault("trace", os.environ["REPRO_TRACE"])
         return cls(**overrides)
@@ -210,10 +197,8 @@ def _run_coverage(config, tech, fault_proto, resistances, label,
     report = RunReport(label)
 
     engine_kwargs = dict(engine=config.engine,
-                         solver=config.solver,
                          batch_size=config.batch_size,
-                         adaptive=config.adaptive,
-                         lte_tol=config.lte_tol)
+                         adaptive=config.adaptive)
     calibration = calibrate_pulse_test(samples, tech=tech, dt=config.dt,
                                        runtime=runtime, report=report,
                                        **engine_kwargs)
@@ -333,9 +318,9 @@ def run_adaptive_coverage(config=None, tech=None, runtime=None,
     label = "adaptive-{}-coverage".format(fault)
     report = RunReport(label)
 
-    engine_kwargs = dict(engine=config.engine, solver=config.solver,
+    engine_kwargs = dict(engine=config.engine,
                          batch_size=config.batch_size,
-                         adaptive=config.adaptive, lte_tol=config.lte_tol)
+                         adaptive=config.adaptive)
     calibration = calibrate_pulse_test(samples, tech=tech, dt=config.dt,
                                        runtime=runtime, report=report,
                                        **engine_kwargs)

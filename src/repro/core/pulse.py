@@ -25,32 +25,6 @@ GATE_DELAY_BUDGET = 0.35e-9
 WINDOW_MARGIN = 1.2e-9
 
 
-def transient_kwargs(adaptive=False, lte_tol=None, dt_min=None,
-                     dt_max=None, solver=None):
-    """Time-grid and solver keyword set shared by the measurement drivers.
-
-    Normalises the adaptive and Newton-solver knobs into the kwargs both
-    :func:`~repro.spice.run_transient` and
-    :func:`~repro.spice.run_transient_batch` accept; with
-    ``adaptive=False`` the time-grid knobs are dropped and the
-    fixed-step reference grid is used.  ``solver=None`` leaves the mode
-    to the engine default (``REPRO_SOLVER`` or ``"reuse"``).
-    """
-    kwargs = {}
-    if solver is not None:
-        kwargs["solver"] = str(solver)
-    if not adaptive:
-        return kwargs
-    kwargs["adaptive"] = True
-    if lte_tol is not None:
-        kwargs["lte_tol"] = float(lte_tol)
-    if dt_min is not None:
-        kwargs["dt_min"] = float(dt_min)
-    if dt_max is not None:
-        kwargs["dt_max"] = float(dt_max)
-    return kwargs
-
-
 def chunk_signature(payload, fields):
     """Cheap comparable signature of one chunk payload's shared settings.
 
@@ -134,8 +108,7 @@ def simulation_window(path, w_in=0.0, stimulus_delay=0.0):
 
 
 def measure_output_pulse(path, w_in, kind="h", dt=DEFAULT_DT, level=None,
-                         record_all=False, adaptive=False, lte_tol=None,
-                         dt_min=None, dt_max=None, solver=None):
+                         record_all=False, adaptive=False):
     """Inject a pulse and measure ``w_out`` at the path output.
 
     Returns ``(w_out, waveform)``; ``w_out`` is the width of the widest
@@ -148,9 +121,7 @@ def measure_output_pulse(path, w_in, kind="h", dt=DEFAULT_DT, level=None,
     tstop = simulation_window(path, w_in=w_in, stimulus_delay=delay)
     record = None if record_all else [path.input_node, path.output_node]
     waveform = run_transient(path.circuit, tstop, dt, record=record,
-                             **transient_kwargs(adaptive, lte_tol,
-                                                dt_min, dt_max,
-                                                solver=solver))
+                             adaptive=adaptive)
     level = path.tech.vdd_half if level is None else level
     polarity = output_pulse_polarity(path, kind)
     w_out = waveform.widest_pulse(path.output_node, level, polarity)
@@ -158,8 +129,7 @@ def measure_output_pulse(path, w_in, kind="h", dt=DEFAULT_DT, level=None,
 
 
 def measure_output_pulse_batch(paths, w_in, kind="h", dt=DEFAULT_DT,
-                               level=None, adaptive=False, lte_tol=None,
-                               dt_min=None, dt_max=None, solver=None):
+                               level=None, adaptive=False):
     """Batched ``w_out`` measurement over topologically identical paths.
 
     All instances are simulated in lockstep by the batched transient
@@ -176,9 +146,7 @@ def measure_output_pulse_batch(paths, w_in, kind="h", dt=DEFAULT_DT,
     record = [paths[0].input_node, paths[0].output_node]
     waveforms = run_transient_batch([path.circuit for path in paths],
                                     tstop, dt, record=record,
-                                    **transient_kwargs(adaptive, lte_tol,
-                                                       dt_min, dt_max,
-                                                       solver=solver))
+                                    adaptive=adaptive)
     w_outs = []
     for path, waveform in zip(paths, waveforms):
         lv = path.tech.vdd_half if level is None else level
@@ -188,8 +156,7 @@ def measure_output_pulse_batch(paths, w_in, kind="h", dt=DEFAULT_DT,
 
 
 def measure_path_delay_batch(paths, direction="rise", dt=DEFAULT_DT,
-                             level=None, adaptive=False, lte_tol=None,
-                             dt_min=None, dt_max=None, solver=None):
+                             level=None, adaptive=False):
     """Batched propagation-delay measurement (lockstep population).
 
     Returns ``(delays, waveforms)``; non-crossing outputs report
@@ -202,9 +169,7 @@ def measure_path_delay_batch(paths, direction="rise", dt=DEFAULT_DT,
     record = [paths[0].input_node, paths[0].output_node]
     waveforms = run_transient_batch([path.circuit for path in paths],
                                     tstop, dt, record=record,
-                                    **transient_kwargs(adaptive, lte_tol,
-                                                       dt_min, dt_max,
-                                                       solver=solver))
+                                    adaptive=adaptive)
     delays = []
     for path, waveform in zip(paths, waveforms):
         lv = path.tech.vdd_half if level is None else level
@@ -215,8 +180,7 @@ def measure_path_delay_batch(paths, direction="rise", dt=DEFAULT_DT,
 
 
 def measure_path_delay(path, direction="rise", dt=DEFAULT_DT, level=None,
-                       adaptive=False, lte_tol=None, dt_min=None,
-                       dt_max=None, solver=None):
+                       adaptive=False):
     """Propagation delay for a single input transition.
 
     Returns ``(delay, waveform)``.  When the output never crosses the
@@ -228,9 +192,7 @@ def measure_path_delay(path, direction="rise", dt=DEFAULT_DT, level=None,
     tstop = simulation_window(path, stimulus_delay=delay)
     waveform = run_transient(path.circuit, tstop, dt,
                              record=[path.input_node, path.output_node],
-                             **transient_kwargs(adaptive, lte_tol,
-                                                dt_min, dt_max,
-                                                solver=solver))
+                             adaptive=adaptive)
     level = path.tech.vdd_half if level is None else level
     d = waveform.propagation_delay(path.input_node, path.output_node, level)
     if d is None:

@@ -14,7 +14,7 @@ The test-generation rule of Sec. 5 places the injected width ω_in at the
 
 import numpy as np
 
-from .pulse import measure_output_pulse, transient_kwargs
+from .pulse import measure_output_pulse
 
 
 class TransferCurve:
@@ -86,18 +86,19 @@ def default_w_in_grid(tech=None, n_points=13):
 
 
 def characterize_transfer(path_builder, w_in_values, kind="h", dt=None,
-                          adaptive=False, lte_tol=None, solver=None):
+                          adaptive=False):
     """Measure the transfer curve of the path built by ``path_builder``.
 
     ``path_builder`` is a zero-argument callable returning a fresh
     :class:`~repro.cells.PathCircuit` (fresh because the stimulus is
-    mutated per measurement point).  The time-grid/solver knobs mirror
+    mutated per measurement point).  The time-grid knobs mirror
     :func:`~repro.core.pulse.measure_output_pulse` so a calibration can
-    characterise its nominal curve on the same grid and solver as the
-    population it calibrates.
+    characterise its nominal curve on the same grid as the population
+    it calibrates.
     """
-    kwargs = {} if dt is None else {"dt": dt}
-    kwargs.update(transient_kwargs(adaptive, lte_tol, solver=solver))
+    kwargs = {"adaptive": adaptive}
+    if dt is not None:
+        kwargs["dt"] = dt
     w_out = []
     for w in w_in_values:
         path = path_builder()

@@ -16,7 +16,6 @@ instance flips), and a coverage sweep against fault resistance.
 
 from ..cells import build_path, default_technology
 from ..faults import inject, set_fault_resistance
-from ..montecarlo import run_population
 from ..spice import run_transient
 
 
@@ -95,7 +94,6 @@ def calibrate_ordering_test(samples, tech=None, length_a=5, length_b=7,
     """Measure the fault-free gap distribution; fail loudly when any
     healthy instance already flips (ordering "too fine" — the paper's
     caveat about close transitions)."""
-    gaps = []
 
     def worker(sample):
         dual = build_dual_path(tech=tech, length_a=length_a,
@@ -104,7 +102,7 @@ def calibrate_ordering_test(samples, tech=None, length_a=5, length_b=7,
         t_b = output_arrival(dual.path_b, direction, dt=dt)
         return t_b - t_a
 
-    gaps = run_population(worker, samples).values
+    gaps = [worker(sample) for sample in samples]
     guard = min(gaps)
     if guard <= 0.0:
         raise ValueError(
@@ -131,7 +129,7 @@ def sweep_ordering_measurements(samples, fault_family, resistances,
             row.append((t_a, t_b))
         return row
 
-    return run_population(worker, samples).values
+    return [worker(sample) for sample in samples]
 
 
 def ordering_coverage(raw, resistances, test):

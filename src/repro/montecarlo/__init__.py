@@ -1,6 +1,5 @@
-"""Monte Carlo parameter-fluctuation sampling and execution."""
+"""Monte Carlo parameter-fluctuation sampling and coverage statistics."""
 
-from .engine import MonteCarloResult, run_population
 from .sampling import (GLOBAL_FIELDS, NominalModel, VariationModel,
                        sample_population)
 from .statistics import (coverage_fraction, samples_for_halfwidth,
@@ -9,7 +8,6 @@ from .statistics import (coverage_fraction, samples_for_halfwidth,
 
 __all__ = [
     "VariationModel", "NominalModel", "sample_population", "GLOBAL_FIELDS",
-    "run_population", "MonteCarloResult",
     "coverage_fraction", "summarize", "wilson_interval",
     "wilson_halfwidth", "wilson_excludes", "samples_for_halfwidth",
 ]

@@ -34,28 +34,26 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 DEFAULT_BATCH_SIZE = 32
 
 
-def engine_cache_tag(engine="scalar", adaptive=False, lte_tol=None,
-                     solver=None):
+def engine_cache_tag(engine="scalar", adaptive=False):
     """Cache-key tag tuple for the simulation-engine configuration.
 
-    Results from different engines, time-grid disciplines or Newton
-    solver modes agree only to tolerance, never bit-exactly, so their
-    cached rows must not alias.  The scalar fixed-step exact-Newton
-    reference contributes no tokens (keeps every pre-existing cache
-    entry valid); the batched engine, the adaptive grid and the
-    factorization-reuse solver each add a discriminating token, and the
-    adaptive tag includes the LTE tolerance because it changes the
-    produced waveforms.
+    Results from different engines or time-grid disciplines agree only
+    to tolerance, never bit-exactly, so their cached rows must not
+    alias.  The scalar fixed-step engine contributes no engine or grid
+    token; the batched engine and the adaptive grid each add one.  The
+    Newton policy is decided in :mod:`repro.spice` alone, and every tag
+    ends with its token.
     """
+    # imported here: repro.spice imports repro.runtime.stats at load time
+    from ..spice.transient import NEWTON_CACHE_TOKEN
+
     tag = []
     if engine != "scalar":
         tag.append("engine={}".format(engine))
     if adaptive:
         tag.append("grid=adaptive")
-        if lte_tol is not None:
-            tag.append("lte_tol={!r}".format(float(lte_tol)))
-    if solver is not None and solver != "exact":
-        tag.append("solver={}".format(solver))
+    # one policy now; the token stays so pre-existing keys still match
+    tag.append(NEWTON_CACHE_TOKEN)
     return tuple(tag)
 
 

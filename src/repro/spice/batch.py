@@ -29,7 +29,7 @@ import numpy as np
 from ..runtime.stats import current_stats
 from .errors import ConvergenceError, NetlistError
 from .mna import (DEFAULT_BYPASS_TOL, STALL_RATIO, _COMPANION_CACHE_MAX,
-                  _getrf, _getrs, CompiledCircuit, scipy_available)
+                  _getrf, _getrs, CompiledCircuit)
 from .mosfet import evaluate_level1, evaluate_level1_fast
 
 
@@ -476,8 +476,8 @@ def newton_solve_batch(batch, a_base, rhs_base, x0, sample_idx=None,
     (gmin ladder) for the failed subset only.  Samples with singular
     matrices are reported as non-converged.
 
-    With ``state`` (a :class:`BatchNewtonState`) and scipy available,
-    the factorization-reuse/device-bypass fast path runs first; rows it
+    With ``state`` (a :class:`BatchNewtonState`) the
+    factorization-reuse/device-bypass fast path runs first; rows it
     cannot close are retried with the exact lockstep iteration below, so
     per-sample convergence behaviour is never worse than without
     ``state``.
@@ -485,7 +485,7 @@ def newton_solve_batch(batch, a_base, rhs_base, x0, sample_idx=None,
     if sample_idx is None:
         sample_idx = np.arange(np.asarray(x0).shape[0])
     sample_idx = np.asarray(sample_idx, dtype=int)
-    if state is not None and scipy_available():
+    if state is not None:
         x, converged = _newton_solve_batch_reuse(
             batch, a_base, rhs_base, x0, sample_idx, gmin, max_iter,
             vtol, damping, time, state)

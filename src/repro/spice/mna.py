@@ -15,32 +15,21 @@ Ground is index ``-1`` and is handled by appending a pinned 0.0 entry when
 gathering voltages and by masking stamps that land on it.
 """
 
-import os
 import time as _time
 
 import numpy as np
-
-try:
-    # Raw LAPACK bindings: the high-level lu_factor/lu_solve wrappers
-    # spend ~30 us per call on argument validation, which at MNA sizes
-    # (tens of unknowns) costs more than the triangular solves they
-    # wrap.  getrf also reports exact singularity via ``info`` instead
-    # of a warning, which is the contract the solver needs anyway.
-    from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
-except ImportError:  # pragma: no cover - exercised where scipy is absent
-    _getrf = None
-    _getrs = None
+# Raw LAPACK bindings: the high-level lu_factor/lu_solve wrappers spend
+# ~30 us per call on argument validation, which at MNA sizes (tens of
+# unknowns) costs more than the triangular solves they wrap.  getrf also
+# reports exact singularity via ``info`` instead of a warning, which is
+# the contract the solver needs anyway.
+from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
 
 from ..runtime.stats import current_stats
 from .elements import Capacitor, CurrentSource, Resistor, VoltageSource
 from .errors import ConvergenceError, NetlistError
 from .mosfet import Mosfet, evaluate_level1, evaluate_level1_fast
 from .netlist import is_ground
-
-SOLVER_EXACT = "exact"
-SOLVER_REUSE = "reuse"
-SOLVER_MODES = (SOLVER_EXACT, SOLVER_REUSE)
-DEFAULT_SOLVER = SOLVER_REUSE
 
 #: a device whose terminal voltages all moved less than this since its
 #: last evaluation keeps its cached linearisation (volts).  The final
@@ -56,29 +45,6 @@ STALL_RATIO = 0.5
 #: revisits a handful of step sizes; the cache makes their ``a_base``
 #: identity-stable so LU warm starts survive step-size oscillation).
 _COMPANION_CACHE_MAX = 8
-
-
-def scipy_available():
-    """True when :mod:`scipy.linalg` is importable (reuse fast path)."""
-    return _getrf is not None
-
-
-def resolve_solver_mode(solver=None):
-    """Resolve a solver-mode knob to ``"exact"`` or ``"reuse"``.
-
-    ``None`` falls back to the ``REPRO_SOLVER`` environment variable and
-    then to :data:`DEFAULT_SOLVER`.  When scipy is unavailable the reuse
-    mode silently degrades to exact — behaviour, not performance, is the
-    contract there.
-    """
-    if solver is None:
-        solver = os.environ.get("REPRO_SOLVER") or DEFAULT_SOLVER
-    if solver not in SOLVER_MODES:
-        raise ValueError("unknown solver mode {!r}; expected one of {}"
-                         .format(solver, "/".join(SOLVER_MODES)))
-    if solver == SOLVER_REUSE and not scipy_available():
-        return SOLVER_EXACT
-    return solver
 
 
 class NewtonState:
@@ -469,12 +435,12 @@ def newton_solve(compiled, a_base, rhs_base, x0, gmin=1e-12,
     ``x`` (linear elements, sources, capacitor companions).  Returns the
     converged solution.
 
-    With ``state`` (a :class:`NewtonState`) and scipy available, the
+    With ``state`` (a :class:`NewtonState`) the
     factorization-reuse/device-bypass fast path runs first; the exact
     damped iteration below remains the guaranteed fallback, so
     convergence behaviour is never worse than without ``state``.
     """
-    if state is not None and scipy_available():
+    if state is not None:
         try:
             return _newton_solve_reuse(compiled, a_base, rhs_base, x0,
                                        state, gmin, max_iter, vtol,

@@ -27,15 +27,23 @@ from ..runtime.stats import record
 from .batch import (BatchCompiledCircuit, BatchNewtonState,
                     gmin_ladder_batch, newton_solve_batch, solve_dc_batch)
 from .errors import AnalysisError, ConvergenceError
-from .mna import (SOLVER_REUSE, CompiledCircuit, NewtonState,
-                  gmin_continuation_solve, newton_solve,
-                  resolve_solver_mode)
+from .mna import (CompiledCircuit, NewtonState, gmin_continuation_solve,
+                  newton_solve)
 from .dcop import solve_dc
 from .sources import collect_breakpoints
 from .waveform import Waveform
 
 BACKWARD_EULER = "be"
 TRAPEZOIDAL = "trap"
+
+#: Newton policies: ``reuse`` runs every campaign; ``exact`` is the
+#: reference the equivalence tests compare it against
+SOLVER_EXACT = "exact"
+SOLVER_REUSE = "reuse"
+
+#: cache-key token naming the Newton policy campaigns run; keys computed
+#: above ``repro.spice`` carry it (see ``repro.runtime.engine_cache_tag``)
+NEWTON_CACHE_TOKEN = "solver=" + SOLVER_REUSE
 
 #: default absolute LTE tolerance (volts).  Crossing-time accuracy is
 #: the LTE divided by the local slew; at the bench's ~0.05 V/ps edges,
@@ -47,6 +55,12 @@ MAX_STEP_GROWTH = 2.0
 
 #: target-error safety factor in the step-size controller
 STEP_SAFETY = 0.9
+
+
+def _check_solver(solver):
+    if solver not in (SOLVER_EXACT, SOLVER_REUSE):
+        raise ValueError("unknown solver mode {!r}; expected {} or {}"
+                         .format(solver, SOLVER_REUSE, SOLVER_EXACT))
 
 
 def _fixed_step_count(tstop, dt):
@@ -225,7 +239,8 @@ def _push_history(hist_t, hist_x, t_new, x_new, landed):
 
 def run_transient(circuit, tstop, dt, method=TRAPEZOIDAL, record=None,
                   gmin=1e-12, x0=None, adaptive=False, dt_min=None,
-                  dt_max=None, lte_tol=DEFAULT_LTE_TOL, solver=None):
+                  dt_max=None, lte_tol=DEFAULT_LTE_TOL,
+                  solver=SOLVER_REUSE):
     """Simulate ``circuit`` from 0 to ``tstop``.
 
     Parameters
@@ -254,7 +269,8 @@ def run_transient(circuit, tstop, dt, method=TRAPEZOIDAL, record=None,
     solver:
         ``"reuse"`` (modified Newton with a warm LU factorization and
         device bypass; the default) or ``"exact"`` (re-stamp and
-        re-factor every iteration).  ``None`` reads ``REPRO_SOLVER``.
+        re-factor every iteration; the reference the equivalence tests
+        compare against).
 
     Returns a :class:`Waveform` (non-uniform time base when adaptive).
     """
@@ -265,7 +281,7 @@ def run_transient(circuit, tstop, dt, method=TRAPEZOIDAL, record=None,
     if adaptive and method != TRAPEZOIDAL:
         raise AnalysisError("adaptive stepping requires the trapezoidal "
                             "method")
-    solver = resolve_solver_mode(solver)
+    _check_solver(solver)
 
     compiled = CompiledCircuit(circuit)
     n = compiled.n
@@ -450,7 +466,7 @@ class BatchTransientResult:
 def run_transient_batch(circuits, tstop, dt, method=TRAPEZOIDAL,
                         record=None, gmin=1e-12, x0=None, adaptive=False,
                         dt_min=None, dt_max=None, lte_tol=DEFAULT_LTE_TOL,
-                        solver=None):
+                        solver=SOLVER_REUSE):
     """Simulate a population of topologically identical circuits in
     lockstep from 0 to ``tstop``.
 
@@ -483,7 +499,7 @@ def run_transient_batch(circuits, tstop, dt, method=TRAPEZOIDAL,
     if adaptive and method != TRAPEZOIDAL:
         raise AnalysisError("adaptive stepping requires the trapezoidal "
                             "method")
-    solver = resolve_solver_mode(solver)
+    _check_solver(solver)
 
     batch = (circuits if isinstance(circuits, BatchCompiledCircuit)
              else BatchCompiledCircuit(circuits))

@@ -58,10 +58,9 @@ class TestPulseCalibration:
 
 
 class TestNominalTransferCache:
-    """`_nominal_transfer` must key its memoised curve on the time-grid
-    and solver settings: an exact-solver curve used to be served to a
-    reuse-solver calibration, and an adaptive calibration picked its
-    omega_in* from a fixed-grid curve."""
+    """`_nominal_transfer` must key its memoised curve on the time grid:
+    an adaptive calibration used to pick its omega_in* from a
+    fixed-grid curve."""
 
     GRID = [0.30e-9, 0.50e-9]
     PATH = dict(gate_kinds=("inv",) * 3)
@@ -83,55 +82,23 @@ class TestNominalTransferCache:
 
         return Runtime(cache=str(tmp_path / "cache"))
 
-    def test_solver_modes_do_not_alias(self, tmp_path):
-        from repro.spice.mna import scipy_available
-
-        if not scipy_available():
-            pytest.skip("reuse solver needs scipy (degrades to exact, "
-                        "which aliases by design)")
-        runtime = self._runtime(tmp_path)
-        calls = []
-        self._characterize(runtime, calls, solver="exact")
-        first = len(calls)
-        assert first > 0
-        # a different solver must miss the cache and recharacterise
-        self._characterize(runtime, calls, solver="reuse")
-        assert len(calls) == 2 * first
-        # ... and the same solver must now hit
-        self._characterize(runtime, calls, solver="exact")
-        assert len(calls) == 2 * first
-
     def test_adaptive_does_not_alias_fixed_grid(self, tmp_path):
         runtime = self._runtime(tmp_path)
         calls = []
-        self._characterize(runtime, calls, solver="exact")
+        self._characterize(runtime, calls)
         first = len(calls)
-        self._characterize(runtime, calls, solver="exact", adaptive=True)
+        self._characterize(runtime, calls, adaptive=True)
         assert len(calls) == 2 * first
-
-    def test_fixed_grid_exact_keeps_pre_tag_key(self, tmp_path):
-        """The exact-solver fixed-grid curve must land under the
-        pre-existing (tag-free) key format so old caches stay warm."""
-        from repro.cells import default_technology
-        from repro.runtime import stable_hash
-
-        runtime = self._runtime(tmp_path)
-        self._characterize(runtime, [], solver="exact")
-        old_key = stable_hash("nominal-transfer", default_technology(),
-                              None, [float(w) for w in self.GRID], "h",
-                              DT, dict(self.PATH))
-        assert runtime.cache.get(old_key)  # raises CacheMiss if renamed
 
     def test_adaptive_curve_matches_direct_characterization(self):
         from repro.core import characterize_transfer
         from repro.montecarlo import NominalModel
 
-        curve = self._characterize(None, [], adaptive=True,
-                                   solver="exact")
+        curve = self._characterize(None, [], adaptive=True)
         direct = characterize_transfer(
             lambda: build_instance(sample=NominalModel(),
                                    **dict(self.PATH)),
-            self.GRID, kind="h", dt=DT, adaptive=True, solver="exact")
+            self.GRID, kind="h", dt=DT, adaptive=True)
         assert list(curve.w_out) == pytest.approx(list(direct.w_out),
                                                   abs=1e-15)
 
@@ -141,8 +108,8 @@ class TestCalibrationChunkSignature:
 
     def _payload(self, **overrides):
         base = dict(sample=None, fault=None, tech=None, dt=DT,
-                    adaptive=False, lte_tol=None, solver="exact",
-                    omega_in=0.40e-9, kind="h", path_kwargs={})
+                    adaptive=False, omega_in=0.40e-9, kind="h",
+                    path_kwargs={})
         base.update(overrides)
         return base
 

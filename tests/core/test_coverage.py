@@ -193,9 +193,9 @@ class TestVariableNCoverageCurve:
 
 
 class TestLegacyCallablePath:
-    """Sweeps honour every measurement setting (``adaptive``,
-    ``solver``), and a fault family that is not a FaultSpec prototype
-    is rejected."""
+    """Sweeps honour the ``adaptive`` setting and run the reuse Newton
+    solver, and a fault family that is not a FaultSpec prototype is
+    rejected."""
 
     PATH = dict(gate_kinds=("inv",) * 3)
 
@@ -216,18 +216,12 @@ class TestLegacyCallablePath:
             self._sweep(adaptive=True)
         assert stats.total("adaptive_runs") > 0
 
-    def test_solver_honoured(self):
+    def test_reuse_solver_runs(self):
         from repro.runtime import stats_scope
-        from repro.spice.mna import scipy_available
 
-        if not scipy_available():
-            pytest.skip("reuse solver needs scipy")
-        with stats_scope() as exact:
-            self._sweep(solver="exact")
-        assert exact.total("lu_reuses") == 0
-        with stats_scope() as reuse:
-            self._sweep(solver="reuse")
-        assert reuse.total("lu_reuses") > 0
+        with stats_scope() as stats:
+            self._sweep()
+        assert stats.total("lu_reuses") > 0
 
     def test_batched_engine_rejected(self):
         from repro.core.coverage import sweep_pulse_measurements
@@ -289,13 +283,12 @@ class TestChunkSignature:
         with pytest.raises(ValueError, match="omega_in"):
             _sweep_chunk_task(chunk)
 
-    def test_mismatched_solver_rejected(self):
+    def test_mismatched_adaptive_rejected(self):
         from repro.core.coverage import _sweep_chunk_task
 
-        chunk = (self._payloads() + self._payloads())
-        chunk[1] = dict(chunk[1], solver="exact"
-                        if chunk[1]["solver"] != "exact" else "reuse")
-        with pytest.raises(ValueError, match="solver"):
+        chunk = self._payloads() + self._payloads()
+        chunk[1] = dict(chunk[1], adaptive=True)
+        with pytest.raises(ValueError, match="adaptive"):
             _sweep_chunk_task(chunk)
 
     def test_mismatched_fault_rejected(self):

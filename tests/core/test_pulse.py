@@ -104,3 +104,22 @@ class TestMeasurements:
         faulty = build_instance(fault=InternalOpen(2, PULL_UP, 10e6))
         d, _ = measure_path_delay(faulty, "rise", dt=DT)
         assert math.isinf(d)
+
+
+class TestNewtonPolicy:
+    def test_environment_cannot_select_the_solver(self, monkeypatch):
+        """Only repro.spice decides the Newton policy.  A worker whose
+        environment asked for the exact solver used to run it, while the
+        transfer-scatter and defect-calibration cache keys, which carry
+        no solver token, filed its slightly different w_out under the
+        reuse rows' key."""
+        from repro.runtime import stats_scope
+
+        w_default, _ = measure_output_pulse(build_instance(), 0.43e-9,
+                                            dt=5e-12)
+        monkeypatch.setenv("REPRO_SOLVER", "exact")
+        with stats_scope() as stats:
+            w_env, _ = measure_output_pulse(build_instance(), 0.43e-9,
+                                            dt=5e-12)
+        assert stats.total("lu_reuses") > 0
+        assert w_env == w_default

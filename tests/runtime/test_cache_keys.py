@@ -1,29 +1,32 @@
 """Cache-key sensitivity: any input that can change a measurement must
 change its content-addressed key; anything that cannot, must not.
 
-The key recipe under test is the one ``repro.core.coverage._sweep_rows``
-uses for per-sample sweep rows.
+The keys under test are the ones ``repro.core.coverage
+.build_sweep_payloads`` gives per-sample sweep rows, plus the
+default-configuration keys of every keyed producer, pinned as literals.
 """
 
 import subprocess
 import sys
 
+import pytest
+
 from repro.cells import default_technology
+from repro.core.coverage import build_sweep_payloads
 from repro.faults import BridgingFault, ExternalOpen
 from repro.montecarlo import VariationModel
-from repro.runtime import ResultCache, stable_hash
+from repro.runtime import ResultCache
 
 
 def _row_key(tech=None, sample_seed=3, fault=None, resistances=(4e3,),
-             dt=3e-12, path_kwargs=None, omega_in=0.40e-9):
-    """Mirror of the sweep-row key built in coverage._sweep_rows."""
-    tech = default_technology() if tech is None else tech
+             dt=3e-12, path_kwargs=None, omega_in=0.40e-9, **engine):
+    """The sweep-row key of one sample, as a sweep computes it."""
     fault = ExternalOpen(2, 8e3) if fault is None else fault
-    measure_spec = dict(measure="pulse", omega_in=float(omega_in),
-                        kind="h")
-    return stable_hash("sweep-row", tech, VariationModel(sample_seed),
-                       fault, [float(r) for r in resistances], dt,
-                       path_kwargs or {}, measure_spec)
+    _, keys = build_sweep_payloads(
+        [VariationModel(sample_seed)], fault, resistances, tech=tech,
+        dt=dt, path_kwargs=path_kwargs, measure="pulse",
+        omega_in=float(omega_in), kind="h", **engine)
+    return keys[0]
 
 
 BASE = _row_key()
@@ -63,6 +66,46 @@ class TestKeySensitivity:
         assert _row_key(path_kwargs={"fanout_loads": 3}) != BASE
 
 
+class TestPinnedDefaultKeys:
+    """Default-configuration keys as they were computed while the Newton
+    solver was still a campaign setting.  A changed literal here means
+    every warm cache of that configuration goes cold."""
+
+    GRID = [0.30e-9, 0.50e-9]
+    PATH = dict(gate_kinds=("inv",) * 3)
+
+    def test_sweep_row_scalar_fixed_grid(self):
+        assert BASE == "ad7acac4686c4666dd7a5f7f25693be8"
+
+    def test_sweep_row_batched_engine(self):
+        assert (_row_key(engine="batched")
+                == "76f81108fe2aa2f438745ffa2466cf54")
+
+    def test_sweep_row_adaptive_grid(self):
+        assert (_row_key(adaptive=True)
+                == "cb270df0ff963a6fb38f6953630e0a83")
+
+    @pytest.fixture(scope="class")
+    def calibration_cache(self, tmp_path_factory):
+        from repro.core import calibrate_pulse_test
+        from repro.montecarlo import sample_population
+        from repro.runtime import Runtime
+
+        runtime = Runtime(cache=str(tmp_path_factory.mktemp("cache")))
+        calibrate_pulse_test(sample_population(1, base_seed=11), dt=4e-12,
+                             w_in_grid=self.GRID, omega_in=0.40e-9,
+                             runtime=runtime, **self.PATH)
+        return runtime.cache
+
+    def test_pulse_calibration_row(self, calibration_cache):
+        assert calibration_cache.contains(
+            "40b2f3ee85e88753888709313021dcae")
+
+    def test_nominal_transfer_curve(self, calibration_cache):
+        assert calibration_cache.contains(
+            "3a906dcc68cf374bc8b2a7dd25996d37")
+
+
 class TestRestartHit:
     def test_unchanged_config_hits_after_process_restart(self, tmp_path):
         """Store a row under the config key, recompute the key in a
@@ -75,16 +118,14 @@ class TestRestartHit:
         src = os.path.dirname(os.path.dirname(repro.__file__))
         script = (
             "import sys; sys.path.insert(0, {src!r})\n"
-            "from repro.cells import default_technology\n"
+            "from repro.core.coverage import build_sweep_payloads\n"
             "from repro.faults import ExternalOpen\n"
             "from repro.montecarlo import VariationModel\n"
-            "from repro.runtime import ResultCache, stable_hash\n"
-            "key = stable_hash('sweep-row', default_technology(),\n"
-            "                  VariationModel(3), ExternalOpen(2, 8e3),\n"
-            "                  [4000.0], 3e-12, {{}},\n"
-            "                  dict(measure='pulse', omega_in=0.4e-9,\n"
-            "                       kind='h'))\n"
-            "print(ResultCache({root!r}).get(key))\n"
+            "from repro.runtime import ResultCache\n"
+            "_, keys = build_sweep_payloads(\n"
+            "    [VariationModel(3)], ExternalOpen(2, 8e3), [4000.0],\n"
+            "    dt=3e-12, measure='pulse', omega_in=0.4e-9, kind='h')\n"
+            "print(ResultCache({root!r}).get(keys[0]))\n"
         ).format(src=src, root=str(tmp_path / "cache"))
         out = subprocess.run(
             [sys.executable, "-c", script], capture_output=True,

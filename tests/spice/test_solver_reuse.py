@@ -17,14 +17,9 @@ from repro.runtime import SolverStats, stats_scope
 from repro.spice import run_transient, run_transient_batch
 from repro.spice.batch import BatchCompiledCircuit
 from repro.spice.errors import ConvergenceError
-from repro.spice.mna import (DEFAULT_SOLVER, SOLVER_EXACT, SOLVER_REUSE,
-                             _COMPANION_CACHE_MAX, CompiledCircuit,
-                             NewtonState, newton_solve,
-                             resolve_solver_mode, scipy_available)
+from repro.spice.mna import (_COMPANION_CACHE_MAX, CompiledCircuit,
+                             NewtonState, newton_solve)
 from repro.spice.transient import TRAPEZOIDAL
-
-pytestmark = pytest.mark.skipif(not scipy_available(),
-                                reason="scipy not installed")
 
 DT = 4e-12
 TSTOP = 1.2e-9
@@ -36,27 +31,21 @@ def _inverter_chain(n_gates=3, w_in=0.15e-9):
     return path
 
 
-class TestResolveSolverMode:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER", raising=False)
-        assert resolve_solver_mode(None) == DEFAULT_SOLVER
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "exact")
-        assert resolve_solver_mode(None) == SOLVER_EXACT
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "exact")
-        assert resolve_solver_mode("reuse") == SOLVER_REUSE
+class TestSolverArgument:
+    def test_default_is_reuse(self):
+        stats = SolverStats()
+        with stats_scope(stats):
+            run_transient(_inverter_chain().circuit, TSTOP, DT)
+            run_transient_batch([_inverter_chain().circuit], TSTOP, DT)
+        assert stats.snapshot()["counters"]["lu_reuses"] > 0
 
     def test_invalid_raises(self):
         with pytest.raises(ValueError):
-            resolve_solver_mode("bogus")
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "turbo")
+            run_transient(_inverter_chain().circuit, TSTOP, DT,
+                          solver="bogus")
         with pytest.raises(ValueError):
-            resolve_solver_mode(None)
+            run_transient_batch([_inverter_chain().circuit], TSTOP, DT,
+                                solver="bogus")
 
 
 class TestScalarEquivalence:
@@ -73,14 +62,20 @@ class TestScalarEquivalence:
     def test_adaptive_measurements_match_exact(self):
         """Adaptive grids drift at float level between solver modes, so
         the equivalence contract is on the measurements."""
-        from repro.core.pulse import measure_output_pulse
-        w_exact, _ = measure_output_pulse(
-            _inverter_chain(), 0.15e-9, adaptive=True)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("REPRO_SOLVER", "reuse")
-            w_reuse, _ = measure_output_pulse(
-                _inverter_chain(), 0.15e-9, adaptive=True)
-        assert abs(w_exact - w_reuse) <= 0.1e-12
+        from repro.core.pulse import (DEFAULT_DT, output_pulse_polarity,
+                                      simulation_window)
+
+        def w_out(solver):
+            path = _inverter_chain()
+            delay = path.set_input_pulse(0.15e-9)
+            tstop = simulation_window(path, w_in=0.15e-9,
+                                      stimulus_delay=delay)
+            wf = run_transient(path.circuit, tstop, DEFAULT_DT,
+                               adaptive=True, solver=solver)
+            return wf.widest_pulse(path.output_node, path.tech.vdd_half,
+                                   output_pulse_polarity(path))
+
+        assert abs(w_out("exact") - w_out("reuse")) <= 0.1e-12
 
     def test_counters_show_reuse_and_bypass(self):
         path = _inverter_chain()

@@ -25,11 +25,17 @@ def test_readme_mentions_every_package():
 
 
 def test_documented_cli_commands_exist():
+    """Every documented ``pulsetest <verb>`` line names a real verb, and
+    every ``--flag`` on it is an option of that verb."""
     from repro.cli import build_parser
     parser = build_parser()
     sub = next(a for a in parser._actions
                if hasattr(a, "choices") and a.choices)
-    documented = re.findall(r"^pulsetest (\w+)",
+    documented = re.findall(r"^pulsetest (\w+)(.*)$",
                             README.read_text(), flags=re.MULTILINE)
-    for command in documented:
+    assert documented, "README lost its pulsetest command lines"
+    for command, rest in documented:
         assert command in sub.choices, command
+        options = sub.choices[command]._option_string_actions
+        for flag in re.findall(r"--[\w-]+", rest.split("#")[0]):
+            assert flag in options, (command, flag)
