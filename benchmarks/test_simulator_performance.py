@@ -121,24 +121,24 @@ def test_perf_campaign_runtime(tmp_path):
     n_samples = int(os.environ.get("REPRO_BENCH_SAMPLES", "32"))
     cpus = os.cpu_count() or 1
     n_jobs = int(os.environ.get("REPRO_BENCH_JOBS", str(min(4, cpus))))
-    batch_size = int(os.environ.get("REPRO_BENCH_BATCH",
-                                    str(DEFAULT_BATCH_SIZE)))
+    bench_batch = int(os.environ.get("REPRO_BENCH_BATCH",
+                                     str(DEFAULT_BATCH_SIZE)))
     samples = sample_population(n_samples, base_seed=1)
     fault = ExternalOpen(2, 8e3)
     resistances = [2e3, 8e3, 32e3]
     sweep_kwargs = dict(omega_in=0.40e-9, dt=5e-12)
 
-    def timed(runtime, engine="scalar"):
+    def timed(runtime, batch_size=1):
         t0 = time.perf_counter()
         rows = sweep_pulse_measurements(samples, fault, resistances,
-                                        runtime=runtime, engine=engine,
+                                        runtime=runtime,
                                         batch_size=batch_size,
                                         **sweep_kwargs)
         return rows, time.perf_counter() - t0
 
     serial_rows, serial_s = timed(Runtime(executor=SerialExecutor()))
     batched_rows, batched_s = timed(Runtime(executor=SerialExecutor()),
-                                    engine="batched")
+                                    batch_size=bench_batch)
 
     # Adaptive grid: same workload on the LTE-controlled time base.
     from repro.runtime import stats_scope
@@ -219,7 +219,7 @@ def test_perf_campaign_runtime(tmp_path):
         },
         "parallel": parallel_report,
         "batched": {
-            "batch_size": batch_size,
+            "batch_size": bench_batch,
             "wall_time_s": batched_s,
             "samples_per_second": n_samples / batched_s,
             "speedup_vs_serial": serial_s / batched_s,

@@ -21,20 +21,19 @@ post-silicon delay test (EffiTest):
   "above or below the target?", so they additionally stop as soon as
   their Wilson interval excludes the target.
 
-Every (sample, R) measurement is one independent task dispatched through
-the campaign :class:`~repro.runtime.Runtime` under the same
-content-addressed key scheme as the fixed-grid sweeps (single-point
-resistance grids), so escalation waves never recompute earlier samples,
-warm reruns resume from the cache, and serial vs process-pool waves
-report identical solver counters.
+Every (sample, R) measurement is dispatched through the campaign
+:class:`~repro.runtime.Runtime` (one task per measurement, or chunks
+of ``batch_size``) under the same content-addressed key scheme as the
+fixed-grid sweeps (single-point resistance grids), so escalation waves
+never recompute earlier samples, warm reruns resume from the cache,
+and serial vs process-pool waves report identical solver counters.
 """
 
 import math
 
 from ..montecarlo import wilson_excludes, wilson_halfwidth
 from ..runtime import Runtime, RunReport
-from .coverage import (CoverageCurve, _sweep_chunk_task, _sweep_row_task,
-                       build_sweep_payloads)
+from .coverage import CoverageCurve, _sweep_chunk_task, build_sweep_payloads
 
 #: default per-point Wilson half-width target (the fixed-grid campaign's
 #: worst case at S = 16 is ~0.20, so 0.15 is a strictly tighter promise)
@@ -115,21 +114,19 @@ class _SweepMeasurer:
     :func:`~repro.core.coverage.build_sweep_payloads` with a
     single-point resistance grid, so each (sample, R) pair lands under
     one stable content-addressed cache key no matter which wave (or
-    which rerun) asks for it.
+    which rerun) asks for it.  A whole wave is one
+    :meth:`~repro.runtime.Runtime.run_batched` call of ``batch_size``
+    samples per task; a chunk may span R points.
     """
 
     def __init__(self, samples, fault, tech, dt, runtime, report,
-                 engine, batch_size, adaptive, path_kwargs, label,
-                 measure_spec):
-        if engine not in ("scalar", "batched"):
-            raise ValueError("unknown engine {!r}".format(engine))
+                 batch_size, adaptive, path_kwargs, label, measure_spec):
         self.samples = list(samples)
         self.fault = fault
         self.tech = tech
         self.dt = dt
         self.runtime = Runtime() if runtime is None else runtime
         self.report = report
-        self.engine = engine
         self.batch_size = batch_size
         self.adaptive = adaptive
         self.path_kwargs = path_kwargs
@@ -137,14 +134,6 @@ class _SweepMeasurer:
         self.measure_spec = dict(measure_spec)
         #: (sample, R) measurements requested so far (cached or fresh)
         self.requested = 0
-
-    def _point_payloads(self, r, indices):
-        return build_sweep_payloads(
-            [self.samples[i] for i in indices], self.fault, [r],
-            tech=self.tech, dt=self.dt, engine=self.engine,
-            adaptive=self.adaptive, path_kwargs=self.path_kwargs,
-            with_keys=self.runtime.cache is not None,
-            **self.measure_spec)
 
     def measure(self, requests):
         """Measure ``[(sample_index, r), ...]``; values in request order."""
@@ -154,40 +143,29 @@ class _SweepMeasurer:
         groups = {}
         for position, (index, r) in enumerate(requests):
             groups.setdefault(r, []).append((position, index))
-        values = [None] * len(requests)
+        payloads, keys, positions = [], [], []
+        for r, group in groups.items():
+            point_payloads, point_keys = build_sweep_payloads(
+                [self.samples[index] for _, index in group], self.fault,
+                [r], tech=self.tech, dt=self.dt, batch_size=self.batch_size,
+                adaptive=self.adaptive, path_kwargs=self.path_kwargs,
+                with_keys=self.runtime.cache is not None,
+                **self.measure_spec)
+            payloads.extend(point_payloads)
+            if point_keys is not None:
+                keys.extend(point_keys)
+            positions.extend(position for position, _ in group)
         self.requested += len(requests)
-        if self.engine == "batched":
-            # one lockstep run per point: a chunk must share its
-            # resistance grid, so points cannot mix inside a chunk
-            for r, members in groups.items():
-                payloads, keys = self._point_payloads(
-                    r, [index for _, index in members])
-                run = self.runtime.run_batched(
-                    _sweep_chunk_task, payloads, keys=keys,
-                    batch_size=self.batch_size, label=self.label,
-                    report=self.report)
-                self._fold(run, members, values)
-        else:
-            payloads, keys, members = [], [], []
-            for r, group in groups.items():
-                point_payloads, point_keys = self._point_payloads(
-                    r, [index for _, index in group])
-                payloads.extend(point_payloads)
-                if point_keys is not None:
-                    keys.extend(point_keys)
-                members.extend(group)
-            run = self.runtime.run(
-                _sweep_row_task, payloads, keys=keys or None,
-                label=self.label, report=self.report)
-            self._fold(run, members, values)
-        return values
-
-    @staticmethod
-    def _fold(run, members, values):
+        run = self.runtime.run_batched(
+            _sweep_chunk_task, payloads, keys=keys or None,
+            batch_size=self.batch_size, label=self.label,
+            report=self.report)
         if run.errors:
             raise run.errors[min(run.errors)]
-        for row, (position, _) in zip(run.values, members):
+        values = [None] * len(requests)
+        for row, position in zip(run.values, positions):
             values[position] = float(row[0])
+        return values
 
 
 class AdaptiveSweepResult:
@@ -263,9 +241,8 @@ def adaptive_sweep(samples, fault, resistances, decide,
                    refine_rel_tol=DEFAULT_REFINE_REL_TOL,
                    initial_points=DEFAULT_INITIAL_POINTS,
                    tech=None, dt=None, runtime=None, report=None,
-                   engine="scalar", batch_size=None, adaptive=False,
-                   path_kwargs=None, label="adaptive-sweep", measurer=None,
-                   **measure_spec):
+                   batch_size=1, adaptive=False, path_kwargs=None,
+                   label="adaptive-sweep", measurer=None, **measure_spec):
     """Adaptive-precision coverage sweep over one fault family.
 
     ``decide(value, sample) -> bool`` is the *primary* detection
@@ -296,8 +273,8 @@ def adaptive_sweep(samples, fault, resistances, decide,
     report = RunReport(label) if report is None else report
     if measurer is None:
         measurer = _SweepMeasurer(
-            samples, fault, tech, dt, runtime, report, engine,
-            batch_size, adaptive, path_kwargs, label, measure_spec)
+            samples, fault, tech, dt, runtime, report, batch_size,
+            adaptive, path_kwargs, label, measure_spec)
 
     full_grid = sorted(set(float(r) for r in resistances))
     grid = subsample_grid(full_grid, initial_points)

@@ -15,31 +15,10 @@ from ..montecarlo import NominalModel
 from ..runtime import CacheMiss, Runtime, engine_cache_tag, stable_hash
 from .coverage import _measure_kwargs
 from .pulse import (assert_chunk_compatible, build_instance,
-                    measure_output_pulse, measure_output_pulse_batch,
-                    measure_path_delay, measure_path_delay_batch)
+                    measure_output_pulse_batch, measure_path_delay_batch)
 from .sensing import PulseDetector
 from .transfer import (TransferCurve, characterize_transfer,
                        default_w_in_grid, recommended_w_in)
-
-
-def _fault_free_pulse_task(payload):
-    """Worker: one fault-free instance's w_out at the calibrated ω_in."""
-    kwargs = _measure_kwargs(payload)
-    path = build_instance(sample=payload["sample"], fault=payload["fault"],
-                          tech=payload["tech"], **payload["path_kwargs"])
-    w_out, _ = measure_output_pulse(path, payload["omega_in"],
-                                    kind=payload["kind"], **kwargs)
-    return float(w_out)
-
-
-def _fault_free_delay_task(payload):
-    """Worker: one fault-free instance's path delay."""
-    kwargs = _measure_kwargs(payload)
-    path = build_instance(sample=payload["sample"], fault=payload["fault"],
-                          tech=payload["tech"], **payload["path_kwargs"])
-    d, _ = measure_path_delay(path, direction=payload["direction"],
-                              **kwargs)
-    return float(d)
 
 
 def _build_chunk_instances(payloads):
@@ -48,15 +27,15 @@ def _build_chunk_instances(payloads):
             for p in payloads]
 
 
-#: payload fields every member of one fault-free lockstep chunk must
-#: agree on (the chunk tasks read them from their first payload)
+#: payload fields every member of one fault-free chunk must agree on
+#: (the chunk tasks read them from their first payload)
 CALIBRATION_CHUNK_FIELDS = ("dt", "adaptive", "omega_in", "kind",
                             "direction", "fault")
 
 
 def _fault_free_pulse_chunk_task(payloads):
-    """Batched worker: a chunk of fault-free w_out measurements in
-    lockstep."""
+    """Worker: the fault-free w_out of a chunk of instances at the
+    calibrated ω_in (one shared transient)."""
     assert_chunk_compatible(payloads, CALIBRATION_CHUNK_FIELDS,
                             task="fault-free pulse chunk")
     first = payloads[0]
@@ -68,7 +47,7 @@ def _fault_free_pulse_chunk_task(payloads):
 
 
 def _fault_free_delay_chunk_task(payloads):
-    """Batched worker: a chunk of fault-free path delays in lockstep."""
+    """Worker: the fault-free path delays of a chunk of instances."""
     assert_chunk_compatible(payloads, CALIBRATION_CHUNK_FIELDS,
                             task="fault-free delay chunk")
     first = payloads[0]
@@ -94,7 +73,7 @@ def _nominal_transfer(builder, w_in_grid, kind, dt, fault, tech,
     key = None
     if cache is not None:
         resolved_tech = default_technology() if tech is None else tech
-        tag = engine_cache_tag("scalar", adaptive)
+        tag = engine_cache_tag(adaptive=adaptive)
         key = stable_hash("nominal-transfer", resolved_tech, fault,
                           [float(w) for w in w_in_grid], kind, dt,
                           path_kwargs, *tag)
@@ -114,31 +93,24 @@ def _nominal_transfer(builder, w_in_grid, kind, dt, fault, tech,
 
 
 def _measure_population(task, samples, payload_base, label, runtime,
-                        report, key_parts, engine="scalar",
-                        batch_task=None, batch_size=None, adaptive=False):
-    """Run one per-sample measurement task over the population.
+                        report, key_parts, batch_size=1, adaptive=False):
+    """Run one chunk measurement task over the population.
 
-    ``engine="batched"`` dispatches ``batch_task`` over sample chunks
-    through :meth:`Runtime.run_batched`; cache keys gain an engine tag
-    so scalar- and batched-engine results never alias.
+    Each executor task measures ``batch_size`` samples; cache keys gain
+    an engine tag when ``batch_size > 1`` so scalar- and
+    lockstep-engine results never alias.
     """
-    if engine not in ("scalar", "batched"):
-        raise ValueError("unknown engine {!r}".format(engine))
     runtime = Runtime() if runtime is None else runtime
     payloads = [dict(payload_base, sample=sample, adaptive=adaptive)
                 for sample in samples]
     keys = None
     if runtime.cache is not None:
-        tag = engine_cache_tag(engine, adaptive)
+        tag = engine_cache_tag(batch_size, adaptive)
         keys = [stable_hash(label, key_parts, sample, *tag)
                 for sample in samples]
-    if engine == "batched":
-        run = runtime.run_batched(batch_task, payloads, keys=keys,
-                                  batch_size=batch_size, label=label,
-                                  report=report)
-    else:
-        run = runtime.run(task, payloads, keys=keys, label=label,
-                          report=report)
+    run = runtime.run_batched(task, payloads, keys=keys,
+                              batch_size=batch_size, label=label,
+                              report=report)
     if run.errors:
         raise run.errors[min(run.errors)]
     return run.values
@@ -168,8 +140,8 @@ class PulseTestCalibration:
 def calibrate_pulse_test(samples, fault=None, tech=None, kind="h",
                          w_in_grid=None, sensing_tolerance=0.1,
                          margin=0.03e-9, dt=None, omega_in=None,
-                         runtime=None, report=None, engine="scalar",
-                         batch_size=None, adaptive=False, **path_kwargs):
+                         runtime=None, report=None, batch_size=1,
+                         adaptive=False, **path_kwargs):
     """Select (ω_in*, ω_th*) for the path described by ``path_kwargs``.
 
     Steps (Sec. 5 rule + Sec. 4 yield constraint):
@@ -196,12 +168,11 @@ def calibrate_pulse_test(samples, fault=None, tech=None, kind="h",
 
     resolved_tech = default_technology() if tech is None else tech
     wouts = _measure_population(
-        _fault_free_pulse_task, samples,
+        _fault_free_pulse_chunk_task, samples,
         dict(fault=fault, tech=tech, dt=dt, omega_in=float(omega_in),
              kind=kind, path_kwargs=path_kwargs),
         "pulse-calibration", runtime, report,
         [resolved_tech, fault, float(omega_in), kind, dt, path_kwargs],
-        engine=engine, batch_task=_fault_free_pulse_chunk_task,
         batch_size=batch_size, adaptive=adaptive)
     weakest = min(wouts)
     if weakest <= 0.0:
@@ -216,8 +187,8 @@ def calibrate_pulse_test(samples, fault=None, tech=None, kind="h",
 
 def calibrate_delay_test(samples, fault=None, tech=None, direction="rise",
                          flipflop=None, skew_tolerance=0.1, dt=None,
-                         runtime=None, report=None, engine="scalar",
-                         batch_size=None, adaptive=False, **path_kwargs):
+                         runtime=None, report=None, batch_size=1,
+                         adaptive=False, **path_kwargs):
     """Calibrate the reduced-clock baseline on the same population.
 
     Returns ``(DelayFaultTest, fault_free_delays)``.
@@ -226,12 +197,11 @@ def calibrate_delay_test(samples, fault=None, tech=None, direction="rise",
 
     resolved_tech = default_technology() if tech is None else tech
     delays = _measure_population(
-        _fault_free_delay_task, samples,
+        _fault_free_delay_chunk_task, samples,
         dict(fault=fault, tech=tech, dt=dt, direction=direction,
              path_kwargs=path_kwargs),
         "delay-calibration", runtime, report,
         [resolved_tech, fault, direction, dt, path_kwargs],
-        engine=engine, batch_task=_fault_free_delay_chunk_task,
         batch_size=batch_size, adaptive=adaptive)
     test = calibrate_t_star(delays, samples, flipflop,
                             skew_tolerance=skew_tolerance)

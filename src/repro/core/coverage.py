@@ -12,7 +12,7 @@ dispatched through the campaign runtime (:mod:`repro.runtime`): pass a
 ``runtime`` to fan rows out over a process pool and/or skip rows whose
 content-addressed result is already cached.  ``fault_family`` is a
 :class:`~repro.faults.models.FaultSpec` prototype (picklable and
-cacheable; the row worker rescales it with ``with_resistance``).
+cacheable; the sweep task rescales it with ``with_resistance``).
 """
 
 import math
@@ -20,10 +20,10 @@ import math
 from ..cells import default_technology
 from ..faults import FaultSpec, inject, set_fault_resistance
 from ..montecarlo import wilson_interval
-from ..runtime import Runtime, engine_cache_tag, stable_hash
+from ..runtime import (DEFAULT_BATCH_SIZE, Runtime, check_batch_size,
+                       engine_cache_tag, stable_hash)
 from .pulse import (assert_chunk_compatible, build_instance,
-                    measure_output_pulse, measure_output_pulse_batch,
-                    measure_path_delay, measure_path_delay_batch)
+                    measure_output_pulse_batch, measure_path_delay_batch)
 
 
 class CoverageCurve:
@@ -132,7 +132,7 @@ class CoverageResult:
 
 
 # ----------------------------------------------------------------------
-# Sweep row tasks (module-level: picklable for the process pool)
+# The sweep task (module-level: picklable for the process pool)
 # ----------------------------------------------------------------------
 
 def _measure_kwargs(payload):
@@ -144,53 +144,42 @@ def _measure_kwargs(payload):
     return kwargs
 
 
-def _sweep_row_task(payload):
-    """One sample's measurement row over the resistance grid."""
-    resistances = payload["resistances"]
-    kwargs = _measure_kwargs(payload)
-    base = build_instance(sample=payload["sample"], tech=payload["tech"],
-                          **payload["path_kwargs"])
-    fault = payload["fault"].with_resistance(resistances[0])
-    faulty = inject(base, fault)
-    row = []
-    for r in resistances:
-        set_fault_resistance(faulty, r)
-        if payload["measure"] == "pulse":
-            value, _ = measure_output_pulse(
-                faulty, payload["omega_in"], kind=payload["kind"],
-                **kwargs)
-        else:
-            value, _ = measure_path_delay(
-                faulty, direction=payload["direction"], **kwargs)
-        row.append(float(value))
-    return row
+#: payload fields every member of one sweep chunk must agree on (the
+#: chunk task applies the first payload's settings to all samples)
+SWEEP_CHUNK_FIELDS = ("measure", "dt", "adaptive", "omega_in", "kind",
+                      "direction", "fault")
 
-
-#: payload fields every member of one lockstep sweep chunk must agree on
-#: (the chunk task applies the first payload's settings to all samples)
-SWEEP_CHUNK_FIELDS = ("measure", "resistances", "dt", "adaptive",
-                      "omega_in", "kind", "direction", "fault")
+#: the measurement contract a sweep payload may carry on top of its
+#: sample, fault, grid and path
+MEASURE_FIELDS = ("measure", "omega_in", "kind", "direction")
 
 
 def _sweep_chunk_task(payloads):
-    """Batched variant of :func:`_sweep_row_task`: one chunk of samples
-    simulated in lockstep per resistance point."""
+    """Measurement rows of a chunk of samples over their resistance
+    grids: one transient of the whole chunk per grid position.
+
+    Each sample steps through its own grid, so a chunk may mix R points;
+    the grids only need equally many points.
+    """
     assert_chunk_compatible(payloads, SWEEP_CHUNK_FIELDS,
                             task="sweep chunk")
+    n_points = {len(payload["resistances"]) for payload in payloads}
+    if len(n_points) > 1:
+        raise ValueError("payloads in one sweep chunk need equally many "
+                         "R points, got {}".format(sorted(n_points)))
     first = payloads[0]
-    resistances = first["resistances"]
     kwargs = _measure_kwargs(first)
     instances = []
     for payload in payloads:
         base = build_instance(sample=payload["sample"],
                               tech=payload["tech"],
                               **payload["path_kwargs"])
-        fault = payload["fault"].with_resistance(resistances[0])
+        fault = payload["fault"].with_resistance(payload["resistances"][0])
         instances.append(inject(base, fault))
     rows = [[] for _ in instances]
-    for r in resistances:
-        for faulty in instances:
-            set_fault_resistance(faulty, r)
+    for step in range(n_points.pop()):
+        for faulty, payload in zip(instances, payloads):
+            set_fault_resistance(faulty, payload["resistances"][step])
         if first["measure"] == "pulse":
             values, _ = measure_output_pulse_batch(
                 instances, first["omega_in"], kind=first["kind"], **kwargs)
@@ -203,7 +192,7 @@ def _sweep_chunk_task(payloads):
 
 
 def build_sweep_payloads(samples, fault, resistances, tech=None, dt=None,
-                         engine="scalar", adaptive=False, path_kwargs=None,
+                         batch_size=1, adaptive=False, path_kwargs=None,
                          with_keys=True, **measure_spec):
     """Payloads + cache keys for a per-sample measurement sweep.
 
@@ -214,16 +203,21 @@ def build_sweep_payloads(samples, fault, resistances, tech=None, dt=None,
     here, so a row computed through either path lands under the same
     content-addressed cache key.  ``fault`` must be a picklable
     :class:`~repro.faults.models.FaultSpec` prototype (``TypeError``
-    otherwise).  ``measure_spec`` is ``measure="pulse", omega_in=...,
-    kind=...`` or ``measure="delay", direction=...``; returns
-    ``(payloads, keys)`` with ``keys=None`` when ``with_keys`` is false.
+    otherwise).  ``batch_size`` is the dispatch grain the keys are
+    tagged for (see :func:`~repro.runtime.engine_cache_tag`).
+    ``measure_spec`` is ``measure="pulse", omega_in=..., kind=...`` or
+    ``measure="delay", direction=...`` (``ValueError`` on any other
+    field); returns ``(payloads, keys)`` with ``keys=None`` when
+    ``with_keys`` is false.
     """
     if not isinstance(fault, FaultSpec):
         raise TypeError(
             "sweeps need a picklable FaultSpec prototype, got {!r}"
             .format(fault))
-    if engine not in ("scalar", "batched"):
-        raise ValueError("unknown engine {!r}".format(engine))
+    unknown = sorted(set(measure_spec) - set(MEASURE_FIELDS))
+    if unknown:
+        raise ValueError("unknown measurement setting(s) {}".format(
+            ", ".join(unknown)))
     tech = default_technology() if tech is None else tech
     path_kwargs = {} if path_kwargs is None else dict(path_kwargs)
     resistances = [float(r) for r in resistances]
@@ -233,37 +227,49 @@ def build_sweep_payloads(samples, fault, resistances, tech=None, dt=None,
                 for sample in samples]
     keys = None
     if with_keys:
-        tag = engine_cache_tag(engine, adaptive)
+        tag = engine_cache_tag(batch_size, adaptive)
         keys = [stable_hash("sweep-row", tech, sample, fault, resistances,
                             dt, path_kwargs, measure_spec, *tag)
                 for sample in samples]
     return payloads, keys
 
 
+def _sweep_batch_size(engine, batch_size):
+    """The dispatch grain of a sweep: ``batch_size`` samples per task
+    (default 1).  ``engine`` is its older spelling: ``"scalar"`` is one
+    sample per task, ``"batched"`` defaults to
+    :data:`~repro.runtime.DEFAULT_BATCH_SIZE`."""
+    if engine not in (None, "scalar", "batched"):
+        raise ValueError("unknown engine {!r}".format(engine))
+    if batch_size is None:
+        batch_size = DEFAULT_BATCH_SIZE if engine == "batched" else 1
+    batch_size = check_batch_size(batch_size)
+    if engine == "scalar" and batch_size > 1:
+        raise ValueError("engine='scalar' runs one sample per task; got "
+                         "batch_size={}".format(batch_size))
+    return batch_size
+
+
 def _sweep_rows(samples, fault, resistances, tech, dt, runtime, label,
-                report, path_kwargs, engine="scalar", batch_size=None,
-                adaptive=False, **measure_spec):
+                report, path_kwargs, batch_size, adaptive=False,
+                **measure_spec):
     """Dispatch the per-sample measurement rows through the runtime.
 
-    ``engine="scalar"`` runs one task per sample (the reference path);
-    ``engine="batched"`` groups samples into chunks that the lockstep
-    engine simulates together — each chunk is still one executor task,
-    so batching composes with the process pool.  Batched cache keys
-    carry an engine tag so the two engines never serve each other's
-    cached rows (they agree only to tolerance, not bit-exactly).
+    Samples are grouped into chunks of ``batch_size``; each chunk is
+    one executor task, so batching composes with the process pool.  A
+    chunk of one runs the scalar Newton, larger chunks the lockstep
+    engine, and their cache keys carry an engine tag so the two never
+    serve each other's cached rows (they agree only to tolerance, not
+    bit-exactly).
     """
     runtime = Runtime() if runtime is None else runtime
     payloads, keys = build_sweep_payloads(
-        samples, fault, resistances, tech=tech, dt=dt, engine=engine,
-        adaptive=adaptive, path_kwargs=path_kwargs,
+        samples, fault, resistances, tech=tech, dt=dt,
+        batch_size=batch_size, adaptive=adaptive, path_kwargs=path_kwargs,
         with_keys=runtime.cache is not None, **measure_spec)
-    if engine == "batched":
-        run = runtime.run_batched(_sweep_chunk_task, payloads, keys=keys,
-                                  batch_size=batch_size, label=label,
-                                  report=report)
-    else:
-        run = runtime.run(_sweep_row_task, payloads, keys=keys,
-                          label=label, report=report)
+    run = runtime.run_batched(_sweep_chunk_task, payloads, keys=keys,
+                              batch_size=batch_size, label=label,
+                              report=report)
     if run.errors:
         raise run.errors[min(run.errors)]
     return run.values
@@ -271,31 +277,32 @@ def _sweep_rows(samples, fault, resistances, tech, dt, runtime, label,
 
 def sweep_pulse_measurements(samples, fault_family, resistances,
                              omega_in, kind="h", tech=None, dt=None,
-                             runtime=None, report=None, engine="scalar",
+                             runtime=None, report=None, engine=None,
                              batch_size=None, adaptive=False,
                              **path_kwargs):
     """Per-sample, per-R output pulse widths for a fault family.
 
-    ``fault_family`` is a fault prototype (any resistance).
-    ``engine="batched"`` simulates chunks of ``batch_size`` samples in
-    lockstep.
+    ``fault_family`` is a fault prototype (any resistance).  Each task
+    simulates ``batch_size`` samples (default 1; more run in lockstep).
+    ``engine="batched"`` is the older spelling of ``batch_size > 1``.
     """
     return _sweep_rows(samples, fault_family, resistances, tech, dt,
                        runtime, "pulse-sweep", report, path_kwargs,
-                       engine=engine, batch_size=batch_size,
+                       _sweep_batch_size(engine, batch_size),
                        adaptive=adaptive, measure="pulse",
                        omega_in=float(omega_in), kind=kind)
 
 
 def sweep_delay_measurements(samples, fault_family, resistances,
                              direction="rise", tech=None, dt=None,
-                             runtime=None, report=None, engine="scalar",
+                             runtime=None, report=None, engine=None,
                              batch_size=None, adaptive=False,
                              **path_kwargs):
-    """Per-sample, per-R path delays for a fault family."""
+    """Per-sample, per-R path delays for a fault family (``engine`` and
+    ``batch_size`` as in :func:`sweep_pulse_measurements`)."""
     return _sweep_rows(samples, fault_family, resistances, tech, dt,
                        runtime, "delay-sweep", report, path_kwargs,
-                       engine=engine, batch_size=batch_size,
+                       _sweep_batch_size(engine, batch_size),
                        adaptive=adaptive, measure="delay",
                        direction=direction)
 

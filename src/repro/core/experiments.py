@@ -15,7 +15,7 @@ from ..cells import default_technology
 from ..faults import (BridgingFault, ExternalOpen, InternalOpen, PULL_UP,
                       inject)
 from ..montecarlo import NominalModel, sample_population
-from ..runtime import Runtime, RunReport, stable_hash
+from ..runtime import Runtime, RunReport, check_batch_size, stable_hash
 from .adaptive_coverage import (DEFAULT_CI_WIDTH, DEFAULT_MIN_WAVE,
                                 DEFAULT_REFINE_REL_TOL,
                                 DEFAULT_REFINE_TARGETS, adaptive_sweep)
@@ -33,13 +33,13 @@ class ExperimentConfig:
     ``n_jobs``/``cache_dir`` describe the campaign runtime: worker
     process count (1 = serial, 0 = all CPUs) and the result-cache
     location (None disables caching).  :meth:`from_env` reads them from
-    ``REPRO_JOBS`` and ``REPRO_CACHE_DIR``.  ``engine`` selects the
-    transient backend for the population sweeps: ``"scalar"`` (the
-    reference, one sample per task) or ``"batched"`` (lockstep chunks
-    of ``batch_size`` samples; ``REPRO_ENGINE=batched``).  ``adaptive``
-    switches both engines to the LTE-controlled time grid
-    (``REPRO_ADAPTIVE=1``).  ``trace`` names a JSONL file receiving one
-    event per executed task (``REPRO_TRACE``; None disables tracing).
+    ``REPRO_JOBS`` and ``REPRO_CACHE_DIR``.  ``batch_size`` is the
+    number of samples one calibration or sweep task simulates: 1 (the
+    default) runs the scalar Newton per sample, more run in lockstep.
+    ``adaptive`` switches every transient to the LTE-controlled time
+    grid (``REPRO_ADAPTIVE=1``).  ``trace`` names a JSONL file
+    receiving one event per executed task (``REPRO_TRACE``; None
+    disables tracing).
     The Newton solver and the adaptive step tolerance are not settings
     here: :mod:`repro.spice` fixes both.
     """
@@ -47,8 +47,7 @@ class ExperimentConfig:
     def __init__(self, n_samples=16, dt=3e-12, seed=1, fault_stage=2,
                  rop_resistances=None, bridging_resistances=None,
                  n_paths=10, n_jobs=None, cache_dir=None,
-                 engine="scalar", batch_size=None, adaptive=False,
-                 trace=None):
+                 batch_size=1, adaptive=False, trace=None):
         self.n_samples = int(n_samples)
         self.dt = float(dt)
         self.seed = int(seed)
@@ -62,10 +61,7 @@ class ExperimentConfig:
         self.n_paths = int(n_paths)
         self.n_jobs = None if n_jobs is None else int(n_jobs)
         self.cache_dir = cache_dir
-        if engine not in ("scalar", "batched"):
-            raise ValueError("unknown engine {!r}".format(engine))
-        self.engine = engine
-        self.batch_size = None if batch_size is None else int(batch_size)
+        self.batch_size = check_batch_size(batch_size)
         self.adaptive = bool(adaptive)
         self.trace = None if trace is None else str(trace)
 
@@ -90,8 +86,6 @@ class ExperimentConfig:
         if os.environ.get("REPRO_CACHE_DIR"):
             overrides.setdefault("cache_dir",
                                  os.environ["REPRO_CACHE_DIR"])
-        if os.environ.get("REPRO_ENGINE"):
-            overrides.setdefault("engine", os.environ["REPRO_ENGINE"])
         if os.environ.get("REPRO_ADAPTIVE"):
             overrides.setdefault("adaptive", True)
         if os.environ.get("REPRO_TRACE"):
@@ -196,8 +190,7 @@ def _run_coverage(config, tech, fault_proto, resistances, label,
     runtime = config.runtime() if runtime is None else runtime
     report = RunReport(label)
 
-    engine_kwargs = dict(engine=config.engine,
-                         batch_size=config.batch_size,
+    engine_kwargs = dict(batch_size=config.batch_size,
                          adaptive=config.adaptive)
     calibration = calibrate_pulse_test(samples, tech=tech, dt=config.dt,
                                        runtime=runtime, report=report,
@@ -318,8 +311,7 @@ def run_adaptive_coverage(config=None, tech=None, runtime=None,
     label = "adaptive-{}-coverage".format(fault)
     report = RunReport(label)
 
-    engine_kwargs = dict(engine=config.engine,
-                         batch_size=config.batch_size,
+    engine_kwargs = dict(batch_size=config.batch_size,
                          adaptive=config.adaptive)
     calibration = calibrate_pulse_test(samples, tech=tech, dt=config.dt,
                                        runtime=runtime, report=report,

@@ -12,7 +12,7 @@ import math
 
 from ..cells import build_path, default_technology
 from ..faults import inject
-from ..spice import run_transient, run_transient_batch
+from ..spice import run_transient_batch
 
 #: default transient step; stimulus edges are >= 50 ps so 2 ps resolves
 #: them with >25 points per edge
@@ -115,35 +115,47 @@ def measure_output_pulse(path, w_in, kind="h", dt=DEFAULT_DT, level=None,
     output excursion past the 50 % level (0.0 when fully dampened).
     ``record_all=True`` keeps every node in the waveform (for the
     waveform-reproduction benches); otherwise only input and output are
-    recorded.
+    recorded.  This is :func:`measure_output_pulse_batch` of a one-path
+    population, which runs the scalar Newton.
     """
-    delay = path.set_input_pulse(w_in, kind=kind)
-    tstop = simulation_window(path, w_in=w_in, stimulus_delay=delay)
-    record = None if record_all else [path.input_node, path.output_node]
-    waveform = run_transient(path.circuit, tstop, dt, record=record,
-                             adaptive=adaptive)
-    level = path.tech.vdd_half if level is None else level
-    polarity = output_pulse_polarity(path, kind)
-    w_out = waveform.widest_pulse(path.output_node, level, polarity)
-    return w_out, waveform
+    w_outs, waveforms = measure_output_pulse_batch(
+        [path], w_in, kind=kind, dt=dt, level=level, record_all=record_all,
+        adaptive=adaptive)
+    return w_outs[0], waveforms[0]
+
+
+def measure_path_delay(path, direction="rise", dt=DEFAULT_DT, level=None,
+                       adaptive=False):
+    """Propagation delay for a single input transition.
+
+    Returns ``(delay, waveform)``.  When the output never crosses the
+    50 % level within the window — a gross defect or a bridging-induced
+    functional error — the delay is ``math.inf``, which every reduced
+    clock period trivially detects.  This is
+    :func:`measure_path_delay_batch` of a one-path population.
+    """
+    delays, waveforms = measure_path_delay_batch(
+        [path], direction=direction, dt=dt, level=level, adaptive=adaptive)
+    return delays[0], waveforms[0]
 
 
 def measure_output_pulse_batch(paths, w_in, kind="h", dt=DEFAULT_DT,
-                               level=None, adaptive=False):
-    """Batched ``w_out`` measurement over topologically identical paths.
+                               level=None, record_all=False, adaptive=False):
+    """``w_out`` of every path in a population of topologically
+    identical paths.
 
-    All instances are simulated in lockstep by the batched transient
-    engine over a shared window (the widest of the per-instance
-    windows — the extra settle time is measurement-neutral).  Returns
-    ``(w_outs, waveforms)`` lists aligned with ``paths``; per-sample
-    values match :func:`measure_output_pulse` within the engine
-    equivalence tolerance.
+    The instances share one transient (see
+    :func:`~repro.spice.run_transient_batch`: lockstep for more than
+    one path) over a shared window, the widest of the per-instance
+    windows — the extra settle time is measurement-neutral.  Returns
+    ``(w_outs, waveforms)`` lists aligned with ``paths``.
     """
     paths = list(paths)
     delays = [path.set_input_pulse(w_in, kind=kind) for path in paths]
     tstop = max(simulation_window(path, w_in=w_in, stimulus_delay=delay)
                 for path, delay in zip(paths, delays))
-    record = [paths[0].input_node, paths[0].output_node]
+    record = (None if record_all
+              else [paths[0].input_node, paths[0].output_node])
     waveforms = run_transient_batch([path.circuit for path in paths],
                                     tstop, dt, record=record,
                                     adaptive=adaptive)
@@ -157,7 +169,8 @@ def measure_output_pulse_batch(paths, w_in, kind="h", dt=DEFAULT_DT,
 
 def measure_path_delay_batch(paths, direction="rise", dt=DEFAULT_DT,
                              level=None, adaptive=False):
-    """Batched propagation-delay measurement (lockstep population).
+    """Propagation delay of every path in a population (see
+    :func:`measure_output_pulse_batch`).
 
     Returns ``(delays, waveforms)``; non-crossing outputs report
     ``math.inf`` exactly like :func:`measure_path_delay`.
@@ -177,24 +190,3 @@ def measure_path_delay_batch(paths, direction="rise", dt=DEFAULT_DT,
                                        lv)
         delays.append(math.inf if d is None else d)
     return delays, waveforms
-
-
-def measure_path_delay(path, direction="rise", dt=DEFAULT_DT, level=None,
-                       adaptive=False):
-    """Propagation delay for a single input transition.
-
-    Returns ``(delay, waveform)``.  When the output never crosses the
-    50 % level within the window — a gross defect or a bridging-induced
-    functional error — the delay is ``math.inf``, which every reduced
-    clock period trivially detects.
-    """
-    delay = path.set_input_transition(direction)
-    tstop = simulation_window(path, stimulus_delay=delay)
-    waveform = run_transient(path.circuit, tstop, dt,
-                             record=[path.input_node, path.output_node],
-                             adaptive=adaptive)
-    level = path.tech.vdd_half if level is None else level
-    d = waveform.propagation_delay(path.input_node, path.output_node, level)
-    if d is None:
-        d = math.inf
-    return d, waveform

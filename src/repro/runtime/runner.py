@@ -15,6 +15,7 @@ Results are placed by task index, so campaign output is bit-identical
 between the serial and process-pool backends.
 """
 
+import functools
 import os
 
 from .cache import CacheMiss, ResultCache
@@ -34,22 +35,32 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 DEFAULT_BATCH_SIZE = 32
 
 
-def engine_cache_tag(engine="scalar", adaptive=False):
+def check_batch_size(batch_size):
+    """``batch_size`` as an int; ``ValueError`` unless it is a positive
+    whole number."""
+    if int(batch_size) != batch_size or batch_size < 1:
+        raise ValueError("batch_size must be a positive integer, got {!r}"
+                         .format(batch_size))
+    return int(batch_size)
+
+
+def engine_cache_tag(batch_size=1, adaptive=False):
     """Cache-key tag tuple for the simulation-engine configuration.
 
     Results from different engines or time-grid disciplines agree only
     to tolerance, never bit-exactly, so their cached rows must not
-    alias.  The scalar fixed-step engine contributes no engine or grid
-    token; the batched engine and the adaptive grid each add one.  The
-    Newton policy is decided in :mod:`repro.spice` alone, and every tag
-    ends with its token.
+    alias.  One sample per task runs the scalar Newton and contributes
+    no engine token; ``batch_size > 1`` runs chunks on the lockstep
+    engine and adds ``engine=batched``.  The adaptive grid adds
+    ``grid=adaptive``.  The Newton policy is decided in
+    :mod:`repro.spice` alone, and every tag ends with its token.
     """
     # imported here: repro.spice imports repro.runtime.stats at load time
     from ..spice.transient import NEWTON_CACHE_TOKEN
 
     tag = []
-    if engine != "scalar":
-        tag.append("engine={}".format(engine))
+    if batch_size > 1:
+        tag.append("engine=batched")
     if adaptive:
         tag.append("grid=adaptive")
     # one policy now; the token stays so pre-existing keys still match
@@ -57,8 +68,14 @@ def engine_cache_tag(engine="scalar", adaptive=False):
     return tuple(tag)
 
 
+def _map_payloads(fn, payloads):
+    """Chunk task of :meth:`Runtime.run`: ``fn`` over each payload."""
+    return [fn(payload) for payload in payloads]
+
+
 class CampaignRun:
-    """Outcome of one :meth:`Runtime.run` call."""
+    """Outcome of one :meth:`Runtime.run` or :meth:`Runtime.run_batched`
+    call."""
 
     def __init__(self, values, errors, report):
         #: per-task values; failed slots hold the ``FAILED`` sentinel
@@ -171,32 +188,13 @@ class Runtime:
     # Trace sink
     # ------------------------------------------------------------------
 
-    def _trace_task(self, label, index, key, outcome, **extra):
-        """Emit one ``task`` event for an executed (non-cached) task."""
-        if self.trace is None:
-            return
-        event = {
-            "event": "task",
-            "label": label,
-            "index": index,
-            "key": key,
-            "ok": outcome.ok,
-            "error": outcome.error_type,
-            "duration_s": outcome.duration,
-            "retries": outcome.retries,
-            "crashes": outcome.crashes,
-            "stats": outcome.stats,
-        }
-        event.update(extra)
-        self.trace.emit(event)
-
     def _trace_chunk(self, label, chunk, keys, outcome):
-        """Emit one ``task`` event per *item* of a batched chunk.
+        """Emit one ``task`` event per *item* of an executed chunk.
 
         Each item carries its own slice of the chunk's effort: the
         per-sample attribution recorded by the lockstep engine (rows in
         the chunk's stats snapshot) and an equal share of the chunk's
-        wall time.
+        wall time.  A one-item chunk's item carries the whole snapshot.
         """
         if self.trace is None:
             return
@@ -205,7 +203,12 @@ class Runtime:
         shared.pop("samples", None)
         share = outcome.duration / max(1, len(chunk))
         for position, index in enumerate(chunk):
-            per_item = samples.get(position)
+            if len(chunk) == 1:
+                stats = outcome.stats
+            else:
+                per_item = samples.get(position)
+                stats = ({"counters": per_item} if per_item is not None
+                         else None)
             self.trace.emit({
                 "event": "task",
                 "label": label,
@@ -216,8 +219,7 @@ class Runtime:
                 "duration_s": share,
                 "retries": outcome.retries,
                 "crashes": outcome.crashes,
-                "stats": ({"counters": per_item} if per_item is not None
-                          else None),
+                "stats": stats,
                 "chunk": outcome.index,
                 "chunk_size": len(chunk),
                 "chunk_stats": shared if position == 0 else None,
@@ -289,61 +291,16 @@ class Runtime:
             report=None, progress=None):
         """Map ``fn`` over ``payloads``; returns a :class:`CampaignRun`.
 
-        ``keys`` enables caching/checkpointing: one stable cache key per
-        payload (see :func:`repro.runtime.hashing.stable_hash`).
-        ``progress(done, total)`` is invoked after every settled task.
+        One payload per task: :meth:`run_batched` over one-payload
+        chunks.  ``keys`` enables caching/checkpointing: one stable
+        cache key per payload (see
+        :func:`repro.runtime.hashing.stable_hash`).  ``progress(done,
+        total)`` is invoked after every settled task.
         """
-        payloads = list(payloads)
-        n = len(payloads)
-        report = RunReport(label) if report is None else report
-        report.start(self.executor)
-        values = [FAILED] * n
-        errors = {}
-        done = [0]
-
-        def settle(count=1):
-            done[0] += count
-            if progress is not None:
-                progress(done[0], n)
-
-        robustness = self._robustness_baseline()
-        checkpoint, pending = self._scan_cache(keys, values, n, label,
-                                               report, settle)
-
-        def on_result(outcome):
-            index = pending[outcome.index]
-            if outcome.ok and self.cache is not None and keys is not None:
-                self.cache.put(keys[index], outcome.value)
-                self._chaos_corrupt(keys[index])
-                checkpoint.mark_done(keys[index])
-            self._trace_task(label, index,
-                             keys[index] if keys is not None else None,
-                             outcome)
-            settle()
-
-        # The manifest must always flush — a clean finish may hold up to
-        # ``checkpoint_every - 1`` unflushed marks, and an exception
-        # escaping the dispatch (cache write failure, KeyboardInterrupt)
-        # must not lose the progress already made.
-        try:
-            if pending:
-                outcomes = self.executor.map_tasks(
-                    fn, [payloads[i] for i in pending],
-                    on_result=on_result)
-                for outcome in outcomes:
-                    index = pending[outcome.index]
-                    report.record_outcome(outcome)
-                    if outcome.ok:
-                        values[index] = outcome.value
-                    else:
-                        errors[index] = outcome.error()
-        finally:
-            if checkpoint is not None:
-                checkpoint.flush()
-            self._fold_robustness(report, robustness)
-            report.finish()
-        self._trace_report(report)
-        return CampaignRun(values, errors, report)
+        return self.run_batched(functools.partial(_map_payloads, fn),
+                                payloads, keys=keys, batch_size=1,
+                                label=label, report=report,
+                                progress=progress)
 
     def run_batched(self, fn, payloads, keys=None, batch_size=None,
                     label="campaign", report=None, progress=None):
@@ -358,11 +315,13 @@ class Runtime:
         granularity stays **per item**: cached items never re-enter a
         chunk, and every item of a completed chunk is persisted under
         its own key.  A failed chunk marks all of its items failed.
+        ``batch_size`` (default :data:`DEFAULT_BATCH_SIZE`) must be a
+        positive integer.
         """
         payloads = list(payloads)
         n = len(payloads)
-        batch_size = (DEFAULT_BATCH_SIZE if batch_size is None
-                      else max(1, int(batch_size)))
+        batch_size = check_batch_size(
+            DEFAULT_BATCH_SIZE if batch_size is None else batch_size)
         report = RunReport(label) if report is None else report
         report.start(self.executor)
         values = [FAILED] * n

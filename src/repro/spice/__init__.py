@@ -9,8 +9,7 @@ metrics are built from.
 """
 
 from .analysis import (BACKWARD_EULER, DEFAULT_LTE_TOL, TRAPEZOIDAL,
-                       BatchTransient, operating_point, run_transient,
-                       run_transient_batch)
+                       operating_point, run_transient, run_transient_batch)
 from .batch import BatchCompiledCircuit
 from .dcsweep import SweepResult, dc_sweep
 from .elements import (Capacitor, CurrentSource, Resistor, VoltageSource)
@@ -27,7 +26,7 @@ __all__ = [
     "Mosfet", "MosfetParams", "NMOS", "PMOS",
     "Dc", "Pulse", "Pwl", "Stimulus", "make_stimulus",
     "operating_point", "run_transient", "run_transient_batch",
-    "BatchTransient", "BatchCompiledCircuit",
+    "BatchCompiledCircuit",
     "BACKWARD_EULER", "TRAPEZOIDAL", "DEFAULT_LTE_TOL",
     "dc_sweep", "SweepResult",
     "Waveform",

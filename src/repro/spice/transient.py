@@ -1,12 +1,13 @@
 """Transient analysis.
 
-Two time-grid disciplines share the integration core:
+One time-stepping loop (:func:`_simulate`) runs every transient.  Two
+choices parametrise it:
 
-* **Fixed-step** (the reference): backward Euler (robust, slightly
-  lossy) or trapezoidal (second-order, default) on a uniform grid that
-  always *covers* ``tstop`` (step count is a ceiling, so the last grid
-  point is at or past the requested stop time).
-* **Adaptive** (``adaptive=True``, trapezoidal only): local-truncation-
+* **The time grid.**  Fixed-step (the reference): backward Euler
+  (robust, slightly lossy) or trapezoidal (second-order, default) on a
+  uniform grid that always *covers* ``tstop`` (step count is a ceiling,
+  so the last grid point is at or past the requested stop time).
+  Adaptive (``adaptive=True``, trapezoidal only): local-truncation-
   error controlled stepping — step halving on rejection, bounded
   doubling on acceptance — with source-breakpoint registration so steps
   land exactly on stimulus corners (pulse edges, PWL knots).  The LTE
@@ -14,11 +15,15 @@ Two time-grid disciplines share the integration core:
   polynomial predictor through the last accepted points; it
   overestimates the true trapezoidal LTE, which keeps the controller
   conservative where waveform measurements are taken.
+* **The Newton engine, picked by population size.**  One circuit runs
+  the scalar reuse Newton of :mod:`repro.spice.mna`; a population of
+  several topologically identical circuits runs the lockstep engine of
+  :mod:`repro.spice.batch` and advances on one shared grid.
 
-The fixed-step engine remains the reference implementation; the
-equivalence suite (tests/spice/test_adaptive.py) pins adaptive waveform
-measurements within measurement tolerance of a 4x finer fixed grid
-while using materially fewer steps.
+The fixed-step grid remains the reference; the equivalence suite
+(tests/spice/test_adaptive.py) pins adaptive waveform measurements
+within measurement tolerance of a 4x finer fixed grid while using
+materially fewer steps.
 """
 
 import numpy as np
@@ -57,7 +62,14 @@ MAX_STEP_GROWTH = 2.0
 STEP_SAFETY = 0.9
 
 
-def _check_solver(solver):
+def _check_analysis(tstop, dt, method, adaptive, solver):
+    if tstop <= 0 or dt <= 0:
+        raise AnalysisError("tstop and dt must be positive")
+    if method not in (BACKWARD_EULER, TRAPEZOIDAL):
+        raise AnalysisError("unknown integration method {!r}".format(method))
+    if adaptive and method != TRAPEZOIDAL:
+        raise AnalysisError("adaptive stepping requires the trapezoidal "
+                            "method")
     if solver not in (SOLVER_EXACT, SOLVER_REUSE):
         raise ValueError("unknown solver mode {!r}; expected {} or {}"
                          .format(solver, SOLVER_REUSE, SOLVER_EXACT))
@@ -73,45 +85,45 @@ def _fixed_step_count(tstop, dt):
     return max(1, int(np.ceil(tstop / dt * (1.0 - 1e-12))))
 
 
-class TransientResult:
-    """Raw transient output: times, state matrix and the index maps."""
-
-    def __init__(self, compiled, times, states):
-        self.compiled = compiled
-        self.times = times
-        self.states = states
-
-    def waveform(self, nodes=None):
-        """Package node voltages as a :class:`Waveform`.
-
-        ``nodes=None`` records every node; pass an iterable to restrict.
-        """
-        compiled = self.compiled
-        if nodes is None:
-            nodes = compiled.node_order
-        signals = {}
-        for node in nodes:
-            idx = compiled.index_of(node)
-            if idx < 0:
-                signals[node] = np.zeros_like(self.times)
-            else:
-                signals[node] = self.states[:, idx]
-        return Waveform(self.times, signals)
-
-
 # ----------------------------------------------------------------------
-# Adaptive step-size control (shared by the scalar and batched engines)
+# Time grids
 # ----------------------------------------------------------------------
+
+class _FixedGrid:
+    """The uniform reference grid, driven like :class:`_StepController`.
+
+    Every step is ``dt`` and lands on a ``linspace`` point; nothing is
+    ever rejected, so a convergence failure propagates.
+    """
+
+    def __init__(self, tstop, dt):
+        self.n_steps = _fixed_step_count(tstop, dt)
+        self.times = np.linspace(0.0, self.n_steps * dt, self.n_steps + 1)
+        self.dt = dt
+        self.accepted = 0
+
+    def done(self):
+        return self.accepted == self.n_steps
+
+    def propose(self, history):
+        return self.dt, self.times[self.accepted + 1]
+
+    def accept(self, h, err):
+        self.accepted += 1
+        return False
+
+    def reject(self, h):
+        return True
+
 
 class _StepController:
     """LTE step-size controller with breakpoint landing.
 
     Owns the current time, the next proposed step and the breakpoint
-    cursor.  Both adaptive engines drive it the same way: ``propose`` a
-    trial step, attempt the implicit solve, then either ``accept``
-    (bounded growth from the error estimate) or ``reject`` (halving;
-    a step already at the ``dt_min`` floor is force-accepted instead of
-    looping forever).
+    cursor.  The time-stepping loop drives it: ``propose`` a trial step,
+    attempt the implicit solve, then either ``accept`` (bounded growth
+    from the error estimate) or ``reject`` (halving; a step already at
+    the ``dt_min`` floor is force-accepted instead of looping forever).
     """
 
     def __init__(self, tstop, dt, dt_min, dt_max, lte_tol):
@@ -143,7 +155,7 @@ class _StepController:
         return self.t >= self.tstop * (1.0 - 1e-12)
 
     def propose(self, history):
-        """Trial step for the next attempt.
+        """Trial step ``(h, t + h)`` for the next attempt.
 
         Clamped to ``dt`` while the predictor history (``history``
         accepted points since the last discontinuity) is too short for a
@@ -164,7 +176,7 @@ class _StepController:
             if gap <= h * (1.0 + 1e-9):
                 h = gap
                 self._target = self.breakpoints[self._next_break]
-        return h
+        return h, self.t + h
 
     def accept(self, h, err):
         """Commit the step; returns True when it landed on a breakpoint
@@ -234,8 +246,239 @@ def _push_history(hist_t, hist_x, t_new, x_new, landed):
 
 
 # ----------------------------------------------------------------------
-# Scalar transient
+# Newton engines
 # ----------------------------------------------------------------------
+
+class _ScalarEngine:
+    """One circuit on the scalar Newton of :mod:`repro.spice.mna`.
+
+    An engine gives the time-stepping loop what differs between one
+    circuit and a population: the DC start, the source and capacitor
+    right-hand sides, and one implicit solve with its gmin retry.  The
+    lowered circuit (``compiled``) supplies the rest through the
+    interface :class:`~repro.spice.batch.BatchCompiledCircuit` mirrors.
+    State vectors are ``(n,)`` here and ``(S, n)`` in the lockstep
+    engine.
+    """
+
+    n_samples = 1
+
+    def __init__(self, circuit, solver):
+        compiled = CompiledCircuit(circuit)
+        self.compiled = compiled
+        self.shape = (compiled.n,)
+        self.state = NewtonState() if solver == SOLVER_REUSE else None
+        # capacitor terminals off ground, and their node indices
+        self._mp, self._mq = compiled.cap_p >= 0, compiled.cap_n >= 0
+        self._cap_p = compiled.cap_p[self._mp]
+        self._cap_n = compiled.cap_n[self._mq]
+
+    def stimuli(self):
+        compiled = self.compiled
+        return [src.stimulus
+                for src in compiled.vsources + compiled.isources]
+
+    def dc(self, gmin):
+        return solve_dc(self.compiled, t=0.0, gmin=gmin)
+
+    def tabulate(self, times):
+        """Sources are evaluated per step; nothing to precompute."""
+
+    def rhs(self, t, step, ieq):
+        """Right-hand side at ``t``: sources plus the capacitor
+        companion currents ``ieq`` (None without capacitors)."""
+        compiled = self.compiled
+        rhs = np.zeros(compiled.n)
+        compiled.source_rhs(t, rhs)
+        if ieq is not None:
+            np.add.at(rhs, self._cap_p, ieq[self._mp])
+            np.subtract.at(rhs, self._cap_n, ieq[self._mq])
+        return rhs
+
+    def solve(self, a_base, rhs, x, gmin, t):
+        try:
+            return newton_solve(self.compiled, a_base, rhs, x, gmin=gmin,
+                                time=t, state=self.state)
+        except ConvergenceError:
+            # Retry with gmin continuation on the *same* companion system;
+            # switching instants occasionally need it.  Rungs that fail
+            # are skipped by the ladder; only the final solve at the
+            # target gmin is allowed to propagate.
+            return gmin_continuation_solve(self.compiled, a_base, rhs, x,
+                                           gmin=gmin, time=t)
+
+
+class _LockstepEngine:
+    """A population on the lockstep Newton of :mod:`repro.spice.batch`:
+    one stacked solve per Newton iteration over the still-active
+    samples (see :class:`_ScalarEngine` for the interface)."""
+
+    def __init__(self, circuits, solver):
+        batch = BatchCompiledCircuit(circuits)
+        self.compiled = batch
+        self.n_samples = batch.n_samples
+        self.shape = (batch.n_samples, batch.n)
+        self.state = BatchNewtonState() if solver == SOLVER_REUSE else None
+        self._tables = None
+
+    def stimuli(self):
+        batch = self.compiled
+        return [src.stimulus for sources in batch._vsources + batch._isources
+                for src in sources]
+
+    def dc(self, gmin):
+        return solve_dc_batch(self.compiled, t=0.0, gmin=gmin)
+
+    def tabulate(self, times):
+        """Source-waveform tables over the whole fixed grid (kills the
+        per-step Python loop over samples and sources)."""
+        self._tables = self.compiled.source_tables(times)
+
+    def rhs(self, t, step, ieq):
+        """As :meth:`_ScalarEngine.rhs`; the sources come from the
+        tables at grid index ``step`` when :meth:`tabulate` ran."""
+        batch = self.compiled
+        rhs = np.zeros(self.shape)
+        if self._tables is None:
+            batch.source_rhs(t, rhs)
+        else:
+            vsrc_tab, isrc_tab = self._tables
+            rhs[:, batch.n_nodes:batch.n_nodes + batch.n_vsrc] = (
+                vsrc_tab[:, :, step])
+            if batch.n_isrc:
+                rhs += isrc_tab[:, :, step] @ batch.isrc_rhs_incidence
+        if ieq is not None:
+            rhs += ieq @ batch.cap_rhs_incidence
+        return rhs
+
+    def solve(self, a_base, rhs, x, gmin, t):
+        batch = self.compiled
+        x_new, conv = newton_solve_batch(batch, a_base, rhs, x, gmin=gmin,
+                                         time=t, state=self.state)
+        if not conv.all():
+            # gmin-continuation ladder for the failing subset only, from
+            # the previous accepted state (the diverged iterate is
+            # discarded, exactly like the scalar retry path).
+            bad = np.flatnonzero(~conv)
+            x_new[bad] = gmin_ladder_batch(batch, a_base[bad], rhs[bad],
+                                           x[bad], bad, gmin, time=t)
+        return x_new
+
+
+# ----------------------------------------------------------------------
+# The time-stepping loop and its two entry points
+# ----------------------------------------------------------------------
+
+def _initial_state(engine, x0, shape, gmin):
+    """The DC operating point at t=0, or ``x0`` checked against the
+    caller's ``shape`` and laid out as the engine's state."""
+    if x0 is None:
+        return engine.dc(gmin)
+    x = np.array(x0, dtype=float)
+    if x.shape != shape:
+        raise AnalysisError("x0 has wrong shape")
+    return x.reshape(engine.shape)
+
+
+def _simulate(engine, x, tstop, dt, method, gmin, nodes, adaptive, dt_min,
+              dt_max, lte_tol):
+    """Integrate from state ``x`` to ``tstop`` on either grid.
+
+    Returns one :class:`Waveform` per sample, restricted to ``nodes``
+    (None keeps every node).
+    """
+    compiled = engine.compiled
+    n_nodes = compiled.n_nodes
+    nodes = compiled.node_order if nodes is None else list(nodes)
+    index = [compiled.index_of(node) for node in nodes]
+    cols = np.array([i for i in index if i >= 0], dtype=int)
+    if adaptive:
+        grid = _StepController(tstop, dt, dt_min, dt_max, lte_tol)
+        grid.register_breakpoints(collect_breakpoints(engine.stimuli(),
+                                                      tstop))
+        record("adaptive_runs")
+    else:
+        grid = _FixedGrid(tstop, dt)
+        engine.tabulate(grid.times)
+
+    # Accepted points go into preallocated arrays (sized for the fixed
+    # grid, doubled when an adaptive run outgrows them): keeping one
+    # small array alive per step measurably slowed the Newton solves.
+    times = np.empty(_fixed_step_count(tstop, dt) + 1)
+    kept = np.empty(times.shape + x.shape[:-1] + cols.shape)
+    times[0] = 0.0
+    kept[0] = x.take(cols, axis=-1)
+    count = 1
+    hist_t = [0.0]
+    hist_x = [x]
+    vcap_prev = compiled.cap_branch_voltages(x)
+    icap_prev = np.zeros_like(vcap_prev)  # caps carry no current at DC
+    h_prev = None
+
+    while not grid.done():
+        h, t_new = grid.propose(len(hist_t))
+        if h != h_prev:
+            geq_scale = (1.0 if method == BACKWARD_EULER else 2.0) / h
+            a_base = compiled.companion_base(method, geq_scale)
+            geq = compiled.cap_c * geq_scale
+            h_prev = h
+
+        ieq = None
+        if compiled.n_caps:
+            # capacitor companion current sources
+            if method == BACKWARD_EULER:
+                ieq = geq * vcap_prev
+            else:
+                ieq = geq * vcap_prev + icap_prev
+        rhs = engine.rhs(t_new, grid.accepted + 1, ieq)
+
+        try:
+            x_new = engine.solve(a_base, rhs, x, gmin, t_new)
+        except ConvergenceError:
+            # A non-converging trial step is a rejection like any other:
+            # halve and retry (implicit steps converge more easily the
+            # shorter they get).  At the floor, and on the fixed grid,
+            # the error propagates.
+            if grid.reject(h):
+                raise
+            continue
+
+        err = None
+        if adaptive:
+            x_pred = _predict(hist_t, hist_x, t_new)
+            if x_pred is not None and n_nodes:
+                err = float(np.max(np.abs((x_new - x_pred)[..., :n_nodes])))
+                if err > lte_tol and not grid.reject(h):
+                    continue
+
+        landed = grid.accept(h, err)
+        x = x_new
+        vcap = compiled.cap_branch_voltages(x)
+        if compiled.n_caps:
+            if method == BACKWARD_EULER:
+                icap_prev = geq * (vcap - vcap_prev)
+            else:
+                icap_prev = geq * (vcap - vcap_prev) - icap_prev
+        vcap_prev = vcap
+        if count == len(times):
+            times = np.concatenate([times, np.empty_like(times)])
+            kept = np.concatenate([kept, np.empty_like(kept)])
+        times[count] = t_new
+        kept[count] = x.take(cols, axis=-1)
+        count += 1
+        if adaptive:
+            _push_history(hist_t, hist_x, t_new, x, landed)
+
+    times = times[:count]
+    kept = kept[:count].reshape(count, engine.n_samples, cols.size)
+    waveforms = []
+    for sample in range(engine.n_samples):
+        columns = iter(kept[:, sample, :].T)
+        waveforms.append(Waveform(times, {
+            node: np.zeros_like(times) if i < 0 else next(columns)
+            for node, i in zip(nodes, index)}))
+    return waveforms
+
 
 def run_transient(circuit, tstop, dt, method=TRAPEZOIDAL, record=None,
                   gmin=1e-12, x0=None, adaptive=False, dt_min=None,
@@ -274,408 +517,48 @@ def run_transient(circuit, tstop, dt, method=TRAPEZOIDAL, record=None,
 
     Returns a :class:`Waveform` (non-uniform time base when adaptive).
     """
-    if tstop <= 0 or dt <= 0:
-        raise AnalysisError("tstop and dt must be positive")
-    if method not in (BACKWARD_EULER, TRAPEZOIDAL):
-        raise AnalysisError("unknown integration method {!r}".format(method))
-    if adaptive and method != TRAPEZOIDAL:
-        raise AnalysisError("adaptive stepping requires the trapezoidal "
-                            "method")
-    _check_solver(solver)
-
-    compiled = CompiledCircuit(circuit)
-    n = compiled.n
-
-    if x0 is None:
-        x = solve_dc(compiled, t=0.0, gmin=gmin)
-    else:
-        x = np.array(x0, dtype=float)
-        if x.shape != (n,):
-            raise AnalysisError("x0 has wrong shape")
-
-    if adaptive:
-        result = _run_adaptive(compiled, x, tstop, dt, dt_min, dt_max,
-                               lte_tol, gmin, solver)
-        return result.waveform(record)
-
-    n_steps = _fixed_step_count(tstop, dt)
-    times = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    states = np.empty((n_steps + 1, n))
-    states[0] = x
-
-    if method == BACKWARD_EULER:
-        geq_scale = 1.0 / dt
-    else:
-        geq_scale = 2.0 / dt
-    a_base = compiled.companion_base(method, geq_scale)
-    geq = compiled.cap_c * geq_scale
-    newton_state = NewtonState() if solver == SOLVER_REUSE else None
-
-    cap_p, cap_n = compiled.cap_p, compiled.cap_n
-    mp, mq = cap_p >= 0, cap_n >= 0
-
-    vcap_prev = compiled.cap_branch_voltages(x)
-    icap_prev = np.zeros_like(vcap_prev)  # caps carry no current at DC
-
-    for step in range(1, n_steps + 1):
-        t = times[step]
-        rhs = np.zeros(n)
-        compiled.source_rhs(t, rhs)
-
-        # Capacitor companion current sources.
-        if compiled.n_caps:
-            if method == BACKWARD_EULER:
-                ieq = geq * vcap_prev
-            else:
-                ieq = geq * vcap_prev + icap_prev
-            np.add.at(rhs, cap_p[mp], ieq[mp])
-            np.subtract.at(rhs, cap_n[mq], ieq[mq])
-
-        try:
-            x = newton_solve(compiled, a_base, rhs, x, gmin=gmin, time=t,
-                             state=newton_state)
-        except ConvergenceError:
-            # Retry with gmin continuation on the *same* companion system;
-            # switching instants occasionally need it.  Rungs that fail
-            # are skipped by the ladder (a second failure used to abort
-            # the whole transient); only the final solve at the target
-            # gmin is allowed to propagate.
-            x = gmin_continuation_solve(compiled, a_base, rhs, x,
-                                        gmin=gmin, time=t)
-
-        states[step] = x
-        vcap = compiled.cap_branch_voltages(x)
-        if compiled.n_caps:
-            if method == BACKWARD_EULER:
-                icap_prev = geq * (vcap - vcap_prev)
-            else:
-                icap_prev = geq * (vcap - vcap_prev) - icap_prev
-        vcap_prev = vcap
-
-    result = TransientResult(compiled, times, states)
-    return result.waveform(record)
-
-
-def _run_adaptive(compiled, x, tstop, dt, dt_min, dt_max, lte_tol, gmin,
-                  solver=SOLVER_REUSE):
-    """Adaptive trapezoidal transient on the scalar engine."""
-    n = compiled.n
-    n_nodes = compiled.n_nodes
-    controller = _StepController(tstop, dt, dt_min, dt_max, lte_tol)
-    stimuli = [src.stimulus for src in compiled.vsources]
-    stimuli += [src.stimulus for src in compiled.isources]
-    controller.register_breakpoints(collect_breakpoints(stimuli, tstop))
-    record("adaptive_runs")
-    newton_state = NewtonState() if solver == SOLVER_REUSE else None
-
-    cap_p, cap_n = compiled.cap_p, compiled.cap_n
-    mp, mq = cap_p >= 0, cap_n >= 0
-    vcap_prev = compiled.cap_branch_voltages(x)
-    icap_prev = np.zeros_like(vcap_prev)
-
-    times = [0.0]
-    states = [x]
-    hist_t = [0.0]
-    hist_x = [x]
-
-    while not controller.done():
-        h = controller.propose(len(hist_t))
-        t_new = controller.t + h
-        geq_scale = 2.0 / h
-        a_base = compiled.companion_base(TRAPEZOIDAL, geq_scale)
-        geq = compiled.cap_c * geq_scale
-
-        rhs = np.zeros(n)
-        compiled.source_rhs(t_new, rhs)
-        if compiled.n_caps:
-            ieq = geq * vcap_prev + icap_prev
-            np.add.at(rhs, cap_p[mp], ieq[mp])
-            np.subtract.at(rhs, cap_n[mq], ieq[mq])
-
-        try:
-            try:
-                x_new = newton_solve(compiled, a_base, rhs, x, gmin=gmin,
-                                     time=t_new, state=newton_state)
-            except ConvergenceError:
-                x_new = gmin_continuation_solve(compiled, a_base, rhs, x,
-                                                gmin=gmin, time=t_new)
-        except ConvergenceError:
-            # A non-converging trial step is a rejection like any other:
-            # halve and retry (implicit steps converge more easily the
-            # shorter they get).  At the floor the error propagates.
-            if controller.reject(h):
-                raise
-            continue
-
-        err = None
-        x_pred = _predict(hist_t, hist_x, t_new)
-        if x_pred is not None and n_nodes:
-            err = float(np.max(np.abs((x_new - x_pred)[:n_nodes])))
-            if err > lte_tol and not controller.reject(h):
-                continue
-
-        landed = controller.accept(h, err)
-        x = x_new
-        vcap = compiled.cap_branch_voltages(x)
-        if compiled.n_caps:
-            icap_prev = geq * (vcap - vcap_prev) - icap_prev
-        vcap_prev = vcap
-        times.append(t_new)
-        states.append(x)
-        _push_history(hist_t, hist_x, t_new, x, landed)
-
-    return TransientResult(compiled, np.array(times), np.array(states))
-
-
-# ----------------------------------------------------------------------
-# Batched (lockstep) transient
-# ----------------------------------------------------------------------
-
-class BatchTransientResult:
-    """Raw lockstep-transient output for a whole population.
-
-    ``states`` is ``(S, n_steps+1, n)``; per-sample views package into
-    the same :class:`Waveform` objects the scalar engine produces.
-    """
-
-    def __init__(self, batch, times, states):
-        self.batch = batch
-        self.times = times
-        self.states = states
-
-    def waveform(self, sample, nodes=None):
-        """One sample's node voltages as a :class:`Waveform`."""
-        batch = self.batch
-        if nodes is None:
-            nodes = batch.node_order
-        signals = {}
-        for node in nodes:
-            idx = batch.index_of(node)
-            if idx < 0:
-                signals[node] = np.zeros_like(self.times)
-            else:
-                signals[node] = self.states[sample, :, idx]
-        return Waveform(self.times, signals)
-
-    def waveforms(self, nodes=None):
-        """Per-sample waveforms, aligned with the input population."""
-        return [self.waveform(s, nodes)
-                for s in range(self.batch.n_samples)]
+    _check_analysis(tstop, dt, method, adaptive, solver)
+    engine = _ScalarEngine(circuit, solver)
+    x = _initial_state(engine, x0, engine.shape, gmin)
+    return _simulate(engine, x, tstop, dt, method, gmin, record, adaptive,
+                     dt_min, dt_max, lte_tol)[0]
 
 
 def run_transient_batch(circuits, tstop, dt, method=TRAPEZOIDAL,
                         record=None, gmin=1e-12, x0=None, adaptive=False,
                         dt_min=None, dt_max=None, lte_tol=DEFAULT_LTE_TOL,
                         solver=SOLVER_REUSE):
-    """Simulate a population of topologically identical circuits in
-    lockstep from 0 to ``tstop``.
+    """Simulate a population of topologically identical circuits from 0
+    to ``tstop``.
 
-    The population advances through the same time grid together: each
-    Newton iteration assembles all still-active samples with precomputed
-    flat stamp-index maps and performs one stacked ``np.linalg.solve``
+    The population size picks the Newton engine.  A population of one
+    runs the scalar Newton, exactly like :func:`run_transient`.  Larger
+    populations advance through the same time grid in lockstep: each
+    Newton iteration assembles all still-active samples with
+    precomputed flat stamp-index maps and performs one stacked solve
     (see :mod:`repro.spice.batch`).  Semantics (integration method,
-    damped Newton, per-step gmin-continuation retry) mirror
-    :func:`run_transient` per sample; the scalar engine stays the
-    reference implementation and the equivalence suite pins the two
-    within 1e-6 V.
+    damped Newton, per-step gmin-continuation retry) mirror the scalar
+    engine per sample; the equivalence suite pins the two within
+    1e-6 V.
 
-    With ``adaptive=True`` the whole batch advances on one shared
+    With ``adaptive=True`` a lockstep population advances on one shared
     non-uniform grid (the union grid): per-sample LTE estimates feed a
     single step-size controller, so a step is accepted only when *every*
     sample's error clears ``lte_tol`` and the grid lands on the union of
     all samples' stimulus breakpoints.
 
     Parameters mirror :func:`run_transient`; ``circuits`` is a list of
-    symbolic circuits (or a prebuilt
-    :class:`~repro.spice.batch.BatchCompiledCircuit`) and ``x0``, when
-    given, is an ``(S, n)`` initial-state stack.
+    symbolic circuits and ``x0``, when given, is an ``(S, n)``
+    initial-state stack.
 
     Returns a list of :class:`Waveform`, aligned with ``circuits``.
     """
-    if tstop <= 0 or dt <= 0:
-        raise AnalysisError("tstop and dt must be positive")
-    if method not in (BACKWARD_EULER, TRAPEZOIDAL):
-        raise AnalysisError("unknown integration method {!r}".format(method))
-    if adaptive and method != TRAPEZOIDAL:
-        raise AnalysisError("adaptive stepping requires the trapezoidal "
-                            "method")
-    _check_solver(solver)
-
-    batch = (circuits if isinstance(circuits, BatchCompiledCircuit)
-             else BatchCompiledCircuit(circuits))
-    n_samples, n = batch.n_samples, batch.n
-
-    if x0 is None:
-        x = solve_dc_batch(batch, t=0.0, gmin=gmin)
+    _check_analysis(tstop, dt, method, adaptive, solver)
+    circuits = list(circuits)
+    if len(circuits) == 1:
+        engine = _ScalarEngine(circuits[0], solver)
     else:
-        x = np.array(x0, dtype=float)
-        if x.shape != (n_samples, n):
-            raise AnalysisError("x0 has wrong shape")
-
-    if adaptive:
-        result = _run_adaptive_batch(batch, x, tstop, dt, dt_min, dt_max,
-                                     lte_tol, gmin, solver)
-        return result.waveforms(record)
-
-    n_steps = _fixed_step_count(tstop, dt)
-    times = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    states = np.empty((n_samples, n_steps + 1, n))
-    states[:, 0] = x
-
-    if method == BACKWARD_EULER:
-        geq_scale = 1.0 / dt
-    else:
-        geq_scale = 2.0 / dt
-    a_base = batch.companion_base(method, geq_scale)
-    geq = batch.cap_c * geq_scale
-    newton_state = (BatchNewtonState() if solver == SOLVER_REUSE
-                    else None)
-
-    # Source-waveform tables over the whole grid (kills the per-step
-    # Python loop the scalar engine pays in source_rhs).
-    vsrc_tab, isrc_tab = batch.source_tables(times)
-    vsrc_lo, vsrc_hi = batch.n_nodes, batch.n_nodes + batch.n_vsrc
-
-    vcap_prev = batch.cap_branch_voltages(x)
-    icap_prev = np.zeros_like(vcap_prev)
-
-    for step in range(1, n_steps + 1):
-        t = times[step]
-        rhs = np.zeros((n_samples, n))
-        rhs[:, vsrc_lo:vsrc_hi] = vsrc_tab[:, :, step]
-        if batch.n_isrc:
-            rhs += isrc_tab[:, :, step] @ batch.isrc_rhs_incidence
-
-        if batch.n_caps:
-            if method == BACKWARD_EULER:
-                ieq = geq * vcap_prev
-            else:
-                ieq = geq * vcap_prev + icap_prev
-            rhs += ieq @ batch.cap_rhs_incidence
-
-        x_prev = x
-        x, conv = newton_solve_batch(batch, a_base, rhs, x_prev,
-                                     gmin=gmin, time=t,
-                                     state=newton_state)
-        if not conv.all():
-            # gmin-continuation ladder for the failing subset only, from
-            # the previous accepted state (the diverged iterate is
-            # discarded, exactly like the scalar retry path).
-            bad = np.flatnonzero(~conv)
-            x[bad] = gmin_ladder_batch(batch, a_base[bad], rhs[bad],
-                                       x_prev[bad], bad, gmin, time=t)
-
-        states[:, step] = x
-        vcap = batch.cap_branch_voltages(x)
-        if batch.n_caps:
-            if method == BACKWARD_EULER:
-                icap_prev = geq * (vcap - vcap_prev)
-            else:
-                icap_prev = geq * (vcap - vcap_prev) - icap_prev
-        vcap_prev = vcap
-
-    result = BatchTransientResult(batch, times, states)
-    return result.waveforms(record)
-
-
-def _run_adaptive_batch(batch, x, tstop, dt, dt_min, dt_max, lte_tol,
-                        gmin, solver=SOLVER_REUSE):
-    """Adaptive trapezoidal transient on the lockstep engine.
-
-    The batch advances on the union grid: one controller, per-sample
-    LTE estimates reduced with a max, breakpoints collected from every
-    sample's stimuli.
-    """
-    n_samples, n = batch.n_samples, batch.n
-    n_nodes = batch.n_nodes
-    controller = _StepController(tstop, dt, dt_min, dt_max, lte_tol)
-    stimuli = [src.stimulus for sources in batch._vsources
-               for src in sources]
-    stimuli += [src.stimulus for sources in batch._isources
-                for src in sources]
-    controller.register_breakpoints(collect_breakpoints(stimuli, tstop))
-    record("adaptive_runs")
-    newton_state = (BatchNewtonState() if solver == SOLVER_REUSE
-                    else None)
-
-    vcap_prev = batch.cap_branch_voltages(x)
-    icap_prev = np.zeros_like(vcap_prev)
-
-    times = [0.0]
-    states = [x]
-    hist_t = [0.0]
-    hist_x = [x]
-
-    while not controller.done():
-        h = controller.propose(len(hist_t))
-        t_new = controller.t + h
-        geq_scale = 2.0 / h
-        a_base = batch.companion_base(TRAPEZOIDAL, geq_scale)
-        geq = batch.cap_c * geq_scale
-
-        rhs = np.zeros((n_samples, n))
-        batch.source_rhs(t_new, rhs)
-        if batch.n_caps:
-            ieq = geq * vcap_prev + icap_prev
-            rhs += ieq @ batch.cap_rhs_incidence
-
-        try:
-            x_new, conv = newton_solve_batch(batch, a_base, rhs, x,
-                                             gmin=gmin, time=t_new,
-                                             state=newton_state)
-            if not conv.all():
-                bad = np.flatnonzero(~conv)
-                x_new[bad] = gmin_ladder_batch(batch, a_base[bad],
-                                               rhs[bad], x[bad], bad,
-                                               gmin, time=t_new)
-        except ConvergenceError:
-            if controller.reject(h):
-                raise
-            continue
-
-        err = None
-        x_pred = _predict(hist_t, hist_x, t_new)
-        if x_pred is not None and n_nodes:
-            err = float(np.max(np.abs((x_new - x_pred)[:, :n_nodes])))
-            if err > lte_tol and not controller.reject(h):
-                continue
-
-        landed = controller.accept(h, err)
-        x = x_new
-        vcap = batch.cap_branch_voltages(x)
-        if batch.n_caps:
-            icap_prev = geq * (vcap - vcap_prev) - icap_prev
-        vcap_prev = vcap
-        times.append(t_new)
-        states.append(x)
-        _push_history(hist_t, hist_x, t_new, x, landed)
-
-    stacked = np.transpose(np.array(states), (1, 0, 2))
-    return BatchTransientResult(batch, np.array(times), stacked)
-
-
-class BatchTransient:
-    """Reusable lockstep transient runner over a circuit population.
-
-    Thin stateful wrapper around :func:`run_transient_batch` for sweep
-    drivers: holds the population and analysis knobs, and re-lowers on
-    every :meth:`run` because sweeps mutate the circuits in place
-    between runs (e.g. ``set_fault_resistance``); lowering is orders of
-    magnitude cheaper than the transient itself.
-    """
-
-    def __init__(self, circuits, method=TRAPEZOIDAL, gmin=1e-12):
-        self.circuits = list(circuits)
-        self.method = method
-        self.gmin = gmin
-
-    @property
-    def n_samples(self):
-        return len(self.circuits)
-
-    def run(self, tstop, dt, record=None, x0=None, **adaptive_kwargs):
-        """One lockstep transient; returns per-sample waveforms."""
-        return run_transient_batch(self.circuits, tstop, dt,
-                                   method=self.method, record=record,
-                                   gmin=self.gmin, x0=x0,
-                                   **adaptive_kwargs)
+        engine = _LockstepEngine(circuits, solver)
+    x = _initial_state(engine, x0, (len(circuits), engine.compiled.n), gmin)
+    return _simulate(engine, x, tstop, dt, method, gmin, record, adaptive,
+                     dt_min, dt_max, lte_tol)

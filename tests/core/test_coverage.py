@@ -273,7 +273,7 @@ class TestChunkSignature:
         spec.update(overrides)
         payloads, _ = build_sweep_payloads(
             samples, ExternalOpen(2, 8e3), [8e3], dt=8e-12,
-            engine="batched", with_keys=False, **spec)
+            batch_size=2, with_keys=False, **spec)
         return payloads
 
     def test_mismatched_omega_in_rejected(self):
@@ -300,6 +300,27 @@ class TestChunkSignature:
         with pytest.raises(ValueError, match="fault"):
             _sweep_chunk_task(chunk)
 
+    def test_chunk_mixing_r_points_matches_per_point_chunks(self):
+        """Each sample steps through its own resistance grid, so one
+        chunk may span R points (the adaptive waves rely on it)."""
+        from repro.core.coverage import _sweep_chunk_task
+
+        low = self._payloads()[0]
+        high = dict(low, resistances=[30e3])
+        mixed = _sweep_chunk_task([low, high])
+        alone = _sweep_chunk_task([low]) + _sweep_chunk_task([high])
+        assert mixed[0][0] != pytest.approx(mixed[1][0], abs=1e-12)
+        for got, want in zip(mixed, alone):
+            assert got[0] == pytest.approx(want[0], abs=1e-12)
+
+    def test_unequal_grid_lengths_rejected(self):
+        from repro.core.coverage import _sweep_chunk_task
+
+        chunk = self._payloads() + self._payloads()
+        chunk[1] = dict(chunk[1], resistances=[8e3, 16e3])
+        with pytest.raises(ValueError, match="R points"):
+            _sweep_chunk_task(chunk)
+
     def test_compatible_chunks_pass_the_gate(self):
         """Same settings, different samples: the signature must not
         trip (faults compare by value, not identity — coalesced jobs
@@ -312,6 +333,52 @@ class TestChunkSignature:
 
 
 class TestEngineSelection:
+    PATH = dict(gate_kinds=("inv",) * 3)
+
+    def _chunk_sizes(self, trace_path, **kwargs):
+        """Chunk size of every executed task of a 2-sample sweep."""
+        from repro.core.coverage import sweep_pulse_measurements
+        from repro.faults import ExternalOpen
+        from repro.runtime import Runtime, read_trace
+
+        path = str(trace_path)
+        sweep_pulse_measurements(sample_population(2, base_seed=1),
+                                 ExternalOpen(2, 8e3), [8e3], 0.40e-9,
+                                 dt=8e-12, runtime=Runtime(trace=path),
+                                 **dict(self.PATH, **kwargs))
+        return [event["chunk_size"] for event in read_trace(path)
+                if event["event"] == "task"]
+
+    def test_batch_size_honoured_by_default_engine(self, tmp_path):
+        """``batch_size`` alone used to be dropped: the default engine
+        ran one sample per task whatever it said."""
+        assert self._chunk_sizes(tmp_path / "b2.jsonl",
+                                 batch_size=2) == [2, 2]
+        assert self._chunk_sizes(tmp_path / "b1.jsonl") == [1, 1]
+
+    def test_non_positive_batch_size_rejected(self):
+        from repro.core.coverage import sweep_pulse_measurements
+        from repro.faults import ExternalOpen
+
+        for batch_size in (0, -3):
+            with pytest.raises(ValueError, match="batch_size"):
+                sweep_pulse_measurements(sample_population(2),
+                                         ExternalOpen(2, 2e3), [2e3],
+                                         0.4e-9, batch_size=batch_size)
+
+    def test_scalar_engine_with_chunks_rejected(self):
+        from repro.core.coverage import (sweep_delay_measurements,
+                                         sweep_pulse_measurements)
+        from repro.faults import ExternalOpen
+
+        samples = sample_population(2)
+        with pytest.raises(ValueError, match="scalar"):
+            sweep_pulse_measurements(samples, ExternalOpen(2, 2e3), [2e3],
+                                     0.4e-9, engine="scalar", batch_size=8)
+        with pytest.raises(ValueError, match="scalar"):
+            sweep_delay_measurements(samples, ExternalOpen(2, 2e3), [2e3],
+                                     engine="scalar", batch_size=8)
+
     def test_unknown_engine_rejected(self):
         from repro.core.coverage import sweep_pulse_measurements
         from repro.faults import ExternalOpen

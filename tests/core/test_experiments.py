@@ -14,6 +14,7 @@ class TestExperimentConfig:
         assert config.n_samples == 16
         assert len(config.rop_resistances) == 10
         assert config.fault_stage == 2
+        assert config.batch_size == 1
 
     def test_fast_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAST", "1")
@@ -30,6 +31,11 @@ class TestExperimentConfig:
         monkeypatch.delenv("REPRO_FAST", raising=False)
         config = ExperimentConfig.from_env()
         assert config.n_samples == 16
+
+    def test_non_positive_batch_size_rejected(self):
+        for batch_size in (0, -1):
+            with pytest.raises(ValueError, match="batch_size"):
+                ExperimentConfig(batch_size=batch_size)
 
     def test_samples_deterministic(self):
         config = ExperimentConfig(n_samples=3, seed=5)

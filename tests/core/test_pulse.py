@@ -123,3 +123,32 @@ class TestNewtonPolicy:
                                             dt=5e-12)
         assert stats.total("lu_reuses") > 0
         assert w_env == w_default
+
+
+class TestPinnedMeasurements:
+    """The nominal path's measurements at dt = 5 ps, pinned to 1e-15 s.
+
+    Single-path measurements run as a population of one on the scalar
+    Newton; how they are routed must not move the numbers the
+    calibrations and sweeps are built from.
+    """
+
+    W_IN = 0.43e-9
+    DT = 5e-12
+    TOL = 1e-15
+
+    @pytest.mark.parametrize("adaptive, expected", [
+        (False, 4.3513358708702846e-10),
+        (True, 4.3514708819583136e-10)])
+    def test_output_pulse(self, adaptive, expected):
+        w_out, _ = measure_output_pulse(build_instance(), self.W_IN,
+                                        dt=self.DT, adaptive=adaptive)
+        assert w_out == pytest.approx(expected, abs=self.TOL)
+
+    @pytest.mark.parametrize("adaptive, expected", [
+        (False, 7.741103632833714e-10),
+        (True, 7.74170063863389e-10)])
+    def test_path_delay(self, adaptive, expected):
+        d, _ = measure_path_delay(build_instance(), "rise", dt=self.DT,
+                                  adaptive=adaptive)
+        assert d == pytest.approx(expected, abs=self.TOL)

@@ -19,13 +19,13 @@ from repro.runtime import ResultCache
 
 
 def _row_key(tech=None, sample_seed=3, fault=None, resistances=(4e3,),
-             dt=3e-12, path_kwargs=None, omega_in=0.40e-9, **engine):
+             dt=3e-12, path_kwargs=None, omega_in=0.40e-9, **dispatch):
     """The sweep-row key of one sample, as a sweep computes it."""
     fault = ExternalOpen(2, 8e3) if fault is None else fault
     _, keys = build_sweep_payloads(
         [VariationModel(sample_seed)], fault, resistances, tech=tech,
         dt=dt, path_kwargs=path_kwargs, measure="pulse",
-        omega_in=float(omega_in), kind="h", **engine)
+        omega_in=float(omega_in), kind="h", **dispatch)
     return keys[0]
 
 
@@ -78,7 +78,7 @@ class TestPinnedDefaultKeys:
         assert BASE == "ad7acac4686c4666dd7a5f7f25693be8"
 
     def test_sweep_row_batched_engine(self):
-        assert (_row_key(engine="batched")
+        assert (_row_key(batch_size=32)
                 == "76f81108fe2aa2f438745ffa2466cf54")
 
     def test_sweep_row_adaptive_grid(self):

@@ -358,6 +358,13 @@ class TestBatchedRuns:
         assert rerun.report.cache_hits == 5
         assert _executions(log) == 5
 
+    def test_non_positive_batch_size_rejected(self):
+        """Zero or negative chunk sizes used to be clamped to 1."""
+        for batch_size in (0, -2):
+            with pytest.raises(ValueError, match="batch_size"):
+                Runtime().run_batched(_chunk_double, _payloads(3),
+                                      batch_size=batch_size)
+
     def test_process_pool_chunks(self, tmp_path):
         runtime = Runtime(executor=ProcessPoolExecutor(n_jobs=2))
         run = runtime.run_batched(_chunk_double, _payloads(6),

@@ -19,8 +19,8 @@ from repro.core.pulse import (build_instance, measure_output_pulse,
 from repro.faults import ExternalOpen, inject, set_fault_resistance
 from repro.montecarlo import sample_population
 from repro.runtime import stats_scope
-from repro.spice import (BatchCompiledCircuit, BatchTransient, Circuit,
-                         run_transient, run_transient_batch)
+from repro.spice import (BatchCompiledCircuit, Circuit, run_transient,
+                         run_transient_batch)
 from repro.spice.errors import NetlistError
 
 DT = 6e-12
@@ -132,16 +132,17 @@ class TestBatchLowering:
                                 x0=np.zeros(3))
 
     def test_batch_transient_tracks_mutation(self):
-        """BatchTransient re-lowers each run, so in-place resistance
-        edits (the sweep drivers' idiom) take effect."""
+        """Every run_transient_batch call lowers the circuits afresh, so
+        in-place resistance edits between calls (how sweeps step R) take
+        effect."""
         paths = [inject(build_instance(), ExternalOpen(2, 2e3))
                  for _ in range(2)]
         tstop = _pulse_window(paths)
-        runner = BatchTransient([p.circuit for p in paths])
+        circuits = [p.circuit for p in paths]
         record = [paths[0].output_node]
-        wf_lo = runner.run(tstop, DT, record=record)
+        wf_lo = run_transient_batch(circuits, tstop, DT, record=record)
         for path in paths:
             set_fault_resistance(path, 40e3)
-        wf_hi = runner.run(tstop, DT, record=record)
+        wf_hi = run_transient_batch(circuits, tstop, DT, record=record)
         node = paths[0].output_node
         assert np.abs(wf_lo[0][node] - wf_hi[0][node]).max() > 0.1

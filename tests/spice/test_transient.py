@@ -176,3 +176,36 @@ class TestInverterTransient:
         w_in = wf.widest_pulse("a", 1.25, polarity="high")
         w_out = wf.widest_pulse("y", 1.25, polarity="low")
         assert w_out == pytest.approx(w_in, rel=0.15)
+
+
+class TestPopulationOfOne:
+    """A one-circuit population runs the scalar Newton: the scalar
+    reuse counters, no lockstep per-sample rows, and exactly the
+    waveform of :func:`run_transient`."""
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_matches_scalar_run(self, adaptive):
+        from repro.runtime import stats_scope
+        from repro.spice import run_transient_batch
+
+        reference = run_transient(rc_circuit(), 1e-7, 1e-9,
+                                  adaptive=adaptive)
+        with stats_scope() as stats:
+            (wf,) = run_transient_batch([rc_circuit()], 1e-7, 1e-9,
+                                        adaptive=adaptive)
+        assert stats.total("lu_reuses") > 0
+        assert stats.samples == {}
+        np.testing.assert_array_equal(wf.t, reference.t)
+        assert wf.nodes() == reference.nodes()
+        for node in reference.nodes():
+            np.testing.assert_array_equal(wf[node], reference[node])
+
+    def test_x0_is_one_row(self):
+        from repro.spice import run_transient_batch
+
+        reference = run_transient(rc_circuit(), 1e-7, 1e-9, x0=np.zeros(3))
+        (wf,) = run_transient_batch([rc_circuit()], 1e-7, 1e-9,
+                                    x0=np.zeros((1, 3)))
+        np.testing.assert_array_equal(wf["out"], reference["out"])
+        with pytest.raises(AnalysisError):
+            run_transient_batch([rc_circuit()], 1e-7, 1e-9, x0=np.zeros(3))

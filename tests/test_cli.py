@@ -30,9 +30,19 @@ class TestParser:
     def test_coverage_runtime_flags(self):
         args = build_parser().parse_args(
             ["coverage", "open", "--jobs", "4",
-             "--cache-dir", "/tmp/cache"])
+             "--cache-dir", "/tmp/cache", "--batch-size", "8"])
         assert args.jobs == 4
         assert args.cache_dir == "/tmp/cache"
+        assert args.batch_size == 8
+
+    def test_non_positive_batch_size_rejected(self, capsys):
+        for value in ("0", "-4"):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(
+                    ["coverage", "open", "--batch-size", value])
+            assert exit_info.value.code == 2
+            assert "batch_size must be a positive integer" in (
+                capsys.readouterr().err)
 
     def test_campaign_defaults(self):
         args = build_parser().parse_args(["campaign"])
