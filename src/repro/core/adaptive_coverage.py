@@ -33,7 +33,8 @@ import math
 
 from ..montecarlo import wilson_excludes, wilson_halfwidth
 from ..runtime import Runtime, RunReport
-from .coverage import CoverageCurve, _sweep_chunk_task, build_sweep_payloads
+from .coverage import CoverageCurve, build_sweep_payloads
+from .pulse import run_measurements
 
 #: default per-point Wilson half-width target (the fixed-grid campaign's
 #: worst case at S = 16 is ~0.20, so 0.15 is a strictly tighter promise)
@@ -110,13 +111,13 @@ def _next_wave(n_now, n_total, min_wave):
 class _SweepMeasurer:
     """Dispatch (sample index, R) measurement requests via the runtime.
 
-    Requests are grouped per resistance point and submitted through
+    Each request is one item of
     :func:`~repro.core.coverage.build_sweep_payloads` with a
     single-point resistance grid, so each (sample, R) pair lands under
     one stable content-addressed cache key no matter which wave (or
     which rerun) asks for it.  A whole wave is one
-    :meth:`~repro.runtime.Runtime.run_batched` call of ``batch_size``
-    samples per task; a chunk may span R points.
+    :func:`~repro.core.pulse.run_measurements` call of ``batch_size``
+    items per task, in request order; a chunk may span R points.
     """
 
     def __init__(self, samples, fault, tech, dt, runtime, report,
@@ -140,32 +141,22 @@ class _SweepMeasurer:
         requests = list(requests)
         if not requests:
             return []
-        groups = {}
-        for position, (index, r) in enumerate(requests):
-            groups.setdefault(r, []).append((position, index))
-        payloads, keys, positions = [], [], []
-        for r, group in groups.items():
-            point_payloads, point_keys = build_sweep_payloads(
-                [self.samples[index] for _, index in group], self.fault,
-                [r], tech=self.tech, dt=self.dt, batch_size=self.batch_size,
+        items, keys = [], []
+        for index, r in requests:
+            spec, point_items, point_keys = build_sweep_payloads(
+                [self.samples[index]], self.fault, [r], tech=self.tech,
+                dt=self.dt, batch_size=self.batch_size,
                 adaptive=self.adaptive, path_kwargs=self.path_kwargs,
                 with_keys=self.runtime.cache is not None,
                 **self.measure_spec)
-            payloads.extend(point_payloads)
-            if point_keys is not None:
-                keys.extend(point_keys)
-            positions.extend(position for position, _ in group)
+            items.extend(point_items)
+            keys.extend(point_keys or ())
         self.requested += len(requests)
-        run = self.runtime.run_batched(
-            _sweep_chunk_task, payloads, keys=keys or None,
-            batch_size=self.batch_size, label=self.label,
-            report=self.report)
-        if run.errors:
-            raise run.errors[min(run.errors)]
-        values = [None] * len(requests)
-        for row, position in zip(run.values, positions):
-            values[position] = float(row[0])
-        return values
+        rows = run_measurements(spec, items, keys=keys or None,
+                                runtime=self.runtime, report=self.report,
+                                batch_size=self.batch_size,
+                                label=self.label)
+        return [float(row[0]) for row in rows]
 
 
 class AdaptiveSweepResult:

@@ -12,108 +12,71 @@ Section 4's conservative, yield-first procedure:
 from ..cells import default_technology
 from ..dft import FlipFlopTiming, calibrate_t_star
 from ..montecarlo import NominalModel
-from ..runtime import CacheMiss, Runtime, engine_cache_tag, stable_hash
-from .coverage import _measure_kwargs
-from .pulse import (assert_chunk_compatible, build_instance,
-                    measure_output_pulse_batch, measure_path_delay_batch)
+from ..runtime import Runtime, engine_cache_tag, stable_hash
+from .pulse import build_instance, run_measurements
 from .sensing import PulseDetector
 from .transfer import (TransferCurve, characterize_transfer,
                        default_w_in_grid, recommended_w_in)
 
 
-def _build_chunk_instances(payloads):
-    return [build_instance(sample=p["sample"], fault=p["fault"],
-                           tech=p["tech"], **p["path_kwargs"])
-            for p in payloads]
+def _nominal_transfer(payload):
+    """Task: the nominal transfer curve, as the ``{"w_in": [...],
+    "w_out": [...]}`` record the result cache stores."""
+    def builder():
+        return build_instance(sample=NominalModel(), fault=payload["fault"],
+                              tech=payload["tech"], **payload["path_kwargs"])
+
+    curve = characterize_transfer(builder, payload["w_in"],
+                                  kind=payload["kind"], dt=payload["dt"],
+                                  adaptive=payload["adaptive"])
+    return {"w_in": [float(w) for w in curve.w_in],
+            "w_out": [float(w) for w in curve.w_out]}
 
 
-#: payload fields every member of one fault-free chunk must agree on
-#: (the chunk tasks read them from their first payload)
-CALIBRATION_CHUNK_FIELDS = ("dt", "adaptive", "omega_in", "kind",
-                            "direction", "fault")
-
-
-def _fault_free_pulse_chunk_task(payloads):
-    """Worker: the fault-free w_out of a chunk of instances at the
-    calibrated ω_in (one shared transient)."""
-    assert_chunk_compatible(payloads, CALIBRATION_CHUNK_FIELDS,
-                            task="fault-free pulse chunk")
-    first = payloads[0]
-    kwargs = _measure_kwargs(first)
-    paths = _build_chunk_instances(payloads)
-    wouts, _ = measure_output_pulse_batch(paths, first["omega_in"],
-                                          kind=first["kind"], **kwargs)
-    return [float(w) for w in wouts]
-
-
-def _fault_free_delay_chunk_task(payloads):
-    """Worker: the fault-free path delays of a chunk of instances."""
-    assert_chunk_compatible(payloads, CALIBRATION_CHUNK_FIELDS,
-                            task="fault-free delay chunk")
-    first = payloads[0]
-    kwargs = _measure_kwargs(first)
-    paths = _build_chunk_instances(payloads)
-    delays, _ = measure_path_delay_batch(paths,
-                                         direction=first["direction"],
-                                         **kwargs)
-    return [float(d) for d in delays]
-
-
-def _nominal_transfer(builder, w_in_grid, kind, dt, fault, tech,
-                      path_kwargs, runtime, adaptive=False):
-    """Nominal transfer curve, memoised in the runtime's result cache
+def nominal_transfer_curve(w_in_grid, kind="h", dt=None, fault=None,
+                           tech=None, path_kwargs=None, runtime=None,
+                           report=None, adaptive=False):
+    """The nominal transfer curve, run as one runtime task and cached
     (it is the fixed, sample-independent part of every calibration).
 
-    ``adaptive`` is threaded through to :func:`characterize_transfer`
-    and, via the standard :func:`~repro.runtime.engine_cache_tag`
-    tokens, into the cache key, so an adaptive calibration picks ω_in*
-    on the same time grid as the population it calibrates.
-    """
-    cache = None if runtime is None else runtime.cache
-    key = None
-    if cache is not None:
-        resolved_tech = default_technology() if tech is None else tech
-        tag = engine_cache_tag(adaptive=adaptive)
-        key = stable_hash("nominal-transfer", resolved_tech, fault,
-                          [float(w) for w in w_in_grid], kind, dt,
-                          path_kwargs, *tag)
-        try:
-            stored = cache.get(key)
-        except CacheMiss:
-            pass
-        else:
-            return TransferCurve(stored["w_in"], stored["w_out"],
-                                 kind=kind)
-    curve = characterize_transfer(builder, w_in_grid, kind=kind, dt=dt,
-                                  adaptive=adaptive)
-    if key is not None:
-        cache.put(key, {"w_in": [float(w) for w in curve.w_in],
-                        "w_out": [float(w) for w in curve.w_out]})
-    return curve
-
-
-def _measure_population(task, samples, payload_base, label, runtime,
-                        report, key_parts, batch_size=1, adaptive=False):
-    """Run one chunk measurement task over the population.
-
-    Each executor task measures ``batch_size`` samples; cache keys gain
-    an engine tag when ``batch_size > 1`` so scalar- and
-    lockstep-engine results never alias.
+    ``adaptive`` picks the time grid and, via the standard
+    :func:`~repro.runtime.engine_cache_tag` tokens, enters the cache
+    key, so an adaptive calibration picks ω_in* on the same time grid
+    as the population it calibrates.
     """
     runtime = Runtime() if runtime is None else runtime
-    payloads = [dict(payload_base, sample=sample, adaptive=adaptive)
-                for sample in samples]
+    tech = default_technology() if tech is None else tech
+    path_kwargs = {} if path_kwargs is None else path_kwargs
+    w_in = [float(w) for w in w_in_grid]
     keys = None
     if runtime.cache is not None:
-        tag = engine_cache_tag(batch_size, adaptive)
+        keys = [stable_hash("nominal-transfer", tech, fault, w_in, kind,
+                            dt, path_kwargs,
+                            *engine_cache_tag(adaptive=adaptive))]
+    run = runtime.run(_nominal_transfer,
+                      [dict(w_in=w_in, kind=kind, dt=dt, fault=fault,
+                            tech=tech, path_kwargs=path_kwargs,
+                            adaptive=adaptive)],
+                      keys=keys, label="nominal-transfer", report=report)
+    if run.errors:
+        raise run.errors[0]
+    stored = run.values[0]
+    return TransferCurve(stored["w_in"], stored["w_out"], kind=kind)
+
+
+def _fault_free_values(spec, samples, label, key_parts, runtime, report,
+                       batch_size):
+    """One measurement per sample of the fault-free population, cached
+    per sample under ``label`` and ``key_parts``."""
+    runtime = Runtime() if runtime is None else runtime
+    keys = None
+    if runtime.cache is not None:
+        tag = engine_cache_tag(batch_size, spec["adaptive"])
         keys = [stable_hash(label, key_parts, sample, *tag)
                 for sample in samples]
-    run = runtime.run_batched(task, payloads, keys=keys,
-                              batch_size=batch_size, label=label,
-                              report=report)
-    if run.errors:
-        raise run.errors[min(run.errors)]
-    return run.values
+    return run_measurements(spec, [{"sample": sample} for sample in samples],
+                            keys=keys, runtime=runtime, report=report,
+                            batch_size=batch_size, label=label)
 
 
 class PulseTestCalibration:
@@ -153,27 +116,23 @@ def calibrate_pulse_test(samples, fault=None, tech=None, kind="h",
        detector whose threshold runs ``sensing_tolerance`` high:
        ``ω_th* = min_s w_out_s / (1 + sensing_tolerance)``.
     """
+    tech = default_technology() if tech is None else tech
     if w_in_grid is None:
         w_in_grid = default_w_in_grid(tech)
-
-    def nominal_builder():
-        return build_instance(sample=NominalModel(), fault=fault, tech=tech,
-                              **path_kwargs)
-
-    curve = _nominal_transfer(nominal_builder, w_in_grid, kind, dt,
-                              fault, tech, path_kwargs, runtime,
-                              adaptive=adaptive)
+    curve = nominal_transfer_curve(
+        w_in_grid, kind=kind, dt=dt, fault=fault, tech=tech,
+        path_kwargs=path_kwargs, runtime=runtime, report=report,
+        adaptive=adaptive)
     if omega_in is None:
         omega_in = recommended_w_in(curve, margin=margin)
 
-    resolved_tech = default_technology() if tech is None else tech
-    wouts = _measure_population(
-        _fault_free_pulse_chunk_task, samples,
-        dict(fault=fault, tech=tech, dt=dt, omega_in=float(omega_in),
-             kind=kind, path_kwargs=path_kwargs),
-        "pulse-calibration", runtime, report,
-        [resolved_tech, fault, float(omega_in), kind, dt, path_kwargs],
-        batch_size=batch_size, adaptive=adaptive)
+    wouts = _fault_free_values(
+        dict(measure="pulse", omega_in=float(omega_in), kind=kind, dt=dt,
+             adaptive=adaptive, tech=tech, path_kwargs=path_kwargs,
+             fault=fault),
+        samples, "pulse-calibration",
+        [tech, fault, float(omega_in), kind, dt, path_kwargs], runtime,
+        report, batch_size)
     weakest = min(wouts)
     if weakest <= 0.0:
         raise ValueError(
@@ -194,15 +153,14 @@ def calibrate_delay_test(samples, fault=None, tech=None, direction="rise",
     Returns ``(DelayFaultTest, fault_free_delays)``.
     """
     flipflop = FlipFlopTiming() if flipflop is None else flipflop
-
-    resolved_tech = default_technology() if tech is None else tech
-    delays = _measure_population(
-        _fault_free_delay_chunk_task, samples,
-        dict(fault=fault, tech=tech, dt=dt, direction=direction,
-             path_kwargs=path_kwargs),
-        "delay-calibration", runtime, report,
-        [resolved_tech, fault, direction, dt, path_kwargs],
-        batch_size=batch_size, adaptive=adaptive)
+    tech = default_technology() if tech is None else tech
+    delays = _fault_free_values(
+        dict(measure="delay", direction=direction, dt=dt,
+             adaptive=adaptive, tech=tech, path_kwargs=path_kwargs,
+             fault=fault),
+        samples, "delay-calibration",
+        [tech, fault, direction, dt, path_kwargs], runtime, report,
+        batch_size)
     test = calibrate_t_star(delays, samples, flipflop,
                             skew_tolerance=skew_tolerance)
     return test, delays

@@ -18,12 +18,11 @@ cacheable; the sweep task rescales it with ``with_resistance``).
 import math
 
 from ..cells import default_technology
-from ..faults import FaultSpec, inject, set_fault_resistance
+from ..faults import FaultSpec
 from ..montecarlo import wilson_interval
 from ..runtime import (DEFAULT_BATCH_SIZE, Runtime, check_batch_size,
                        engine_cache_tag, stable_hash)
-from .pulse import (assert_chunk_compatible, build_instance,
-                    measure_output_pulse_batch, measure_path_delay_batch)
+from .pulse import run_measurements
 
 
 class CoverageCurve:
@@ -131,75 +130,20 @@ class CoverageResult:
         return sorted(self.curves)
 
 
-# ----------------------------------------------------------------------
-# The sweep task (module-level: picklable for the process pool)
-# ----------------------------------------------------------------------
-
-def _measure_kwargs(payload):
-    """Time-grid kwargs (dt + adaptive) encoded in a sweep-row or
-    calibration payload."""
-    kwargs = {"adaptive": payload.get("adaptive", False)}
-    if payload["dt"] is not None:
-        kwargs["dt"] = payload["dt"]
-    return kwargs
-
-
-#: payload fields every member of one sweep chunk must agree on (the
-#: chunk task applies the first payload's settings to all samples)
-SWEEP_CHUNK_FIELDS = ("measure", "dt", "adaptive", "omega_in", "kind",
-                      "direction", "fault")
-
-#: the measurement contract a sweep payload may carry on top of its
-#: sample, fault, grid and path
+#: the measurement contract a sweep may carry on top of its samples,
+#: fault, grid and path
 MEASURE_FIELDS = ("measure", "omega_in", "kind", "direction")
-
-
-def _sweep_chunk_task(payloads):
-    """Measurement rows of a chunk of samples over their resistance
-    grids: one transient of the whole chunk per grid position.
-
-    Each sample steps through its own grid, so a chunk may mix R points;
-    the grids only need equally many points.
-    """
-    assert_chunk_compatible(payloads, SWEEP_CHUNK_FIELDS,
-                            task="sweep chunk")
-    n_points = {len(payload["resistances"]) for payload in payloads}
-    if len(n_points) > 1:
-        raise ValueError("payloads in one sweep chunk need equally many "
-                         "R points, got {}".format(sorted(n_points)))
-    first = payloads[0]
-    kwargs = _measure_kwargs(first)
-    instances = []
-    for payload in payloads:
-        base = build_instance(sample=payload["sample"],
-                              tech=payload["tech"],
-                              **payload["path_kwargs"])
-        fault = payload["fault"].with_resistance(payload["resistances"][0])
-        instances.append(inject(base, fault))
-    rows = [[] for _ in instances]
-    for step in range(n_points.pop()):
-        for faulty, payload in zip(instances, payloads):
-            set_fault_resistance(faulty, payload["resistances"][step])
-        if first["measure"] == "pulse":
-            values, _ = measure_output_pulse_batch(
-                instances, first["omega_in"], kind=first["kind"], **kwargs)
-        else:
-            values, _ = measure_path_delay_batch(
-                instances, direction=first["direction"], **kwargs)
-        for row, value in zip(rows, values):
-            row.append(float(value))
-    return rows
 
 
 def build_sweep_payloads(samples, fault, resistances, tech=None, dt=None,
                          batch_size=1, adaptive=False, path_kwargs=None,
                          with_keys=True, **measure_spec):
-    """Payloads + cache keys for a per-sample measurement sweep.
+    """Spec, items and cache keys for a per-sample measurement sweep.
 
     This is the single source of truth for the sweep task contract:
     the fixed-grid drivers (:func:`sweep_pulse_measurements` /
     :func:`sweep_delay_measurements`) and the adaptive campaign
-    (:mod:`repro.core.adaptive_coverage`) both build their payloads
+    (:mod:`repro.core.adaptive_coverage`) both build their sweeps
     here, so a row computed through either path lands under the same
     content-addressed cache key.  ``fault`` must be a picklable
     :class:`~repro.faults.models.FaultSpec` prototype (``TypeError``
@@ -207,8 +151,9 @@ def build_sweep_payloads(samples, fault, resistances, tech=None, dt=None,
     tagged for (see :func:`~repro.runtime.engine_cache_tag`).
     ``measure_spec`` is ``measure="pulse", omega_in=..., kind=...`` or
     ``measure="delay", direction=...`` (``ValueError`` on any other
-    field); returns ``(payloads, keys)`` with ``keys=None`` when
-    ``with_keys`` is false.
+    field).  Returns ``(spec, items, keys)`` for
+    :func:`~repro.core.pulse.run_measurements`: one item per sample
+    over the whole grid, and ``keys=None`` when ``with_keys`` is false.
     """
     if not isinstance(fault, FaultSpec):
         raise TypeError(
@@ -221,17 +166,17 @@ def build_sweep_payloads(samples, fault, resistances, tech=None, dt=None,
     tech = default_technology() if tech is None else tech
     path_kwargs = {} if path_kwargs is None else dict(path_kwargs)
     resistances = [float(r) for r in resistances]
-    payloads = [dict(sample=sample, fault=fault, resistances=resistances,
-                     tech=tech, dt=dt, path_kwargs=path_kwargs,
-                     adaptive=adaptive, **measure_spec)
-                for sample in samples]
+    spec = dict(fault=fault, tech=tech, dt=dt, adaptive=adaptive,
+                path_kwargs=path_kwargs, **measure_spec)
+    items = [{"sample": sample, "resistances": resistances}
+             for sample in samples]
     keys = None
     if with_keys:
         tag = engine_cache_tag(batch_size, adaptive)
         keys = [stable_hash("sweep-row", tech, sample, fault, resistances,
                             dt, path_kwargs, measure_spec, *tag)
                 for sample in samples]
-    return payloads, keys
+    return spec, items, keys
 
 
 def _sweep_batch_size(engine, batch_size):
@@ -263,16 +208,13 @@ def _sweep_rows(samples, fault, resistances, tech, dt, runtime, label,
     bit-exactly).
     """
     runtime = Runtime() if runtime is None else runtime
-    payloads, keys = build_sweep_payloads(
+    spec, items, keys = build_sweep_payloads(
         samples, fault, resistances, tech=tech, dt=dt,
         batch_size=batch_size, adaptive=adaptive, path_kwargs=path_kwargs,
         with_keys=runtime.cache is not None, **measure_spec)
-    run = runtime.run_batched(_sweep_chunk_task, payloads, keys=keys,
-                              batch_size=batch_size, label=label,
-                              report=report)
-    if run.errors:
-        raise run.errors[min(run.errors)]
-    return run.values
+    return run_measurements(spec, items, keys=keys, runtime=runtime,
+                            report=report, batch_size=batch_size,
+                            label=label)
 
 
 def sweep_pulse_measurements(samples, fault_family, resistances,

@@ -19,27 +19,28 @@ from ..runtime import Runtime, RunReport, check_batch_size, stable_hash
 from .adaptive_coverage import (DEFAULT_CI_WIDTH, DEFAULT_MIN_WAVE,
                                 DEFAULT_REFINE_REL_TOL,
                                 DEFAULT_REFINE_TARGETS, adaptive_sweep)
-from .calibration import calibrate_delay_test, calibrate_pulse_test
+from .calibration import (calibrate_delay_test, calibrate_pulse_test,
+                          nominal_transfer_curve)
 from .coverage import (delay_coverage, pulse_coverage,
                        sweep_delay_measurements, sweep_pulse_measurements)
 from .pulse import build_instance, measure_output_pulse
-from .transfer import characterize_transfer, default_w_in_grid
+from .transfer import default_w_in_grid
 from ..spice import run_transient
 
 
 class ExperimentConfig:
     """Knobs shared by the experiment drivers.
 
-    ``n_jobs``/``cache_dir`` describe the campaign runtime: worker
-    process count (1 = serial, 0 = all CPUs) and the result-cache
-    location (None disables caching).  :meth:`from_env` reads them from
-    ``REPRO_JOBS`` and ``REPRO_CACHE_DIR``.  ``batch_size`` is the
-    number of samples one calibration or sweep task simulates: 1 (the
-    default) runs the scalar Newton per sample, more run in lockstep.
-    ``adaptive`` switches every transient to the LTE-controlled time
-    grid (``REPRO_ADAPTIVE=1``).  ``trace`` names a JSONL file
-    receiving one event per executed task (``REPRO_TRACE``; None
-    disables tracing).
+    ``n_jobs``/``cache_dir``/``trace`` describe the campaign runtime:
+    worker process count (1 = serial, 0 = all CPUs), the result-cache
+    location and a JSONL file receiving one event per executed task.
+    None leaves each to :meth:`Runtime.from_config
+    <repro.runtime.Runtime.from_config>`, which reads ``REPRO_JOBS``,
+    ``REPRO_CACHE_DIR`` and ``REPRO_TRACE`` (unset: serial, no cache,
+    no trace).  ``batch_size`` is the number of samples one calibration
+    or sweep task simulates: 1 (the default) runs the scalar Newton per
+    sample, more run in lockstep.  ``adaptive`` switches every
+    transient to the LTE-controlled time grid (``REPRO_ADAPTIVE=1``).
     The Newton solver and the adaptive step tolerance are not settings
     here: :mod:`repro.spice` fixes both.
     """
@@ -69,9 +70,8 @@ class ExperimentConfig:
     def from_env(cls, **overrides):
         """Default config, scaled down when ``REPRO_FAST`` is set.
 
-        Runtime knobs: ``REPRO_JOBS`` sets the worker count (unset: 1 =
-        serial; 0 = all CPUs), ``REPRO_CACHE_DIR`` enables the on-disk
-        result cache at the given path.
+        The runtime variables (``REPRO_JOBS``, ``REPRO_CACHE_DIR``,
+        ``REPRO_TRACE``) are read by :meth:`runtime` alone.
         """
         if os.environ.get("REPRO_FAST"):
             overrides.setdefault("n_samples", 5)
@@ -81,15 +81,8 @@ class ExperimentConfig:
             overrides.setdefault(
                 "bridging_resistances", list(np.geomspace(1e3, 30e3, 6)))
             overrides.setdefault("n_paths", 5)
-        if os.environ.get("REPRO_JOBS"):
-            overrides.setdefault("n_jobs", int(os.environ["REPRO_JOBS"]))
-        if os.environ.get("REPRO_CACHE_DIR"):
-            overrides.setdefault("cache_dir",
-                                 os.environ["REPRO_CACHE_DIR"])
         if os.environ.get("REPRO_ADAPTIVE"):
             overrides.setdefault("adaptive", True)
-        if os.environ.get("REPRO_TRACE"):
-            overrides.setdefault("trace", os.environ["REPRO_TRACE"])
         return cls(**overrides)
 
     def samples(self):
@@ -400,11 +393,9 @@ def run_transfer_experiment(config=None, tech=None, probe_widths=None,
     if probe_widths is None:
         probe_widths = [0.30e-9, 0.35e-9, 0.40e-9, 0.45e-9, 0.50e-9]
 
-    def nominal_builder():
-        return build_instance(sample=NominalModel(), tech=tech)
-
-    nominal = characterize_transfer(
-        nominal_builder, default_w_in_grid(tech), kind=kind, dt=config.dt)
+    nominal = nominal_transfer_curve(default_w_in_grid(tech), kind=kind,
+                                     dt=config.dt, tech=tech,
+                                     runtime=runtime)
 
     resolved_tech = default_technology() if tech is None else tech
     payloads = [dict(sample=sample, tech=tech,

@@ -6,12 +6,17 @@ These are the two measurements everything in the paper reduces to:
   ``w_in`` is injected at the sensitized path's input (pulse testing), and
 * ``d_p`` — the path propagation delay for a single input transition
   (reduced-clock delay-fault testing).
+
+Every calibration and sweep measures its population through one chunk
+task, :func:`_measure_chunk`, dispatched by :func:`run_measurements`.
 """
 
+import functools
 import math
 
 from ..cells import build_path, default_technology
-from ..faults import inject
+from ..faults import inject, set_fault_resistance
+from ..runtime import Runtime
 from ..spice import run_transient_batch
 
 #: default transient step; stimulus edges are >= 50 ps so 2 ps resolves
@@ -23,46 +28,6 @@ GATE_DELAY_BUDGET = 0.35e-9
 
 #: settling margin after the last expected event
 WINDOW_MARGIN = 1.2e-9
-
-
-def chunk_signature(payload, fields):
-    """Cheap comparable signature of one chunk payload's shared settings.
-
-    Lists become tuples and fault specs their ``repr`` (kind + stage +
-    resistance) so payloads built separately compare by value, not
-    identity.
-    """
-    sig = []
-    for field in fields:
-        value = payload.get(field)
-        if isinstance(value, (list, tuple)):
-            value = tuple(float(v) if isinstance(v, (int, float)) else v
-                          for v in value)
-        elif value is not None and field == "fault":
-            value = repr(value)
-        sig.append((field, value))
-    return tuple(sig)
-
-
-def assert_chunk_compatible(payloads, fields, task="chunk task"):
-    """Fail loudly when a chunk mixes incompatible measurement settings.
-
-    The lockstep chunk tasks read every measurement setting from their
-    first payload; a mis-grouped chunk would otherwise silently measure
-    every sample with the first payload's settings.  Raises
-    ``ValueError`` naming the first differing field.
-    """
-    first = chunk_signature(payloads[0], fields)
-    for position, payload in enumerate(payloads[1:], start=1):
-        sig = chunk_signature(payload, fields)
-        if sig == first:
-            continue
-        diffs = ["{}: {!r} != {!r}".format(field, got, want)
-                 for (field, want), (_, got) in zip(first, sig)
-                 if want != got]
-        raise ValueError(
-            "incompatible payloads in one {}: payload {} differs from "
-            "payload 0 on {}".format(task, position, "; ".join(diffs)))
 
 
 def build_instance(sample=None, fault=None, tech=None, **path_kwargs):
@@ -190,3 +155,69 @@ def measure_path_delay_batch(paths, direction="rise", dt=DEFAULT_DT,
                                        lv)
         delays.append(math.inf if d is None else d)
     return delays, waveforms
+
+
+def _measure_paths(spec, paths):
+    """One shared transient of ``paths`` under ``spec``'s measurement."""
+    dt = DEFAULT_DT if spec["dt"] is None else spec["dt"]
+    if spec["measure"] == "pulse":
+        values, _ = measure_output_pulse_batch(
+            paths, spec["omega_in"], kind=spec["kind"], dt=dt,
+            adaptive=spec["adaptive"])
+    else:
+        values, _ = measure_path_delay_batch(
+            paths, direction=spec["direction"], dt=dt,
+            adaptive=spec["adaptive"])
+    return [float(value) for value in values]
+
+
+def _measure_chunk(spec, items):
+    """Chunk task of every calibration and sweep.
+
+    ``spec`` holds what the whole call shares: ``measure`` (``"pulse"``
+    with ``omega_in`` and ``kind``, or ``"delay"`` with ``direction``),
+    ``dt``, ``adaptive``, ``tech``, ``path_kwargs`` and ``fault``.  An
+    item holds its ``sample`` and, for a sweep row, the ``resistances``
+    its fault steps through: one transient of the whole chunk per grid
+    position gives a row of values.  An item without a grid gives one
+    value.  Each item steps through its own grid, so a chunk may mix R
+    points; the grids only need equally many.
+    """
+    grids = [item.get("resistances") for item in items]
+    n_points = {len(grid) for grid in grids if grid is not None}
+    if len(n_points) > 1:
+        raise ValueError("items of one chunk need equally many R points, "
+                         "got {}".format(sorted(n_points)))
+    fault = spec["fault"]
+    paths = [build_instance(sample=item["sample"], tech=spec["tech"],
+                            fault=(fault if grid is None
+                                   else fault.with_resistance(grid[0])),
+                            **spec["path_kwargs"])
+             for item, grid in zip(items, grids)]
+    if grids[0] is None:
+        return _measure_paths(spec, paths)
+    rows = [[] for _ in paths]
+    for step in range(len(grids[0])):
+        for path, grid in zip(paths, grids):
+            set_fault_resistance(path, grid[step])
+        for row, value in zip(rows, _measure_paths(spec, paths)):
+            row.append(value)
+    return rows
+
+
+def run_measurements(spec, items, keys=None, runtime=None, report=None,
+                     batch_size=1, label="measure"):
+    """Values of ``items`` measured under ``spec``, in item order.
+
+    Dispatches :func:`_measure_chunk` through
+    :meth:`~repro.runtime.Runtime.run_batched`, ``batch_size`` items per
+    executor task; ``keys`` (one per item, or None) enable the result
+    cache.  Raises the first failed chunk's error.
+    """
+    runtime = Runtime() if runtime is None else runtime
+    run = runtime.run_batched(functools.partial(_measure_chunk, spec),
+                              items, keys=keys, batch_size=batch_size,
+                              label=label, report=report)
+    if run.errors:
+        raise run.errors[min(run.errors)]
+    return run.values

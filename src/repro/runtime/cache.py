@@ -2,18 +2,16 @@
 
 Layout (under the cache root, default ``.repro_cache/``)::
 
-    objects/ab/abcdef...0123.json   # JSON-serialisable values
-    objects/ab/abcdef...0123.npz    # numpy-array values
+    objects/ab/abcdef...0123.json   # one stored value
     objects/quarantine/             # corrupt entries set aside by get()
     manifests/<campaign>.json       # checkpoint manifests (checkpoint.py)
 
 Keys are the stable hashes of :mod:`repro.runtime.hashing`; values are
-whatever a campaign task returned.  JSON is the primary format (with a
-small escape hatch for embedded numpy arrays); values that are a bare
-array or a flat ``{str: ndarray}`` mapping are stored as ``.npz``
-instead.  Writes are atomic and durable (temp file + fsync +
-``os.replace`` + directory fsync, see :func:`atomic_write`) so neither
-a killed campaign nor a power loss leaves a truncated entry behind.
+whatever a campaign task returned, stored as strict JSON (numpy arrays
+and non-finite floats round-trip through tagged objects).  Writes are
+atomic and durable (temp file + fsync + ``os.replace`` + directory
+fsync, see :func:`atomic_write`) so neither a killed campaign nor a
+power loss leaves a truncated entry behind.
 """
 
 import json
@@ -48,27 +46,24 @@ def fsync_directory(path):
         os.close(fd)
 
 
-def atomic_write(path, writer, binary=False, durable=True):
+def atomic_write(path, writer):
     """Write ``path`` atomically: temp file + fsync + ``os.replace``.
 
     The single durable-write helper shared by the result cache and the
-    checkpoint manifests.  ``writer`` receives
-    the open temp-file handle.  With ``durable`` (the default) the temp
-    file is fsynced before the rename and the directory after it, so a
-    power loss can neither tear the object nor lose the rename; pass
-    ``durable=False`` only for scratch data where tearing is acceptable.
+    checkpoint manifests.  ``writer`` receives the open text-mode
+    temp-file handle.  The temp file is fsynced before the rename and
+    the directory after it, so a power loss can neither tear the object
+    nor lose the rename.
     """
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb" if binary else "w") as handle:
+        with os.fdopen(fd, "w") as handle:
             writer(handle)
-            if durable:
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
-        if durable:
-            fsync_directory(directory)
+        fsync_directory(directory)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -139,14 +134,6 @@ encode_jsonable = _encode
 decode_jsonable = _decode
 
 
-def _is_npz_value(value):
-    if isinstance(value, np.ndarray):
-        return True
-    return (isinstance(value, dict) and bool(value)
-            and all(isinstance(k, str) and isinstance(v, np.ndarray)
-                    for k, v in value.items()))
-
-
 class CacheMiss(Exception):
     """Raised by :meth:`ResultCache.get` for unknown keys."""
 
@@ -154,7 +141,7 @@ class CacheMiss(Exception):
 class ResultCache:
     """Content-addressed store for campaign task results.
 
-    Unreadable entries (truncated JSON, torn npz, bit rot) never fail a
+    Unreadable entries (truncated JSON, bit rot) never fail a
     campaign: :meth:`get` quarantines the bad file under
     ``objects/quarantine/`` and reports a :class:`CacheMiss`, so the
     runner simply recomputes the sample.  ``quarantined`` counts the
@@ -172,9 +159,8 @@ class ResultCache:
     def _object_dir(self, key):
         return os.path.join(self.root, "objects", key[:2])
 
-    def _paths(self, key):
-        base = os.path.join(self._object_dir(key), key)
-        return base + ".json", base + ".npz"
+    def _path(self, key):
+        return os.path.join(self._object_dir(key), key + ".json")
 
     def quarantine_dir(self):
         return os.path.join(self.root, "objects", "quarantine")
@@ -202,57 +188,34 @@ class ResultCache:
             " -> {}".format(destination) if destination else "")
 
     def contains(self, key):
-        json_path, npz_path = self._paths(key)
-        return os.path.exists(json_path) or os.path.exists(npz_path)
+        return os.path.exists(self._path(key))
 
     def get(self, key):
         """Return the stored value, or raise :class:`CacheMiss`.
 
-        A present-but-unreadable object (corrupt JSON/npz) is treated
-        as a miss: the bad file moves to ``objects/quarantine/`` and
-        the sample recomputes — one rotten entry must not kill a
-        campaign.
+        A present-but-unreadable object (corrupt JSON) is treated as a
+        miss: the bad file moves to ``objects/quarantine/`` and the
+        sample recomputes — one rotten entry must not kill a campaign.
         """
-        json_path, npz_path = self._paths(key)
-        if os.path.exists(json_path):
-            try:
-                with open(json_path) as handle:
-                    return _decode(json.load(handle))
-            except Exception as exc:  # noqa: BLE001 - corrupt object
-                self._quarantine(json_path, key, exc)
-                raise CacheMiss(key) from None
-        if os.path.exists(npz_path):
-            try:
-                with np.load(npz_path) as data:
-                    if data.files == ["__single__"]:
-                        return data["__single__"]
-                    return {name: data[name] for name in data.files}
-            except Exception as exc:  # noqa: BLE001 - corrupt object
-                self._quarantine(npz_path, key, exc)
-                raise CacheMiss(key) from None
-        raise CacheMiss(key)
+        path = self._path(key)
+        if not os.path.exists(path):
+            raise CacheMiss(key)
+        try:
+            with open(path) as handle:
+                return _decode(json.load(handle))
+        except Exception as exc:  # noqa: BLE001 - corrupt object
+            self._quarantine(path, key, exc)
+            raise CacheMiss(key) from None
 
     def put(self, key, value):
         """Store ``value`` under ``key`` (atomic; overwrites)."""
-        directory = self._object_dir(key)
-        os.makedirs(directory, exist_ok=True)
-        json_path, npz_path = self._paths(key)
-        if _is_npz_value(value):
-            arrays = ({"__single__": value}
-                      if isinstance(value, np.ndarray) else value)
-            self._atomic_write(npz_path, lambda h: np.savez(h, **arrays),
-                               binary=True)
-        else:
-            encoded = _encode(value)
-            # allow_nan=False backstops the encoder: a bare NaN token
-            # can never reach disk.
-            self._atomic_write(
-                json_path,
-                lambda h: json.dump(encoded, h, allow_nan=False))
+        os.makedirs(self._object_dir(key), exist_ok=True)
+        encoded = _encode(value)
+        # allow_nan=False backstops the encoder: a bare NaN token can
+        # never reach disk.
+        atomic_write(self._path(key),
+                     lambda h: json.dump(encoded, h, allow_nan=False))
         return key
-
-    def _atomic_write(self, path, writer, binary=False):
-        atomic_write(path, writer, binary=binary)
 
     # ------------------------------------------------------------------
 

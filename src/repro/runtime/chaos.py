@@ -158,13 +158,12 @@ class ChaosConfig:
         ``contains`` still answers True) but no longer parses.  Returns
         True when an object file was actually clobbered.
         """
-        clobbered = False
-        for path in cache._paths(key):
-            if os.path.exists(path):
-                with open(path, "wb") as handle:
-                    handle.write(b"\x00chaos-corrupted\xff\xfe")
-                clobbered = True
-        return clobbered
+        path = cache._path(key)
+        if not os.path.exists(path):
+            return False
+        with open(path, "wb") as handle:
+            handle.write(b"\x00chaos-corrupted\xff\xfe")
+        return True
 
     def __repr__(self):
         return ("ChaosConfig(kill={}, hang={}, corrupt={}, seed={})"

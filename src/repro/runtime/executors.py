@@ -271,10 +271,7 @@ class SerialExecutor:
 
 
 def default_n_jobs():
-    """Job count from ``REPRO_JOBS`` (falls back to the CPU count)."""
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        return max(1, int(env))
+    """The CPU count (at least 1): what a job count of 0 resolves to."""
     return max(1, os.cpu_count() or 1)
 
 
@@ -284,7 +281,7 @@ class ProcessPoolExecutor:
     Parameters
     ----------
     n_jobs:
-        Worker process count (default: ``REPRO_JOBS`` or the CPU count).
+        Worker process count (default: the CPU count).
     chunk_size:
         Tasks per dispatch unit.  ``None`` picks ``ceil(n / (4 *
         n_jobs))`` so each worker sees a few chunks (load balancing)

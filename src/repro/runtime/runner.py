@@ -147,7 +147,8 @@ class Runtime:
                  checkpoint_every=8, trace=None, chaos=None):
         """Build a runtime from ``REPRO_JOBS`` / ``REPRO_CACHE_DIR``.
 
-        ``jobs=None`` reads ``REPRO_JOBS`` (unset: serial); ``jobs=0``
+        The one reader of the runtime variables.  ``jobs=None`` reads
+        ``REPRO_JOBS`` (unset: serial); a job count of 0, from either,
         means "all CPUs".  ``cache_dir=None`` reads ``REPRO_CACHE_DIR``
         (unset: caching disabled).  ``trace=None`` reads ``REPRO_TRACE``
         (unset: tracing disabled).  ``chaos=None`` reads ``REPRO_CHAOS``

@@ -60,7 +60,8 @@ class RunReport:
         #: aggregated solver effort across every executed task
         self.solver = SolverStats()
         #: escalation waves folded into this report (adaptive-precision
-        #: campaigns submit one :meth:`Runtime.run` per wave)
+        #: campaigns submit one :meth:`Runtime.run_batched` call per
+        #: wave)
         self.waves = 0
         #: ``{exception class name: count}``
         self.failure_taxonomy = Counter()

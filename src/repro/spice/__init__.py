@@ -8,9 +8,8 @@ measurements (pulse width at 0.5*VDD, propagation delay, slew) the paper's
 metrics are built from.
 """
 
-from .analysis import (BACKWARD_EULER, DEFAULT_LTE_TOL, TRAPEZOIDAL,
-                       operating_point, run_transient, run_transient_batch)
 from .batch import BatchCompiledCircuit
+from .dcop import operating_point
 from .dcsweep import SweepResult, dc_sweep
 from .elements import (Capacitor, CurrentSource, Resistor, VoltageSource)
 from .errors import (AnalysisError, ConvergenceError, MeasurementError,
@@ -18,6 +17,8 @@ from .errors import (AnalysisError, ConvergenceError, MeasurementError,
 from .mosfet import Mosfet, MosfetParams, NMOS, PMOS
 from .netlist import Circuit, GROUND_NAMES, is_ground
 from .sources import Dc, Pulse, Pwl, Stimulus, make_stimulus
+from .transient import (BACKWARD_EULER, DEFAULT_LTE_TOL, TRAPEZOIDAL,
+                        run_transient, run_transient_batch)
 from .waveform import Waveform
 
 __all__ = [

@@ -58,43 +58,36 @@ class TestPulseCalibration:
 
 
 class TestNominalTransferCache:
-    """`_nominal_transfer` must key its memoised curve on the time grid:
-    an adaptive calibration used to pick its omega_in* from a
-    fixed-grid curve."""
+    """The nominal curve is a runtime task keyed on its time grid: an
+    adaptive calibration used to pick its omega_in* from a fixed-grid
+    curve."""
 
     GRID = [0.30e-9, 0.50e-9]
     PATH = dict(gate_kinds=("inv",) * 3)
 
-    def _characterize(self, runtime, calls, **kwargs):
-        from repro.core.calibration import _nominal_transfer
-        from repro.montecarlo import NominalModel
+    def _characterize(self, runtime, report=None, **kwargs):
+        from repro.core.calibration import nominal_transfer_curve
 
-        def builder():
-            calls.append(1)
-            return build_instance(sample=NominalModel(),
-                                  **dict(self.PATH))
-
-        return _nominal_transfer(builder, self.GRID, "h", DT, None, None,
-                                 dict(self.PATH), runtime, **kwargs)
-
-    def _runtime(self, tmp_path):
-        from repro.runtime import Runtime
-
-        return Runtime(cache=str(tmp_path / "cache"))
+        return nominal_transfer_curve(self.GRID, "h", DT,
+                                      path_kwargs=dict(self.PATH),
+                                      runtime=runtime, report=report,
+                                      **kwargs)
 
     def test_adaptive_does_not_alias_fixed_grid(self, tmp_path):
-        runtime = self._runtime(tmp_path)
-        calls = []
-        self._characterize(runtime, calls)
-        first = len(calls)
-        self._characterize(runtime, calls, adaptive=True)
-        assert len(calls) == 2 * first
+        from repro.runtime import Runtime, RunReport
+
+        runtime = Runtime(cache=str(tmp_path / "cache"))
+        report = RunReport()
+        for adaptive in (False, True, False, True):
+            self._characterize(runtime, report, adaptive=adaptive)
+        # one executed task per grid, the repeats are cache hits
+        assert (report.cache_misses, report.cache_hits) == (2, 2)
 
     def test_adaptive_curve_matches_direct_characterization(self):
         from repro.core import characterize_transfer
         from repro.montecarlo import NominalModel
 
-        curve = self._characterize(None, [], adaptive=True)
+        curve = self._characterize(None, adaptive=True)
         direct = characterize_transfer(
             lambda: build_instance(sample=NominalModel(),
                                    **dict(self.PATH)),
@@ -103,30 +96,21 @@ class TestNominalTransferCache:
                                                   abs=1e-15)
 
 
-class TestCalibrationChunkSignature:
-    """Mis-grouped fault-free lockstep chunks must fail loudly."""
+class TestReportCompleteness:
+    def test_report_books_every_transient(self):
+        """The nominal curve used to run outside any runtime task, so
+        the report missed most of a calibration's solver effort."""
+        from repro.montecarlo import sample_population
+        from repro.runtime import Runtime, RunReport, stats_scope
 
-    def _payload(self, **overrides):
-        base = dict(sample=None, fault=None, tech=None, dt=DT,
-                    adaptive=False, omega_in=0.40e-9, kind="h",
-                    path_kwargs={})
-        base.update(overrides)
-        return base
-
-    def test_pulse_chunk_rejects_mixed_omega_in(self):
-        from repro.core.calibration import _fault_free_pulse_chunk_task
-
-        with pytest.raises(ValueError, match="omega_in"):
-            _fault_free_pulse_chunk_task(
-                [self._payload(), self._payload(omega_in=0.50e-9)])
-
-    def test_delay_chunk_rejects_mixed_dt(self):
-        from repro.core.calibration import _fault_free_delay_chunk_task
-
-        with pytest.raises(ValueError, match="dt"):
-            _fault_free_delay_chunk_task(
-                [self._payload(direction="rise"),
-                 self._payload(direction="rise", dt=2 * DT)])
+        report = RunReport()
+        with stats_scope() as stats:
+            calibrate_pulse_test(sample_population(2, base_seed=11),
+                                 dt=1e-11, runtime=Runtime(),
+                                 report=report)
+        assert report.newton_solves == stats.total("newton_solves")
+        assert (report.newton_iterations
+                == stats.total("newton_iterations"))
 
 
 class TestDelayCalibration:

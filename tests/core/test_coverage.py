@@ -260,76 +260,50 @@ class TestLegacyCallablePath:
 
 
 class TestChunkSignature:
-    """Mis-grouped lockstep chunks must fail loudly: the chunk tasks
-    apply the first payload's settings to every sample."""
+    """The chunk task's signature is ``(spec, items)``: every shared
+    setting is bound once per call, so a chunk cannot mix settings;
+    an item carries only its sample and its resistance grid."""
 
-    def _payloads(self, **overrides):
+    def _sweep(self):
         from repro.core.coverage import build_sweep_payloads
         from repro.faults import ExternalOpen
         from repro.montecarlo import sample_population
 
         samples = sample_population(1, base_seed=3)
-        spec = dict(measure="pulse", omega_in=0.40e-9, kind="h")
-        spec.update(overrides)
-        payloads, _ = build_sweep_payloads(
+        spec, items, _ = build_sweep_payloads(
             samples, ExternalOpen(2, 8e3), [8e3], dt=8e-12,
-            batch_size=2, with_keys=False, **spec)
-        return payloads
-
-    def test_mismatched_omega_in_rejected(self):
-        from repro.core.coverage import _sweep_chunk_task
-
-        chunk = self._payloads() + self._payloads(omega_in=0.50e-9)
-        with pytest.raises(ValueError, match="omega_in"):
-            _sweep_chunk_task(chunk)
-
-    def test_mismatched_adaptive_rejected(self):
-        from repro.core.coverage import _sweep_chunk_task
-
-        chunk = self._payloads() + self._payloads()
-        chunk[1] = dict(chunk[1], adaptive=True)
-        with pytest.raises(ValueError, match="adaptive"):
-            _sweep_chunk_task(chunk)
-
-    def test_mismatched_fault_rejected(self):
-        from repro.core.coverage import _sweep_chunk_task
-        from repro.faults import BridgingFault
-
-        chunk = self._payloads() + self._payloads()
-        chunk[1] = dict(chunk[1], fault=BridgingFault(2, 8e3))
-        with pytest.raises(ValueError, match="fault"):
-            _sweep_chunk_task(chunk)
+            batch_size=2, with_keys=False, measure="pulse",
+            omega_in=0.40e-9, kind="h")
+        return spec, items
 
     def test_chunk_mixing_r_points_matches_per_point_chunks(self):
         """Each sample steps through its own resistance grid, so one
         chunk may span R points (the adaptive waves rely on it)."""
-        from repro.core.coverage import _sweep_chunk_task
+        from repro.core.pulse import _measure_chunk
 
-        low = self._payloads()[0]
+        spec, (low,) = self._sweep()
         high = dict(low, resistances=[30e3])
-        mixed = _sweep_chunk_task([low, high])
-        alone = _sweep_chunk_task([low]) + _sweep_chunk_task([high])
+        mixed = _measure_chunk(spec, [low, high])
+        alone = _measure_chunk(spec, [low]) + _measure_chunk(spec, [high])
         assert mixed[0][0] != pytest.approx(mixed[1][0], abs=1e-12)
         for got, want in zip(mixed, alone):
             assert got[0] == pytest.approx(want[0], abs=1e-12)
 
     def test_unequal_grid_lengths_rejected(self):
-        from repro.core.coverage import _sweep_chunk_task
+        from repro.core.pulse import _measure_chunk
 
-        chunk = self._payloads() + self._payloads()
-        chunk[1] = dict(chunk[1], resistances=[8e3, 16e3])
+        spec, (item,) = self._sweep()
         with pytest.raises(ValueError, match="R points"):
-            _sweep_chunk_task(chunk)
+            _measure_chunk(spec, [item, dict(item, resistances=[8e3, 16e3])])
 
     def test_compatible_chunks_pass_the_gate(self):
-        """Same settings, different samples: the signature must not
-        trip (faults compare by value, not identity — coalesced jobs
-        build separate but equal prototypes)."""
-        from repro.core.pulse import assert_chunk_compatible
-        from repro.core.coverage import SWEEP_CHUNK_FIELDS
-
-        chunk = self._payloads() + self._payloads()
-        assert_chunk_compatible(chunk, SWEEP_CHUNK_FIELDS)
+        """The gate is structural: items carry nothing but their sample
+        and grid, so every item of a chunk runs under the one spec the
+        task is bound to."""
+        spec, items = self._sweep()
+        assert [set(item) for item in items] == [{"sample", "resistances"}]
+        assert set(spec) == {"measure", "omega_in", "kind", "dt",
+                             "adaptive", "tech", "path_kwargs", "fault"}
 
 
 class TestEngineSelection:

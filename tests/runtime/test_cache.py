@@ -78,20 +78,19 @@ class TestNonFiniteFloats:
         key = stable_hash("strict")
         cache.put(key, {"a": float("nan"), "b": [float("-inf")],
                         "c": np.array([float("nan")])})
-        json_path, _ = cache._paths(key)
-        with open(json_path) as handle:
+        with open(cache._path(key)) as handle:
             json.load(handle, parse_constant=pytest.fail)
 
 
 class TestNpzValues:
+    """Arrays round-trip through the one JSON format (tagged objects)."""
+
     def test_bare_array(self, cache):
         key = stable_hash("bare")
         stored = np.linspace(0.0, 1.0, 7)
         cache.put(key, stored)
         loaded = cache.get(key)
         np.testing.assert_array_equal(loaded, stored)
-        _, npz_path = cache._paths(key)
-        assert os.path.exists(npz_path)
 
     def test_flat_array_mapping(self, cache):
         key = stable_hash("mapping")
@@ -131,16 +130,15 @@ class TestProtocol:
     def test_sharded_layout(self, cache):
         key = stable_hash("layout")
         cache.put(key, 1)
-        json_path, _ = cache._paths(key)
         assert os.sep + os.path.join("objects", key[:2]) + os.sep \
-            in json_path
+            in cache._path(key)
 
 
 class TestCorruptObjects:
     def test_corrupt_json_reads_as_miss_and_quarantines(self, cache):
         key = stable_hash("torn-json")
         cache.put(key, {"v": 1})
-        json_path, _ = cache._paths(key)
+        json_path = cache._path(key)
         with open(json_path, "w") as handle:
             handle.write('{"v": 1')  # truncated write
         with pytest.raises(CacheMiss):
@@ -152,22 +150,10 @@ class TestCorruptObjects:
                                            os.path.basename(json_path)))
         assert not cache.contains(key)
 
-    def test_corrupt_npz_reads_as_miss_and_quarantines(self, cache):
-        key = stable_hash("torn-npz")
-        cache.put(key, np.array([1.0, 2.0]))
-        _, npz_path = cache._paths(key)
-        with open(npz_path, "wb") as handle:
-            handle.write(b"\x00garbage\xff")
-        with pytest.raises(CacheMiss):
-            cache.get(key)
-        assert cache.quarantined == 1
-        assert os.path.exists(os.path.join(cache.quarantine_dir(),
-                                           os.path.basename(npz_path)))
-
     def test_recompute_after_quarantine(self, cache):
         key = stable_hash("recompute")
         cache.put(key, {"v": 1})
-        json_path, _ = cache._paths(key)
+        json_path = cache._path(key)
         with open(json_path, "w") as handle:
             handle.write("not json at all")
         with pytest.raises(CacheMiss):
@@ -178,7 +164,7 @@ class TestCorruptObjects:
     def test_quarantine_files_not_counted_as_objects(self, cache):
         key = stable_hash("count-after")
         cache.put(key, {"v": 1})
-        json_path, _ = cache._paths(key)
+        json_path = cache._path(key)
         with open(json_path, "w") as handle:
             handle.write("{broken")
         with pytest.raises(CacheMiss):
@@ -207,16 +193,6 @@ class TestDurableWrites:
         assert len(synced) == 2
         with open(path) as handle:
             assert json.load(handle) == {"v": 1}
-
-    def test_atomic_write_not_durable_skips_fsync(self, tmp_path,
-                                                  monkeypatch):
-        from repro.runtime.cache import atomic_write
-
-        synced = []
-        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd))
-        path = str(tmp_path / "scratch.json")
-        atomic_write(path, lambda h: h.write("{}"), durable=False)
-        assert synced == []
 
     def test_cache_put_goes_through_durable_write(self, cache,
                                                   monkeypatch):

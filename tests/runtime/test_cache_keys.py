@@ -22,7 +22,7 @@ def _row_key(tech=None, sample_seed=3, fault=None, resistances=(4e3,),
              dt=3e-12, path_kwargs=None, omega_in=0.40e-9, **dispatch):
     """The sweep-row key of one sample, as a sweep computes it."""
     fault = ExternalOpen(2, 8e3) if fault is None else fault
-    _, keys = build_sweep_payloads(
+    _, _, keys = build_sweep_payloads(
         [VariationModel(sample_seed)], fault, resistances, tech=tech,
         dt=dt, path_kwargs=path_kwargs, measure="pulse",
         omega_in=float(omega_in), kind="h", **dispatch)
@@ -87,7 +87,7 @@ class TestPinnedDefaultKeys:
 
     @pytest.fixture(scope="class")
     def calibration_cache(self, tmp_path_factory):
-        from repro.core import calibrate_pulse_test
+        from repro.core import calibrate_delay_test, calibrate_pulse_test
         from repro.montecarlo import sample_population
         from repro.runtime import Runtime
 
@@ -95,15 +95,71 @@ class TestPinnedDefaultKeys:
         calibrate_pulse_test(sample_population(1, base_seed=11), dt=4e-12,
                              w_in_grid=self.GRID, omega_in=0.40e-9,
                              runtime=runtime, **self.PATH)
+        calibrate_delay_test(sample_population(1, base_seed=11), dt=4e-12,
+                             runtime=runtime, **self.PATH)
         return runtime.cache
 
     def test_pulse_calibration_row(self, calibration_cache):
         assert calibration_cache.contains(
             "40b2f3ee85e88753888709313021dcae")
 
+    def test_delay_calibration_row(self, calibration_cache):
+        assert calibration_cache.contains(
+            "4a16e8ecc438a507ccc9db93c5e94b88")
+
     def test_nominal_transfer_curve(self, calibration_cache):
         assert calibration_cache.contains(
             "3a906dcc68cf374bc8b2a7dd25996d37")
+
+
+class TestWarmCache:
+    """Values stored in the shapes earlier releases wrote, under the
+    pinned keys, are served back without executing a task."""
+
+    GRID = TestPinnedDefaultKeys.GRID
+    PATH = TestPinnedDefaultKeys.PATH
+
+    @pytest.fixture
+    def runtime(self, tmp_path):
+        from repro.runtime import Runtime
+
+        runtime = Runtime(cache=str(tmp_path / "cache"))
+        runtime.cache.put("3a906dcc68cf374bc8b2a7dd25996d37",
+                          {"w_in": list(self.GRID),
+                           "w_out": [0.21e-9, 0.43e-9]})
+        runtime.cache.put("40b2f3ee85e88753888709313021dcae", 0.37e-9)
+        runtime.cache.put("4a16e8ecc438a507ccc9db93c5e94b88", 0.31e-9)
+        runtime.cache.put(BASE, [0.29e-9])
+        return runtime
+
+    def test_calibrations_read_back(self, runtime):
+        from repro.core import calibrate_delay_test, calibrate_pulse_test
+        from repro.montecarlo import sample_population
+        from repro.runtime import RunReport
+
+        samples = sample_population(1, base_seed=11)
+        report = RunReport()
+        calibration = calibrate_pulse_test(
+            samples, dt=4e-12, w_in_grid=self.GRID, omega_in=0.40e-9,
+            runtime=runtime, report=report, **self.PATH)
+        _, delays = calibrate_delay_test(samples, dt=4e-12,
+                                         runtime=runtime, report=report,
+                                         **self.PATH)
+        assert list(calibration.nominal_curve.w_out) == [0.21e-9, 0.43e-9]
+        assert calibration.fault_free_wouts == [0.37e-9]
+        assert delays == [0.31e-9]
+        assert (report.cache_hits, report.cache_misses) == (3, 0)
+
+    def test_sweep_row_reads_back(self, runtime):
+        from repro.core import sweep_pulse_measurements
+        from repro.runtime import RunReport
+
+        report = RunReport()
+        rows = sweep_pulse_measurements(
+            [VariationModel(3)], ExternalOpen(2, 8e3), [4e3], 0.40e-9,
+            dt=3e-12, runtime=runtime, report=report)
+        assert rows == [[0.29e-9]]
+        assert (report.cache_hits, report.cache_misses) == (1, 0)
 
 
 class TestRestartHit:
@@ -122,7 +178,7 @@ class TestRestartHit:
             "from repro.faults import ExternalOpen\n"
             "from repro.montecarlo import VariationModel\n"
             "from repro.runtime import ResultCache\n"
-            "_, keys = build_sweep_payloads(\n"
+            "_, _, keys = build_sweep_payloads(\n"
             "    [VariationModel(3)], ExternalOpen(2, 8e3), [4000.0],\n"
             "    dt=3e-12, measure='pulse', omega_in=0.4e-9, kind='h')\n"
             "print(ResultCache({root!r}).get(keys[0]))\n"

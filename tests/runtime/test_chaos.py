@@ -91,7 +91,7 @@ class TestCorruptObject:
         cache.put(key, {"v": 1})
         chaos = ChaosConfig(corrupt_p=1.0)
         assert chaos.corrupt_object(cache, key)
-        json_path, _ = cache._paths(key)
+        json_path = cache._path(key)
         assert os.path.exists(json_path)  # contains() still answers True
         from repro.runtime import CacheMiss
         with pytest.raises(CacheMiss):

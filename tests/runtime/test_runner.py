@@ -249,10 +249,15 @@ class TestFromEnv:
         assert runtime.cache.root == str(tmp_path / "d")
 
     def test_jobs_zero_means_all_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        runtime = Runtime.from_env(jobs=0)
-        assert getattr(runtime.executor, "n_jobs", 1) == max(
-            1, os.cpu_count() or 1)
+        assert Runtime.from_env(jobs=0).executor.n_jobs == 4
+        # 0 from the environment means all CPUs too
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        assert Runtime.from_env().executor.n_jobs == 4
+        # an explicit 0 is not re-resolved through REPRO_JOBS
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        assert Runtime.from_env(jobs=0).executor.n_jobs == 4
 
 
 class TestReport:

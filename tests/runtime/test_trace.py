@@ -190,6 +190,8 @@ class TestEnvAndConfigWiring:
         path = str(tmp_path / "cfg.jsonl")
         monkeypatch.setenv("REPRO_TRACE", path)
         config = ExperimentConfig.from_env()
-        assert config.trace == path
+        # the runtime, not the config, resolves REPRO_TRACE
+        assert config.trace is None
         runtime = Runtime.from_config(config)
         assert isinstance(runtime.trace, TraceWriter)
+        assert runtime.trace.path == path

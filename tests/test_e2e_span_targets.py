@@ -42,3 +42,33 @@ def test_span_target_resolves(target):
 def test_counters_name_traced_targets():
     for target in list(spans.COUNTERS) + list(spans.COUNT_OK):
         assert target in TARGETS, target
+
+
+def _double(value):
+    return 2 * value
+
+
+def test_worker_probe_patch_reaches_pool_workers(tmp_path, monkeypatch):
+    """``probe.py`` times the host inside pool workers by replacing
+    ``repro.runtime.executors._execute_chunk`` by name.  That works only
+    while the pool ships the module global, so forked workers call the
+    wrapper: patch it the way ``WorkerProbes.install`` does and check
+    that the wrapper ran in the workers."""
+    import os
+
+    from repro.runtime import ProcessPoolExecutor, executors
+
+    original = executors._execute_chunk
+    parent = os.getpid()
+
+    def _execute_chunk(*args, **kwargs):
+        if os.getpid() != parent:
+            (tmp_path / "worker-{}".format(os.getpid())).touch()
+        return original(*args, **kwargs)
+
+    _execute_chunk.__module__ = original.__module__
+    _execute_chunk.__qualname__ = original.__qualname__
+    monkeypatch.setattr(executors, "_execute_chunk", _execute_chunk)
+    outcomes = ProcessPoolExecutor(n_jobs=2).map_tasks(_double, [1, 2])
+    assert [outcome.value for outcome in outcomes] == [2, 4]
+    assert list(tmp_path.glob("worker-*"))
