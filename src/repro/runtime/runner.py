@@ -52,19 +52,21 @@ def engine_cache_tag(batch_size=1, adaptive=False):
     alias.  One sample per task runs the scalar Newton and contributes
     no engine token; ``batch_size > 1`` runs chunks on the lockstep
     engine and adds ``engine=batched``.  The adaptive grid adds
-    ``grid=adaptive``.  The Newton policy is decided in
-    :mod:`repro.spice` alone, and every tag ends with its token.
+    ``grid=adaptive``.  Each engine's Newton policy is decided in
+    :mod:`repro.spice` alone, and every tag ends with that engine's
+    token.
     """
     # imported here: repro.spice imports repro.runtime.stats at load time
-    from ..spice.transient import NEWTON_CACHE_TOKEN
+    from ..spice.transient import (LOCKSTEP_NEWTON_CACHE_TOKEN,
+                                   NEWTON_CACHE_TOKEN)
 
     tag = []
     if batch_size > 1:
         tag.append("engine=batched")
     if adaptive:
         tag.append("grid=adaptive")
-    # one policy now; the token stays so pre-existing keys still match
-    tag.append(NEWTON_CACHE_TOKEN)
+    tag.append(LOCKSTEP_NEWTON_CACHE_TOKEN if batch_size > 1
+               else NEWTON_CACHE_TOKEN)
     return tuple(tag)
 
 

@@ -13,13 +13,18 @@ entire population advances through a transient in lockstep:
   destination up front (entries touching ground are routed to a discard
   bin), so per-iteration assembly is one ``np.bincount`` over the whole
   batch instead of per-element ``np.add.at`` scatters;
-* each Newton iteration performs ONE stacked ``np.linalg.solve`` over all
-  still-active samples; converged samples drop out of the batch via a
-  per-sample active mask (:func:`newton_solve_batch`).
+* each Newton iteration re-stamps every still-active sample and
+  performs ONE stacked ``np.linalg.solve`` over them; converged samples
+  drop out of the batch via a per-sample active mask
+  (:func:`newton_solve_batch`).
 
-The scalar engine in :mod:`repro.spice.mna` remains the reference
-implementation; the equivalence suite pins the batched waveforms to it
-within 1e-6 V.
+The lockstep Newton is exact Newton: it keeps no factorization and
+bypasses no device between iterations.  Factorization reuse, which pays
+off for one circuit (:mod:`repro.spice.mna`), needs about twice the
+iterations in lockstep and a per-row LAPACK loop, and lost to the
+stacked exact solve at every population size measured.  The scalar
+engine remains the reference implementation; the equivalence suite pins
+the batched waveforms to it within 1e-6 V.
 """
 
 import time as _time
@@ -28,55 +33,8 @@ import numpy as np
 
 from ..runtime.stats import current_stats
 from .errors import ConvergenceError, NetlistError
-from .mna import (DEFAULT_BYPASS_TOL, STALL_RATIO, _COMPANION_CACHE_MAX,
-                  _getrf, _getrs, CompiledCircuit)
+from .mna import _COMPANION_CACHE_MAX, CompiledCircuit
 from .mosfet import evaluate_level1, evaluate_level1_fast
-
-
-class BatchNewtonState:
-    """Per-sample cross-timestep memory for the batched fast path.
-
-    The stacked mirror of :class:`repro.spice.mna.NewtonState`: one LU
-    factorization and one device-linearisation cache per population row,
-    each with its own validity flag so samples refactor independently
-    (arrays are allocated lazily on first use).
-    """
-
-    def __init__(self, bypass_tol=DEFAULT_BYPASS_TOL):
-        self.bypass_tol = float(bypass_tol)
-        self.lu = None
-        self.piv = None
-        self.lu_valid = None
-        self.lu_a_base = None
-        self.lu_gmin = None
-        self.dev_vd = None
-        self.dev_vg = None
-        self.dev_vs = None
-        self.dev_i = None
-        self.dev_gm = None
-        self.dev_gds = None
-        self.dev_a_is_drain = None
-        self.dev_valid = None
-
-    def ensure(self, batch):
-        if self.lu is not None:
-            return
-        s, n, n_mos = batch.n_samples, batch.n, batch.n_mos
-        self.lu = np.zeros((s, n, n))
-        self.piv = np.zeros((s, n), dtype=np.int32)
-        self.lu_valid = np.zeros(s, dtype=bool)
-        self.dev_vd = np.zeros((s, n_mos))
-        self.dev_vg = np.zeros((s, n_mos))
-        self.dev_vs = np.zeros((s, n_mos))
-        self.dev_i = np.zeros((s, n_mos))
-        self.dev_gm = np.zeros((s, n_mos))
-        self.dev_gds = np.zeros((s, n_mos))
-        self.dev_a_is_drain = np.zeros((s, n_mos), dtype=bool)
-        self.dev_valid = np.zeros(s, dtype=bool)
-
-    def invalidate_rows(self, rows):
-        if self.lu_valid is not None:
-            self.lu_valid[rows] = False
 
 
 class BatchCompiledCircuit:
@@ -370,7 +328,9 @@ class BatchCompiledCircuit:
         self._scatter_rhs(rhs, rhs_idx, rhs_vals)
 
     # ------------------------------------------------------------------
-    # Factorization-reuse fast path (stacked mirrors of CompiledCircuit)
+    # Factorization-reuse helpers (stacked mirrors of CompiledCircuit).
+    # Nothing in the package calls them; the benchmark tracer
+    # (benchmarks/e2e/spans.py) still names all three.
     # ------------------------------------------------------------------
 
     def refresh_device_cache(self, x, state, rows, force_exact):
@@ -463,8 +423,8 @@ class BatchCompiledCircuit:
 
 def newton_solve_batch(batch, a_base, rhs_base, x0, sample_idx=None,
                        gmin=1e-12, max_iter=120, vtol=1e-6, damping=0.8,
-                       time=None, state=None):
-    """Damped Newton over a stack of MNA systems in lockstep.
+                       time=None):
+    """Damped exact Newton over a stack of MNA systems in lockstep.
 
     ``a_base``/``rhs_base`` are ``(m, n, n)``/``(m, n)`` stacks of the
     x-independent contributions; ``x0`` is the ``(m, n)`` start state.
@@ -475,38 +435,10 @@ def newton_solve_batch(batch, a_base, rhs_base, x0, sample_idx=None,
     this never raises on non-convergence, so the caller can escalate
     (gmin ladder) for the failed subset only.  Samples with singular
     matrices are reported as non-converged.
-
-    With ``state`` (a :class:`BatchNewtonState`) the
-    factorization-reuse/device-bypass fast path runs first; rows it
-    cannot close are retried with the exact lockstep iteration below, so
-    per-sample convergence behaviour is never worse than without
-    ``state``.
     """
     if sample_idx is None:
         sample_idx = np.arange(np.asarray(x0).shape[0])
     sample_idx = np.asarray(sample_idx, dtype=int)
-    if state is not None:
-        x, converged = _newton_solve_batch_reuse(
-            batch, a_base, rhs_base, x0, sample_idx, gmin, max_iter,
-            vtol, damping, time, state)
-        if converged.all():
-            return x, converged
-        bad = np.flatnonzero(~converged)
-        state.invalidate_rows(sample_idx[bad])
-        x_bad, conv_bad = _newton_solve_batch_exact(
-            batch, a_base[bad], rhs_base[bad], np.asarray(x0)[bad],
-            sample_idx[bad], gmin, max_iter, vtol, damping, time)
-        x[bad] = x_bad
-        converged[bad] = conv_bad
-        return x, converged
-    return _newton_solve_batch_exact(batch, a_base, rhs_base, x0,
-                                     sample_idx, gmin, max_iter, vtol,
-                                     damping, time)
-
-
-def _newton_solve_batch_exact(batch, a_base, rhs_base, x0, sample_idx,
-                              gmin, max_iter, vtol, damping, time):
-    """The reference lockstep iteration (full stamp + stacked solve)."""
     x = np.array(x0, dtype=float)
     m = x.shape[0]
     n_nodes = batch.n_nodes
@@ -556,116 +488,6 @@ def _newton_solve_batch_exact(batch, a_base, rhs_base, x0, sample_idx,
         done = np.logical_and(vstep <= vtol, ~singular[active])
         converged[active[done]] = True
         active = active[np.logical_and(~done, ~singular[active])]
-    stats.count("newton_iterations", int(sample_iters.sum()))
-    stats.add_phase("newton", _time.perf_counter() - start)
-    for j in range(m):
-        stats.count_sample(sample_idx[j], "newton_solves", 1)
-        stats.count_sample(sample_idx[j], "newton_iterations",
-                           int(sample_iters[j]))
-    return x, converged
-
-
-def _newton_solve_batch_reuse(batch, a_base, rhs_base, x0, sample_idx,
-                              gmin, max_iter, vtol, damping, time, state):
-    """Modified-Newton lockstep: frozen per-sample LUs + device bypass.
-
-    The stacked mirror of :func:`repro.spice.mna._newton_solve_reuse`,
-    with every policy decision (refactor on stall, always-refactor after
-    a fresh-Jacobian stall, forced-exact confirmation of a converged
-    iterate) taken *per sample* so a hard sample cannot slow an easy
-    one.  Rows whose solve goes singular/non-finite freeze at their last
-    iterate and are reported non-converged (the wrapper retries them
-    with the exact iteration).
-    """
-    x = np.array(x0, dtype=float)
-    m = x.shape[0]
-    n_nodes = batch.n_nodes
-    stats = current_stats()
-    stats.count("newton_solves", m)
-    sample_iters = np.zeros(m, dtype=int)
-    start = _time.perf_counter()
-    state.ensure(batch)
-    rows = sample_idx
-    if state.lu_a_base is not a_base or state.lu_gmin != gmin:
-        state.lu_valid[:] = False
-        state.lu_a_base = a_base
-        state.lu_gmin = gmin
-    converged = np.zeros(m, dtype=bool)
-    failed = np.zeros(m, dtype=bool)
-    need_factor = ~state.lu_valid[rows]
-    always_refactor = np.zeros(m, dtype=bool)
-    force_exact = np.zeros(m, dtype=bool)
-    prev_vstep = np.full(m, np.inf)
-    diag = np.arange(n_nodes)
-    active = np.arange(m)
-    for _iteration in range(max_iter):
-        if active.size == 0:
-            break
-        sample_iters[active] += 1
-        arows = rows[active]
-        bypassed, exact_now = batch.refresh_device_cache(
-            x[active], state, arows, force_exact[active])
-        if bypassed:
-            stats.count("devices_bypassed", bypassed)
-        factor = np.logical_or(need_factor[active],
-                               always_refactor[active])
-        fact = active[factor]
-        if fact.size:
-            frows = rows[fact]
-            a = a_base[fact].copy()
-            batch.stamp_jacobian_from_cache(a, state, frows, gmin=gmin)
-            a[:, diag, diag] += gmin
-            for j, pr in enumerate(frows):
-                # an exactly singular row leaves a zero pivot in lu;
-                # the solve below then goes non-finite and the row is
-                # quarantined by the isfinite check
-                lu, piv, _info = _getrf(a[j])
-                state.lu[pr] = lu
-                state.piv[pr] = piv
-            state.lu_valid[frows] = True
-            need_factor[fact] = False
-            stats.count("lu_factorizations", int(fact.size))
-        if active.size > fact.size:
-            stats.count("lu_reuses", int(active.size - fact.size))
-        f = batch.residual_from_cache(x[active], a_base[active],
-                                      rhs_base[active], state, arows,
-                                      gmin=gmin)
-        dx = np.empty_like(f)
-        for j, pr in enumerate(arows):
-            dx[j], _info = _getrs(state.lu[pr], state.piv[pr], -f[j],
-                                  overwrite_b=True)
-        if n_nodes:
-            vstep = np.abs(dx[:, :n_nodes]).max(axis=1)
-        else:
-            vstep = np.zeros(active.size)
-        ok = np.isfinite(vstep)
-        if not ok.all():
-            bad_rows = active[~ok]
-            failed[bad_rows] = True
-            state.lu_valid[rows[bad_rows]] = False
-        over = np.logical_and(ok, vstep > damping)
-        if np.any(over):
-            dx[over] *= (damping / vstep[over])[:, None]
-        x[active[ok]] += dx[ok]
-        conv_now = np.logical_and(ok, vstep <= vtol)
-        accept = np.logical_and(conv_now, exact_now)
-        confirm = np.logical_and(conv_now, ~exact_now)
-        if np.any(confirm):
-            stats.count("bypass_forced_exact", int(confirm.sum()))
-            force_exact[active[confirm]] = True
-            prev_vstep[active[confirm]] = np.inf
-        converged[active[accept]] = True
-        stall = np.logical_and(
-            np.logical_and(ok, ~conv_now),
-            vstep > STALL_RATIO * prev_vstep[active])
-        if np.any(stall):
-            st = active[stall]
-            always_refactor[st] = np.logical_or(always_refactor[st],
-                                                factor[stall])
-            need_factor[st] = True
-        keep = np.logical_and(ok, ~conv_now)
-        prev_vstep[active[keep]] = vstep[keep]
-        active = active[np.logical_and(~accept, ok)]
     stats.count("newton_iterations", int(sample_iters.sum()))
     stats.add_phase("newton", _time.perf_counter() - start)
     for j in range(m):

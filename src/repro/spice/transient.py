@@ -16,9 +16,11 @@ choices parametrise it:
   overestimates the true trapezoidal LTE, which keeps the controller
   conservative where waveform measurements are taken.
 * **The Newton engine, picked by population size.**  One circuit runs
-  the scalar reuse Newton of :mod:`repro.spice.mna`; a population of
-  several topologically identical circuits runs the lockstep engine of
-  :mod:`repro.spice.batch` and advances on one shared grid.
+  the scalar reuse Newton of :mod:`repro.spice.mna` (``solver="exact"``
+  of :func:`run_transient` selects its exact-Newton reference); a
+  population of several topologically identical circuits runs the
+  exact lockstep Newton of :mod:`repro.spice.batch` and advances on one
+  shared grid.
 
 The fixed-step grid remains the reference; the equivalence suite
 (tests/spice/test_adaptive.py) pins adaptive waveform measurements
@@ -29,8 +31,8 @@ materially fewer steps.
 import numpy as np
 
 from ..runtime.stats import record
-from .batch import (BatchCompiledCircuit, BatchNewtonState,
-                    gmin_ladder_batch, newton_solve_batch, solve_dc_batch)
+from .batch import (BatchCompiledCircuit, gmin_ladder_batch,
+                    newton_solve_batch, solve_dc_batch)
 from .errors import AnalysisError, ConvergenceError
 from .mna import (CompiledCircuit, NewtonState, gmin_continuation_solve,
                   newton_solve)
@@ -41,14 +43,17 @@ from .waveform import Waveform
 BACKWARD_EULER = "be"
 TRAPEZOIDAL = "trap"
 
-#: Newton policies: ``reuse`` runs every campaign; ``exact`` is the
-#: reference the equivalence tests compare it against
+#: Newton policies: one circuit runs ``reuse``, with ``exact`` as the
+#: reference the equivalence tests compare it against; a lockstep
+#: population always runs ``exact``
 SOLVER_EXACT = "exact"
 SOLVER_REUSE = "reuse"
 
-#: cache-key token naming the Newton policy campaigns run; keys computed
-#: above ``repro.spice`` carry it (see ``repro.runtime.engine_cache_tag``)
+#: cache-key tokens naming the Newton policy of each engine; keys
+#: computed above ``repro.spice`` carry one of them (see
+#: ``repro.runtime.engine_cache_tag``)
 NEWTON_CACHE_TOKEN = "solver=" + SOLVER_REUSE
+LOCKSTEP_NEWTON_CACHE_TOKEN = "solver=" + SOLVER_EXACT
 
 #: default absolute LTE tolerance (volts).  Crossing-time accuracy is
 #: the LTE divided by the local slew; at the bench's ~0.05 V/ps edges,
@@ -62,7 +67,7 @@ MAX_STEP_GROWTH = 2.0
 STEP_SAFETY = 0.9
 
 
-def _check_analysis(tstop, dt, method, adaptive, solver):
+def _check_analysis(tstop, dt, method, adaptive):
     if tstop <= 0 or dt <= 0:
         raise AnalysisError("tstop and dt must be positive")
     if method not in (BACKWARD_EULER, TRAPEZOIDAL):
@@ -70,9 +75,6 @@ def _check_analysis(tstop, dt, method, adaptive, solver):
     if adaptive and method != TRAPEZOIDAL:
         raise AnalysisError("adaptive stepping requires the trapezoidal "
                             "method")
-    if solver not in (SOLVER_EXACT, SOLVER_REUSE):
-        raise ValueError("unknown solver mode {!r}; expected {} or {}"
-                         .format(solver, SOLVER_REUSE, SOLVER_EXACT))
 
 
 def _fixed_step_count(tstop, dt):
@@ -309,16 +311,16 @@ class _ScalarEngine:
 
 
 class _LockstepEngine:
-    """A population on the lockstep Newton of :mod:`repro.spice.batch`:
-    one stacked solve per Newton iteration over the still-active
-    samples (see :class:`_ScalarEngine` for the interface)."""
+    """A population on the exact lockstep Newton of
+    :mod:`repro.spice.batch`: one stacked solve per Newton iteration over
+    the still-active samples (see :class:`_ScalarEngine` for the
+    interface)."""
 
-    def __init__(self, circuits, solver):
+    def __init__(self, circuits):
         batch = BatchCompiledCircuit(circuits)
         self.compiled = batch
         self.n_samples = batch.n_samples
         self.shape = (batch.n_samples, batch.n)
-        self.state = BatchNewtonState() if solver == SOLVER_REUSE else None
         self._tables = None
 
     def stimuli(self):
@@ -354,7 +356,7 @@ class _LockstepEngine:
     def solve(self, a_base, rhs, x, gmin, t):
         batch = self.compiled
         x_new, conv = newton_solve_batch(batch, a_base, rhs, x, gmin=gmin,
-                                         time=t, state=self.state)
+                                         time=t)
         if not conv.all():
             # gmin-continuation ladder for the failing subset only, from
             # the previous accepted state (the diverged iterate is
@@ -517,7 +519,10 @@ def run_transient(circuit, tstop, dt, method=TRAPEZOIDAL, record=None,
 
     Returns a :class:`Waveform` (non-uniform time base when adaptive).
     """
-    _check_analysis(tstop, dt, method, adaptive, solver)
+    _check_analysis(tstop, dt, method, adaptive)
+    if solver not in (SOLVER_EXACT, SOLVER_REUSE):
+        raise ValueError("unknown solver mode {!r}; expected {} or {}"
+                         .format(solver, SOLVER_REUSE, SOLVER_EXACT))
     engine = _ScalarEngine(circuit, solver)
     x = _initial_state(engine, x0, engine.shape, gmin)
     return _simulate(engine, x, tstop, dt, method, gmin, record, adaptive,
@@ -526,19 +531,18 @@ def run_transient(circuit, tstop, dt, method=TRAPEZOIDAL, record=None,
 
 def run_transient_batch(circuits, tstop, dt, method=TRAPEZOIDAL,
                         record=None, gmin=1e-12, x0=None, adaptive=False,
-                        dt_min=None, dt_max=None, lte_tol=DEFAULT_LTE_TOL,
-                        solver=SOLVER_REUSE):
+                        dt_min=None, dt_max=None, lte_tol=DEFAULT_LTE_TOL):
     """Simulate a population of topologically identical circuits from 0
     to ``tstop``.
 
     The population size picks the Newton engine.  A population of one
-    runs the scalar Newton, exactly like :func:`run_transient`.  Larger
-    populations advance through the same time grid in lockstep: each
-    Newton iteration assembles all still-active samples with
-    precomputed flat stamp-index maps and performs one stacked solve
-    (see :mod:`repro.spice.batch`).  Semantics (integration method,
-    damped Newton, per-step gmin-continuation retry) mirror the scalar
-    engine per sample; the equivalence suite pins the two within
+    runs the scalar reuse Newton, exactly like :func:`run_transient`.
+    Larger populations advance through the same time grid in lockstep
+    on exact Newton: each iteration assembles all still-active samples
+    with precomputed flat stamp-index maps and performs one stacked
+    solve (see :mod:`repro.spice.batch`).  Semantics (integration
+    method, damped Newton, per-step gmin-continuation retry) mirror the
+    scalar engine per sample; the equivalence suite pins the two within
     1e-6 V.
 
     With ``adaptive=True`` a lockstep population advances on one shared
@@ -547,18 +551,19 @@ def run_transient_batch(circuits, tstop, dt, method=TRAPEZOIDAL,
     sample's error clears ``lte_tol`` and the grid lands on the union of
     all samples' stimulus breakpoints.
 
-    Parameters mirror :func:`run_transient`; ``circuits`` is a list of
-    symbolic circuits and ``x0``, when given, is an ``(S, n)``
-    initial-state stack.
+    Parameters mirror :func:`run_transient` except ``solver``, which
+    the population size decides; ``circuits`` is a list of symbolic
+    circuits and ``x0``, when given, is an ``(S, n)`` initial-state
+    stack.
 
     Returns a list of :class:`Waveform`, aligned with ``circuits``.
     """
-    _check_analysis(tstop, dt, method, adaptive, solver)
+    _check_analysis(tstop, dt, method, adaptive)
     circuits = list(circuits)
     if len(circuits) == 1:
-        engine = _ScalarEngine(circuits[0], solver)
+        engine = _ScalarEngine(circuits[0], SOLVER_REUSE)
     else:
-        engine = _LockstepEngine(circuits, solver)
+        engine = _LockstepEngine(circuits)
     x = _initial_state(engine, x0, (len(circuits), engine.compiled.n), gmin)
     return _simulate(engine, x, tstop, dt, method, gmin, record, adaptive,
                      dt_min, dt_max, lte_tol)

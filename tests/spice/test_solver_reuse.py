@@ -1,10 +1,11 @@
 """Factorization-reuse solver: equivalence, counters and fallbacks.
 
-The ``reuse`` solver must be a pure performance optimisation: every
-waveform it produces has to match the ``exact`` per-iteration-refactor
-reference within the engine equivalence tolerance, and when anything
-goes wrong (singular refactor, stalled reuse iteration) it must fall
-back to the exact path rather than degrade the result.
+The scalar ``reuse`` solver must be a pure performance optimisation:
+every waveform it produces has to match the ``exact``
+per-iteration-refactor reference within the engine equivalence
+tolerance, and when anything goes wrong (singular refactor, stalled
+reuse iteration) it must fall back to the exact path rather than
+degrade the result.  A lockstep population runs exact Newton only.
 """
 
 import numpy as np
@@ -43,9 +44,6 @@ class TestSolverArgument:
         with pytest.raises(ValueError):
             run_transient(_inverter_chain().circuit, TSTOP, DT,
                           solver="bogus")
-        with pytest.raises(ValueError):
-            run_transient_batch([_inverter_chain().circuit], TSTOP, DT,
-                                solver="bogus")
 
 
 class TestScalarEquivalence:
@@ -109,37 +107,29 @@ class TestBatchEquivalence:
             p.set_input_pulse(0.15e-9)
         return paths
 
-    def test_fixed_grid_matches_exact(self):
-        circuits = [p.circuit for p in self._population()]
-        exact = run_transient_batch(circuits, TSTOP, DT, solver="exact")
-        circuits = [p.circuit for p in self._population()]
-        reuse = run_transient_batch(circuits, TSTOP, DT, solver="reuse")
-        worst = 0.0
-        for we, wr in zip(exact, reuse):
-            assert np.array_equal(we.t, wr.t)
-            worst = max(worst, max(np.abs(we[n] - wr[n]).max()
-                                   for n in we.signals))
-        assert worst <= 1e-6
-
-    def test_batch_matches_scalar_reuse(self):
+    def test_batch_matches_scalar_exact(self):
+        """Lockstep runs exact Newton, so it matches the scalar exact
+        reference far inside the 1e-6 V engine bound."""
         paths = self._population()
         batch_wfs = run_transient_batch([p.circuit for p in paths],
-                                        TSTOP, DT, solver="reuse")
+                                        TSTOP, DT)
         for path, bwf in zip(self._population(), batch_wfs):
-            swf = run_transient(path.circuit, TSTOP, DT, solver="reuse")
+            swf = run_transient(path.circuit, TSTOP, DT, solver="exact")
+            assert np.array_equal(swf.t, bwf.t)
             worst = max(np.abs(swf[n] - bwf[n]).max()
                         for n in swf.signals)
             assert worst <= 1e-9
 
-    def test_counters_show_reuse_and_bypass(self):
-        circuits = [p.circuit for p in self._population()]
+    def test_lockstep_never_touches_reuse_counters(self):
+        circuits = [p.circuit for p in self._population(2)]
         stats = SolverStats()
         with stats_scope(stats):
-            run_transient_batch(circuits, TSTOP, DT, solver="reuse")
+            run_transient_batch(circuits, TSTOP, DT)
         snap = stats.snapshot()["counters"]
-        assert snap["lu_factorizations"] >= 1
-        assert snap["lu_reuses"] > snap["lu_factorizations"]
-        assert snap["devices_bypassed"] > 0
+        assert snap["newton_iterations"] > 0
+        assert snap["lu_factorizations"] == 0
+        assert snap["lu_reuses"] == 0
+        assert snap["devices_bypassed"] == 0
 
 
 class TestCompanionBaseCache:
@@ -209,26 +199,3 @@ class TestFallbacks:
         x = newton_solve(compiled, compiled.a_static, rhs,
                          np.zeros(compiled.n), state=NewtonState())
         assert x[compiled.index_of("b")] == pytest.approx(0.5, abs=1e-9)
-
-    def test_batch_fallback_rescues_unconverged_rows(self, monkeypatch):
-        """If the reuse iteration gives up on some rows, the exact
-        batch path must transparently re-solve them from x0."""
-        import repro.spice.batch as batch_mod
-        paths = [_inverter_chain(), _inverter_chain()]
-        batch = BatchCompiledCircuit([p.circuit for p in paths])
-
-        def hopeless(*args, **kwargs):
-            x = np.asarray(args[3], dtype=float).copy()
-            converged = np.zeros(x.shape[0], dtype=bool)
-            return x, converged
-
-        monkeypatch.setattr(batch_mod, "_newton_solve_batch_reuse",
-                            hopeless)
-        reuse_wfs = run_transient_batch(
-            [p.circuit for p in paths], 0.2e-9, DT, solver="reuse")
-        exact_wfs = run_transient_batch(
-            [p.circuit for p in [_inverter_chain(), _inverter_chain()]],
-            0.2e-9, DT, solver="exact")
-        for rw, ew in zip(reuse_wfs, exact_wfs):
-            worst = max(np.abs(rw[n] - ew[n]).max() for n in rw.signals)
-            assert worst <= 1e-9
