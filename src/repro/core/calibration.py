@@ -13,55 +13,30 @@ from ..cells import default_technology
 from ..dft import FlipFlopTiming, calibrate_t_star
 from ..montecarlo import NominalModel
 from ..runtime import Runtime, engine_cache_tag, stable_hash
-from .pulse import build_instance, run_measurements
+from .pulse import run_measurements
 from .sensing import PulseDetector
-from .transfer import (TransferCurve, characterize_transfer,
-                       default_w_in_grid, recommended_w_in)
-
-
-def _nominal_transfer(payload):
-    """Task: the nominal transfer curve, as the ``{"w_in": [...],
-    "w_out": [...]}`` record the result cache stores."""
-    def builder():
-        return build_instance(sample=NominalModel(), fault=payload["fault"],
-                              tech=payload["tech"], **payload["path_kwargs"])
-
-    curve = characterize_transfer(builder, payload["w_in"],
-                                  kind=payload["kind"], dt=payload["dt"],
-                                  adaptive=payload["adaptive"])
-    return {"w_in": [float(w) for w in curve.w_in],
-            "w_out": [float(w) for w in curve.w_out]}
+from .transfer import (TransferCurve, default_w_in_grid,
+                       measure_transfer_rows, recommended_w_in)
 
 
 def nominal_transfer_curve(w_in_grid, kind="h", dt=None, fault=None,
                            tech=None, path_kwargs=None, runtime=None,
                            report=None, adaptive=False):
-    """The nominal transfer curve, run as one runtime task and cached
-    (it is the fixed, sample-independent part of every calibration).
+    """The nominal transfer curve: the transfer row of
+    :class:`~repro.montecarlo.NominalModel`, run as a runtime task and
+    cached (it is the fixed, sample-independent part of every
+    calibration).
 
     ``adaptive`` picks the time grid and, via the standard
     :func:`~repro.runtime.engine_cache_tag` tokens, enters the cache
     key, so an adaptive calibration picks ω_in* on the same time grid
     as the population it calibrates.
     """
-    runtime = Runtime() if runtime is None else runtime
-    tech = default_technology() if tech is None else tech
-    path_kwargs = {} if path_kwargs is None else path_kwargs
-    w_in = [float(w) for w in w_in_grid]
-    keys = None
-    if runtime.cache is not None:
-        keys = [stable_hash("nominal-transfer", tech, fault, w_in, kind,
-                            dt, path_kwargs,
-                            *engine_cache_tag(adaptive=adaptive))]
-    run = runtime.run(_nominal_transfer,
-                      [dict(w_in=w_in, kind=kind, dt=dt, fault=fault,
-                            tech=tech, path_kwargs=path_kwargs,
-                            adaptive=adaptive)],
-                      keys=keys, label="nominal-transfer", report=report)
-    if run.errors:
-        raise run.errors[0]
-    stored = run.values[0]
-    return TransferCurve(stored["w_in"], stored["w_out"], kind=kind)
+    (w_out,) = measure_transfer_rows(
+        [NominalModel()], w_in_grid, kind=kind, dt=dt, fault=fault,
+        tech=tech, path_kwargs=path_kwargs, runtime=runtime, report=report,
+        adaptive=adaptive, label="nominal-transfer")
+    return TransferCurve(w_in_grid, w_out, kind=kind)
 
 
 def _fault_free_values(spec, samples, label, key_parts, runtime, report,

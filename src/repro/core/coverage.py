@@ -249,6 +249,33 @@ def sweep_delay_measurements(samples, fault_family, resistances,
                        direction=direction)
 
 
+def pulse_decision(detector, factor=1.0):
+    """``(label, decide(w_out, sample))`` of C_pulse at ω_th'/ω_th* =
+    ``factor``."""
+    scaled = detector.scaled(factor)
+    return ("{:.1f}*w_th".format(factor),
+            lambda value, sample: scaled.fault_detected(value))
+
+
+def delay_decision(test, factor=1.0):
+    """``(label, decide(delay, sample))`` of C_del at T'/T* = ``factor``."""
+    return ("{:.1f}*T".format(factor),
+            lambda value, sample: test.detects(value, sample=sample,
+                                               t_factor=factor))
+
+
+def _coverage_result(raw, samples, resistances, decisions):
+    """One uniform-n curve per ``(label, decide)`` over ``raw``."""
+    curves = {}
+    for label, decide in decisions:
+        hit_counts = [sum(1 for row, sample in zip(raw, samples)
+                          if decide(row[ri], sample))
+                      for ri in range(len(resistances))]
+        curves[label] = CoverageCurve(label, resistances, hit_counts,
+                                      len(samples))
+    return CoverageResult(resistances, curves, raw)
+
+
 def pulse_coverage(raw, samples, resistances, calibration,
                    threshold_factors=(0.9, 1.0, 1.1)):
     """C_pulse(ω_th', R) from raw pulse measurements.
@@ -258,39 +285,17 @@ def pulse_coverage(raw, samples, resistances, calibration,
     additional per-sample threshold noise is applied here (the calibration
     already guaranteed zero false positives at the 1.1 worst case).
     """
-    curves = {}
-    n = len(samples)
-    for factor in threshold_factors:
-        detector = calibration.detector.scaled(factor)
-        hit_counts = []
-        for ri in range(len(resistances)):
-            hits = 0
-            for si in range(n):
-                if detector.fault_detected(raw[si][ri]):
-                    hits += 1
-            hit_counts.append(hits)
-        label = "{:.1f}*w_th".format(factor)
-        curves[label] = CoverageCurve(label, resistances, hit_counts, n)
-    return CoverageResult(resistances, curves, raw)
+    return _coverage_result(
+        raw, samples, resistances,
+        [pulse_decision(calibration.detector, f) for f in threshold_factors])
 
 
 def delay_coverage(raw, samples, resistances, test,
                    period_factors=(0.9, 1.0, 1.1)):
     """C_del(T', R) from raw delay measurements (Fig. 6/8 settings)."""
-    curves = {}
-    n = len(samples)
-    for factor in period_factors:
-        hit_counts = []
-        for ri in range(len(resistances)):
-            hits = 0
-            for si, sample in enumerate(samples):
-                if test.detects(raw[si][ri], sample=sample,
-                                t_factor=factor):
-                    hits += 1
-            hit_counts.append(hits)
-        label = "{:.1f}*T".format(factor)
-        curves[label] = CoverageCurve(label, resistances, hit_counts, n)
-    return CoverageResult(resistances, curves, raw)
+    return _coverage_result(
+        raw, samples, resistances,
+        [delay_decision(test, f) for f in period_factors])
 
 
 def detected_fraction_is_monotonic(curve, tolerance=0.0):

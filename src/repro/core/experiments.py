@@ -15,17 +15,17 @@ from ..cells import default_technology
 from ..faults import (BridgingFault, ExternalOpen, InternalOpen, PULL_UP,
                       inject)
 from ..montecarlo import NominalModel, sample_population
-from ..runtime import Runtime, RunReport, check_batch_size, stable_hash
+from ..runtime import Runtime, RunReport, check_batch_size
 from .adaptive_coverage import (DEFAULT_CI_WIDTH, DEFAULT_MIN_WAVE,
                                 DEFAULT_REFINE_REL_TOL,
                                 DEFAULT_REFINE_TARGETS, adaptive_sweep)
 from .calibration import (calibrate_delay_test, calibrate_pulse_test,
                           nominal_transfer_curve)
-from .coverage import (delay_coverage, pulse_coverage,
-                       sweep_delay_measurements, sweep_pulse_measurements)
+from .coverage import (delay_coverage, delay_decision, pulse_coverage,
+                       pulse_decision, sweep_delay_measurements,
+                       sweep_pulse_measurements)
 from .pulse import build_instance, measure_output_pulse
-from .transfer import default_w_in_grid
-from ..spice import run_transient
+from .transfer import default_w_in_grid, measure_transfer_rows
 
 
 class ExperimentConfig:
@@ -37,12 +37,14 @@ class ExperimentConfig:
     None leaves each to :meth:`Runtime.from_config
     <repro.runtime.Runtime.from_config>`, which reads ``REPRO_JOBS``,
     ``REPRO_CACHE_DIR`` and ``REPRO_TRACE`` (unset: serial, no cache,
-    no trace).  ``batch_size`` is the number of samples one calibration
-    or sweep task simulates: 1 (the default) runs the scalar Newton per
-    sample, more run in lockstep.  ``adaptive`` switches every
-    transient to the LTE-controlled time grid (``REPRO_ADAPTIVE=1``).
-    The Newton solver and the adaptive step tolerance are not settings
-    here: :mod:`repro.spice` fixes both.
+    no trace).  ``batch_size`` is the number of samples one calibration,
+    sweep or Fig. 10 scatter task simulates: 1 (the default) runs the
+    scalar Newton per sample, more run in lockstep.  ``adaptive``
+    switches the transients of the Figs. 2/3/5, 6-9 and 10 drivers to
+    the LTE-controlled time grid (``REPRO_ADAPTIVE=1``); Fig. 11's
+    electrical steps (defect calibration, ω_in refinement) stay on the
+    fixed grid.  The Newton solver and the adaptive step tolerance are
+    not settings here: :mod:`repro.spice` fixes both.
     """
 
     def __init__(self, n_samples=16, dt=3e-12, seed=1, fault_stage=2,
@@ -146,9 +148,9 @@ def run_waveform_experiment(fault_kind="internal_rop", resistance=8e3,
     nodes = list(base.stage_nodes)
 
     def simulate(path):
-        delay = path.set_input_pulse(w_in, kind="h")
-        tstop = (delay + w_in + path.n_gates * 0.35e-9 + 1.2e-9)
-        return run_transient(path.circuit, tstop, config.dt, record=None)
+        return measure_output_pulse(path, w_in, kind="h", dt=config.dt,
+                                    record_all=True,
+                                    adaptive=config.adaptive)[1]
 
     wf_free = simulate(base)
     wf_faulty = simulate(inject(base, fault))
@@ -175,6 +177,16 @@ class CoverageExperiment:
         self.report = report
 
 
+def _calibrate(config, samples, tech, runtime, report):
+    """Both methods' calibration on the fault-free population, and the
+    measurement settings the campaign's sweeps share with it."""
+    settings = dict(tech=tech, dt=config.dt, runtime=runtime, report=report,
+                    batch_size=config.batch_size, adaptive=config.adaptive)
+    calibration = calibrate_pulse_test(samples, **settings)
+    dftest, _ = calibrate_delay_test(samples, **settings)
+    return calibration, dftest, settings
+
+
 def _run_coverage(config, tech, fault_proto, resistances, label,
                   runtime):
     """Shared body of the Figs. 6-9 drivers: calibrate both methods on
@@ -183,21 +195,12 @@ def _run_coverage(config, tech, fault_proto, resistances, label,
     runtime = config.runtime() if runtime is None else runtime
     report = RunReport(label)
 
-    engine_kwargs = dict(batch_size=config.batch_size,
-                         adaptive=config.adaptive)
-    calibration = calibrate_pulse_test(samples, tech=tech, dt=config.dt,
-                                       runtime=runtime, report=report,
-                                       **engine_kwargs)
-    dftest, _ = calibrate_delay_test(samples, tech=tech, dt=config.dt,
-                                     runtime=runtime, report=report,
-                                     **engine_kwargs)
+    calibration, dftest, settings = _calibrate(config, samples, tech,
+                                               runtime, report)
     raw_pulse = sweep_pulse_measurements(
-        samples, fault_proto, resistances, calibration.omega_in,
-        tech=tech, dt=config.dt, runtime=runtime, report=report,
-        **engine_kwargs)
-    raw_delay = sweep_delay_measurements(
-        samples, fault_proto, resistances, tech=tech, dt=config.dt,
-        runtime=runtime, report=report, **engine_kwargs)
+        samples, fault_proto, resistances, calibration.omega_in, **settings)
+    raw_delay = sweep_delay_measurements(samples, fault_proto, resistances,
+                                         **settings)
     return CoverageExperiment(
         resistances,
         pulse_coverage(raw_pulse, samples, resistances, calibration),
@@ -304,43 +307,26 @@ def run_adaptive_coverage(config=None, tech=None, runtime=None,
     label = "adaptive-{}-coverage".format(fault)
     report = RunReport(label)
 
-    engine_kwargs = dict(batch_size=config.batch_size,
-                         adaptive=config.adaptive)
-    calibration = calibrate_pulse_test(samples, tech=tech, dt=config.dt,
-                                       runtime=runtime, report=report,
-                                       **engine_kwargs)
-    dftest, _ = calibrate_delay_test(samples, tech=tech, dt=config.dt,
-                                     runtime=runtime, report=report,
-                                     **engine_kwargs)
-
-    sweep_kwargs = dict(ci_width=ci_width, min_wave=min_wave,
+    calibration, dftest, settings = _calibrate(config, samples, tech,
+                                               runtime, report)
+    sweep_kwargs = dict(settings, ci_width=ci_width, min_wave=min_wave,
                         refine_targets=refine_targets,
-                        refine_rel_tol=refine_rel_tol, tech=tech,
-                        dt=config.dt, runtime=runtime, report=report,
-                        **engine_kwargs)
-    detector = calibration.detector
+                        refine_rel_tol=refine_rel_tol)
     pulse_sweep = adaptive_sweep(
-        samples, proto, grid,
-        lambda value, sample: detector.fault_detected(value),
+        samples, proto, grid, pulse_decision(calibration.detector)[1],
         label=label + "-pulse", measure="pulse",
         omega_in=float(calibration.omega_in), kind="h", **sweep_kwargs)
     delay_sweep = adaptive_sweep(
-        samples, proto, grid,
-        lambda value, sample: dftest.detects(value, sample=sample,
-                                             t_factor=1.0),
+        samples, proto, grid, delay_decision(dftest)[1],
         label=label + "-delay", measure="delay", direction="rise",
         **sweep_kwargs)
 
     pulse_curves, delay_curves = {}, {}
     for factor in threshold_factors:
-        scaled = detector.scaled(factor)
-        name = "{:.1f}*w_th".format(factor)
-        pulse_curves[name] = pulse_sweep.curve(
-            name, lambda value, sample, d=scaled: d.fault_detected(value))
-        name = "{:.1f}*T".format(factor)
-        delay_curves[name] = delay_sweep.curve(
-            name, lambda value, sample, f=factor: dftest.detects(
-                value, sample=sample, t_factor=f))
+        name, decide = pulse_decision(calibration.detector, factor)
+        pulse_curves[name] = pulse_sweep.curve(name, decide)
+        name, decide = delay_decision(dftest, factor)
+        delay_curves[name] = delay_sweep.curve(name, decide)
 
     transients = {
         "adaptive": (pulse_sweep.total_measurements
@@ -372,47 +358,25 @@ class TransferExperiment:
         return max(values) - min(values)
 
 
-def _transfer_scatter_task(payload):
-    """Worker: one sample's w_out at every candidate probe width."""
-    path = build_instance(sample=payload["sample"], tech=payload["tech"])
-    row = []
-    for w_in in payload["probe_widths"]:
-        w_out, _ = measure_output_pulse(path, w_in, kind=payload["kind"],
-                                        dt=payload["dt"])
-        row.append(float(w_out))
-    return row
-
-
 def run_transfer_experiment(config=None, tech=None, probe_widths=None,
                             kind="h", runtime=None):
     """Fig. 10: nominal w_out(w_in) plus the MC scatter at a set of
-    candidate ω_in values (paper: 0.30 ... 0.50 ns)."""
+    candidate ω_in values (paper: 0.30 ... 0.50 ns), all transfer rows
+    (:func:`~repro.core.transfer.measure_transfer_rows`)."""
     config = ExperimentConfig.from_env() if config is None else config
-    samples = config.samples()
     runtime = config.runtime() if runtime is None else runtime
     if probe_widths is None:
         probe_widths = [0.30e-9, 0.35e-9, 0.40e-9, 0.45e-9, 0.50e-9]
 
     nominal = nominal_transfer_curve(default_w_in_grid(tech), kind=kind,
                                      dt=config.dt, tech=tech,
-                                     runtime=runtime)
-
-    resolved_tech = default_technology() if tech is None else tech
-    payloads = [dict(sample=sample, tech=tech,
-                     probe_widths=[float(w) for w in probe_widths],
-                     kind=kind, dt=config.dt)
-                for sample in samples]
-    keys = None
-    if runtime.cache is not None:
-        keys = [stable_hash("transfer-scatter", resolved_tech, sample,
-                            [float(w) for w in probe_widths], kind,
-                            config.dt)
-                for sample in samples]
-    run = runtime.run(_transfer_scatter_task, payloads, keys=keys,
-                      label="transfer-scatter")
-    if run.errors:
-        raise run.errors[min(run.errors)]
-    scatter = {w_in: [row[i] for row in run.values]
+                                     runtime=runtime,
+                                     adaptive=config.adaptive)
+    rows = measure_transfer_rows(
+        config.samples(), probe_widths, kind=kind, dt=config.dt, tech=tech,
+        runtime=runtime, batch_size=config.batch_size,
+        adaptive=config.adaptive, label="transfer-scatter")
+    scatter = {w_in: [row[i] for row in rows]
                for i, w_in in enumerate(probe_widths)}
     return TransferExperiment(nominal, probe_widths, scatter)
 

@@ -7,12 +7,15 @@ These are the two measurements everything in the paper reduces to:
 * ``d_p`` — the path propagation delay for a single input transition
   (reduced-clock delay-fault testing).
 
-Every calibration and sweep measures its population through one chunk
-task, :func:`_measure_chunk`, dispatched by :func:`run_measurements`.
+Every calibration, sweep and transfer row measures its population
+through one chunk task, :func:`_measure_chunk`, dispatched by
+:func:`run_measurements`.
 """
 
 import functools
 import math
+
+import numpy as np
 
 from ..cells import build_path, default_technology
 from ..faults import inject, set_fault_resistance
@@ -109,16 +112,22 @@ def measure_output_pulse_batch(paths, w_in, kind="h", dt=DEFAULT_DT,
     """``w_out`` of every path in a population of topologically
     identical paths.
 
-    The instances share one transient (see
-    :func:`~repro.spice.run_transient_batch`: lockstep for more than
-    one path) over a shared window, the widest of the per-instance
-    windows — the extra settle time is measurement-neutral.  Returns
-    ``(w_outs, waveforms)`` lists aligned with ``paths``.
+    ``w_in`` is one width for all paths or one per path.  The instances
+    share one transient (see :func:`~repro.spice.run_transient_batch`:
+    lockstep for more than one path) over a shared window, the widest
+    of the per-instance windows — the extra settle time is
+    measurement-neutral.  Returns ``(w_outs, waveforms)`` lists aligned
+    with ``paths``.
     """
     paths = list(paths)
-    delays = [path.set_input_pulse(w_in, kind=kind) for path in paths]
-    tstop = max(simulation_window(path, w_in=w_in, stimulus_delay=delay)
-                for path, delay in zip(paths, delays))
+    widths = list(w_in) if np.ndim(w_in) else [w_in] * len(paths)
+    if len(widths) != len(paths):
+        raise ValueError("need one pulse width per path, got {} for {} "
+                         "paths".format(len(widths), len(paths)))
+    delays = [path.set_input_pulse(w, kind=kind)
+              for path, w in zip(paths, widths)]
+    tstop = max(simulation_window(path, w_in=w, stimulus_delay=delay)
+                for path, w, delay in zip(paths, widths, delays))
     record = (None if record_all
               else [paths[0].input_node, paths[0].output_node])
     waveforms = run_transient_batch([path.circuit for path in paths],
@@ -172,35 +181,43 @@ def _measure_paths(spec, paths):
 
 
 def _measure_chunk(spec, items):
-    """Chunk task of every calibration and sweep.
+    """Chunk task of every calibration, sweep and transfer row.
 
     ``spec`` holds what the whole call shares: ``measure`` (``"pulse"``
     with ``omega_in`` and ``kind``, or ``"delay"`` with ``direction``),
     ``dt``, ``adaptive``, ``tech``, ``path_kwargs`` and ``fault``.  An
     item holds its ``sample`` and, for a sweep row, the ``resistances``
-    its fault steps through: one transient of the whole chunk per grid
+    its fault steps through, or, for a transfer row, the input
+    ``widths`` (``spec`` then has no ``omega_in``, and its fault is
+    injected as given): one transient of the whole chunk per grid
     position gives a row of values.  An item without a grid gives one
-    value.  Each item steps through its own grid, so a chunk may mix R
-    points; the grids only need equally many.
+    value.  Each item steps through its own grid, so a chunk may mix
+    grid points; the grids only need equally many.
     """
-    grids = [item.get("resistances") for item in items]
+    sweep = "resistances" in items[0]
+    grids = [item.get("resistances" if sweep else "widths")
+             for item in items]
     n_points = {len(grid) for grid in grids if grid is not None}
     if len(n_points) > 1:
-        raise ValueError("items of one chunk need equally many R points, "
-                         "got {}".format(sorted(n_points)))
+        raise ValueError("items of one chunk need equally many R points "
+                         "or widths, got {}".format(sorted(n_points)))
     fault = spec["fault"]
     paths = [build_instance(sample=item["sample"], tech=spec["tech"],
-                            fault=(fault if grid is None
-                                   else fault.with_resistance(grid[0])),
+                            fault=(fault.with_resistance(grid[0]) if sweep
+                                   else fault),
                             **spec["path_kwargs"])
              for item, grid in zip(items, grids)]
     if grids[0] is None:
         return _measure_paths(spec, paths)
     rows = [[] for _ in paths]
     for step in range(len(grids[0])):
-        for path, grid in zip(paths, grids):
-            set_fault_resistance(path, grid[step])
-        for row, value in zip(rows, _measure_paths(spec, paths)):
+        step_spec = spec
+        if sweep:
+            for path, grid in zip(paths, grids):
+                set_fault_resistance(path, grid[step])
+        else:
+            step_spec = dict(spec, omega_in=[grid[step] for grid in grids])
+        for row, value in zip(rows, _measure_paths(step_spec, paths)):
             row.append(value)
     return rows
 

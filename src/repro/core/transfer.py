@@ -10,11 +10,19 @@ The paper identifies three regions of the transfer relation:
 
 The test-generation rule of Sec. 5 places the injected width ω_in at the
 *beginning of region 3*.
+
+A *transfer row* is one built instance measured at a list of input
+widths (:func:`measure_transfer_rows`, through the chunk task of every
+calibration and sweep): the nominal curve is
+:class:`~repro.montecarlo.NominalModel`'s row, Fig. 10's scatter the
+population's rows.
 """
 
 import numpy as np
 
-from .pulse import measure_output_pulse
+from ..cells import default_technology
+from ..runtime import Runtime, engine_cache_tag, stable_hash
+from .pulse import DEFAULT_DT, measure_output_pulse, run_measurements
 
 
 class TransferCurve:
@@ -85,27 +93,51 @@ def default_w_in_grid(tech=None, n_points=13):
     return np.linspace(0.10e-9, 0.70e-9, n_points)
 
 
-def characterize_transfer(path_builder, w_in_values, kind="h", dt=None,
+def characterize_transfer(path, w_in_values, kind="h", dt=None,
                           adaptive=False):
-    """Measure the transfer curve of the path built by ``path_builder``.
+    """Measure the transfer curve of the built ``path``, one transient
+    per width (only the path's stimulus changes between them).
 
-    ``path_builder`` is a zero-argument callable returning a fresh
-    :class:`~repro.cells.PathCircuit` (fresh because the stimulus is
-    mutated per measurement point).  The time-grid knobs mirror
+    The time-grid knobs mirror
     :func:`~repro.core.pulse.measure_output_pulse` so a calibration can
     characterise its nominal curve on the same grid as the population
     it calibrates.
     """
-    kwargs = {"adaptive": adaptive}
-    if dt is not None:
-        kwargs["dt"] = dt
-    w_out = []
-    for w in w_in_values:
-        path = path_builder()
-        value, _ = measure_output_pulse(path, float(w), kind=kind, **kwargs)
-        w_out.append(value)
-    return TransferCurve(np.asarray(w_in_values, dtype=float),
-                         np.array(w_out), kind=kind)
+    dt = DEFAULT_DT if dt is None else dt
+    w_out = [measure_output_pulse(path, float(w), kind=kind, dt=dt,
+                                  adaptive=adaptive)[0]
+             for w in w_in_values]
+    return TransferCurve(w_in_values, w_out, kind=kind)
+
+
+def measure_transfer_rows(samples, widths, kind="h", dt=None, fault=None,
+                          tech=None, path_kwargs=None, runtime=None,
+                          report=None, batch_size=1, adaptive=False,
+                          label="transfer-rows"):
+    """One transfer row per sample: ``w_out`` of its instance, ``fault``
+    injected as given, at every width in ``widths``.
+
+    Runs :func:`~repro.core.pulse.run_measurements` with ``batch_size``
+    samples per task.  A row's cache key covers every input that changes
+    it: tech, sample, fault, widths, kind, dt, path kwargs and
+    :func:`~repro.runtime.engine_cache_tag`.
+    """
+    runtime = Runtime() if runtime is None else runtime
+    tech = default_technology() if tech is None else tech
+    path_kwargs = {} if path_kwargs is None else dict(path_kwargs)
+    widths = [float(w) for w in widths]
+    spec = dict(measure="pulse", kind=kind, dt=dt, adaptive=adaptive,
+                tech=tech, path_kwargs=path_kwargs, fault=fault)
+    keys = None
+    if runtime.cache is not None:
+        tag = engine_cache_tag(batch_size, adaptive)
+        keys = [stable_hash("transfer-row", tech, sample, fault, widths,
+                            kind, dt, path_kwargs, *tag)
+                for sample in samples]
+    return run_measurements(
+        spec, [{"sample": sample, "widths": widths} for sample in samples],
+        keys=keys, runtime=runtime, report=report, batch_size=batch_size,
+        label=label)
 
 
 def minimum_propagatable_width(path, lo=0.05e-9, hi=1.0e-9, tol=5e-12,

@@ -155,12 +155,9 @@ def calibrate_gate_model(kind, tech=None, fanout_loads=2,
     if w_in_grid is None:
         w_in_grid = np.linspace(0.04e-9, 0.5e-9, 24)
 
-    def builder():
-        return build_instance(tech=tech, gate_kinds=(kind,),
-                              fanout_loads=fanout_loads,
-                              side_fanout_stages=())
-
-    curve = characterize_transfer(builder, w_in_grid, kind=kind_of_pulse,
+    stage = build_instance(tech=tech, gate_kinds=(kind,),
+                           fanout_loads=fanout_loads, side_fanout_stages=())
+    curve = characterize_transfer(stage, w_in_grid, kind=kind_of_pulse,
                                   dt=dt)
     theta = curve.dampened_limit()
     onset = curve.region3_onset()

@@ -42,8 +42,5 @@ def nominal_transfer_curve(tech):
     """Transfer curve of the reference path, shared across tests."""
     from repro.core import characterize_transfer
 
-    def builder():
-        return build_path(tech=tech)
-
     grid = np.linspace(0.15e-9, 0.60e-9, 10)
-    return characterize_transfer(builder, grid, dt=TEST_DT)
+    return characterize_transfer(build_path(tech=tech), grid, dt=TEST_DT)

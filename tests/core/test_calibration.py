@@ -89,8 +89,7 @@ class TestNominalTransferCache:
 
         curve = self._characterize(None, adaptive=True)
         direct = characterize_transfer(
-            lambda: build_instance(sample=NominalModel(),
-                                   **dict(self.PATH)),
+            build_instance(sample=NominalModel(), **self.PATH),
             self.GRID, kind="h", dt=DT, adaptive=True)
         assert list(curve.w_out) == pytest.approx(list(direct.w_out),
                                                   abs=1e-15)

@@ -262,7 +262,7 @@ class TestLegacyCallablePath:
 class TestChunkSignature:
     """The chunk task's signature is ``(spec, items)``: every shared
     setting is bound once per call, so a chunk cannot mix settings;
-    an item carries only its sample and its resistance grid."""
+    an item carries only its sample and its resistance or width grid."""
 
     def _sweep(self):
         from repro.core.coverage import build_sweep_payloads
@@ -288,6 +288,21 @@ class TestChunkSignature:
         assert mixed[0][0] != pytest.approx(mixed[1][0], abs=1e-12)
         for got, want in zip(mixed, alone):
             assert got[0] == pytest.approx(want[0], abs=1e-12)
+
+    def test_transfer_chunk_mixing_widths_matches_per_item_chunks(self):
+        """A transfer row steps its instance through its own widths, so
+        one lockstep chunk may mix them."""
+        from repro.core.pulse import _measure_chunk
+
+        spec, (item,) = self._sweep()
+        spec = dict(spec, fault=None)
+        del spec["omega_in"]
+        narrow = {"sample": item["sample"], "widths": [0.30e-9, 0.40e-9]}
+        wide = dict(narrow, widths=[0.45e-9, 0.50e-9])
+        mixed = _measure_chunk(spec, [narrow, wide])
+        alone = _measure_chunk(spec, [narrow]) + _measure_chunk(spec, [wide])
+        for got, want in zip(mixed, alone):
+            assert got == pytest.approx(want, abs=0.1e-12)
 
     def test_unequal_grid_lengths_rejected(self):
         from repro.core.pulse import _measure_chunk

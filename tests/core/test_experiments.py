@@ -4,8 +4,13 @@ the heavy sweeps are exercised by tests/integration and benchmarks)."""
 import numpy as np
 import pytest
 
-from repro.core import ExperimentConfig, run_waveform_experiment
+from repro.core import (ExperimentConfig, build_instance,
+                        characterize_transfer, default_w_in_grid,
+                        measure_output_pulse, run_transfer_experiment,
+                        run_waveform_experiment)
 from repro.core.experiments import _pick_fault_site
+from repro.montecarlo import NominalModel
+from repro.runtime import read_trace, stats_scope
 
 
 class TestExperimentConfig:
@@ -65,6 +70,74 @@ class TestWaveformExperimentDriver:
         for node in exp.nodes:
             assert node in exp.fault_free
             assert node in exp.faulty
+
+
+class TestTransferExperimentDriver:
+    """Fig. 10 at tier-1 size: the nominal curve and the scatter are
+    transfer rows of the one measurement chunk task."""
+
+    WIDTHS = [0.35e-9, 0.45e-9]
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        config = ExperimentConfig(
+            n_samples=2, dt=1e-11, n_jobs=1,
+            cache_dir=str(tmp_path_factory.mktemp("cache")))
+        cold = run_transfer_experiment(config, probe_widths=self.WIDTHS)
+        with stats_scope() as stats:
+            warm = run_transfer_experiment(config, probe_widths=self.WIDTHS)
+        return config, cold, warm, stats
+
+    def test_scatter_rows_match_single_measurements(self, runs):
+        config, exp, _, _ = runs
+        for index, sample in enumerate(config.samples()):
+            for w_in in self.WIDTHS:
+                w_out, _ = measure_output_pulse(
+                    build_instance(sample=sample), w_in, dt=config.dt)
+                assert exp.sample_wouts[w_in][index] == w_out
+
+    def test_nominal_curve_matches_characterize_transfer(self, runs):
+        config, exp, _, _ = runs
+        direct = characterize_transfer(
+            build_instance(sample=NominalModel()), default_w_in_grid(),
+            dt=config.dt)
+        assert list(exp.nominal_curve.w_in) == list(direct.w_in)
+        assert list(exp.nominal_curve.w_out) == list(direct.w_out)
+
+    def test_warm_rerun_solves_nothing(self, runs):
+        _, cold, warm, stats = runs
+        assert stats.total("newton_solves") == 0
+        assert list(warm.nominal_curve.w_out) == list(cold.nominal_curve.w_out)
+        assert warm.sample_wouts == cold.sample_wouts
+
+    def test_scatter_honours_batch_size(self, tmp_path):
+        """The scatter used to run one sample per task whatever
+        ``batch_size`` said."""
+        trace = str(tmp_path / "trace.jsonl")
+        config = ExperimentConfig(n_samples=2, dt=1e-11, n_jobs=1,
+                                  batch_size=2, trace=trace)
+        run_transfer_experiment(config, probe_widths=[0.40e-9])
+        assert [event["chunk_size"] for event in read_trace(trace)
+                if event["event"] == "task"
+                and event["label"] == "transfer-scatter"] == [2, 2]
+
+
+class TestAdaptiveSetting:
+    """``ExperimentConfig.adaptive`` reaches the Figs. 2/3/5 and 10
+    drivers; both used to run the fixed grid whatever it said."""
+
+    def test_waveform_driver(self):
+        config = ExperimentConfig(dt=6e-12, adaptive=True)
+        with stats_scope() as stats:
+            run_waveform_experiment("internal_rop", 8e3, config=config)
+        assert stats.total("adaptive_runs") > 0
+
+    def test_transfer_driver(self):
+        config = ExperimentConfig(n_samples=1, dt=1e-11, n_jobs=1,
+                                  adaptive=True)
+        with stats_scope() as stats:
+            run_transfer_experiment(config, probe_widths=[0.40e-9])
+        assert stats.total("adaptive_runs") > 0
 
 
 class TestFaultSitePicker:

@@ -7,6 +7,7 @@ import pytest
 from repro.core import (build_instance, measure_output_pulse,
                         measure_path_delay, output_pulse_polarity,
                         simulation_window)
+from repro.core.pulse import measure_output_pulse_batch
 from repro.faults import ExternalOpen, InternalOpen, PULL_UP
 from repro.montecarlo import NominalModel, VariationModel
 
@@ -104,6 +105,24 @@ class TestMeasurements:
         faulty = build_instance(fault=InternalOpen(2, PULL_UP, 10e6))
         d, _ = measure_path_delay(faulty, "rise", dt=DT)
         assert math.isinf(d)
+
+
+class TestPerPathWidths:
+    def test_each_path_measured_at_its_own_width(self):
+        samples = [VariationModel(seed) for seed in (1, 2, 3)]
+        widths = [0.35e-9, 0.43e-9, 0.50e-9]
+        w_outs, _ = measure_output_pulse_batch(
+            [build_instance(sample=sample) for sample in samples], widths,
+            dt=DT)
+        for sample, w_in, w_out in zip(samples, widths, w_outs):
+            alone, _ = measure_output_pulse(build_instance(sample=sample),
+                                            w_in, dt=DT)
+            assert w_out == pytest.approx(alone, abs=0.1e-12)
+
+    def test_one_width_per_path(self):
+        with pytest.raises(ValueError, match="one pulse width per path"):
+            measure_output_pulse_batch([build_instance(), build_instance()],
+                                       [0.40e-9], dt=DT)
 
 
 class TestNewtonPolicy:

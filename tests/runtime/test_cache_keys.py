@@ -2,8 +2,10 @@
 change its content-addressed key; anything that cannot, must not.
 
 The keys under test are the ones ``repro.core.coverage
-.build_sweep_payloads`` gives per-sample sweep rows, plus the
-default-configuration keys of every keyed producer, pinned as literals.
+.build_sweep_payloads`` gives per-sample sweep rows and
+``repro.core.transfer.measure_transfer_rows`` gives transfer rows, plus
+the default-configuration keys of every keyed producer, pinned as
+literals.
 """
 
 import subprocess
@@ -13,6 +15,7 @@ import pytest
 
 from repro.cells import default_technology
 from repro.core.coverage import build_sweep_payloads
+from repro.core.transfer import measure_transfer_rows
 from repro.faults import BridgingFault, ExternalOpen
 from repro.montecarlo import VariationModel
 from repro.runtime import ResultCache
@@ -66,12 +69,57 @@ class TestKeySensitivity:
         assert _row_key(path_kwargs={"fanout_loads": 3}) != BASE
 
 
+def _transfer_key(monkeypatch, tmp_path, **changes):
+    """The transfer-row key of one sample, as
+    ``measure_transfer_rows`` computes it (the measurement is stubbed)."""
+    from repro.core import transfer
+    from repro.runtime import Runtime
+
+    seen = []
+
+    def fake_run(spec, items, keys=None, **_):
+        seen.extend(keys)
+        return [[0.0] * len(item["widths"]) for item in items]
+
+    monkeypatch.setattr(transfer, "run_measurements", fake_run)
+    settings = dict(samples=[VariationModel(3)], widths=[0.30e-9, 0.50e-9],
+                    dt=3e-12)
+    settings.update(changes)
+    measure_transfer_rows(runtime=Runtime(cache=str(tmp_path / "cache")),
+                          **settings)
+    return seen[0]
+
+
+class TestTransferRowKeySensitivity:
+    @pytest.mark.parametrize("changes", [
+        dict(tech=default_technology().copy(vdd=2.4)),
+        dict(samples=[VariationModel(4)]),
+        dict(fault=ExternalOpen(2, 8e3)),
+        dict(widths=[0.30e-9, 0.45e-9]),
+        dict(kind="l"),
+        dict(dt=5e-12),
+        dict(path_kwargs={"fanout_loads": 3}),
+        dict(batch_size=2),
+        dict(adaptive=True),
+    ], ids=lambda changes: next(iter(changes)))
+    def test_input_changes_key(self, monkeypatch, tmp_path, changes):
+        assert (_transfer_key(monkeypatch, tmp_path, **changes)
+                != _transfer_key(monkeypatch, tmp_path))
+
+    def test_label_does_not_change_key(self, monkeypatch, tmp_path):
+        """The nominal curve and the scatter share rows they both ask
+        for; the label is telemetry only."""
+        assert (_transfer_key(monkeypatch, tmp_path, label="a")
+                == _transfer_key(monkeypatch, tmp_path, label="b"))
+
+
 class TestPinnedDefaultKeys:
     """Default-configuration keys as they were computed while the Newton
     solver was still a campaign setting, except the batched row, whose
-    key changed when lockstep populations moved to exact Newton.  A
-    changed literal here means every warm cache of that configuration
-    goes cold."""
+    key changed when lockstep populations moved to exact Newton, and
+    the nominal transfer curve and Fig. 10 scatter rows, whose keys
+    changed when they became transfer rows.  A changed literal here
+    means every warm cache of that configuration goes cold."""
 
     GRID = [0.30e-9, 0.50e-9]
     PATH = dict(gate_kinds=("inv",) * 3)
@@ -99,6 +147,8 @@ class TestPinnedDefaultKeys:
                              runtime=runtime, **self.PATH)
         calibrate_delay_test(sample_population(1, base_seed=11), dt=4e-12,
                              runtime=runtime, **self.PATH)
+        measure_transfer_rows([VariationModel(3)], self.GRID, dt=4e-12,
+                              runtime=runtime, path_kwargs=self.PATH)
         return runtime.cache
 
     def test_pulse_calibration_row(self, calibration_cache):
@@ -111,11 +161,15 @@ class TestPinnedDefaultKeys:
 
     def test_nominal_transfer_curve(self, calibration_cache):
         assert calibration_cache.contains(
-            "3a906dcc68cf374bc8b2a7dd25996d37")
+            "4ee016eb8b1c4d4bde89993fdd235b86")
+
+    def test_transfer_scatter_row(self, calibration_cache):
+        assert calibration_cache.contains(
+            "87a1cc8095464efcdc1de9318cdc0ee3")
 
 
 class TestWarmCache:
-    """Values stored in the shapes earlier releases wrote, under the
+    """Values stored in the shapes the producers write, under the
     pinned keys, are served back without executing a task."""
 
     GRID = TestPinnedDefaultKeys.GRID
@@ -126,9 +180,8 @@ class TestWarmCache:
         from repro.runtime import Runtime
 
         runtime = Runtime(cache=str(tmp_path / "cache"))
-        runtime.cache.put("3a906dcc68cf374bc8b2a7dd25996d37",
-                          {"w_in": list(self.GRID),
-                           "w_out": [0.21e-9, 0.43e-9]})
+        runtime.cache.put("4ee016eb8b1c4d4bde89993fdd235b86",
+                          [0.21e-9, 0.43e-9])
         runtime.cache.put("40b2f3ee85e88753888709313021dcae", 0.37e-9)
         runtime.cache.put("4a16e8ecc438a507ccc9db93c5e94b88", 0.31e-9)
         runtime.cache.put(BASE, [0.29e-9])
