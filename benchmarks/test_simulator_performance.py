@@ -111,10 +111,13 @@ def test_perf_campaign_runtime(tmp_path):
     numbers in ``BENCH_runtime.json``.  A parallel speedup is only
     meaningful on a multi-core runner, so on a single-CPU box the
     parallel leg is *skipped* and marked as such in the JSON rather than
-    recorded as a bogus comparison.  The ``batched`` section tracks the
-    lockstep engine (one stacked MNA solve per Newton iteration across
-    the whole population).  Knobs: ``REPRO_BENCH_SAMPLES``,
-    ``REPRO_BENCH_JOBS``, ``REPRO_BENCH_BATCH``.
+    recorded as a bogus comparison.  Every fixed-grid leg runs each
+    task's samples x R points as one lockstep population (one stacked
+    MNA solve per Newton iteration): the ``serial`` leg (one sample per
+    task) as populations of 3, the ``batched`` leg as populations of
+    ``REPRO_BENCH_BATCH`` x 3.  The ``adaptive`` leg runs one sample per
+    task and one transient per R point on the scalar Newton.  Knobs:
+    ``REPRO_BENCH_SAMPLES``, ``REPRO_BENCH_JOBS``, ``REPRO_BENCH_BATCH``.
     """
     from repro.core.coverage import sweep_pulse_measurements
     from repro.faults import ExternalOpen
@@ -187,7 +190,7 @@ def test_perf_campaign_runtime(tmp_path):
     warm_s = warm_total / warm_runs
 
     assert serial_rows == cold_rows == warm_rows
-    # The engines agree to solver tolerance, not bit-exactly.
+    # Populations of different sizes; the gate allows solver tolerance.
     worst = max(abs(a - b)
                 for srow, brow in zip(serial_rows, batched_rows)
                 for a, b in zip(srow, brow))

@@ -304,8 +304,9 @@ def build_parser():
     p.add_argument("--cache-dir", default=None,
                    help="enable the on-disk result cache at this path")
     p.add_argument("--batch-size", type=_batch_size, default=None,
-                   help="samples per task (default 1; more than one "
-                        "simulates each chunk in lockstep)")
+                   help="samples per task (default 1); on the fixed "
+                        "grid a task's samples x R points run as one "
+                        "lockstep population")
     p.add_argument("--adaptive", action="store_true",
                    help="LTE-controlled adaptive time grid "
                         "(default: REPRO_ADAPTIVE or fixed-step)")

@@ -1,8 +1,8 @@
 """Coverage-vs-resistance experiments (Figs. 6-9).
 
-For each Monte Carlo instance the fault is injected once and its
-resistance swept, so a sweep costs one netlist copy plus one transient per
-R point.  Coverage is then evaluated for every tested setting of the test
+Each (Monte Carlo instance, R point) pair is one faulty instance; on the
+fixed grid a sweep task measures all of its pairs in one lockstep
+transient.  Coverage is then evaluated for every tested setting of the test
 parameter (clock-period factor T'/T* or sensing-threshold factor
 ω_th'/ω_th*) from the same measurements — the measurement is independent
 of the decision threshold.
@@ -147,8 +147,9 @@ def build_sweep_payloads(samples, fault, resistances, tech=None, dt=None,
     here, so a row computed through either path lands under the same
     content-addressed cache key.  ``fault`` must be a picklable
     :class:`~repro.faults.models.FaultSpec` prototype (``TypeError``
-    otherwise).  ``batch_size`` is the dispatch grain the keys are
-    tagged for (see :func:`~repro.runtime.engine_cache_tag`).
+    otherwise).  The keys are tagged for the population a row is
+    measured in, ``batch_size`` rows of ``len(resistances)`` points
+    (see :func:`~repro.runtime.engine_cache_tag`).
     ``measure_spec`` is ``measure="pulse", omega_in=..., kind=...`` or
     ``measure="delay", direction=...`` (``ValueError`` on any other
     field).  Returns ``(spec, items, keys)`` for
@@ -172,7 +173,7 @@ def build_sweep_payloads(samples, fault, resistances, tech=None, dt=None,
              for sample in samples]
     keys = None
     if with_keys:
-        tag = engine_cache_tag(batch_size, adaptive)
+        tag = engine_cache_tag(batch_size, adaptive, len(resistances))
         keys = [stable_hash("sweep-row", tech, sample, fault, resistances,
                             dt, path_kwargs, measure_spec, *tag)
                 for sample in samples]
@@ -201,11 +202,13 @@ def _sweep_rows(samples, fault, resistances, tech, dt, runtime, label,
     """Dispatch the per-sample measurement rows through the runtime.
 
     Samples are grouped into chunks of ``batch_size``; each chunk is
-    one executor task, so batching composes with the process pool.  A
-    chunk of one runs the scalar Newton, larger chunks the lockstep
-    engine, and their cache keys carry an engine tag so the two never
-    serve each other's cached rows (they agree only to tolerance, not
-    bit-exactly).
+    one executor task, so batching composes with the process pool.  On
+    the fixed grid a chunk's samples x R points run as one population,
+    on the adaptive grid each R point is one population of the chunk's
+    samples.  A population of one runs the scalar Newton, a larger one
+    the lockstep engine, and the cache keys carry an engine tag so the
+    two never serve each other's cached rows (they agree only to
+    tolerance, not bit-exactly).
     """
     runtime = Runtime() if runtime is None else runtime
     spec, items, keys = build_sweep_payloads(
@@ -225,7 +228,8 @@ def sweep_pulse_measurements(samples, fault_family, resistances,
     """Per-sample, per-R output pulse widths for a fault family.
 
     ``fault_family`` is a fault prototype (any resistance).  Each task
-    simulates ``batch_size`` samples (default 1; more run in lockstep).
+    simulates ``batch_size`` samples (default 1); on the fixed grid its
+    samples x ``resistances`` run in lockstep as one population.
     ``engine="batched"`` is the older spelling of ``batch_size > 1``.
     """
     return _sweep_rows(samples, fault_family, resistances, tech, dt,

@@ -18,8 +18,9 @@ import math
 import numpy as np
 
 from ..cells import build_path, default_technology
-from ..faults import inject, set_fault_resistance
+from ..faults import inject
 from ..runtime import Runtime
+from ..runtime.stats import rows_booked_to
 from ..spice import run_transient_batch
 
 #: default transient step; stimulus edges are >= 50 ps so 2 ps resolves
@@ -189,10 +190,15 @@ def _measure_chunk(spec, items):
     item holds its ``sample`` and, for a sweep row, the ``resistances``
     its fault steps through, or, for a transfer row, the input
     ``widths`` (``spec`` then has no ``omega_in``, and its fault is
-    injected as given): one transient of the whole chunk per grid
-    position gives a row of values.  An item without a grid gives one
-    value.  Each item steps through its own grid, so a chunk may mix
-    grid points; the grids only need equally many.
+    injected as given): one instance per grid point gives a row of
+    values.  An item without a grid gives one value.  Each item has
+    its own grid, so a chunk may mix grid points; the grids only need
+    equally many.
+
+    The chunk's instances run as one population on the fixed grid.  On
+    the adaptive grid, where a population shares one union time grid,
+    each grid position runs as its own population, one instance per
+    item.  Each population row's solver effort is booked to its item.
     """
     sweep = "resistances" in items[0]
     grids = [item.get("resistances" if sweep else "widths")
@@ -202,24 +208,32 @@ def _measure_chunk(spec, items):
         raise ValueError("items of one chunk need equally many R points "
                          "or widths, got {}".format(sorted(n_points)))
     fault = spec["fault"]
-    paths = [build_instance(sample=item["sample"], tech=spec["tech"],
-                            fault=(fault.with_resistance(grid[0]) if sweep
+    if grids[0] is None:
+        return _measure_paths(spec, [
+            build_instance(sample=item["sample"], tech=spec["tech"],
+                           fault=fault, **spec["path_kwargs"])
+            for item in items])
+    n = len(grids[0])
+    # instance k is grid point k % n of item k // n
+    points = [point for grid in grids for point in grid]
+    paths = [build_instance(sample=items[k // n]["sample"],
+                            tech=spec["tech"],
+                            fault=(fault.with_resistance(point) if sweep
                                    else fault),
                             **spec["path_kwargs"])
-             for item, grid in zip(items, grids)]
-    if grids[0] is None:
-        return _measure_paths(spec, paths)
-    rows = [[] for _ in paths]
-    for step in range(len(grids[0])):
-        step_spec = spec
-        if sweep:
-            for path, grid in zip(paths, grids):
-                set_fault_resistance(path, grid[step])
-        else:
-            step_spec = dict(spec, omega_in=[grid[step] for grid in grids])
-        for row, value in zip(rows, _measure_paths(step_spec, paths)):
-            row.append(value)
-    return rows
+             for k, point in enumerate(points)]
+    populations = ([range(step, len(paths), n) for step in range(n)]
+                   if spec["adaptive"] else [range(len(paths))])
+    values = [None] * len(paths)
+    for population in populations:
+        population_spec = spec if sweep else dict(
+            spec, omega_in=[points[k] for k in population])
+        with rows_booked_to([k // n for k in population]):
+            measured = _measure_paths(population_spec,
+                                      [paths[k] for k in population])
+        for k, value in zip(population, measured):
+            values[k] = value
+    return [values[i * n:(i + 1) * n] for i in range(len(items))]
 
 
 def run_measurements(spec, items, keys=None, runtime=None, report=None,

@@ -11,9 +11,10 @@ The paper identifies three regions of the transfer relation:
 The test-generation rule of Sec. 5 places the injected width ω_in at the
 *beginning of region 3*.
 
-A *transfer row* is one built instance measured at a list of input
+A *transfer row* is one sample's instance measured at a list of input
 widths (:func:`measure_transfer_rows`, through the chunk task of every
-calibration and sweep): the nominal curve is
+calibration and sweep, which on the fixed grid runs one instance per
+width as one lockstep population): the nominal curve is
 :class:`~repro.montecarlo.NominalModel`'s row, Fig. 10's scatter the
 population's rows.
 """
@@ -118,9 +119,10 @@ def measure_transfer_rows(samples, widths, kind="h", dt=None, fault=None,
     injected as given, at every width in ``widths``.
 
     Runs :func:`~repro.core.pulse.run_measurements` with ``batch_size``
-    samples per task.  A row's cache key covers every input that changes
-    it: tech, sample, fault, widths, kind, dt, path kwargs and
-    :func:`~repro.runtime.engine_cache_tag`.
+    samples per task; on the fixed grid a task's samples x widths run
+    as one lockstep population.  A row's cache key covers every input
+    that changes it: tech, sample, fault, widths, kind, dt, path kwargs
+    and :func:`~repro.runtime.engine_cache_tag` of that population.
     """
     runtime = Runtime() if runtime is None else runtime
     tech = default_technology() if tech is None else tech
@@ -130,7 +132,7 @@ def measure_transfer_rows(samples, widths, kind="h", dt=None, fault=None,
                 tech=tech, path_kwargs=path_kwargs, fault=fault)
     keys = None
     if runtime.cache is not None:
-        tag = engine_cache_tag(batch_size, adaptive)
+        tag = engine_cache_tag(batch_size, adaptive, len(widths))
         keys = [stable_hash("transfer-row", tech, sample, fault, widths,
                             kind, dt, path_kwargs, *tag)
                 for sample in samples]

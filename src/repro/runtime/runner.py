@@ -44,28 +44,34 @@ def check_batch_size(batch_size):
     return int(batch_size)
 
 
-def engine_cache_tag(batch_size=1, adaptive=False):
+def engine_cache_tag(batch_size=1, adaptive=False, n_points=1):
     """Cache-key tag tuple for the simulation-engine configuration.
 
     Results from different engines or time-grid disciplines agree only
     to tolerance, never bit-exactly, so their cached rows must not
-    alias.  One sample per task runs the scalar Newton and contributes
-    no engine token; ``batch_size > 1`` runs chunks on the lockstep
-    engine and adds ``engine=batched``.  The adaptive grid adds
-    ``grid=adaptive``.  Each engine's Newton policy is decided in
-    :mod:`repro.spice` alone, and every tag ends with that engine's
-    token.
+    alias.  The engine follows the population an item is measured in:
+    a chunk of ``batch_size`` items of ``n_points`` grid points each
+    runs as one population of ``batch_size * n_points`` instances on
+    the fixed grid, and as one population of ``batch_size`` per grid
+    point on the adaptive grid (see
+    :func:`repro.core.pulse._measure_chunk`).  A population of one runs
+    the scalar Newton and contributes no engine token; a larger one
+    runs the lockstep engine and adds ``engine=batched``.  The adaptive
+    grid adds ``grid=adaptive``.  Each engine's Newton policy is
+    decided in :mod:`repro.spice` alone, and every tag ends with that
+    engine's token.
     """
     # imported here: repro.spice imports repro.runtime.stats at load time
     from ..spice.transient import (LOCKSTEP_NEWTON_CACHE_TOKEN,
                                    NEWTON_CACHE_TOKEN)
 
+    lockstep = (batch_size if adaptive else batch_size * n_points) > 1
     tag = []
-    if batch_size > 1:
+    if lockstep:
         tag.append("engine=batched")
     if adaptive:
         tag.append("grid=adaptive")
-    tag.append(LOCKSTEP_NEWTON_CACHE_TOKEN if batch_size > 1
+    tag.append(LOCKSTEP_NEWTON_CACHE_TOKEN if lockstep
                else NEWTON_CACHE_TOKEN)
     return tuple(tag)
 
@@ -196,8 +202,10 @@ class Runtime:
 
         Each item carries its own slice of the chunk's effort: the
         per-sample attribution recorded by the lockstep engine (rows in
-        the chunk's stats snapshot) and an equal share of the chunk's
-        wall time.  A one-item chunk's item carries the whole snapshot.
+        the chunk's stats snapshot, keyed by item position) and an equal
+        share of the chunk's wall time.  A one-item chunk's item carries
+        the whole snapshot but its per-row ledger: the trace wants
+        string keys, and one item owns every row anyway.
         """
         if self.trace is None:
             return
@@ -207,7 +215,7 @@ class Runtime:
         share = outcome.duration / max(1, len(chunk))
         for position, index in enumerate(chunk):
             if len(chunk) == 1:
-                stats = outcome.stats
+                stats = shared if outcome.stats is not None else None
             else:
                 per_item = samples.get(position)
                 stats = ({"counters": per_item} if per_item is not None

@@ -177,6 +177,23 @@ def stats_scope(stats=None):
         current_stats().merge(stats)
 
 
+@contextmanager
+def rows_booked_to(owners):
+    """Book the per-row ledger of the populations run in the block to
+    their owners: row ``r`` counts for ``owners[r]`` in the enclosing
+    scope's ``samples`` (totals fold as for any :func:`stats_scope`).
+
+    A chunk task that runs several rows per item books each population
+    row to its item, so the runtime's per-item trace attribution holds.
+    """
+    with stats_scope() as block:
+        yield block
+    enclosing = current_stats()
+    for row, counters in block.samples.items():
+        for name, amount in counters.items():
+            enclosing.count_sample(owners[row], name, amount)
+
+
 def record(name, amount=1):
     """Increment ``name`` on the active collector (hot-path helper)."""
     current_stats().count(name, amount)

@@ -9,6 +9,7 @@ from repro.core import (ExperimentConfig, build_instance,
                         measure_output_pulse, run_transfer_experiment,
                         run_waveform_experiment)
 from repro.core.experiments import _pick_fault_site
+from repro.core.pulse import measure_output_pulse_batch
 from repro.montecarlo import NominalModel
 from repro.runtime import read_trace, stats_scope
 
@@ -89,20 +90,33 @@ class TestTransferExperimentDriver:
         return config, cold, warm, stats
 
     def test_scatter_rows_match_single_measurements(self, runs):
+        """A row's widths run as one lockstep population: equal to that
+        population exactly, and to one scalar transient per width
+        within the engines' 1e-15 s agreement."""
         config, exp, _, _ = runs
         for index, sample in enumerate(config.samples()):
-            for w_in in self.WIDTHS:
+            population, _ = measure_output_pulse_batch(
+                [build_instance(sample=sample) for _ in self.WIDTHS],
+                self.WIDTHS, dt=config.dt)
+            for w_in, lockstep in zip(self.WIDTHS, population):
                 w_out, _ = measure_output_pulse(
                     build_instance(sample=sample), w_in, dt=config.dt)
-                assert exp.sample_wouts[w_in][index] == w_out
+                assert exp.sample_wouts[w_in][index] == lockstep
+                assert exp.sample_wouts[w_in][index] == pytest.approx(
+                    w_out, abs=1e-15)
 
     def test_nominal_curve_matches_characterize_transfer(self, runs):
         config, exp, _, _ = runs
-        direct = characterize_transfer(
-            build_instance(sample=NominalModel()), default_w_in_grid(),
+        grid = default_w_in_grid()
+        population, _ = measure_output_pulse_batch(
+            [build_instance(sample=NominalModel()) for _ in grid], grid,
             dt=config.dt)
+        direct = characterize_transfer(
+            build_instance(sample=NominalModel()), grid, dt=config.dt)
         assert list(exp.nominal_curve.w_in) == list(direct.w_in)
-        assert list(exp.nominal_curve.w_out) == list(direct.w_out)
+        assert list(exp.nominal_curve.w_out) == list(population)
+        assert list(exp.nominal_curve.w_out) == pytest.approx(
+            list(direct.w_out), abs=1e-15)
 
     def test_warm_rerun_solves_nothing(self, runs):
         _, cold, warm, stats = runs

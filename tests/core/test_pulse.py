@@ -171,3 +171,85 @@ class TestPinnedMeasurements:
         d, _ = measure_path_delay(build_instance(), "rise", dt=self.DT,
                                   adaptive=adaptive)
         assert d == pytest.approx(expected, abs=self.TOL)
+
+
+class TestStackedChunk:
+    """On the fixed grid a chunk's samples x R points run as one
+    lockstep population; on the adaptive grid each R point runs as its
+    own population."""
+
+    PATH = dict(gate_kinds=("inv",) * 3)
+    R = [2e3, 8e3, 30e3]
+    W_IN = 0.40e-9
+    DT = 8e-12
+
+    def _chunk(self, adaptive=False):
+        from repro.core.coverage import build_sweep_payloads
+        from repro.montecarlo import sample_population
+
+        spec, items, _ = build_sweep_payloads(
+            sample_population(2, base_seed=3), ExternalOpen(2, 8e3),
+            self.R, dt=self.DT, adaptive=adaptive, path_kwargs=self.PATH,
+            with_keys=False, measure="pulse", omega_in=self.W_IN, kind="h")
+        return spec, items
+
+    def _instances(self, items):
+        return [build_instance(sample=item["sample"],
+                               fault=ExternalOpen(2, r), **self.PATH)
+                for item in items for r in self.R]
+
+    @pytest.fixture(scope="class")
+    def traced(self, tmp_path_factory):
+        """The chunk measured as one runtime task, with its trace."""
+        from repro.core.pulse import run_measurements
+        from repro.runtime import Runtime, read_trace
+
+        spec, items = self._chunk()
+        path = str(tmp_path_factory.mktemp("trace") / "t.jsonl")
+        rows = run_measurements(spec, items, runtime=Runtime(trace=path),
+                                batch_size=2, label="stacked")
+        return items, rows, read_trace(path)
+
+    def test_rows_equal_one_population(self, traced):
+        items, rows, _ = traced
+        w_outs, _ = measure_output_pulse_batch(self._instances(items),
+                                               self.W_IN, dt=self.DT)
+        assert rows == [[float(w) for w in w_outs[:3]],
+                        [float(w) for w in w_outs[3:]]]
+
+    def test_rows_match_scalar_measurements(self, traced):
+        items, rows, _ = traced
+        for got, path in zip([w for row in rows for w in row],
+                             self._instances(items)):
+            alone, _ = measure_output_pulse(path, self.W_IN, dt=self.DT)
+            assert got == pytest.approx(alone, abs=1e-15)
+
+    @pytest.mark.parametrize("adaptive, populations", [
+        (False, [6]), (True, [2, 2, 2])])
+    def test_transients_per_chunk(self, monkeypatch, adaptive,
+                                  populations):
+        from repro.core import pulse
+
+        real, sizes = pulse.run_transient_batch, []
+
+        def counting(circuits, *args, **kwargs):
+            sizes.append(len(circuits))
+            return real(circuits, *args, **kwargs)
+
+        monkeypatch.setattr(pulse, "run_transient_batch", counting)
+        pulse._measure_chunk(*self._chunk(adaptive=adaptive))
+        assert sizes == populations
+
+    def test_item_counters_sum_to_chunk_totals(self, traced):
+        """The lockstep ledger is keyed by population row; each row is
+        booked to its item, so the items partition the chunk's
+        effort."""
+        _, _, events = traced
+        tasks = [e for e in events if e["event"] == "task"]
+        assert [t["chunk_size"] for t in tasks] == [2, 2]
+        (totals,) = [t["chunk_stats"]["counters"] for t in tasks
+                     if t["chunk_stats"] is not None]
+        for name in ("newton_solves", "newton_iterations"):
+            per_item = [t["stats"]["counters"][name] for t in tasks]
+            assert all(count > 0 for count in per_item)
+            assert sum(per_item) == totals[name]

@@ -1,7 +1,9 @@
 """Sweeping R in place must equal injecting at that R directly.
 
-The coverage sweeps rely on ``set_fault_resistance`` for speed; if its
-result ever diverged from a fresh injection the figures would be wrong.
+The R searches (critical resistance, R_min bisection, defect
+calibration) rely on ``set_fault_resistance`` for speed, while the
+coverage sweeps inject every R afresh; if the two ever diverged the
+figures would disagree with the searches.
 """
 
 import pytest

@@ -18,7 +18,7 @@ from repro.core.coverage import build_sweep_payloads
 from repro.core.transfer import measure_transfer_rows
 from repro.faults import BridgingFault, ExternalOpen
 from repro.montecarlo import VariationModel
-from repro.runtime import ResultCache
+from repro.runtime import ResultCache, engine_cache_tag
 
 
 def _row_key(tech=None, sample_seed=3, fault=None, resistances=(4e3,),
@@ -99,12 +99,17 @@ class TestTransferRowKeySensitivity:
         dict(kind="l"),
         dict(dt=5e-12),
         dict(path_kwargs={"fanout_loads": 3}),
-        dict(batch_size=2),
+        # a two-width row runs lockstep at any batch size, so the batch
+        # size shows on a one-width row only
+        dict(batch_size=2, widths=[0.30e-9]),
         dict(adaptive=True),
     ], ids=lambda changes: next(iter(changes)))
     def test_input_changes_key(self, monkeypatch, tmp_path, changes):
+        """Each case against the same row without its first setting."""
+        name = next(iter(changes))
+        base = {k: v for k, v in changes.items() if k != name}
         assert (_transfer_key(monkeypatch, tmp_path, **changes)
-                != _transfer_key(monkeypatch, tmp_path))
+                != _transfer_key(monkeypatch, tmp_path, **base))
 
     def test_label_does_not_change_key(self, monkeypatch, tmp_path):
         """The nominal curve and the scatter share rows they both ask
@@ -113,13 +118,39 @@ class TestTransferRowKeySensitivity:
                 == _transfer_key(monkeypatch, tmp_path, label="b"))
 
 
+class TestEngineTag:
+    """The engine token follows the population an item is measured in:
+    a chunk's items times their grid points on the fixed grid, its items
+    alone on the adaptive grid."""
+
+    def test_population_of_one_is_scalar(self):
+        assert engine_cache_tag() == ("solver=reuse",)
+        assert engine_cache_tag(adaptive=True, n_points=3) == (
+            "grid=adaptive", "solver=reuse")
+
+    def test_stacked_grid_points_are_lockstep(self):
+        assert engine_cache_tag(n_points=2) == ("engine=batched",
+                                                "solver=exact")
+        assert engine_cache_tag(n_points=2) == engine_cache_tag(
+            batch_size=8, n_points=3)
+
+    def test_sweep_row_key_follows_the_population(self):
+        """A two-point fixed-grid row runs lockstep at either batch
+        size; on the adaptive grid the batch size alone decides."""
+        assert _row_key(resistances=(4e3, 8e3)) == _row_key(
+            resistances=(4e3, 8e3), batch_size=2)
+        assert _row_key(resistances=(4e3, 8e3), adaptive=True) != _row_key(
+            resistances=(4e3, 8e3), adaptive=True, batch_size=2)
+
+
 class TestPinnedDefaultKeys:
     """Default-configuration keys as they were computed while the Newton
     solver was still a campaign setting, except the batched row, whose
     key changed when lockstep populations moved to exact Newton, and
     the nominal transfer curve and Fig. 10 scatter rows, whose keys
-    changed when they became transfer rows.  A changed literal here
-    means every warm cache of that configuration goes cold."""
+    changed when they became transfer rows and again when a row's
+    widths began to run as one lockstep population.  A changed literal
+    here means every warm cache of that configuration goes cold."""
 
     GRID = [0.30e-9, 0.50e-9]
     PATH = dict(gate_kinds=("inv",) * 3)
@@ -161,11 +192,11 @@ class TestPinnedDefaultKeys:
 
     def test_nominal_transfer_curve(self, calibration_cache):
         assert calibration_cache.contains(
-            "4ee016eb8b1c4d4bde89993fdd235b86")
+            "d6ca7ddb87b9dcd6115583ac36f7e846")
 
     def test_transfer_scatter_row(self, calibration_cache):
         assert calibration_cache.contains(
-            "87a1cc8095464efcdc1de9318cdc0ee3")
+            "b0e0eee3300b565313095e084b459bd4")
 
 
 class TestWarmCache:
@@ -180,7 +211,7 @@ class TestWarmCache:
         from repro.runtime import Runtime
 
         runtime = Runtime(cache=str(tmp_path / "cache"))
-        runtime.cache.put("4ee016eb8b1c4d4bde89993fdd235b86",
+        runtime.cache.put("d6ca7ddb87b9dcd6115583ac36f7e846",
                           [0.21e-9, 0.43e-9])
         runtime.cache.put("40b2f3ee85e88753888709313021dcae", 0.37e-9)
         runtime.cache.put("4a16e8ecc438a507ccc9db93c5e94b88", 0.31e-9)

@@ -10,7 +10,7 @@ import pickle
 import pytest
 
 from repro.runtime.stats import (SolverStats, current_stats, root_stats,
-                                 stats_scope)
+                                 rows_booked_to, stats_scope)
 
 
 class TestSolverStats:
@@ -125,6 +125,23 @@ class TestScopes:
             assert active is mine
             current_stats().count("adaptive_runs")
         assert mine.total("adaptive_runs") == 1
+
+
+class TestRowsBookedTo:
+    def test_rows_land_on_their_owners(self):
+        """Population rows 0-2 belong to item 0 and rows 3-5 to item 1,
+        as in a chunk of two items of three grid points."""
+        with stats_scope() as chunk:
+            with rows_booked_to([0, 0, 0, 1, 1, 1]):
+                current_stats().count("newton_solves", 6)
+                for row in range(6):
+                    current_stats().count_sample(row, "newton_solves", 1)
+                    current_stats().count_sample(row, "newton_iterations",
+                                                 row)
+        assert chunk.total("newton_solves") == 6
+        assert chunk.samples == {
+            0: {"newton_solves": 3, "newton_iterations": 3},
+            1: {"newton_solves": 3, "newton_iterations": 12}}
 
 
 class TestSolverIntegration:

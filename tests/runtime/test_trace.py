@@ -46,6 +46,13 @@ def _simulate_chunk(payloads):
     return [float(wf["out"][-1]) for wf in waveforms]
 
 
+def _two_path_pulse(w_in):
+    from repro.core.pulse import build_instance, measure_output_pulse_batch
+    paths = [build_instance(gate_kinds=("inv",) * 3) for _ in range(2)]
+    w_outs, _ = measure_output_pulse_batch(paths, w_in, dt=20e-12)
+    return [float(w) for w in w_outs]
+
+
 def _payloads(n):
     return [{"x": i} for i in range(n)]
 
@@ -124,6 +131,18 @@ class TestRunTracing:
         tasks = [e for e in read_trace(path) if e["event"] == "task"]
         for event in tasks:
             assert event["stats"]["counters"]["newton_solves"] > 0
+
+
+    def test_one_item_lockstep_task_traces(self, tmp_path):
+        """A one-item task that runs a lockstep population used to pass
+        the engine's int-keyed per-row ledger to the trace encoder,
+        whose TypeError escaped ``Runtime.run``."""
+        path = str(tmp_path / "t.jsonl")
+        run = Runtime(trace=path).run(_two_path_pulse, [0.4e-9])
+        assert not run.errors
+        (task,) = [e for e in read_trace(path) if e["event"] == "task"]
+        assert task["stats"]["counters"]["newton_solves"] > 0
+        assert "samples" not in task["stats"]
 
 
 class TestBatchedTracing:
