@@ -8,11 +8,17 @@ sensitization problem; the paper observes that "the basic algorithms used
 for path DF test generation can easily be modified".
 
 The implementation is a compact PODEM: objectives are justified by
-backtracing to primary inputs, with full 3-valued implication after every
-assignment and chronological backtracking on conflicts.
+backtracing to primary inputs, with chronological backtracking on
+conflicts.  Implication is event-driven and confined to the objectives'
+fan-in cone (the only nets the conflict check and the backtrace read):
+one 3-valued value map lives for the whole search, and each PI
+assignment, flip or unassignment re-evaluates only the cone gates whose
+inputs changed, in topological order.
 """
 
-from .netlist import LogicNetlist  # noqa: F401  (documented dependency)
+import heapq
+
+from ..runtime.stats import current_stats
 from .paths import path_gates
 
 
@@ -75,8 +81,13 @@ def sensitize_path(netlist, path_nets, max_backtracks=2000,
     """Find a PI vector sensitizing ``path_nets``.
 
     Returns a :class:`SensitizationResult` or ``None`` when the path is
-    (found) unsensitizable within the backtrack limit.
+    (found) unsensitizable within the backtrack limit.  The search's
+    effort (one sensitization, its backtracks and implication gate
+    evaluations) is booked on the active
+    :class:`~repro.runtime.stats.SolverStats`.
     """
+    stats = current_stats()
+    stats.count("atpg_sensitizations")
     objectives = side_input_objectives(netlist, path_nets)
     if extra_objectives:
         for net, value in extra_objectives.items():
@@ -84,25 +95,39 @@ def sensitize_path(netlist, path_nets, max_backtracks=2000,
                 return None
             objectives[net] = value
 
+    cone = _ConeImplication(netlist, objectives)
+    assignment, backtracks = _podem(netlist, cone, objectives,
+                                    max_backtracks)
+    stats.count("atpg_backtracks", backtracks)
+    stats.count("atpg_gate_evaluations", cone.evaluations)
+    if assignment is None:
+        return None
+    return SensitizationResult(path_nets, assignment, objectives,
+                               backtracks)
+
+
+def _podem(netlist, cone, objectives, max_backtracks):
+    """The PODEM decision loop; returns ``(assignment or None,
+    backtracks)``."""
+    values = cone.values
     assignment = {}
     decision_stack = []  # (pi, tried_both)
     backtracks = 0
 
     while True:
-        values = netlist.evaluate3(assignment)
         conflict = any(values[net] is not None and values[net] != want
                        for net, want in objectives.items())
         if not conflict:
             unresolved = [net for net, want in objectives.items()
                           if values[net] is None]
             if not unresolved:
-                return SensitizationResult(path_nets, assignment,
-                                           objectives, backtracks)
+                return assignment, backtracks
             target_net = unresolved[0]
             pi, value = _backtrace(netlist, target_net,
                                    objectives[target_net], values)
             if pi is not None:
                 assignment[pi] = value
+                cone.assign({pi: value})
                 decision_stack.append([pi, False])
                 continue
             conflict = True  # nothing left to justify with: treat as conflict
@@ -110,18 +135,80 @@ def sensitize_path(netlist, path_nets, max_backtracks=2000,
         # Conflict: chronological backtracking.
         backtracks += 1
         if backtracks > max_backtracks:
-            return None
+            return None, backtracks
+        changes = {}
         while decision_stack:
             pi, tried_both = decision_stack[-1]
             if tried_both:
                 decision_stack.pop()
                 del assignment[pi]
+                changes[pi] = None
             else:
                 decision_stack[-1][1] = True
                 assignment[pi] = 1 - assignment[pi]
+                changes[pi] = assignment[pi]
                 break
         else:
-            return None  # exhausted the decision tree
+            return None, backtracks  # exhausted the decision tree
+        cone.assign(changes)
+
+
+class _ConeImplication:
+    """3-valued values of the fan-in cone of ``roots``, kept current
+    event by event.
+
+    Every value starts at X (no PI assigned).  :meth:`assign` applies
+    PI changes and re-evaluates, in topological order, only the cone
+    gates an input of which changed, each once; ``evaluations`` counts
+    those gate evaluations.  The values equal a full
+    :meth:`~repro.logic.netlist.LogicNetlist.evaluate3` of the same
+    assignment on every cone net, since a cone net depends on cone PIs
+    only.
+    """
+
+    def __init__(self, netlist, roots):
+        cone = set()
+        stack = list(roots)
+        while stack:
+            net = stack.pop()
+            if net in cone:
+                continue
+            cone.add(net)
+            gate = netlist.gate_driving(net)
+            if gate is not None:
+                stack.extend(gate.inputs)
+        self.values = dict.fromkeys(cone)
+        self.rank = {}
+        self.readers = {net: [] for net in cone}
+        for rank, net in enumerate(netlist.topological_nets()):
+            if net not in cone:
+                continue
+            self.rank[net] = rank
+            gate = netlist.gate_driving(net)
+            if gate is not None:
+                for net_in in gate.inputs:
+                    self.readers[net_in].append(gate)
+        self.evaluations = 0
+
+    def assign(self, changes):
+        """Apply ``{pi: value}`` (None: unassign) and propagate."""
+        values, rank, readers = self.values, self.rank, self.readers
+        values.update(changes)
+        queued = {gate.output: gate for pi in changes
+                  for gate in readers[pi]}
+        queue = [(rank[net], gate) for net, gate in queued.items()]
+        heapq.heapify(queue)
+        while queue:
+            _, gate = heapq.heappop(queue)
+            self.evaluations += 1
+            out = gate.evaluate3([values[net] for net in gate.inputs])
+            if out == values[gate.output]:
+                continue
+            values[gate.output] = out
+            for reader in readers[gate.output]:
+                if reader.output not in queued:
+                    queued[reader.output] = reader
+                    heapq.heappush(queue, (rank[reader.output], reader))
 
 
 def _backtrace(netlist, net, want, values):

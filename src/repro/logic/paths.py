@@ -22,12 +22,14 @@ def paths_through(netlist, net, max_paths=64, max_length=None):
     if net not in graph:
         raise ValueError("unknown net {!r}".format(net))
 
-    upstream = _segments(graph, sources=netlist.primary_inputs,
-                         target=net, max_count=max_paths,
-                         max_length=max_length, forward=False)
-    downstream = _segments(graph, sources=netlist.primary_outputs,
-                           target=net, max_count=max_paths,
-                           max_length=max_length, forward=True)
+    upstream = _segments(_cone(graph, nx.ancestors(graph, net) | {net}),
+                         sources=netlist.primary_inputs, target=net,
+                         max_count=max_paths, max_length=max_length,
+                         forward=False)
+    downstream = _segments(_cone(graph, nx.descendants(graph, net) | {net}),
+                           sources=netlist.primary_outputs, target=net,
+                           max_count=max_paths, max_length=max_length,
+                           forward=True)
     paths = []
     for up in upstream:
         for down in downstream:
@@ -40,20 +42,40 @@ def paths_through(netlist, net, max_paths=64, max_length=None):
     return paths
 
 
+def _cone(graph, nodes):
+    """The subgraph of ``graph`` on ``nodes``, as a new graph.
+
+    Each node keeps its successors in ``graph``'s order, so a DFS visits
+    them as it would on ``graph``.  (A networkx subgraph *view* may not:
+    it iterates a small node filter's set instead of the adjacency.)
+    """
+    cone = nx.DiGraph()
+    cone.add_nodes_from(node for node in graph if node in nodes)
+    cone.add_edges_from((node, succ) for node in cone
+                        for succ in graph.successors(node)
+                        if succ in nodes)
+    return cone
+
+
 def _segments(graph, sources, target, max_count, max_length, forward):
     """Simple paths between ``target`` and a set of terminals.
 
     ``forward=True`` walks target -> terminal (downstream to POs),
     ``forward=False`` walks terminal -> target (upstream from PIs).
+    ``graph`` holds only the target's cone on that side, so a DFS never
+    enters a net that cannot reach (or be reached from) the target, and
+    terminals outside it are skipped.  Paths come out in the order a DFS
+    on the whole netlist graph yields them: pruning removes only
+    branches that yield none.
     """
-    cutoff = None if max_length is None else max_length
+    # networkx counts the cutoff in edges; a segment of max_length nets
+    # has max_length - 1 of them
+    cutoff = None if max_length is None else max_length - 1
     segments = []
-    if not forward and target in sources:
-        segments.append([target])  # the net itself is a PI
-    if forward and target in sources:
-        segments.append([target])  # the net itself is a PO
+    if target in sources:
+        segments.append([target])  # the net itself is a PI (PO)
     for terminal in sources:
-        if terminal == target:
+        if terminal == target or terminal not in graph:
             continue
         if forward:
             generator = nx.all_simple_paths(graph, target, terminal,

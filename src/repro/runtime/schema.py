@@ -19,8 +19,11 @@ are grandfathered in as major 1 (their shape *is* the 1.x shape).
 #: (1.1: additive ``waves`` field on run-report summaries, per-point
 #: ``n`` section on coverage-result exports; 1.2: additive robustness
 #: counters — ``worker_crashes`` / ``poisoned`` / ``pool_rebuilds`` /
-#: ``cache_quarantined`` on summaries, ``crashes`` on trace task events)
-SCHEMA_VERSION = "1.2"
+#: ``cache_quarantined`` on summaries, ``crashes`` on trace task events;
+#: 1.3: additive ATPG counters — ``atpg_sensitizations`` /
+#: ``atpg_backtracks`` / ``atpg_gate_evaluations`` on summaries and in
+#: the stats counters of trace events)
+SCHEMA_VERSION = "1.3"
 
 #: majors this tree knows how to read
 KNOWN_MAJORS = (1,)

@@ -12,8 +12,8 @@ This module replaces them with an explicit collector:
 
 * :class:`SolverStats` — a plain counter record (Newton solves and
   iterations, adaptive accepted/rejected steps, gmin-ladder retries,
-  per-phase timings, and an optional per-sample attribution table for
-  the batched engine).
+  ATPG search effort, per-phase timings, and an optional per-sample
+  attribution table for the batched engine).
 * :func:`stats_scope` — a nestable ``contextvars``-backed scope.  Code
   on the solver hot path records into :func:`current_stats`, which is
   the innermost open scope (or the process-root collector when none is
@@ -31,6 +31,8 @@ import threading
 import time
 from contextlib import contextmanager
 
+import numpy as np
+
 #: every counter a :class:`SolverStats` tracks
 COUNTER_NAMES = (
     "newton_solves",
@@ -44,10 +46,18 @@ COUNTER_NAMES = (
     "lu_reuses",
     "devices_bypassed",
     "bypass_forced_exact",
+    # path-sensitization ATPG (repro.logic.atpg.sensitize_path)
+    "atpg_sensitizations",
+    "atpg_backtracks",
+    "atpg_gate_evaluations",
 )
 
 #: counters the batched engine attributes per sample row
 SAMPLE_COUNTER_NAMES = ("newton_solves", "newton_iterations")
+
+#: queued lockstep solves :meth:`SolverStats.count_rows` folds at once
+#: (bounds the queue's memory; folding costs one pass over the rows)
+_FOLD_EVERY = 256
 
 #: guards cross-thread merges into a shared parent (scope exits are rare
 #: — once per task — so a single module lock costs nothing)
@@ -63,12 +73,22 @@ class SolverStats:
     the totals, because row indices from different chunks would collide.
     """
 
-    __slots__ = ("counters", "phase_s", "samples")
+    __slots__ = ("counters", "phase_s", "_samples", "_pending_rows")
 
     def __init__(self):
         self.counters = dict.fromkeys(COUNTER_NAMES, 0)
         self.phase_s = {}
-        self.samples = {}
+        self._samples = {}
+        #: ``(rows, iterations)`` arrays of lockstep solves booked by
+        #: :meth:`count_rows` and not yet folded into :attr:`samples`
+        self._pending_rows = []
+
+    @property
+    def samples(self):
+        """``{row: {counter: amount}}``, the per-row attribution."""
+        if self._pending_rows:
+            self._fold_rows()
+        return self._samples
 
     # -- recording -----------------------------------------------------
 
@@ -78,11 +98,36 @@ class SolverStats:
 
     def count_sample(self, row, name, amount=1):
         """Attribute ``amount`` of counter ``name`` to batch row ``row``."""
-        record = self.samples.get(int(row))
+        record = self._samples.get(int(row))
         if record is None:
             record = dict.fromkeys(SAMPLE_COUNTER_NAMES, 0)
-            self.samples[int(row)] = record
+            self._samples[int(row)] = record
         record[name] = record[name] + amount
+
+    def count_rows(self, rows, iterations):
+        """Attribute one lockstep Newton solve to each population row
+        ``rows[j]``, with ``iterations[j]`` iterations.
+
+        The arrays are queued, not looped over, so a solve books its
+        ledger at a cost that does not grow with the population; they
+        fold into :attr:`samples` when it is read, or in bulk once
+        ``_FOLD_EVERY`` solves are queued.
+        """
+        self._pending_rows.append((np.array(rows), np.array(iterations)))
+        if len(self._pending_rows) >= _FOLD_EVERY:
+            self._fold_rows()
+
+    def _fold_rows(self):
+        pending, self._pending_rows = self._pending_rows, []
+        rows = np.concatenate([r for r, _ in pending])
+        solves = np.bincount(rows)
+        # float sums of integer counts stay exact below 2**53
+        iterations = np.bincount(
+            rows, weights=np.concatenate([i for _, i in pending]))
+        for row in np.flatnonzero(solves).tolist():
+            self.count_sample(row, "newton_solves", int(solves[row]))
+            self.count_sample(row, "newton_iterations",
+                              int(iterations[row]))
 
     def add_phase(self, name, seconds):
         """Accumulate wall time under phase ``name``.

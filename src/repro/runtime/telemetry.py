@@ -4,7 +4,8 @@ Every campaign produces a :class:`RunReport` — the observable record of
 what the runtime did: how many tasks ran vs. came from the cache, how
 long each took, how much solver effort each burned (Newton solves and
 iterations, adaptive accepted/rejected steps, gmin-ladder retries,
-per-phase timings) and which exception classes failures fell into.
+per-phase timings, ATPG sensitizations, backtracks and implication
+gate evaluations) and which exception classes failures fell into.
 Solver counters arrive as context-scoped snapshots on each
 :class:`~repro.runtime.executors.TaskOutcome` (recorded in the worker,
 shipped across the process boundary), so serial and process-pool runs
@@ -171,6 +172,18 @@ class RunReport:
     def bypass_forced_exact(self):
         return self.solver.total("bypass_forced_exact")
 
+    @property
+    def atpg_sensitizations(self):
+        return self.solver.total("atpg_sensitizations")
+
+    @property
+    def atpg_backtracks(self):
+        return self.solver.total("atpg_backtracks")
+
+    @property
+    def atpg_gate_evaluations(self):
+        return self.solver.total("atpg_gate_evaluations")
+
     def samples_per_second(self):
         """Completed-task throughput over the campaign's wall clock.
 
@@ -216,6 +229,9 @@ class RunReport:
             "lu_reuses": self.lu_reuses,
             "devices_bypassed": self.devices_bypassed,
             "bypass_forced_exact": self.bypass_forced_exact,
+            "atpg_sensitizations": self.atpg_sensitizations,
+            "atpg_backtracks": self.atpg_backtracks,
+            "atpg_gate_evaluations": self.atpg_gate_evaluations,
             "solver_phase_s": dict(self.solver.phase_s),
             "failure_taxonomy": dict(self.failure_taxonomy),
         }
@@ -266,6 +282,12 @@ class RunReport:
                 "{} devices bypassed".format(
                     s["lu_factorizations"], s["lu_reuses"],
                     s["devices_bypassed"]))
+        if self.atpg_sensitizations:
+            lines.append(
+                "  atpg: {} sensitizations, {} backtracks, "
+                "{} implication gate evaluations".format(
+                    s["atpg_sensitizations"], s["atpg_backtracks"],
+                    s["atpg_gate_evaluations"]))
         if s["solver_phase_s"]:
             lines.append("  solver phases: " + ", ".join(
                 "{} {:.2f}s".format(name, seconds)

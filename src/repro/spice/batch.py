@@ -490,10 +490,7 @@ def newton_solve_batch(batch, a_base, rhs_base, x0, sample_idx=None,
         active = active[np.logical_and(~done, ~singular[active])]
     stats.count("newton_iterations", int(sample_iters.sum()))
     stats.add_phase("newton", _time.perf_counter() - start)
-    for j in range(m):
-        stats.count_sample(sample_idx[j], "newton_solves", 1)
-        stats.count_sample(sample_idx[j], "newton_iterations",
-                           int(sample_iters[j]))
+    stats.count_rows(sample_idx, sample_iters)
     return x, converged
 
 

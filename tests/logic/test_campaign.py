@@ -4,9 +4,12 @@ import pytest
 
 from repro.logic import (CampaignResult, DefectCalibration,
                          FaultSiteResult, c17, evaluate_fault_site,
-                         generate_random_circuit, run_campaign)
+                         generate_c432_like, generate_random_circuit,
+                         run_campaign)
 from repro.logic.campaign import NO_PATH, TESTED, UNSENSITIZABLE
 from repro.montecarlo import sample_population
+from repro.runtime import ProcessPoolExecutor, Runtime, SerialExecutor
+from repro.runtime.trace import read_trace
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +97,38 @@ class TestRunCampaign:
         result = CampaignResult("x", [], calibration)
         with pytest.raises(ValueError):
             result.coverage_at(1e3)
+
+
+class TestAtpgEffort:
+    """The ATPG counters reach the run report and the trace, and a
+    process pool books the same counts as a serial run."""
+
+    COUNTERS = ("atpg_sensitizations", "atpg_backtracks",
+                "atpg_gate_evaluations")
+
+    def test_serial_and_pool_book_equal_counts(self, calibration, samples,
+                                               tmp_path):
+        netlist = generate_c432_like()
+        reported, traced, text = {}, {}, {}
+        for name, executor in (
+                ("serial", SerialExecutor()),
+                ("pool", ProcessPoolExecutor(n_jobs=2, chunk_size=1))):
+            trace = str(tmp_path / (name + ".jsonl"))
+            result = run_campaign(
+                netlist, calibration, samples=samples, site_stride=16,
+                runtime=Runtime(executor=executor, trace=trace))
+            summary = result.report.summary()
+            tasks = [event for event in read_trace(trace)
+                     if event["event"] == "task"]
+            reported[name] = {counter: summary[counter]
+                              for counter in self.COUNTERS}
+            traced[name] = {counter: sum(task["stats"]["counters"][counter]
+                                         for task in tasks)
+                            for counter in self.COUNTERS}
+            text[name] = result.report.format_report()
+        assert reported["serial"] == reported["pool"]
+        assert all(reported["serial"].values()), reported["serial"]
+        # the per-task trace events add up to the report
+        assert traced == reported
+        assert "  atpg: {} sensitizations".format(
+            reported["serial"]["atpg_sensitizations"]) in text["pool"]

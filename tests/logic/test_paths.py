@@ -1,5 +1,6 @@
 """Path-enumeration tests."""
 
+import networkx as nx
 import pytest
 
 from repro.logic import (c17, fanout_load_counts, generate_c432_like,
@@ -39,6 +40,31 @@ class TestPathsThrough:
         net = n.topological_nets()[80]
         paths = paths_through(n, net, max_paths=30, max_length=9)
         assert all(len(p) <= 9 for p in paths)
+
+    def test_too_long_segment_uses_no_budget(self):
+        """A segment of max_length + 1 nets can never fit, so it must
+        not use up the segment budget: the DFS from ``a`` reaches ``t``
+        first through a -> x -> y -> t (4 nets), then directly."""
+        from repro.logic import LogicNetlist
+        n = LogicNetlist()
+        n.add_input("a")
+        n.add_gate("not", ["a"], "x")
+        n.add_gate("not", ["x"], "y")
+        n.add_gate("nand", ["y", "a"], "t")
+        n.add_output("t")
+        assert paths_through(n, "t", max_paths=1, max_length=3) == [
+            ["a", "t"]]
+
+    def test_max_length_keeps_every_fitting_path(self):
+        n = generate_c432_like()
+        graph = n.graph()
+        fitting = sorted(
+            path for pi in n.primary_inputs for po in n.primary_outputs
+            for path in nx.all_simple_paths(graph, pi, po, cutoff=5)
+            if "N135" in path)
+        assert len(fitting) == 8
+        assert sorted(paths_through(n, "N135", max_paths=30,
+                                    max_length=6)) == fitting
 
     def test_unknown_net_rejected(self):
         with pytest.raises(ValueError):

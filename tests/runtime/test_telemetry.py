@@ -125,6 +125,22 @@ class TestSolverFolding:
         text = report.format_report()
         assert "newton 0.50s" in text
 
+    def test_atpg_effort_folds_and_prints_only_when_nonzero(self):
+        report = RunReport()
+        report.record_outcome(_ok(0, stats=_stats(newton_solves=1)))
+        assert "atpg" not in report.format_report()
+        report.record_outcome(_ok(1, stats=_stats(
+            atpg_sensitizations=3, atpg_backtracks=40,
+            atpg_gate_evaluations=900)))
+        report.record_outcome(_ok(2, stats=_stats(
+            atpg_sensitizations=1, atpg_gate_evaluations=12)))
+        summary = report.summary()
+        assert summary["atpg_sensitizations"] == 4
+        assert summary["atpg_backtracks"] == 40
+        assert summary["atpg_gate_evaluations"] == 912
+        assert ("atpg: 4 sensitizations, 40 backtracks, 912 implication "
+                "gate evaluations") in report.format_report()
+
 
 class TestChunkAttribution:
     def test_n_items_books_per_item_counts_and_durations(self):
