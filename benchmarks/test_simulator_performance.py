@@ -4,15 +4,20 @@ These are the only benches where pytest-benchmark's statistics matter:
 they track the cost of the primitive operations every experiment is
 built from, so performance regressions in the MNA core show up here.
 
-``test_perf_campaign_runtime`` additionally writes ``BENCH_runtime.json``
-at the repo root (serial vs parallel vs batched vs adaptive samples/sec,
-accepted/rejected adaptive step counts, cache-warm speedup) so later PRs
-can track the campaign runtime's perf trajectory.
+``test_perf_campaign_runtime``, ``test_perf_adaptive_coverage`` and
+``test_perf_solver_fast_path`` also record their numbers in
+``BENCH_runtime.json`` at the repo root (serial vs parallel vs batched
+vs adaptive samples/sec, accepted/rejected adaptive step counts,
+cache-warm speedup, adaptive transient budget, solver speedups) through
+one writer, :func:`record_bench`: each bench replaces its own sections
+and appends a timestamped record to the file's ``history`` list, so the
+file keeps the runtime's perf trajectory.
 Knobs: ``REPRO_BENCH_SAMPLES`` (population size, default 32),
 ``REPRO_BENCH_JOBS`` (parallel worker count, default min(4, CPUs)),
 ``REPRO_BENCH_BATCH`` (lockstep batch size, default 32).
 """
 
+import datetime
 import json
 import math
 import os
@@ -29,6 +34,33 @@ from repro.spice.dcop import solve_dc
 
 #: minimum total time of the warm-cache reruns in the campaign bench
 WARM_LEG_S = 0.5
+
+#: the runtime benches' report, at the repo root
+BENCH_REPORT = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "BENCH_runtime.json")
+
+
+def record_bench(bench, sections):
+    """Write one bench's ``sections`` (top-level keys of
+    ``BENCH_runtime.json``) into the report, in place, and append them
+    with a UTC timestamp to its ``history`` list.
+
+    The other benches' sections stay as they are.  The regression gate
+    (``compare_bench.py``) walks dicts only, so it compares the latest
+    values and skips the history.
+    """
+    try:
+        with open(BENCH_REPORT) as handle:
+            report = json.load(handle)
+    except (OSError, ValueError):
+        report = {}
+    report.update(sections)
+    stamp = datetime.datetime.now(datetime.timezone.utc)
+    report.setdefault("history", []).append(dict(
+        sections, bench=bench,
+        recorded=stamp.isoformat(timespec="seconds")))
+    with open(BENCH_REPORT, "w") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
 
 
 @pytest.fixture(scope="module")
@@ -259,10 +291,7 @@ def test_perf_campaign_runtime(tmp_path):
             "warm_over_cold": warm_s / cold_s,
         },
     }
-    out = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "BENCH_runtime.json")
-    with open(out, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
+    record_bench("campaign_runtime", report)
     print("\nBENCH_runtime.json: serial {:.1f}s, batched {:.1f}s "
           "(x{:.2f}), adaptive {:.1f}s (x{:.2f}, {:.0f} vs {} steps), "
           "warm cache {:.1f} ms mean of {} ({:.2%} of cold)".format(
@@ -286,11 +315,10 @@ def test_perf_adaptive_coverage():
     Runs the same coverage question twice — a fixed grid at full
     population, and the sequential Wilson-interval campaign with
     crossing refinement — and records the transient budget of each in
-    the ``adaptive_coverage`` section of ``BENCH_runtime.json``
-    (read-modify-write: the main runtime bench owns the rest of the
-    file).  The fair comparison is against the *matched-resolution*
-    grid: a blind grid dense enough to localise the crossing as tightly
-    as the refinement does.  Knob: ``REPRO_BENCH_ADAPTIVE_SAMPLES``
+    the ``adaptive_coverage`` section of ``BENCH_runtime.json``.  The
+    fair comparison is against the *matched-resolution* grid: a blind
+    grid dense enough to localise the crossing as tightly as the
+    refinement does.  Knob: ``REPRO_BENCH_ADAPTIVE_SAMPLES``
     (default 8).
     """
     from repro.core.adaptive_coverage import adaptive_sweep
@@ -368,16 +396,7 @@ def test_perf_adaptive_coverage():
         "transient_reduction_vs_fixed":
             matched / max(1, result.total_measurements),
     }
-    out = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "BENCH_runtime.json")
-    try:
-        with open(out) as handle:
-            full = json.load(handle)
-    except (OSError, ValueError):
-        full = {}
-    full["adaptive_coverage"] = section
-    with open(out, "w") as handle:
-        json.dump(full, handle, indent=2, sort_keys=True)
+    record_bench("adaptive_coverage", {"adaptive_coverage": section})
     print("\nadaptive coverage bench: {} adaptive vs {} matched "
           "transients (x{:.2f}), r_min {:.0f} ohm in [{:.0f}, {:.0f}]"
           .format(result.total_measurements, matched,
@@ -396,8 +415,7 @@ def test_perf_solver_fast_path():
     with the ``exact`` (per-iteration LU) and ``reuse``
     (frozen-factorization + device bypass) Newton solvers and records
     the serial throughput ratio (best of the repeats per solver) in the
-    ``solver`` section of ``BENCH_runtime.json`` (read-modify-write: the
-    main runtime bench owns the rest of the file).  The two solvers
+    ``solver`` section of ``BENCH_runtime.json``.  The two solvers
     alternate within each repeat, in flipped order every repeat, so
     host drift slows both legs alike instead of moving their ratio.
     The fast path matters most where the dense LU dominates, so the
@@ -462,16 +480,7 @@ def test_perf_solver_fast_path():
         "max_abs_v_diff_vs_exact": worst_overall,
     }
     section.update(scenarios)
-    out = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "BENCH_runtime.json")
-    try:
-        with open(out) as handle:
-            report = json.load(handle)
-    except (OSError, ValueError):
-        report = {}
-    report["solver"] = section
-    with open(out, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
+    record_bench("solver_fast_path", {"solver": section})
     print("\nsolver bench: " + ", ".join(
         "{} gates x{:.2f}".format(s["n_gates"], s["speedup_vs_exact"])
         for s in scenarios.values()))

@@ -10,7 +10,23 @@ flips a downstream logic value statically.
 from ..faults import BridgingFault, inject, set_fault_resistance
 from ..montecarlo import NominalModel
 from ..spice import operating_point
+from ..spice.batch import BatchCompiledCircuit, solve_dc_batch
 from .pulse import build_instance
+from .search import BracketSearch, bisect_populations
+
+
+def _held_at(path, input_level, tech):
+    """``path`` with its input held statically at ``input_level`` (0 V
+    or the VDD of ``tech``)."""
+    path.set_input(tech.vdd if input_level else 0.0)
+    return path
+
+
+def _logic_values(voltage, path):
+    """Logic value (above VDD/2) of every stage node of ``path`` past
+    its input, from ``voltage(node)``."""
+    half = path.tech.vdd_half
+    return [voltage(node) > half for node in path.stage_nodes[1:]]
 
 
 def static_levels_correct(faulty_path, input_level, reference_path=None):
@@ -19,21 +35,13 @@ def static_levels_correct(faulty_path, input_level, reference_path=None):
     reference_path = (build_instance(sample=NominalModel(),
                                      tech=faulty_path.tech)
                       if reference_path is None else reference_path)
-    vdd_value = faulty_path.tech.vdd if input_level else 0.0
-    half = faulty_path.tech.vdd_half
-
-    from ..spice.sources import Dc
-    faulty_path.circuit.element(faulty_path.input_source).stimulus = (
-        Dc(vdd_value))
-    reference_path.circuit.element(
-        reference_path.input_source).stimulus = Dc(vdd_value)
-
-    op_faulty = operating_point(faulty_path.circuit)
-    op_ref = operating_point(reference_path.circuit)
-    for node in faulty_path.stage_nodes[1:]:
-        if (op_faulty[node] > half) != (op_ref[node] > half):
-            return False
-    return True
+    tech = faulty_path.tech
+    op_faulty = operating_point(
+        _held_at(faulty_path, input_level, tech).circuit)
+    op_ref = operating_point(
+        _held_at(reference_path, input_level, tech).circuit)
+    return (_logic_values(op_faulty.get, faulty_path)
+            == _logic_values(op_ref.get, faulty_path))
 
 
 def bridging_critical_resistance(stage=2, tech=None, aggressor_value=None,
@@ -42,8 +50,13 @@ def bridging_critical_resistance(stage=2, tech=None, aggressor_value=None,
     """Largest R at which the bridge still causes a static logic error.
 
     The contention state is the input level that drives the victim node
-    *against* the aggressor.  Returns None when even ``r_lo`` produces
-    no error (the bridge is benign over the whole range).
+    *against* the aggressor.  The fault-free levels are solved once; the
+    bisection (midpoint ``(lo * hi) ** 0.5``, open while ``hi - lo >
+    rel_tol * lo``, erring at ``lo``) runs by
+    :func:`~repro.core.search.bisect_populations`, each round's R probes
+    one batched DC solve of the faulty instance.  Returns None when
+    even ``r_lo`` produces no error (the bridge is benign over the whole
+    range) and ``r_hi`` when even ``r_hi`` errs.
     """
     probe = build_instance(sample=NominalModel(), tech=tech)
     fault = BridgingFault(stage, r_hi, aggressor_value=aggressor_value)
@@ -60,21 +73,21 @@ def bridging_critical_resistance(stage=2, tech=None, aggressor_value=None,
 
     reference = build_instance(sample=NominalModel(), tech=tech)
     faulty = inject(probe, fault)
+    healthy = _logic_values(operating_point(
+        _held_at(reference, input_level, faulty.tech).circuit).get, faulty)
 
-    def errors(r):
-        set_fault_resistance(faulty, r)
-        return not static_levels_correct(faulty, input_level,
-                                         reference_path=reference)
+    def errors(probes):
+        batch = BatchCompiledCircuit([
+            _held_at(set_fault_resistance(faulty.copy(), r), input_level,
+                     faulty.tech).circuit
+            for _, r in probes])
+        x = solve_dc_batch(batch)
+        return [_logic_values(lambda node: row[batch.index_of(node)],
+                              faulty) != healthy
+                for row in x]
 
-    if not errors(r_lo):
-        return None
-    if errors(r_hi):
-        return r_hi
-    lo, hi = r_lo, r_hi
-    while hi - lo > rel_tol * lo:
-        mid = (lo * hi) ** 0.5
-        if errors(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    search = BracketSearch(r_lo, r_hi, lambda lo, hi: (lo * hi) ** 0.5,
+                           lambda lo, hi: hi - lo > rel_tol * lo,
+                           passes_high=False)
+    (r_crit,) = bisect_populations([search], errors)
+    return r_crit

@@ -147,11 +147,18 @@ def measure_path_delay_batch(paths, direction="rise", dt=DEFAULT_DT,
     """Propagation delay of every path in a population (see
     :func:`measure_output_pulse_batch`).
 
-    Returns ``(delays, waveforms)``; non-crossing outputs report
+    ``direction`` is one transition direction for all paths or one per
+    path.  Returns ``(delays, waveforms)``; non-crossing outputs report
     ``math.inf`` exactly like :func:`measure_path_delay`.
     """
     paths = list(paths)
-    stim_delays = [path.set_input_transition(direction) for path in paths]
+    directions = (list(direction) if np.ndim(direction)
+                  else [direction] * len(paths))
+    if len(directions) != len(paths):
+        raise ValueError("need one direction per path, got {} for {} "
+                         "paths".format(len(directions), len(paths)))
+    stim_delays = [path.set_input_transition(d)
+                   for path, d in zip(paths, directions)]
     tstop = max(simulation_window(path, stimulus_delay=delay)
                 for path, delay in zip(paths, stim_delays))
     record = [paths[0].input_node, paths[0].output_node]

@@ -19,7 +19,8 @@ from ..faults import (BridgingFault, ExternalOpen, InternalBridgingFault,
                       InternalOpen, PULL_UP, inject, set_fault_resistance)
 from ..montecarlo import NominalModel
 from .calibration import calibrate_pulse_test
-from .pulse import build_instance, measure_output_pulse
+from .pulse import build_instance, measure_output_pulse_batch
+from .search import BracketSearch, bisect_populations
 
 #: transition polarity a fault degrades at its site ("rise", "fall",
 #: "both")
@@ -115,31 +116,29 @@ def estimate_r_min(fault_family, omega_in, detector, kind="h", tech=None,
 
     ``fault_family(r)`` maps resistance to a fault spec.  Detection uses
     the nominal (or given) instance; Monte Carlo bounds come from the
-    calibration itself.  Returns None when even ``r_hi`` escapes.
+    calibration itself.  The bisection (midpoint ``sqrt(lo * hi)``,
+    open while ``hi - lo > rel_tol * lo``) runs by
+    :func:`~repro.core.search.bisect_populations`: both ends in one
+    round, then the next levels' midpoints per round, each round one
+    lockstep population of the faulty instance at its probes' R.
+    Returns None when even ``r_hi`` escapes and ``r_lo`` when ``r_lo``
+    is already detected.
     """
     sample = NominalModel() if sample is None else sample
     kwargs = {} if dt is None else {"dt": dt}
     base = build_instance(sample=sample, tech=tech, **path_kwargs)
     faulty = inject(base, fault_family(r_hi))
 
-    def detected(r):
-        set_fault_resistance(faulty, r)
-        w_out, _ = measure_output_pulse(faulty, omega_in, kind=kind,
-                                        **kwargs)
-        return detector.fault_detected(w_out)
+    def detected(probes):
+        w_outs, _ = measure_output_pulse_batch(
+            [set_fault_resistance(faulty.copy(), r) for _, r in probes],
+            omega_in, kind=kind, **kwargs)
+        return [detector.fault_detected(w_out) for w_out in w_outs]
 
-    if not detected(r_hi):
-        return None
-    if detected(r_lo):
-        return r_lo
-    lo, hi = r_lo, r_hi
-    while hi - lo > rel_tol * lo:
-        mid = math.sqrt(lo * hi)
-        if detected(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    search = BracketSearch(r_lo, r_hi, lambda lo, hi: math.sqrt(lo * hi),
+                           lambda lo, hi: hi - lo > rel_tol * lo)
+    (r_min,) = bisect_populations([search], detected)
+    return r_min
 
 
 def generate_pulse_test(samples, fault_family, tech=None, dt=None,

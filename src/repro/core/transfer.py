@@ -19,11 +19,15 @@ width as one lockstep population): the nominal curve is
 population's rows.
 """
 
+import math
+
 import numpy as np
 
 from ..cells import default_technology
 from ..runtime import Runtime, engine_cache_tag, stable_hash
-from .pulse import DEFAULT_DT, measure_output_pulse, run_measurements
+from .pulse import (DEFAULT_DT, measure_output_pulse,
+                    measure_output_pulse_batch, run_measurements)
+from .search import BracketSearch, bisect_populations
 
 
 class TransferCurve:
@@ -142,33 +146,40 @@ def measure_transfer_rows(samples, widths, kind="h", dt=None, fault=None,
         label=label)
 
 
+def width_search(lo=0.05e-9, hi=1.0e-9, tol=5e-12, group=None):
+    """The bisection of :func:`minimum_propagatable_width` (same
+    defaults): midpoint ``0.5 * (lo + hi)``, open while ``hi - lo >
+    tol``, passing (the pulse survives) at ``hi``."""
+    return BracketSearch(lo, hi, lambda a, b: 0.5 * (a + b),
+                         lambda a, b: b - a > tol, group=group)
+
+
+def pulses_survive(paths, widths, kind="h", dt=None):
+    """Whether a pulse of each width survives its path: one population
+    of copies of ``paths`` (which must share one topology)."""
+    kwargs = {} if dt is None else {"dt": dt}
+    w_outs, _ = measure_output_pulse_batch(
+        [path.copy() for path in paths], widths, kind=kind, **kwargs)
+    return [w_out > 0.0 for w_out in w_outs]
+
+
 def minimum_propagatable_width(path, lo=0.05e-9, hi=1.0e-9, tol=5e-12,
                                kind="h", dt=None):
     """Smallest input pulse width that survives to the path output.
 
-    Bisection on :func:`measure_output_pulse`; the path instance is reused
-    (only its stimulus mutates).  Returns ``math.inf`` when even ``hi``
-    is dampened.
+    Bisection on whether a pulse survives (``w_out > 0``), run by
+    :func:`~repro.core.search.bisect_populations`: both ends in one
+    round, then the next levels' midpoints of the bracket per round,
+    each round one lockstep population of copies of ``path`` (``path``
+    itself is not touched).  Returns ``math.inf`` when even ``hi`` is
+    dampened and ``lo`` when ``lo`` already survives.
     """
-    import math
-
-    kwargs = {} if dt is None else {"dt": dt}
-
-    def survives(width):
-        w_out, _ = measure_output_pulse(path, width, kind=kind, **kwargs)
-        return w_out > 0.0
-
-    if not survives(hi):
-        return math.inf
-    if survives(lo):
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if survives(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    (w_min,) = bisect_populations(
+        [width_search(lo, hi, tol)],
+        lambda probes: pulses_survive([path] * len(probes),
+                                      [w for _, w in probes], kind=kind,
+                                      dt=dt))
+    return math.inf if w_min is None else w_min
 
 
 def recommended_w_in(curve, margin=0.03e-9, slope_tolerance=0.25):

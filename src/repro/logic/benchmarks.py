@@ -13,6 +13,9 @@
   c432-class preset is built on.
 """
 
+import functools
+import operator
+
 import numpy as np
 
 from .bench_parser import parse_bench
@@ -113,16 +116,20 @@ def _repair_biased_nets(netlist, rng, n_vectors=256, rounds=8,
     unsatisfiable and paths untestable — unlike real benchmark circuits.
     Any gate output stuck at one value across random vectors gets one of
     its inputs rewired to a fresh primary input, restoring
-    controllability.
+    controllability.  A round's vectors are simulated bit-parallel
+    (:func:`_evaluate_packed`).
     """
     pis = netlist.primary_inputs
+    mask = (1 << n_vectors) - 1
     for _ in range(rounds):
-        counts = {net: 0 for net in netlist.nets()}
-        for _ in range(n_vectors):
-            vec = {pi: int(rng.integers(2)) for pi in pis}
-            values = netlist.evaluate(vec)
-            for net, value in values.items():
-                counts[net] += value
+        # row k is vector k, drawn one PI value after another; bit k of
+        # a PI's packed int is its value in vector k
+        bits = rng.integers(2, size=(n_vectors, len(pis))).astype(bool)
+        packed = np.packbits(bits, axis=0, bitorder="little")
+        values = _evaluate_packed(netlist, {
+            pi: int.from_bytes(packed[:, j].tobytes(), "little")
+            for j, pi in enumerate(pis)}, mask)
+        counts = {net: values[net].bit_count() for net in netlist.nets()}
         stuck = [net for net, ones in counts.items()
                  if netlist.gate_driving(net) is not None
                  and not (min_rate <= ones / n_vectors <= 1.0 - min_rate)]
@@ -143,6 +150,36 @@ def _repair_biased_nets(netlist, rng, n_vectors=256, rounds=8,
             if earlier:
                 replacement = earlier[int(rng.integers(len(earlier)))]
                 netlist.replace_gate_input(net, victim, replacement)
+
+
+#: packed-vector form of each gate kind: the bitwise reduction over its
+#: inputs (a one-input gate reduces to its input) and whether the output
+#: inverts it
+_PACKED_GATES = {
+    "and": (operator.and_, False), "nand": (operator.and_, True),
+    "or": (operator.or_, False), "nor": (operator.or_, True),
+    "xor": (operator.xor, False), "xnor": (operator.xor, True),
+    "buf": (operator.and_, False), "not": (operator.and_, True),
+}
+
+
+def _evaluate_packed(netlist, pi_words, mask):
+    """Zero-delay simulation of many vectors at once.
+
+    ``pi_words`` maps each PI to its values packed into one int (bit
+    ``k`` is vector ``k``); ``mask`` has one bit set per vector.
+    Returns ``{net: packed values}``, like
+    :meth:`~repro.logic.netlist.LogicNetlist.evaluate` per bit.
+    """
+    values = dict(pi_words)
+    for net in netlist.topological_nets():
+        gate = netlist.gate_driving(net)
+        if gate is not None:
+            reduce_op, inverted = _PACKED_GATES[gate.kind]
+            word = functools.reduce(reduce_op,
+                                    [values[i] for i in gate.inputs])
+            values[net] = word ^ mask if inverted else word
+    return values
 
 
 def _draw_inputs(rng, levels, fanin, fanout_count):

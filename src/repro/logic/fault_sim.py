@@ -27,6 +27,12 @@ from .pulse_model import GatePulseModel, PathPulseModel
 from .simulator import GateTiming, NetDelayDefect, TimingSimulator
 
 
+#: cache-key token of the :meth:`DefectCalibration.from_electrical`
+#: recipe: its delays and width searches run as lockstep populations,
+#: whose delays differ from one-circuit transients by about 1e-16 s
+_CALIBRATION_RECIPE = "lockstep-populations"
+
+
 class DefectCalibration:
     """Electrically calibrated map: resistance -> defect behaviour.
 
@@ -112,10 +118,18 @@ class DefectCalibration:
         measured for both input transition directions, and the minimum
         propagatable pulse width of the whole path is found by bisection
         to extract the threshold shift.
+
+        The fault-free path and the faulty paths (one per R) are two
+        circuit topologies, and each runs as lockstep populations: one
+        for its rise and fall delays, then the rounds of its width
+        searches, all run together by
+        :func:`~repro.core.search.bisect_populations` (the widths of
+        :func:`~repro.core.transfer.minimum_propagatable_width`).
         """
         from ..cells import default_technology
-        from ..core.pulse import build_instance, measure_path_delay
-        from ..core.transfer import minimum_propagatable_width
+        from ..core.pulse import build_instance, measure_path_delay_batch
+        from ..core.search import bisect_populations
+        from ..core.transfer import pulses_survive, width_search
         from ..faults import (ExternalOpen, InternalOpen, PULL_DOWN,
                               PULL_UP, inject, set_fault_resistance)
         from ..runtime import CacheMiss, stable_hash
@@ -127,7 +141,8 @@ class DefectCalibration:
             resolved_tech = (default_technology() if tech is None
                              else tech)
             key = stable_hash("defect-calibration", kind, resistances,
-                              resolved_tech, stage, dt, path_kwargs)
+                              resolved_tech, stage, dt, path_kwargs,
+                              _CALIBRATION_RECIPE)
             try:
                 return cls.from_dict(cache.get(key))
             except CacheMiss:
@@ -142,23 +157,36 @@ class DefectCalibration:
             raise ValueError("unknown defect kind {!r}".format(kind))
 
         base = build_instance(tech=tech, **path_kwargs)
-        kwargs = {} if dt is None else {"dt": dt}
-        d_rise_ff, _ = measure_path_delay(base, "rise", **kwargs)
-        d_fall_ff, _ = measure_path_delay(base, "fall", **kwargs)
-        w_min_ff = minimum_propagatable_width(base, **kwargs)
-
         faulty = inject(base, fault)
+        # configuration 0 is fault-free, configuration k the fault at
+        # resistances[k - 1]; the two topologies are the two groups
+        paths = [base] + [set_fault_resistance(faulty.copy(), r)
+                          for r in resistances]
+        groups = [[0], list(range(1, len(paths)))]
+        kwargs = {} if dt is None else {"dt": dt}
+        delays = [None] * len(paths)
+        for group in groups:
+            measured, _ = measure_path_delay_batch(
+                [paths[k].copy() for k in group for _ in range(2)],
+                ["rise", "fall"] * len(group), **kwargs)
+            for i, k in enumerate(group):
+                delays[k] = measured[2 * i:2 * i + 2]
+        w_min = bisect_populations(
+            [width_search(group="faulty" if k else "fault-free")
+             for k in range(len(paths))],
+            lambda probes: pulses_survive(
+                [paths[k] for k, _ in probes], [w for _, w in probes],
+                dt=dt))
+        w_min = [math.inf if w is None else w for w in w_min]
+
+        (d_rise_ff, d_fall_ff), w_min_ff = delays[0], w_min[0]
         extra_rise, extra_fall, theta_shift = [], [], []
-        for r in resistances:
-            set_fault_resistance(faulty, r)
-            d_rise, _ = measure_path_delay(faulty, "rise", **kwargs)
-            d_fall, _ = measure_path_delay(faulty, "fall", **kwargs)
-            w_min = minimum_propagatable_width(faulty, **kwargs)
+        for (d_rise, d_fall), w in zip(delays[1:], w_min[1:]):
             # Attribute the whole-path delay change to the defective
             # stage; the fault-free remainder is unchanged by the defect.
             extra_rise.append(_finite(d_rise - d_rise_ff))
             extra_fall.append(_finite(d_fall - d_fall_ff))
-            theta_shift.append(_finite(w_min - w_min_ff))
+            theta_shift.append(_finite(w - w_min_ff))
         calibration = cls(resistances, extra_rise, extra_fall,
                           theta_shift, kind)
         if key is not None:

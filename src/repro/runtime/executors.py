@@ -36,10 +36,15 @@ import concurrent.futures
 import multiprocessing
 import os
 import random
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 
 from .stats import stats_scope
+
+
+#: seconds between a pool worker's checks that its parent is alive
+PARENT_POLL_S = 0.25
 
 
 class _FailedSentinel:
@@ -229,6 +234,25 @@ def _execute_one(fn, payload, index, chaos=None, attempt=0):
         stats=stats.snapshot())
 
 
+def _exit_with_parent(parent_pid):
+    """Pool-worker initializer: end this worker once ``parent_pid``, the
+    process that started the pool, is gone.
+
+    A parent killed outright (``kill -9``) runs no pool shutdown, and
+    its workers, still waiting on the task queue, would live on under
+    init.  A daemon thread polls ``os.getppid()`` every
+    :data:`PARENT_POLL_S` and exits the worker when it no longer names
+    the parent.
+    """
+    def watch():
+        while os.getppid() == parent_pid:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent",
+                     daemon=True).start()
+
+
 def _execute_chunk(fn, payloads, indices, chaos=None, attempt=0):
     """Worker-side entry point: run a chunk of tasks sequentially."""
     return [_execute_one(fn, payload, index, chaos=chaos, attempt=attempt)
@@ -350,7 +374,8 @@ class ProcessPoolExecutor:
         context = multiprocessing.get_context(self._mp_context)
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=min(self.n_jobs, max(1, n_tasks)),
-            mp_context=context)
+            mp_context=context, initializer=_exit_with_parent,
+            initargs=(os.getpid(),))
 
     @staticmethod
     def _shutdown(pool, kill):

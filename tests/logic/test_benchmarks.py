@@ -4,6 +4,39 @@ import numpy as np
 import pytest
 
 from repro.logic import (c17, generate_c432_like, generate_random_circuit)
+from repro.logic import benchmarks
+
+
+def per_vector_repair(netlist, rng, n_vectors=256, rounds=8,
+                      min_rate=0.1):
+    """The net repair as it ran before it went bit-parallel: one scalar
+    draw per PI value and one ``LogicNetlist.evaluate`` per vector."""
+    pis = netlist.primary_inputs
+    for _ in range(rounds):
+        counts = {net: 0 for net in netlist.nets()}
+        for _ in range(n_vectors):
+            vec = {pi: int(rng.integers(2)) for pi in pis}
+            values = netlist.evaluate(vec)
+            for net, value in values.items():
+                counts[net] += value
+        stuck = [net for net, ones in counts.items()
+                 if netlist.gate_driving(net) is not None
+                 and not (min_rate <= ones / n_vectors <= 1.0 - min_rate)]
+        if not stuck:
+            return
+        topo = netlist.topological_nets()
+        topo_index = {net: i for i, net in enumerate(topo)}
+        for net in stuck:
+            gate = netlist.gate_driving(net)
+            victim = gate.inputs[int(rng.integers(len(gate.inputs)))]
+            earlier = [cand for cand in topo[:topo_index[net]]
+                       if cand not in gate.inputs
+                       and 0.25 <= counts[cand] / n_vectors <= 0.75]
+            if not earlier:
+                earlier = [pi for pi in pis if pi not in gate.inputs]
+            if earlier:
+                replacement = earlier[int(rng.integers(len(earlier)))]
+                netlist.replace_gate_input(net, victim, replacement)
 
 
 class TestRandomGenerator:
@@ -88,6 +121,44 @@ class TestC432Like:
             if checked >= 60:
                 break
         assert ok >= checked * 0.25
+
+
+class TestBitParallelRepair:
+    """The packed repair draws the same random stream and rewires the
+    same nets as the per-vector reference above."""
+
+    @pytest.mark.parametrize("seed", [432, 7, 11, 0, 1])
+    def test_c432_like_netlist_unchanged(self, monkeypatch, seed):
+        packed = generate_c432_like(seed=seed)
+        monkeypatch.setattr(benchmarks, "_repair_biased_nets",
+                            per_vector_repair)
+        reference = generate_c432_like(seed=seed)
+        assert packed.cache_token() == reference.cache_token()
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_every_gate_kind_unchanged(self, monkeypatch, seed):
+        weights = dict.fromkeys(["and", "nand", "or", "nor", "not", "buf",
+                                 "xor", "xnor"], 1.0)
+        kwargs = dict(n_inputs=9, n_outputs=3, n_gates=60, seed=seed,
+                      kind_weights=weights)
+        packed = generate_random_circuit(**kwargs)
+        monkeypatch.setattr(benchmarks, "_repair_biased_nets",
+                            per_vector_repair)
+        assert packed.cache_token() == generate_random_circuit(
+            **kwargs).cache_token()
+
+    def test_packed_evaluation_matches_per_vector(self):
+        netlist = generate_c432_like(seed=7)
+        rng = np.random.default_rng(0)
+        vectors = rng.integers(2, size=(70, len(netlist.primary_inputs)))
+        words = {pi: sum(int(bit) << k for k, bit in enumerate(column))
+                 for pi, column in zip(netlist.primary_inputs, vectors.T)}
+        packed = benchmarks._evaluate_packed(netlist, words, (1 << 70) - 1)
+        for k, vector in enumerate(vectors):
+            values = netlist.evaluate(dict(zip(netlist.primary_inputs,
+                                               vector)))
+            assert all((packed[net] >> k) & 1 == value
+                       for net, value in values.items())
 
 
 class TestC17Preset:

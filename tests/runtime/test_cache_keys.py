@@ -149,8 +149,9 @@ class TestPinnedDefaultKeys:
     key changed when lockstep populations moved to exact Newton, and
     the nominal transfer curve and Fig. 10 scatter rows, whose keys
     changed when they became transfer rows and again when a row's
-    widths began to run as one lockstep population.  A changed literal
-    here means every warm cache of that configuration goes cold."""
+    widths began to run as one lockstep population, and the defect
+    table (see its test).  A changed literal here means every warm
+    cache of that configuration goes cold."""
 
     GRID = [0.30e-9, 0.50e-9]
     PATH = dict(gate_kinds=("inv",) * 3)
@@ -197,6 +198,18 @@ class TestPinnedDefaultKeys:
     def test_transfer_scatter_row(self, calibration_cache):
         assert calibration_cache.contains(
             "b0e0eee3300b565313095e084b459bd4")
+
+    def test_defect_calibration_table(self, tmp_path):
+        """The electrical defect table's key carries its recipe token,
+        which moved it once, when its delays and width searches began
+        to run as lockstep populations."""
+        from repro.logic import DefectCalibration
+        from repro.runtime import Runtime
+
+        runtime = Runtime(cache=str(tmp_path / "cache"))
+        DefectCalibration.from_electrical("external", [4e3], dt=2e-11,
+                                          runtime=runtime, **self.PATH)
+        assert runtime.cache.contains("5d73eeb665dc044202481f643a875e97")
 
 
 class TestWarmCache:
