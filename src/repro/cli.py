@@ -306,7 +306,8 @@ def build_parser():
     p.add_argument("--batch-size", type=_batch_size, default=None,
                    help="samples per task (default 1); on the fixed "
                         "grid a task's samples x R points run as one "
-                        "lockstep population")
+                        "lockstep population, and cached rows are "
+                        "keyed by the engine they ran")
     p.add_argument("--adaptive", action="store_true",
                    help="LTE-controlled adaptive time grid "
                         "(default: REPRO_ADAPTIVE or fixed-step)")

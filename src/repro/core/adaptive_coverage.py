@@ -111,11 +111,11 @@ def _next_wave(n_now, n_total, min_wave):
 class _SweepMeasurer:
     """Dispatch (sample index, R) measurement requests via the runtime.
 
-    Each request is one item of
-    :func:`~repro.core.coverage.build_sweep_payloads` with a
-    single-point resistance grid, so each (sample, R) pair lands under
-    one stable content-addressed cache key no matter which wave (or
-    which rerun) asks for it.  A whole wave is one
+    The sweep's spec comes from
+    :func:`~repro.core.coverage.build_sweep_payloads` once; each request
+    is one item of a single-point resistance grid, so each (sample, R)
+    pair lands under one stable content-addressed cache key no matter
+    which wave (or which rerun) asks for it.  A whole wave is one
     :func:`~repro.core.pulse.run_measurements` call of ``batch_size``
     items per task, in request order; a chunk may span R points.
     """
@@ -123,16 +123,13 @@ class _SweepMeasurer:
     def __init__(self, samples, fault, tech, dt, runtime, report,
                  batch_size, adaptive, path_kwargs, label, measure_spec):
         self.samples = list(samples)
-        self.fault = fault
-        self.tech = tech
-        self.dt = dt
+        self.spec, _ = build_sweep_payloads(
+            [], fault, [], tech=tech, dt=dt, adaptive=adaptive,
+            path_kwargs=path_kwargs, **measure_spec)
         self.runtime = Runtime() if runtime is None else runtime
         self.report = report
         self.batch_size = batch_size
-        self.adaptive = adaptive
-        self.path_kwargs = path_kwargs
         self.label = label
-        self.measure_spec = dict(measure_spec)
         #: (sample, R) measurements requested so far (cached or fresh)
         self.requested = 0
 
@@ -141,21 +138,13 @@ class _SweepMeasurer:
         requests = list(requests)
         if not requests:
             return []
-        items, keys = [], []
-        for index, r in requests:
-            spec, point_items, point_keys = build_sweep_payloads(
-                [self.samples[index]], self.fault, [r], tech=self.tech,
-                dt=self.dt, batch_size=self.batch_size,
-                adaptive=self.adaptive, path_kwargs=self.path_kwargs,
-                with_keys=self.runtime.cache is not None,
-                **self.measure_spec)
-            items.extend(point_items)
-            keys.extend(point_keys or ())
         self.requested += len(requests)
-        rows = run_measurements(spec, items, keys=keys or None,
-                                runtime=self.runtime, report=self.report,
-                                batch_size=self.batch_size,
-                                label=self.label)
+        rows = run_measurements(
+            self.spec,
+            [{"sample": self.samples[index], "resistances": [float(r)]}
+             for index, r in requests],
+            runtime=self.runtime, report=self.report,
+            batch_size=self.batch_size, label=self.label)
         return [float(row[0]) for row in rows]
 
 

@@ -12,7 +12,6 @@ Section 4's conservative, yield-first procedure:
 from ..cells import default_technology
 from ..dft import FlipFlopTiming, calibrate_t_star
 from ..montecarlo import NominalModel
-from ..runtime import Runtime, engine_cache_tag, stable_hash
 from .pulse import run_measurements
 from .sensing import PulseDetector
 from .transfer import (TransferCurve, default_w_in_grid,
@@ -27,31 +26,15 @@ def nominal_transfer_curve(w_in_grid, kind="h", dt=None, fault=None,
     cached (it is the fixed, sample-independent part of every
     calibration).
 
-    ``adaptive`` picks the time grid and, via the standard
-    :func:`~repro.runtime.engine_cache_tag` tokens, enters the cache
-    key, so an adaptive calibration picks ω_in* on the same time grid
-    as the population it calibrates.
+    ``adaptive`` picks the time grid (and, as part of the row's spec,
+    enters its cache key), so an adaptive calibration picks ω_in* on
+    the same time grid as the population it calibrates.
     """
     (w_out,) = measure_transfer_rows(
         [NominalModel()], w_in_grid, kind=kind, dt=dt, fault=fault,
         tech=tech, path_kwargs=path_kwargs, runtime=runtime, report=report,
         adaptive=adaptive, label="nominal-transfer")
     return TransferCurve(w_in_grid, w_out, kind=kind)
-
-
-def _fault_free_values(spec, samples, label, key_parts, runtime, report,
-                       batch_size):
-    """One measurement per sample of the fault-free population, cached
-    per sample under ``label`` and ``key_parts``."""
-    runtime = Runtime() if runtime is None else runtime
-    keys = None
-    if runtime.cache is not None:
-        tag = engine_cache_tag(batch_size, spec["adaptive"])
-        keys = [stable_hash(label, key_parts, sample, *tag)
-                for sample in samples]
-    return run_measurements(spec, [{"sample": sample} for sample in samples],
-                            keys=keys, runtime=runtime, report=report,
-                            batch_size=batch_size, label=label)
 
 
 class PulseTestCalibration:
@@ -101,13 +84,12 @@ def calibrate_pulse_test(samples, fault=None, tech=None, kind="h",
     if omega_in is None:
         omega_in = recommended_w_in(curve, margin=margin)
 
-    wouts = _fault_free_values(
+    wouts = run_measurements(
         dict(measure="pulse", omega_in=float(omega_in), kind=kind, dt=dt,
              adaptive=adaptive, tech=tech, path_kwargs=path_kwargs,
              fault=fault),
-        samples, "pulse-calibration",
-        [tech, fault, float(omega_in), kind, dt, path_kwargs], runtime,
-        report, batch_size)
+        [{"sample": sample} for sample in samples], runtime=runtime,
+        report=report, batch_size=batch_size, label="pulse-calibration")
     weakest = min(wouts)
     if weakest <= 0.0:
         raise ValueError(
@@ -129,13 +111,12 @@ def calibrate_delay_test(samples, fault=None, tech=None, direction="rise",
     """
     flipflop = FlipFlopTiming() if flipflop is None else flipflop
     tech = default_technology() if tech is None else tech
-    delays = _fault_free_values(
+    delays = run_measurements(
         dict(measure="delay", direction=direction, dt=dt,
              adaptive=adaptive, tech=tech, path_kwargs=path_kwargs,
              fault=fault),
-        samples, "delay-calibration",
-        [tech, fault, direction, dt, path_kwargs], runtime, report,
-        batch_size)
+        [{"sample": sample} for sample in samples], runtime=runtime,
+        report=report, batch_size=batch_size, label="delay-calibration")
     test = calibrate_t_star(delays, samples, flipflop,
                             skew_tolerance=skew_tolerance)
     return test, delays

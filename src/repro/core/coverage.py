@@ -20,8 +20,7 @@ import math
 from ..cells import default_technology
 from ..faults import FaultSpec
 from ..montecarlo import wilson_interval
-from ..runtime import (DEFAULT_BATCH_SIZE, Runtime, check_batch_size,
-                       engine_cache_tag, stable_hash)
+from ..runtime import DEFAULT_BATCH_SIZE, check_batch_size
 from .pulse import run_measurements
 
 
@@ -136,25 +135,22 @@ MEASURE_FIELDS = ("measure", "omega_in", "kind", "direction")
 
 
 def build_sweep_payloads(samples, fault, resistances, tech=None, dt=None,
-                         batch_size=1, adaptive=False, path_kwargs=None,
-                         with_keys=True, **measure_spec):
-    """Spec, items and cache keys for a per-sample measurement sweep.
+                         adaptive=False, path_kwargs=None, **measure_spec):
+    """Spec and items of a per-sample measurement sweep.
 
     This is the single source of truth for the sweep task contract:
     the fixed-grid drivers (:func:`sweep_pulse_measurements` /
     :func:`sweep_delay_measurements`) and the adaptive campaign
     (:mod:`repro.core.adaptive_coverage`) both build their sweeps
     here, so a row computed through either path lands under the same
-    content-addressed cache key.  ``fault`` must be a picklable
-    :class:`~repro.faults.models.FaultSpec` prototype (``TypeError``
-    otherwise).  The keys are tagged for the population a row is
-    measured in, ``batch_size`` rows of ``len(resistances)`` points
-    (see :func:`~repro.runtime.engine_cache_tag`).
-    ``measure_spec`` is ``measure="pulse", omega_in=..., kind=...`` or
-    ``measure="delay", direction=...`` (``ValueError`` on any other
-    field).  Returns ``(spec, items, keys)`` for
+    content-addressed cache key (see
+    :func:`~repro.core.pulse.run_measurements`).  ``fault`` must be a
+    picklable :class:`~repro.faults.models.FaultSpec` prototype
+    (``TypeError`` otherwise).  ``measure_spec`` is ``measure="pulse",
+    omega_in=..., kind=...`` or ``measure="delay", direction=...``
+    (``ValueError`` on any other field).  Returns ``(spec, items)`` for
     :func:`~repro.core.pulse.run_measurements`: one item per sample
-    over the whole grid, and ``keys=None`` when ``with_keys`` is false.
+    over the whole grid.
     """
     if not isinstance(fault, FaultSpec):
         raise TypeError(
@@ -171,13 +167,7 @@ def build_sweep_payloads(samples, fault, resistances, tech=None, dt=None,
                 path_kwargs=path_kwargs, **measure_spec)
     items = [{"sample": sample, "resistances": resistances}
              for sample in samples]
-    keys = None
-    if with_keys:
-        tag = engine_cache_tag(batch_size, adaptive, len(resistances))
-        keys = [stable_hash("sweep-row", tech, sample, fault, resistances,
-                            dt, path_kwargs, measure_spec, *tag)
-                for sample in samples]
-    return spec, items, keys
+    return spec, items
 
 
 def _sweep_batch_size(engine, batch_size):
@@ -206,18 +196,15 @@ def _sweep_rows(samples, fault, resistances, tech, dt, runtime, label,
     the fixed grid a chunk's samples x R points run as one population,
     on the adaptive grid each R point is one population of the chunk's
     samples.  A population of one runs the scalar Newton, a larger one
-    the lockstep engine, and the cache keys carry an engine tag so the
+    the lockstep engine, and a row's cache key names the engine so the
     two never serve each other's cached rows (they agree only to
     tolerance, not bit-exactly).
     """
-    runtime = Runtime() if runtime is None else runtime
-    spec, items, keys = build_sweep_payloads(
-        samples, fault, resistances, tech=tech, dt=dt,
-        batch_size=batch_size, adaptive=adaptive, path_kwargs=path_kwargs,
-        with_keys=runtime.cache is not None, **measure_spec)
-    return run_measurements(spec, items, keys=keys, runtime=runtime,
-                            report=report, batch_size=batch_size,
-                            label=label)
+    spec, items = build_sweep_payloads(
+        samples, fault, resistances, tech=tech, dt=dt, adaptive=adaptive,
+        path_kwargs=path_kwargs, **measure_spec)
+    return run_measurements(spec, items, runtime=runtime, report=report,
+                            batch_size=batch_size, label=label)
 
 
 def sweep_pulse_measurements(samples, fault_family, resistances,

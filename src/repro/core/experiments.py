@@ -43,7 +43,8 @@ class ExperimentConfig:
     population, in lockstep when it holds more than one instance, so
     only one-point rows (calibrations) of one sample run the scalar
     Newton; on the adaptive grid each R point is one population of the
-    task's samples.  ``adaptive``
+    task's samples.  The engine is decided per call, not per task, and
+    each cached row's key names it.  ``adaptive``
     switches the transients of the Figs. 2/3/5, 6-9 and 10 drivers to
     the LTE-controlled time grid (``REPRO_ADAPTIVE=1``); Fig. 11's
     electrical steps (defect calibration, ω_in refinement) stay on the

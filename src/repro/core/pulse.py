@@ -8,8 +8,8 @@ These are the two measurements everything in the paper reduces to:
   (reduced-clock delay-fault testing).
 
 Every calibration, sweep and transfer row measures its population
-through one chunk task, :func:`_measure_chunk`, dispatched by
-:func:`run_measurements`.
+through one chunk task, :func:`_measure_chunk`, dispatched and cached
+under one key recipe by :func:`run_measurements`.
 """
 
 import functools
@@ -19,9 +19,10 @@ import numpy as np
 
 from ..cells import build_path, default_technology
 from ..faults import inject
-from ..runtime import Runtime
+from ..runtime import Runtime, stable_hash
 from ..runtime.stats import rows_booked_to
 from ..spice import run_transient_batch
+from ..spice.transient import LOCKSTEP_NEWTON_CACHE_TOKEN, NEWTON_CACHE_TOKEN
 
 #: default transient step; stimulus edges are >= 50 ps so 2 ps resolves
 #: them with >25 points per edge
@@ -188,7 +189,29 @@ def _measure_paths(spec, paths):
     return [float(value) for value in values]
 
 
-def _measure_chunk(spec, items):
+def _grid(item):
+    """An item's grid points: its resistances (a sweep row), its input
+    widths (a transfer row) or one point of no grid (a calibration
+    row)."""
+    return item.get("resistances", item.get("widths", [None]))
+
+
+def _runs_lockstep(spec, items, batch_size):
+    """Whether the chunks of ``batch_size`` ``items`` run the lockstep
+    engine.
+
+    A chunk runs ``batch_size x n_points`` instances as one population
+    on the fixed grid, and ``batch_size`` instances per grid position
+    on the adaptive grid (see :func:`_measure_chunk`); a population of
+    more than one runs lockstep.  The answer is the call's, not the
+    chunk's: a lone row left over by the cache still runs the engine
+    its key names.
+    """
+    n_points = len(_grid(items[0]))
+    return (batch_size if spec["adaptive"] else batch_size * n_points) > 1
+
+
+def _measure_chunk(spec, items, lockstep=False):
     """Chunk task of every calibration, sweep and transfer row.
 
     ``spec`` holds what the whole call shares: ``measure`` (``"pulse"``
@@ -205,21 +228,20 @@ def _measure_chunk(spec, items):
     The chunk's instances run as one population on the fixed grid.  On
     the adaptive grid, where a population shares one union time grid,
     each grid position runs as its own population, one instance per
-    item.  Each population row's solver effort is booked to its item.
+    item.  With ``lockstep`` (see :func:`_runs_lockstep`) a population
+    of one instance runs as a lockstep population of two copies of it
+    and keeps the first row; a fixed-grid lockstep row does not depend
+    on its population.  Each population row's solver effort is booked
+    to its item.
     """
     sweep = "resistances" in items[0]
-    grids = [item.get("resistances" if sweep else "widths")
-             for item in items]
-    n_points = {len(grid) for grid in grids if grid is not None}
+    transfer = "widths" in items[0]
+    grids = [_grid(item) for item in items]
+    n_points = {len(grid) for grid in grids}
     if len(n_points) > 1:
         raise ValueError("items of one chunk need equally many R points "
                          "or widths, got {}".format(sorted(n_points)))
     fault = spec["fault"]
-    if grids[0] is None:
-        return _measure_paths(spec, [
-            build_instance(sample=item["sample"], tech=spec["tech"],
-                           fault=fault, **spec["path_kwargs"])
-            for item in items])
     n = len(grids[0])
     # instance k is grid point k % n of item k // n
     points = [point for grid in grids for point in grid]
@@ -233,29 +255,46 @@ def _measure_chunk(spec, items):
                    if spec["adaptive"] else [range(len(paths))])
     values = [None] * len(paths)
     for population in populations:
-        population_spec = spec if sweep else dict(
-            spec, omega_in=[points[k] for k in population])
-        with rows_booked_to([k // n for k in population]):
+        rows = list(population)
+        if lockstep and len(rows) == 1:
+            rows *= 2
+        population_spec = (dict(spec, omega_in=[points[k] for k in rows])
+                           if transfer else spec)
+        with rows_booked_to([k // n for k in rows]):
             measured = _measure_paths(population_spec,
-                                      [paths[k] for k in population])
+                                      [paths[k] for k in rows])
         for k, value in zip(population, measured):
             values[k] = value
+    if not (sweep or transfer):
+        return values
     return [values[i * n:(i + 1) * n] for i in range(len(items))]
 
 
-def run_measurements(spec, items, keys=None, runtime=None, report=None,
-                     batch_size=1, label="measure"):
+def run_measurements(spec, items, runtime=None, report=None, batch_size=1,
+                     label="measure"):
     """Values of ``items`` measured under ``spec``, in item order.
 
     Dispatches :func:`_measure_chunk` through
     :meth:`~repro.runtime.Runtime.run_batched`, ``batch_size`` items per
-    executor task; ``keys`` (one per item, or None) enable the result
-    cache.  Raises the first failed chunk's error.
+    executor task.  With a result cache, each item is cached under
+    ``stable_hash("measurement-row", spec, item, newton)``: ``spec`` and
+    the item are everything the chunk task reads, and ``newton`` is
+    the Newton token of the engine the call's chunks run
+    (:func:`_runs_lockstep`), which the chunk task is told too.
+    ``label`` is telemetry only.  Raises the first failed chunk's
+    error.
     """
     runtime = Runtime() if runtime is None else runtime
-    run = runtime.run_batched(functools.partial(_measure_chunk, spec),
-                              items, keys=keys, batch_size=batch_size,
-                              label=label, report=report)
+    lockstep = bool(items) and _runs_lockstep(spec, items, batch_size)
+    keys = None
+    if runtime.cache is not None:
+        newton = (LOCKSTEP_NEWTON_CACHE_TOKEN if lockstep
+                  else NEWTON_CACHE_TOKEN)
+        keys = [stable_hash("measurement-row", spec, item, newton)
+                for item in items]
+    run = runtime.run_batched(
+        functools.partial(_measure_chunk, spec, lockstep=lockstep), items,
+        keys=keys, batch_size=batch_size, label=label, report=report)
     if run.errors:
         raise run.errors[min(run.errors)]
     return run.values

@@ -24,7 +24,6 @@ import math
 import numpy as np
 
 from ..cells import default_technology
-from ..runtime import Runtime, engine_cache_tag, stable_hash
 from .pulse import (DEFAULT_DT, measure_output_pulse,
                     measure_output_pulse_batch, run_measurements)
 from .search import BracketSearch, bisect_populations
@@ -123,27 +122,17 @@ def measure_transfer_rows(samples, widths, kind="h", dt=None, fault=None,
     injected as given, at every width in ``widths``.
 
     Runs :func:`~repro.core.pulse.run_measurements` with ``batch_size``
-    samples per task; on the fixed grid a task's samples x widths run
-    as one lockstep population.  A row's cache key covers every input
-    that changes it: tech, sample, fault, widths, kind, dt, path kwargs
-    and :func:`~repro.runtime.engine_cache_tag` of that population.
+    samples per task (which keys each row); on the fixed grid a task's
+    samples x widths run as one lockstep population.
     """
-    runtime = Runtime() if runtime is None else runtime
     tech = default_technology() if tech is None else tech
     path_kwargs = {} if path_kwargs is None else dict(path_kwargs)
     widths = [float(w) for w in widths]
     spec = dict(measure="pulse", kind=kind, dt=dt, adaptive=adaptive,
                 tech=tech, path_kwargs=path_kwargs, fault=fault)
-    keys = None
-    if runtime.cache is not None:
-        tag = engine_cache_tag(batch_size, adaptive, len(widths))
-        keys = [stable_hash("transfer-row", tech, sample, fault, widths,
-                            kind, dt, path_kwargs, *tag)
-                for sample in samples]
     return run_measurements(
         spec, [{"sample": sample, "widths": widths} for sample in samples],
-        keys=keys, runtime=runtime, report=report, batch_size=batch_size,
-        label=label)
+        runtime=runtime, report=report, batch_size=batch_size, label=label)
 
 
 def width_search(lo=0.05e-9, hi=1.0e-9, tol=5e-12, group=None):

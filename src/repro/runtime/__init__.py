@@ -14,7 +14,7 @@ from .executors import (FAILED, PoisonTask, ProcessPoolExecutor,
                         default_n_jobs)
 from .hashing import canonical_token, stable_hash
 from .runner import (DEFAULT_BATCH_SIZE, DEFAULT_CACHE_DIR, CampaignRun,
-                     Runtime, check_batch_size, engine_cache_tag)
+                     Runtime, check_batch_size)
 from .schema import (SCHEMA_VERSION, SchemaVersionError,
                      check_schema_version)
 from .stats import (SolverStats, current_stats, record, root_stats,
@@ -24,7 +24,7 @@ from .trace import TraceWriter, read_trace
 
 __all__ = [
     "Runtime", "CampaignRun", "RunReport", "DEFAULT_CACHE_DIR",
-    "DEFAULT_BATCH_SIZE", "check_batch_size", "engine_cache_tag",
+    "DEFAULT_BATCH_SIZE", "check_batch_size",
     "SerialExecutor", "ProcessPoolExecutor", "TaskOutcome", "FAILED",
     "WorkerError", "TaskTimeout", "WorkerCrash", "PoisonTask",
     "default_n_jobs", "backoff_schedule",

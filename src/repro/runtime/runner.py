@@ -44,38 +44,6 @@ def check_batch_size(batch_size):
     return int(batch_size)
 
 
-def engine_cache_tag(batch_size=1, adaptive=False, n_points=1):
-    """Cache-key tag tuple for the simulation-engine configuration.
-
-    Results from different engines or time-grid disciplines agree only
-    to tolerance, never bit-exactly, so their cached rows must not
-    alias.  The engine follows the population an item is measured in:
-    a chunk of ``batch_size`` items of ``n_points`` grid points each
-    runs as one population of ``batch_size * n_points`` instances on
-    the fixed grid, and as one population of ``batch_size`` per grid
-    point on the adaptive grid (see
-    :func:`repro.core.pulse._measure_chunk`).  A population of one runs
-    the scalar Newton and contributes no engine token; a larger one
-    runs the lockstep engine and adds ``engine=batched``.  The adaptive
-    grid adds ``grid=adaptive``.  Each engine's Newton policy is
-    decided in :mod:`repro.spice` alone, and every tag ends with that
-    engine's token.
-    """
-    # imported here: repro.spice imports repro.runtime.stats at load time
-    from ..spice.transient import (LOCKSTEP_NEWTON_CACHE_TOKEN,
-                                   NEWTON_CACHE_TOKEN)
-
-    lockstep = (batch_size if adaptive else batch_size * n_points) > 1
-    tag = []
-    if lockstep:
-        tag.append("engine=batched")
-    if adaptive:
-        tag.append("grid=adaptive")
-    tag.append(LOCKSTEP_NEWTON_CACHE_TOKEN if lockstep
-               else NEWTON_CACHE_TOKEN)
-    return tuple(tag)
-
-
 def _map_payloads(fn, payloads):
     """Chunk task of :meth:`Runtime.run`: ``fn`` over each payload."""
     return [fn(payload) for payload in payloads]

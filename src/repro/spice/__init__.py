@@ -10,7 +10,6 @@ metrics are built from.
 
 from .batch import BatchCompiledCircuit
 from .dcop import operating_point
-from .dcsweep import SweepResult, dc_sweep
 from .elements import (Capacitor, CurrentSource, Resistor, VoltageSource)
 from .errors import (AnalysisError, ConvergenceError, MeasurementError,
                      NetlistError, SpiceError)
@@ -29,7 +28,6 @@ __all__ = [
     "operating_point", "run_transient", "run_transient_batch",
     "BatchCompiledCircuit",
     "BACKWARD_EULER", "TRAPEZOIDAL", "DEFAULT_LTE_TOL",
-    "dc_sweep", "SweepResult",
     "Waveform",
     "SpiceError", "NetlistError", "ConvergenceError", "AnalysisError",
     "MeasurementError",

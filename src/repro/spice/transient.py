@@ -49,9 +49,9 @@ TRAPEZOIDAL = "trap"
 SOLVER_EXACT = "exact"
 SOLVER_REUSE = "reuse"
 
-#: cache-key tokens naming the Newton policy of each engine; keys
-#: computed above ``repro.spice`` carry one of them (see
-#: ``repro.runtime.engine_cache_tag``)
+#: cache-key tokens naming the Newton policy of each engine; every
+#: measurement row's key carries one of them (see
+#: ``repro.core.pulse.run_measurements``)
 NEWTON_CACHE_TOKEN = "solver=" + SOLVER_REUSE
 LOCKSTEP_NEWTON_CACHE_TOKEN = "solver=" + SOLVER_EXACT
 

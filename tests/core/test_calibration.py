@@ -126,3 +126,46 @@ class TestDelayCalibration:
                                             tech=tech_module, dt=DT)
         for d, s in zip(delays, small_population_module):
             assert not test.detects(d, sample=s, t_factor=0.9)
+
+
+class TestLoneChunkRow:
+    """At ``batch_size > 1`` a chunk left with one calibration row (the
+    population's remainder, or the one row a cache lost) runs the
+    lockstep engine its key names, so a row's value does not depend on
+    which of its chunk mates missed the cache."""
+
+    DT = 2e-11
+
+    def test_remainder_row_runs_lockstep(self):
+        from repro.montecarlo import sample_population
+        from repro.runtime import RunReport
+
+        samples = sample_population(3, base_seed=1)
+        report = RunReport()
+        _, delays = calibrate_delay_test(samples, dt=self.DT, batch_size=2,
+                                         report=report)
+        _, full = calibrate_delay_test([samples[2], samples[0]],
+                                       dt=self.DT, batch_size=2)
+        # the scalar reuse Newton is the only engine that reuses an LU
+        assert report.lu_reuses == 0
+        assert delays[2] == full[0]
+
+    def test_lost_row_recomputes_to_the_cold_value(self, tmp_path):
+        import os
+
+        from repro.montecarlo import sample_population
+        from repro.runtime import Runtime, RunReport, read_trace
+
+        samples = sample_population(4, base_seed=1)
+        trace = str(tmp_path / "trace.jsonl")
+        runtime = Runtime(cache=str(tmp_path / "cache"), trace=trace)
+        _, cold = calibrate_delay_test(samples, dt=self.DT, batch_size=2,
+                                       runtime=runtime)
+        (key,) = [event["key"] for event in read_trace(trace)
+                  if event["event"] == "task" and event["index"] == 3]
+        os.remove(runtime.cache._path(key))
+        report = RunReport()
+        _, warm = calibrate_delay_test(samples, dt=self.DT, batch_size=2,
+                                       runtime=runtime, report=report)
+        assert (report.cache_hits, report.cache_misses) == (3, 1)
+        assert warm == cold

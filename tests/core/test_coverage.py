@@ -270,11 +270,9 @@ class TestChunkSignature:
         from repro.montecarlo import sample_population
 
         samples = sample_population(1, base_seed=3)
-        spec, items, _ = build_sweep_payloads(
+        return build_sweep_payloads(
             samples, ExternalOpen(2, 8e3), [8e3], dt=8e-12,
-            batch_size=2, with_keys=False, measure="pulse",
-            omega_in=0.40e-9, kind="h")
-        return spec, items
+            measure="pulse", omega_in=0.40e-9, kind="h")
 
     def test_chunk_mixing_r_points_matches_per_point_chunks(self):
         """Each sample steps through its own resistance grid, so one

@@ -187,11 +187,10 @@ class TestStackedChunk:
         from repro.core.coverage import build_sweep_payloads
         from repro.montecarlo import sample_population
 
-        spec, items, _ = build_sweep_payloads(
+        return build_sweep_payloads(
             sample_population(2, base_seed=3), ExternalOpen(2, 8e3),
             self.R, dt=self.DT, adaptive=adaptive, path_kwargs=self.PATH,
-            with_keys=False, measure="pulse", omega_in=self.W_IN, kind="h")
-        return spec, items
+            measure="pulse", omega_in=self.W_IN, kind="h")
 
     def _instances(self, items):
         return [build_instance(sample=item["sample"],

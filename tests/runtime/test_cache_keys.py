@@ -1,11 +1,12 @@
 """Cache-key sensitivity: any input that can change a measurement must
 change its content-addressed key; anything that cannot, must not.
 
-The keys under test are the ones ``repro.core.coverage
-.build_sweep_payloads`` gives per-sample sweep rows and
-``repro.core.transfer.measure_transfer_rows`` gives transfer rows, plus
-the default-configuration keys of every keyed producer, pinned as
-literals.
+Every calibration, sweep and transfer row is keyed by one recipe,
+``repro.core.pulse.run_measurements``'s.  The keys under test are taken
+where the runtime receives them (a recording ``Runtime.run_batched``,
+or ``ResultCache.contains`` after a real run), so they are the keys the
+producers really use; the default-configuration key of every keyed
+producer is pinned as a literal.
 """
 
 import subprocess
@@ -14,80 +15,103 @@ import sys
 import pytest
 
 from repro.cells import default_technology
-from repro.core.coverage import build_sweep_payloads
+from repro.core import (calibrate_delay_test, calibrate_pulse_test,
+                        sweep_pulse_measurements)
 from repro.core.transfer import measure_transfer_rows
 from repro.faults import BridgingFault, ExternalOpen
 from repro.montecarlo import VariationModel
-from repro.runtime import ResultCache, engine_cache_tag
+from repro.runtime import CampaignRun, ResultCache, Runtime
+
+#: what the recording runtime answers for every measured point
+FAKE_VALUE = 1e-9
 
 
-def _row_key(tech=None, sample_seed=3, fault=None, resistances=(4e3,),
-             dt=3e-12, path_kwargs=None, omega_in=0.40e-9, **dispatch):
-    """The sweep-row key of one sample, as a sweep computes it."""
-    fault = ExternalOpen(2, 8e3) if fault is None else fault
-    _, _, keys = build_sweep_payloads(
-        [VariationModel(sample_seed)], fault, resistances, tech=tech,
-        dt=dt, path_kwargs=path_kwargs, measure="pulse",
-        omega_in=float(omega_in), kind="h", **dispatch)
-    return keys[0]
+class RecordingRuntime(Runtime):
+    """A cached runtime whose ``run_batched`` records the keys it is
+    handed, per label, and measures nothing: every point reads
+    :data:`FAKE_VALUE`."""
+
+    def __init__(self, tmp_path):
+        super().__init__(cache=str(tmp_path / "cache"))
+        self.keys = {}
+
+    def run_batched(self, fn, payloads, keys=None, label="campaign", **_):
+        self.keys.setdefault(label, []).extend(keys)
+        grids = [p.get("resistances", p.get("widths")) for p in payloads]
+        return CampaignRun([FAKE_VALUE if grid is None
+                            else [FAKE_VALUE] * len(grid)
+                            for grid in grids], {}, None)
 
 
-BASE = _row_key()
+def _row_key(tmp_path, tech=None, sample_seed=3, fault=None,
+             resistances=(4e3,), dt=3e-12, path_kwargs=None,
+             omega_in=0.40e-9, **dispatch):
+    """The sweep-row key of one sample, as a sweep hands it to the
+    runtime."""
+    runtime = RecordingRuntime(tmp_path)
+    sweep_pulse_measurements(
+        [VariationModel(sample_seed)],
+        ExternalOpen(2, 8e3) if fault is None else fault, resistances,
+        float(omega_in), kind="h", tech=tech, dt=dt, runtime=runtime,
+        **dispatch, **(path_kwargs or {}))
+    (key,) = runtime.keys["pulse-sweep"]
+    return key
+
+
+@pytest.fixture
+def row_key(tmp_path):
+    return lambda **changes: _row_key(tmp_path, **changes)
+
+
+@pytest.fixture
+def base(row_key):
+    return row_key()
 
 
 class TestKeySensitivity:
-    def test_baseline_is_reproducible(self):
-        assert _row_key() == BASE
+    def test_baseline_is_reproducible(self, row_key, base):
+        assert row_key() == base
 
-    def test_tech_sigma_changes_key(self):
+    def test_tech_sigma_changes_key(self, row_key, base):
         # die-to-die perturbed technology (what a different global
         # sigma produces) must not collide with nominal
         tech = default_technology().copy(kpn=120e-6 * 1.02)
-        assert _row_key(tech=tech) != BASE
+        assert row_key(tech=tech) != base
 
-    def test_supply_changes_key(self):
-        assert _row_key(tech=default_technology().copy(vdd=2.4)) != BASE
+    def test_supply_changes_key(self, row_key, base):
+        assert row_key(tech=default_technology().copy(vdd=2.4)) != base
 
-    def test_sample_seed_changes_key(self):
-        assert _row_key(sample_seed=4) != BASE
+    def test_sample_seed_changes_key(self, row_key, base):
+        assert row_key(sample_seed=4) != base
 
-    def test_fault_resistance_grid_changes_key(self):
-        assert _row_key(resistances=(4e3, 8e3)) != BASE
-        assert _row_key(resistances=(5e3,)) != BASE
+    def test_fault_resistance_grid_changes_key(self, row_key, base):
+        assert row_key(resistances=(4e3, 8e3)) != base
+        assert row_key(resistances=(5e3,)) != base
 
-    def test_fault_spec_changes_key(self):
-        assert _row_key(fault=ExternalOpen(3, 8e3)) != BASE
-        assert _row_key(fault=BridgingFault(2, 8e3)) != BASE
+    def test_fault_spec_changes_key(self, row_key, base):
+        assert row_key(fault=ExternalOpen(3, 8e3)) != base
+        assert row_key(fault=BridgingFault(2, 8e3)) != base
 
-    def test_pulse_width_changes_key(self):
-        assert _row_key(omega_in=0.45e-9) != BASE
+    def test_pulse_width_changes_key(self, row_key, base):
+        assert row_key(omega_in=0.45e-9) != base
 
-    def test_dt_changes_key(self):
-        assert _row_key(dt=5e-12) != BASE
+    def test_dt_changes_key(self, row_key, base):
+        assert row_key(dt=5e-12) != base
 
-    def test_path_structure_changes_key(self):
-        assert _row_key(path_kwargs={"fanout_loads": 3}) != BASE
+    def test_path_structure_changes_key(self, row_key, base):
+        assert row_key(path_kwargs={"fanout_loads": 3}) != base
 
 
-def _transfer_key(monkeypatch, tmp_path, **changes):
-    """The transfer-row key of one sample, as
-    ``measure_transfer_rows`` computes it (the measurement is stubbed)."""
-    from repro.core import transfer
-    from repro.runtime import Runtime
-
-    seen = []
-
-    def fake_run(spec, items, keys=None, **_):
-        seen.extend(keys)
-        return [[0.0] * len(item["widths"]) for item in items]
-
-    monkeypatch.setattr(transfer, "run_measurements", fake_run)
+def _transfer_key(tmp_path, **changes):
+    """The transfer-row key of one sample, as ``measure_transfer_rows``
+    hands it to the runtime."""
+    runtime = RecordingRuntime(tmp_path)
     settings = dict(samples=[VariationModel(3)], widths=[0.30e-9, 0.50e-9],
                     dt=3e-12)
     settings.update(changes)
-    measure_transfer_rows(runtime=Runtime(cache=str(tmp_path / "cache")),
-                          **settings)
-    return seen[0]
+    measure_transfer_rows(runtime=runtime, **settings)
+    (keys,) = runtime.keys.values()
+    return keys[0]
 
 
 class TestTransferRowKeySensitivity:
@@ -104,74 +128,140 @@ class TestTransferRowKeySensitivity:
         dict(batch_size=2, widths=[0.30e-9]),
         dict(adaptive=True),
     ], ids=lambda changes: next(iter(changes)))
-    def test_input_changes_key(self, monkeypatch, tmp_path, changes):
+    def test_input_changes_key(self, tmp_path, changes):
         """Each case against the same row without its first setting."""
         name = next(iter(changes))
         base = {k: v for k, v in changes.items() if k != name}
-        assert (_transfer_key(monkeypatch, tmp_path, **changes)
-                != _transfer_key(monkeypatch, tmp_path, **base))
+        assert (_transfer_key(tmp_path, **changes)
+                != _transfer_key(tmp_path, **base))
 
-    def test_label_does_not_change_key(self, monkeypatch, tmp_path):
+    def test_label_does_not_change_key(self, tmp_path):
         """The nominal curve and the scatter share rows they both ask
         for; the label is telemetry only."""
-        assert (_transfer_key(monkeypatch, tmp_path, label="a")
-                == _transfer_key(monkeypatch, tmp_path, label="b"))
+        assert (_transfer_key(tmp_path, label="a")
+                == _transfer_key(tmp_path, label="b"))
+
+
+def _calibration_key(tmp_path, measure, **changes):
+    """The pulse- or delay-calibration key of one sample, as the
+    calibration hands it to the runtime."""
+    runtime = RecordingRuntime(tmp_path)
+    settings = dict(samples=[VariationModel(3)], dt=3e-12)
+    settings.update(changes)
+    if measure == "pulse":
+        settings.setdefault("omega_in", 0.40e-9)
+        calibrate_pulse_test(w_in_grid=[0.30e-9, 0.50e-9], runtime=runtime,
+                             **settings)
+    else:
+        calibrate_delay_test(runtime=runtime, **settings)
+    (key,) = runtime.keys[measure + "-calibration"]
+    return key
+
+
+_CALIBRATION_CASES = [
+    dict(tech=default_technology().copy(vdd=2.4)),
+    dict(samples=[VariationModel(4)]),
+    dict(fault=ExternalOpen(2, 8e3)),
+    dict(dt=5e-12),
+    dict(fanout_loads=3),
+    # a calibration row is one point, so a second item per chunk moves
+    # it to the lockstep engine
+    dict(batch_size=2),
+    dict(adaptive=True),
+]
+
+
+class TestCalibrationRowKeySensitivity:
+    @pytest.mark.parametrize("changes", _CALIBRATION_CASES + [
+        dict(omega_in=0.45e-9), dict(kind="l")],
+        ids=lambda changes: next(iter(changes)))
+    def test_pulse_input_changes_key(self, tmp_path, changes):
+        name = next(iter(changes))
+        base = {k: v for k, v in changes.items() if k != name}
+        assert (_calibration_key(tmp_path, "pulse", **changes)
+                != _calibration_key(tmp_path, "pulse", **base))
+
+    @pytest.mark.parametrize("changes", _CALIBRATION_CASES + [
+        dict(direction="fall")], ids=lambda changes: next(iter(changes)))
+    def test_delay_input_changes_key(self, tmp_path, changes):
+        name = next(iter(changes))
+        base = {k: v for k, v in changes.items() if k != name}
+        assert (_calibration_key(tmp_path, "delay", **changes)
+                != _calibration_key(tmp_path, "delay", **base))
+
+    def test_measurement_kind_changes_key(self, tmp_path):
+        """The two calibrations of one sample never share a row."""
+        assert (_calibration_key(tmp_path, "pulse")
+                != _calibration_key(tmp_path, "delay"))
 
 
 class TestEngineTag:
-    """The engine token follows the population an item is measured in:
-    a chunk's items times their grid points on the fixed grid, its items
-    alone on the adaptive grid."""
+    """A row's key ends with the Newton token of the engine its chunk
+    runs: lockstep when a chunk's items times their grid points (fixed
+    grid), or its items alone (adaptive grid), number more than one."""
 
-    def test_population_of_one_is_scalar(self):
-        assert engine_cache_tag() == ("solver=reuse",)
-        assert engine_cache_tag(adaptive=True, n_points=3) == (
-            "grid=adaptive", "solver=reuse")
+    def test_population_of_one_is_scalar(self, row_key, base):
+        """A one-point row of one sample runs the scalar engine; two
+        samples per chunk move it to the lockstep one."""
+        assert row_key(batch_size=2) != base
 
-    def test_stacked_grid_points_are_lockstep(self):
-        assert engine_cache_tag(n_points=2) == ("engine=batched",
-                                                "solver=exact")
-        assert engine_cache_tag(n_points=2) == engine_cache_tag(
-            batch_size=8, n_points=3)
-
-    def test_sweep_row_key_follows_the_population(self):
+    def test_stacked_grid_points_are_lockstep(self, row_key):
         """A two-point fixed-grid row runs lockstep at either batch
-        size; on the adaptive grid the batch size alone decides."""
-        assert _row_key(resistances=(4e3, 8e3)) == _row_key(
+        size."""
+        assert row_key(resistances=(4e3, 8e3)) == row_key(
             resistances=(4e3, 8e3), batch_size=2)
-        assert _row_key(resistances=(4e3, 8e3), adaptive=True) != _row_key(
+
+    def test_sweep_row_key_follows_the_population(self, row_key):
+        """On the adaptive grid each R point is its own population, so
+        the batch size alone decides."""
+        assert row_key(resistances=(4e3, 8e3), adaptive=True) != row_key(
             resistances=(4e3, 8e3), adaptive=True, batch_size=2)
 
 
+#: the default-configuration keys of every row kind
+SWEEP_ROW_KEY = "98e76dd64d4131403b92ecbaad723b7b"
+PULSE_CALIBRATION_KEY = "002cd5e2f18fd5d0fa0a6febf289f1aa"
+DELAY_CALIBRATION_KEY = "39aa520b174692b3fa5352326774c30f"
+NOMINAL_CURVE_KEY = "01e155093dd92f185a9fcebb1d1c3b46"
+
+
 class TestPinnedDefaultKeys:
-    """Default-configuration keys as they were computed while the Newton
-    solver was still a campaign setting, except the batched row, whose
-    key changed when lockstep populations moved to exact Newton, and
-    the nominal transfer curve and Fig. 10 scatter rows, whose keys
-    changed when they became transfer rows and again when a row's
-    widths began to run as one lockstep population, and the defect
-    table (see its test).  A changed literal here means every warm
-    cache of that configuration goes cold."""
+    """Default-configuration keys, one per row kind.  Every measurement
+    row's key is ``stable_hash("measurement-row", spec, item, newton)``
+    since the four hand-written recipes (``sweep-row``,
+    ``pulse-calibration``, ``delay-calibration``, ``transfer-row``) and
+    the separate ``engine=batched`` and ``grid=adaptive`` tokens became
+    that one recipe, so each of these literals moved once:
+
+    * scalar sweep row ``ad7acac4…`` → ``98e76dd6…``
+    * lockstep sweep row ``774b9be0…`` → ``36d1aead…``
+    * adaptive sweep row ``cb270df0…`` → ``88dd55d3…``
+    * pulse calibration ``40b2f3ee…`` → ``002cd5e2…``
+    * delay calibration ``4a16e8ec…`` → ``39aa520b…``
+    * nominal transfer curve ``d6ca7ddb…`` → ``01e15509…``
+    * Fig. 10 scatter row ``b0e0eee3…`` → ``723c33c8…``
+
+    The defect table is no measurement row, and its key did not move
+    (see its test).  A changed literal here means every warm cache of
+    that configuration goes cold."""
 
     GRID = [0.30e-9, 0.50e-9]
     PATH = dict(gate_kinds=("inv",) * 3)
 
-    def test_sweep_row_scalar_fixed_grid(self):
-        assert BASE == "ad7acac4686c4666dd7a5f7f25693be8"
+    def test_sweep_row_scalar_fixed_grid(self, base):
+        assert base == SWEEP_ROW_KEY
 
-    def test_sweep_row_batched_engine(self):
-        assert (_row_key(batch_size=32)
-                == "774b9be0e14915283cc2c4bc8a22dbff")
+    def test_sweep_row_batched_engine(self, row_key):
+        assert (row_key(batch_size=32)
+                == "36d1aead0b769625c93ab1a470b279e8")
 
-    def test_sweep_row_adaptive_grid(self):
-        assert (_row_key(adaptive=True)
-                == "cb270df0ff963a6fb38f6953630e0a83")
+    def test_sweep_row_adaptive_grid(self, row_key):
+        assert (row_key(adaptive=True)
+                == "88dd55d3c53da4dce18e3feca138ba10")
 
     @pytest.fixture(scope="class")
     def calibration_cache(self, tmp_path_factory):
-        from repro.core import calibrate_delay_test, calibrate_pulse_test
         from repro.montecarlo import sample_population
-        from repro.runtime import Runtime
 
         runtime = Runtime(cache=str(tmp_path_factory.mktemp("cache")))
         calibrate_pulse_test(sample_population(1, base_seed=11), dt=4e-12,
@@ -184,27 +274,23 @@ class TestPinnedDefaultKeys:
         return runtime.cache
 
     def test_pulse_calibration_row(self, calibration_cache):
-        assert calibration_cache.contains(
-            "40b2f3ee85e88753888709313021dcae")
+        assert calibration_cache.contains(PULSE_CALIBRATION_KEY)
 
     def test_delay_calibration_row(self, calibration_cache):
-        assert calibration_cache.contains(
-            "4a16e8ecc438a507ccc9db93c5e94b88")
+        assert calibration_cache.contains(DELAY_CALIBRATION_KEY)
 
     def test_nominal_transfer_curve(self, calibration_cache):
-        assert calibration_cache.contains(
-            "d6ca7ddb87b9dcd6115583ac36f7e846")
+        assert calibration_cache.contains(NOMINAL_CURVE_KEY)
 
     def test_transfer_scatter_row(self, calibration_cache):
         assert calibration_cache.contains(
-            "b0e0eee3300b565313095e084b459bd4")
+            "723c33c831ebc41b9b4b53bcdc8832c6")
 
     def test_defect_calibration_table(self, tmp_path):
         """The electrical defect table's key carries its recipe token,
         which moved it once, when its delays and width searches began
         to run as lockstep populations."""
         from repro.logic import DefectCalibration
-        from repro.runtime import Runtime
 
         runtime = Runtime(cache=str(tmp_path / "cache"))
         DefectCalibration.from_electrical("external", [4e3], dt=2e-11,
@@ -221,18 +307,14 @@ class TestWarmCache:
 
     @pytest.fixture
     def runtime(self, tmp_path):
-        from repro.runtime import Runtime
-
         runtime = Runtime(cache=str(tmp_path / "cache"))
-        runtime.cache.put("d6ca7ddb87b9dcd6115583ac36f7e846",
-                          [0.21e-9, 0.43e-9])
-        runtime.cache.put("40b2f3ee85e88753888709313021dcae", 0.37e-9)
-        runtime.cache.put("4a16e8ecc438a507ccc9db93c5e94b88", 0.31e-9)
-        runtime.cache.put(BASE, [0.29e-9])
+        runtime.cache.put(NOMINAL_CURVE_KEY, [0.21e-9, 0.43e-9])
+        runtime.cache.put(PULSE_CALIBRATION_KEY, 0.37e-9)
+        runtime.cache.put(DELAY_CALIBRATION_KEY, 0.31e-9)
+        runtime.cache.put(SWEEP_ROW_KEY, [0.29e-9])
         return runtime
 
     def test_calibrations_read_back(self, runtime):
-        from repro.core import calibrate_delay_test, calibrate_pulse_test
         from repro.montecarlo import sample_population
         from repro.runtime import RunReport
 
@@ -250,7 +332,6 @@ class TestWarmCache:
         assert (report.cache_hits, report.cache_misses) == (3, 0)
 
     def test_sweep_row_reads_back(self, runtime):
-        from repro.core import sweep_pulse_measurements
         from repro.runtime import RunReport
 
         report = RunReport()
@@ -263,26 +344,28 @@ class TestWarmCache:
 
 class TestRestartHit:
     def test_unchanged_config_hits_after_process_restart(self, tmp_path):
-        """Store a row under the config key, recompute the key in a
-        fresh interpreter, and read the entry back: same config after a
-        restart must be a cache hit."""
+        """Store a row under the config key and rerun the sweep in a
+        fresh interpreter: same config after a restart must read the
+        entry back as a cache hit, without measuring."""
         cache = ResultCache(str(tmp_path / "cache"))
-        cache.put(BASE, [1.0, 2.0])
+        cache.put(SWEEP_ROW_KEY, [1.0])
         import os
         import repro
         src = os.path.dirname(os.path.dirname(repro.__file__))
         script = (
             "import sys; sys.path.insert(0, {src!r})\n"
-            "from repro.core.coverage import build_sweep_payloads\n"
+            "from repro.core import sweep_pulse_measurements\n"
             "from repro.faults import ExternalOpen\n"
             "from repro.montecarlo import VariationModel\n"
-            "from repro.runtime import ResultCache\n"
-            "_, _, keys = build_sweep_payloads(\n"
+            "from repro.runtime import RunReport, Runtime\n"
+            "report = RunReport()\n"
+            "rows = sweep_pulse_measurements(\n"
             "    [VariationModel(3)], ExternalOpen(2, 8e3), [4000.0],\n"
-            "    dt=3e-12, measure='pulse', omega_in=0.4e-9, kind='h')\n"
-            "print(ResultCache({root!r}).get(keys[0]))\n"
+            "    0.4e-9, dt=3e-12, runtime=Runtime(cache={root!r}),\n"
+            "    report=report)\n"
+            "print(rows, report.cache_hits, report.cache_misses)\n"
         ).format(src=src, root=str(tmp_path / "cache"))
         out = subprocess.run(
             [sys.executable, "-c", script], capture_output=True,
             text=True, check=True)
-        assert out.stdout.strip() == "[1.0, 2.0]"
+        assert out.stdout.strip() == "[[1.0]] 1 0"
