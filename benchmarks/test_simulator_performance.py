@@ -148,7 +148,8 @@ def test_perf_campaign_runtime(tmp_path):
     MNA solve per Newton iteration): the ``serial`` leg (one sample per
     task) as populations of 3, the ``batched`` leg as populations of
     ``REPRO_BENCH_BATCH`` x 3.  The ``adaptive`` leg runs one sample per
-    task and one transient per R point on the scalar Newton.  Knobs:
+    task, its 3 R points as one lockstep population in which every row
+    steps on its own time grid, so its step counts stay per row.  Knobs:
     ``REPRO_BENCH_SAMPLES``, ``REPRO_BENCH_JOBS``, ``REPRO_BENCH_BATCH``.
     """
     from repro.core.coverage import sweep_pulse_measurements

@@ -231,9 +231,6 @@ def _cmd_campaign(args):
     if result.report is not None:
         print()
         print(result.report.format_report())
-        if args.resume and result.report.cache_hits:
-            print("resumed: {} of {} sites came from the cache".format(
-                result.report.cache_hits, result.report.n_tasks))
         if args.report_json:
             result.report.to_json(args.report_json)
             print("report written to {}".format(args.report_json))
@@ -304,10 +301,10 @@ def build_parser():
     p.add_argument("--cache-dir", default=None,
                    help="enable the on-disk result cache at this path")
     p.add_argument("--batch-size", type=_batch_size, default=None,
-                   help="samples per task (default 1); on the fixed "
-                        "grid a task's samples x R points run as one "
-                        "lockstep population, and cached rows are "
-                        "keyed by the engine they ran")
+                   help="samples per task (default 1); a task's "
+                        "samples x R points run as one lockstep "
+                        "population, and cached rows are keyed by the "
+                        "engine they ran")
     p.add_argument("--adaptive", action="store_true",
                    help="LTE-controlled adaptive time grid "
                         "(default: REPRO_ADAPTIVE or fixed-step)")
@@ -371,9 +368,6 @@ def build_parser():
                    help="result cache / checkpoint location")
     p.add_argument("--no-cache", action="store_true",
                    help="disable result caching and checkpointing")
-    p.add_argument("--resume", action="store_true",
-                   help="report how much of the campaign was resumed "
-                        "from a previous (possibly interrupted) run")
     p.add_argument("--task-timeout", type=float, default=None,
                    help="per-site wall-clock budget in seconds")
     p.add_argument("--report-json", default=None,

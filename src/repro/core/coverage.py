@@ -1,8 +1,8 @@
 """Coverage-vs-resistance experiments (Figs. 6-9).
 
-Each (Monte Carlo instance, R point) pair is one faulty instance; on the
-fixed grid a sweep task measures all of its pairs in one lockstep
-transient.  Coverage is then evaluated for every tested setting of the test
+Each (Monte Carlo instance, R point) pair is one faulty instance; a
+sweep task measures all of its pairs in one lockstep transient.
+Coverage is then evaluated for every tested setting of the test
 parameter (clock-period factor T'/T* or sensing-threshold factor
 ω_th'/ω_th*) from the same measurements — the measurement is independent
 of the decision threshold.
@@ -192,13 +192,12 @@ def _sweep_rows(samples, fault, resistances, tech, dt, runtime, label,
     """Dispatch the per-sample measurement rows through the runtime.
 
     Samples are grouped into chunks of ``batch_size``; each chunk is
-    one executor task, so batching composes with the process pool.  On
-    the fixed grid a chunk's samples x R points run as one population,
-    on the adaptive grid each R point is one population of the chunk's
-    samples.  A population of one runs the scalar Newton, a larger one
-    the lockstep engine, and a row's cache key names the engine so the
-    two never serve each other's cached rows (they agree only to
-    tolerance, not bit-exactly).
+    one executor task, so batching composes with the process pool.  A
+    chunk's samples x R points run as one population on either grid: a
+    population of one runs the scalar Newton, a larger one the lockstep
+    engine, and a row's cache key names the engine so the two never
+    serve each other's cached rows (they agree only to tolerance, not
+    bit-exactly).
     """
     spec, items = build_sweep_payloads(
         samples, fault, resistances, tech=tech, dt=dt, adaptive=adaptive,
@@ -215,8 +214,8 @@ def sweep_pulse_measurements(samples, fault_family, resistances,
     """Per-sample, per-R output pulse widths for a fault family.
 
     ``fault_family`` is a fault prototype (any resistance).  Each task
-    simulates ``batch_size`` samples (default 1); on the fixed grid its
-    samples x ``resistances`` run in lockstep as one population.
+    simulates ``batch_size`` samples (default 1); its samples x
+    ``resistances`` run in lockstep as one population.
     ``engine="batched"`` is the older spelling of ``batch_size > 1``.
     """
     return _sweep_rows(samples, fault_family, resistances, tech, dt,

@@ -38,13 +38,12 @@ class ExperimentConfig:
     <repro.runtime.Runtime.from_config>`, which reads ``REPRO_JOBS``,
     ``REPRO_CACHE_DIR`` and ``REPRO_TRACE`` (unset: serial, no cache,
     no trace).  ``batch_size`` is the number of samples one calibration,
-    sweep or Fig. 10 scatter task simulates (default 1).  On the fixed
-    grid a task's samples times its R points or widths run as one
-    population, in lockstep when it holds more than one instance, so
-    only one-point rows (calibrations) of one sample run the scalar
-    Newton; on the adaptive grid each R point is one population of the
-    task's samples.  The engine is decided per call, not per task, and
-    each cached row's key names it.  ``adaptive``
+    sweep or Fig. 10 scatter task simulates (default 1).  A task's
+    samples times its R points or widths run as one population, in
+    lockstep when it holds more than one instance, so only one-point
+    rows (calibrations) of one sample run the scalar Newton.  The
+    engine is decided per call, not per task, and each cached row's key
+    names it.  ``adaptive``
     switches the transients of the Figs. 2/3/5, 6-9 and 10 drivers to
     the LTE-controlled time grid (``REPRO_ADAPTIVE=1``); Fig. 11's
     electrical steps (defect calibration, ω_in refinement) stay on the

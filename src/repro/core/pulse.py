@@ -196,21 +196,6 @@ def _grid(item):
     return item.get("resistances", item.get("widths", [None]))
 
 
-def _runs_lockstep(spec, items, batch_size):
-    """Whether the chunks of ``batch_size`` ``items`` run the lockstep
-    engine.
-
-    A chunk runs ``batch_size x n_points`` instances as one population
-    on the fixed grid, and ``batch_size`` instances per grid position
-    on the adaptive grid (see :func:`_measure_chunk`); a population of
-    more than one runs lockstep.  The answer is the call's, not the
-    chunk's: a lone row left over by the cache still runs the engine
-    its key names.
-    """
-    n_points = len(_grid(items[0]))
-    return (batch_size if spec["adaptive"] else batch_size * n_points) > 1
-
-
 def _measure_chunk(spec, items, lockstep=False):
     """Chunk task of every calibration, sweep and transfer row.
 
@@ -225,14 +210,12 @@ def _measure_chunk(spec, items, lockstep=False):
     its own grid, so a chunk may mix grid points; the grids only need
     equally many.
 
-    The chunk's instances run as one population on the fixed grid.  On
-    the adaptive grid, where a population shares one union time grid,
-    each grid position runs as its own population, one instance per
-    item.  With ``lockstep`` (see :func:`_runs_lockstep`) a population
-    of one instance runs as a lockstep population of two copies of it
-    and keeps the first row; a fixed-grid lockstep row does not depend
-    on its population.  Each population row's solver effort is booked
-    to its item.
+    The chunk's instances run as one population on either grid.  With
+    ``lockstep`` (the call's chunks run the lockstep engine, see
+    :func:`run_measurements`) a population of one instance runs as a
+    lockstep population of two copies of it and keeps the first row; a
+    lockstep row does not depend on its population.  Each population
+    row's solver effort is booked to its item.
     """
     sweep = "resistances" in items[0]
     transfer = "widths" in items[0]
@@ -251,22 +234,15 @@ def _measure_chunk(spec, items, lockstep=False):
                                    else fault),
                             **spec["path_kwargs"])
              for k, point in enumerate(points)]
-    populations = ([range(step, len(paths), n) for step in range(n)]
-                   if spec["adaptive"] else [range(len(paths))])
-    values = [None] * len(paths)
-    for population in populations:
-        rows = list(population)
-        if lockstep and len(rows) == 1:
-            rows *= 2
-        population_spec = (dict(spec, omega_in=[points[k] for k in rows])
-                           if transfer else spec)
-        with rows_booked_to([k // n for k in rows]):
-            measured = _measure_paths(population_spec,
-                                      [paths[k] for k in rows])
-        for k, value in zip(population, measured):
-            values[k] = value
+    rows = list(range(len(paths)))
+    if lockstep and len(rows) == 1:
+        rows *= 2
+    population_spec = (dict(spec, omega_in=[points[k] for k in rows])
+                       if transfer else spec)
+    with rows_booked_to([k // n for k in rows]):
+        values = _measure_paths(population_spec, [paths[k] for k in rows])
     if not (sweep or transfer):
-        return values
+        return values[:len(paths)]
     return [values[i * n:(i + 1) * n] for i in range(len(items))]
 
 
@@ -279,13 +255,16 @@ def run_measurements(spec, items, runtime=None, report=None, batch_size=1,
     executor task.  With a result cache, each item is cached under
     ``stable_hash("measurement-row", spec, item, newton)``: ``spec`` and
     the item are everything the chunk task reads, and ``newton`` is
-    the Newton token of the engine the call's chunks run
-    (:func:`_runs_lockstep`), which the chunk task is told too.
+    the Newton token of the engine the call's chunks run, which the
+    chunk task is told too.  A chunk runs ``batch_size x n_points``
+    instances as one population on either grid, lockstep when more
+    than one; the answer is the call's, not the chunk's, so a lone row
+    left over by the cache still runs the engine its key names.
     ``label`` is telemetry only.  Raises the first failed chunk's
     error.
     """
     runtime = Runtime() if runtime is None else runtime
-    lockstep = bool(items) and _runs_lockstep(spec, items, batch_size)
+    lockstep = bool(items) and batch_size * len(_grid(items[0])) > 1
     keys = None
     if runtime.cache is not None:
         newton = (LOCKSTEP_NEWTON_CACHE_TOKEN if lockstep

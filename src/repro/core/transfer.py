@@ -13,8 +13,8 @@ The test-generation rule of Sec. 5 places the injected width ω_in at the
 
 A *transfer row* is one sample's instance measured at a list of input
 widths (:func:`measure_transfer_rows`, through the chunk task of every
-calibration and sweep, which on the fixed grid runs one instance per
-width as one lockstep population): the nominal curve is
+calibration and sweep, which runs one instance per width as one
+lockstep population): the nominal curve is
 :class:`~repro.montecarlo.NominalModel`'s row, Fig. 10's scatter the
 population's rows.
 """
@@ -122,8 +122,8 @@ def measure_transfer_rows(samples, widths, kind="h", dt=None, fault=None,
     injected as given, at every width in ``widths``.
 
     Runs :func:`~repro.core.pulse.run_measurements` with ``batch_size``
-    samples per task (which keys each row); on the fixed grid a task's
-    samples x widths run as one lockstep population.
+    samples per task (which keys each row); a task's samples x widths
+    run as one lockstep population.
     """
     tech = default_technology() if tech is None else tech
     path_kwargs = {} if path_kwargs is None else dict(path_kwargs)

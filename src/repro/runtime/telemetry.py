@@ -263,6 +263,9 @@ class RunReport:
             "  wall time: {:.2f}s ({:.2f} completed samples/s)".format(
                 s["wall_time_s"], s["samples_per_second"]),
         ]
+        if self.resumed:
+            lines.insert(2, "  resumed: {} of {} tasks".format(
+                s["resumed"], s["n_tasks"]))
         if self.executor:
             lines.insert(1, "  executor: {}".format(self.executor))
         if self.newton_solves:

@@ -227,12 +227,12 @@ class BatchCompiledCircuit:
         v[:, -1] = 0.0
         return v
 
-    def cap_companion_matrix(self, geq_scale):
-        """Stacked companion-conductance matrices, ``geq = C * scale``."""
-        a = np.zeros((self.n_samples, self.n, self.n))
+    def cap_companion_matrix(self, geq_scale, rows=slice(None)):
+        """Companion-conductance stack of ``rows``, ``geq = C * scale``."""
+        geq = self.cap_c[rows] * geq_scale
+        a = np.zeros((len(geq), self.n, self.n))
         if self.n_caps == 0:
             return a
-        geq = self.cap_c * geq_scale
         vals = geq[:, :, None] * self._cap_mat_sign
         self._scatter_matrix(a, self._cap_mat_idx, vals)
         return a
@@ -260,19 +260,19 @@ class BatchCompiledCircuit:
         v = self.gather_voltages(x)
         return v[:, self.cap_p] - v[:, self.cap_n]
 
-    def source_rhs(self, t, rhs):
-        """Add per-sample independent-source contributions at ``t``."""
-        for s in range(self.n_samples):
+    def source_rhs(self, t, rhs, rows=slice(None)):
+        """Add the source contributions at ``t`` of population ``rows``."""
+        for j, s in enumerate(range(self.n_samples)[rows]):
             for k, src in enumerate(self._vsources[s]):
-                rhs[s, self.n_nodes + k] += src.stimulus.value_at(t)
+                rhs[j, self.n_nodes + k] += src.stimulus.value_at(t)
             for k, src in enumerate(self._isources[s]):
                 value = src.stimulus.value_at(t)
                 p = self.template.isrc_p[k]
                 q = self.template.isrc_n[k]
                 if p >= 0:
-                    rhs[s, p] -= value
+                    rhs[j, p] -= value
                 if q >= 0:
-                    rhs[s, q] += value
+                    rhs[j, q] += value
 
     def source_tables(self, times):
         """Per-sample stimulus values over the whole time grid.
@@ -422,8 +422,7 @@ class BatchCompiledCircuit:
 # ----------------------------------------------------------------------
 
 def newton_solve_batch(batch, a_base, rhs_base, x0, sample_idx=None,
-                       gmin=1e-12, max_iter=120, vtol=1e-6, damping=0.8,
-                       time=None):
+                       gmin=1e-12, max_iter=120, vtol=1e-6, damping=0.8):
     """Damped exact Newton over a stack of MNA systems in lockstep.
 
     ``a_base``/``rhs_base`` are ``(m, n, n)``/``(m, n)`` stacks of the
@@ -495,15 +494,15 @@ def newton_solve_batch(batch, a_base, rhs_base, x0, sample_idx=None,
 
 
 def gmin_ladder_batch(batch, a_base, rhs_base, x0, sample_idx, gmin,
-                      time=None, start_gmin=1e-3):
+                      start_gmin=1e-3):
     """gmin continuation for a subset of samples that failed plain Newton.
 
     Mirrors the scalar :func:`repro.spice.mna.gmin_continuation_solve`:
     walk gmin from ``start_gmin`` down to the target in decade steps,
     keeping each rung's solution only for the samples that converged on
-    it, then demand convergence at the target gmin.  All array arguments
-    are already restricted to the failing subset; ``sample_idx`` maps
-    them back to population rows.
+    it, then solve at the target gmin.  All array arguments are already
+    restricted to the failing subset; ``sample_idx`` maps them back to
+    population rows.  Returns that final solve's ``(x, converged)``.
     """
     x = np.array(x0, dtype=float)
     stats = current_stats()
@@ -515,17 +514,11 @@ def gmin_ladder_batch(batch, a_base, rhs_base, x0, sample_idx, gmin,
         while step_gmin >= gmin * 0.999:
             x_try, conv = newton_solve_batch(
                 batch, a_base, rhs_base, x, sample_idx=sample_idx,
-                gmin=step_gmin, time=time)
+                gmin=step_gmin)
             x[conv] = x_try[conv]
             step_gmin *= 0.1
-        x_final, conv = newton_solve_batch(
-            batch, a_base, rhs_base, x, sample_idx=sample_idx, gmin=gmin,
-            time=time)
-    if not conv.all():
-        raise ConvergenceError(
-            "batched Newton failed to converge for {} of {} samples"
-            .format(int(np.count_nonzero(~conv)), conv.size), time=time)
-    return x_final
+        return newton_solve_batch(batch, a_base, rhs_base, x,
+                                  sample_idx=sample_idx, gmin=gmin)
 
 
 def solve_dc_batch(batch, t=0.0, x0=None, gmin=1e-12):
@@ -537,10 +530,14 @@ def solve_dc_batch(batch, t=0.0, x0=None, gmin=1e-12):
         x0 = np.zeros((batch.n_samples, batch.n))
     else:
         x0 = np.array(x0, dtype=float)
-    x, conv = newton_solve_batch(batch, a_base, rhs, x0, gmin=gmin, time=t)
+    x, conv = newton_solve_batch(batch, a_base, rhs, x0, gmin=gmin)
     if conv.all():
         return x
     bad = np.flatnonzero(~conv)
-    x[bad] = gmin_ladder_batch(batch, a_base[bad], rhs[bad], x0[bad],
-                               bad, gmin, time=t)
+    x[bad], conv[bad] = gmin_ladder_batch(batch, a_base[bad], rhs[bad],
+                                          x0[bad], bad, gmin)
+    if not conv.all():
+        raise ConvergenceError(
+            "batched Newton failed to converge for {} of {} samples"
+            .format(int(np.count_nonzero(~conv)), bad.size), time=t)
     return x

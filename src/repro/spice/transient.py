@@ -19,8 +19,8 @@ choices parametrise it:
   the scalar reuse Newton of :mod:`repro.spice.mna` (``solver="exact"``
   of :func:`run_transient` selects its exact-Newton reference); a
   population of several topologically identical circuits runs the
-  exact lockstep Newton of :mod:`repro.spice.batch` and advances on one
-  shared grid.
+  exact lockstep Newton of :mod:`repro.spice.batch`, on one grid when
+  fixed and on one grid per row when adaptive.
 
 The fixed-step grid remains the reference; the equivalence suite
 (tests/spice/test_adaptive.py) pins adaptive waveform measurements
@@ -128,7 +128,7 @@ class _StepController:
     the ``dt_min`` floor is force-accepted instead of looping forever).
     """
 
-    def __init__(self, tstop, dt, dt_min, dt_max, lte_tol):
+    def __init__(self, tstop, dt, dt_min, dt_max, lte_tol, breakpoints):
         dt_min = dt / 16.0 if dt_min is None else float(dt_min)
         dt_max = min(tstop, 32.0 * dt) if dt_max is None else float(dt_max)
         if dt_min <= 0 or dt_max <= 0:
@@ -144,14 +144,11 @@ class _StepController:
         self.lte_tol = lte_tol
         self.t = 0.0
         self.h = min(dt, dt_max)
-        self.breakpoints = []
+        self.breakpoints = list(breakpoints)
         self._next_break = 0
         self._target = None
         self.accepted = 0
         self.rejected = 0
-
-    def register_breakpoints(self, points):
-        self.breakpoints = list(points)
 
     def done(self):
         return self.t >= self.tstop * (1.0 - 1e-12)
@@ -256,11 +253,12 @@ class _ScalarEngine:
 
     An engine gives the time-stepping loop what differs between one
     circuit and a population: the DC start, the source and capacitor
-    right-hand sides, and one implicit solve with its gmin retry.  The
-    lowered circuit (``compiled``) supplies the rest through the
-    interface :class:`~repro.spice.batch.BatchCompiledCircuit` mirrors.
-    State vectors are ``(n,)`` here and ``(S, n)`` in the lockstep
-    engine.
+    right-hand sides, and a round's implicit solves with their gmin
+    retry.  The lowered circuit (``compiled``) supplies the rest
+    through the interface :class:`~repro.spice.batch.BatchCompiledCircuit`
+    mirrors.  State vectors are ``(n,)`` here and ``(S, n)`` in the
+    lockstep engine; ``rows`` (a slice) are the population rows of one
+    grid.
     """
 
     n_samples = 1
@@ -275,7 +273,7 @@ class _ScalarEngine:
         self._cap_p = compiled.cap_p[self._mp]
         self._cap_n = compiled.cap_n[self._mq]
 
-    def stimuli(self):
+    def stimuli(self, rows):
         compiled = self.compiled
         return [src.stimulus
                 for src in compiled.vsources + compiled.isources]
@@ -286,7 +284,7 @@ class _ScalarEngine:
     def tabulate(self, times):
         """Sources are evaluated per step; nothing to precompute."""
 
-    def rhs(self, t, step, ieq):
+    def rhs(self, t, step, ieq, rows):
         """Right-hand side at ``t``: sources plus the capacitor
         companion currents ``ieq`` (None without capacitors)."""
         compiled = self.compiled
@@ -297,23 +295,25 @@ class _ScalarEngine:
             np.subtract.at(rhs, self._cap_n, ieq[self._mq])
         return rhs
 
-    def solve(self, a_base, rhs, x, gmin, t):
+    def solve(self, requests, gmin):
+        """A round's one request ``(t, a_base, rhs, x, rows)``, solved."""
+        ((t, a_base, rhs, x, _),) = requests
         try:
-            return newton_solve(self.compiled, a_base, rhs, x, gmin=gmin,
-                                time=t, state=self.state)
+            return [newton_solve(self.compiled, a_base, rhs, x, gmin=gmin,
+                                 time=t, state=self.state)]
         except ConvergenceError:
             # Retry with gmin continuation on the *same* companion system;
             # switching instants occasionally need it.  Rungs that fail
             # are skipped by the ladder; only the final solve at the
             # target gmin is allowed to propagate.
-            return gmin_continuation_solve(self.compiled, a_base, rhs, x,
-                                           gmin=gmin, time=t)
+            return [gmin_continuation_solve(self.compiled, a_base, rhs, x,
+                                            gmin=gmin, time=t)]
 
 
 class _LockstepEngine:
     """A population on the exact lockstep Newton of
     :mod:`repro.spice.batch`: one stacked solve per Newton iteration over
-    the still-active samples (see :class:`_ScalarEngine` for the
+    the still-active rows (see :class:`_ScalarEngine` for the
     interface)."""
 
     def __init__(self, circuits):
@@ -321,12 +321,13 @@ class _LockstepEngine:
         self.compiled = batch
         self.n_samples = batch.n_samples
         self.shape = (batch.n_samples, batch.n)
+        self._rows = np.arange(batch.n_samples)
         self._tables = None
 
-    def stimuli(self):
+    def stimuli(self, rows):
         batch = self.compiled
-        return [src.stimulus for sources in batch._vsources + batch._isources
-                for src in sources]
+        return [src.stimulus for s in self._rows[rows]
+                for src in batch._vsources[s] + batch._isources[s]]
 
     def dc(self, gmin):
         return solve_dc_batch(self.compiled, t=0.0, gmin=gmin)
@@ -336,13 +337,14 @@ class _LockstepEngine:
         per-step Python loop over samples and sources)."""
         self._tables = self.compiled.source_tables(times)
 
-    def rhs(self, t, step, ieq):
-        """As :meth:`_ScalarEngine.rhs`; the sources come from the
-        tables at grid index ``step`` when :meth:`tabulate` ran."""
+    def rhs(self, t, step, ieq, rows):
+        """As :meth:`_ScalarEngine.rhs`, for ``rows``; the sources come
+        from the tables at grid index ``step`` when :meth:`tabulate`
+        ran (the fixed grid, whose one grid owns every row)."""
         batch = self.compiled
-        rhs = np.zeros(self.shape)
+        rhs = np.zeros((self._rows[rows].size, batch.n))
         if self._tables is None:
-            batch.source_rhs(t, rhs)
+            batch.source_rhs(t, rhs, rows)
         else:
             vsrc_tab, isrc_tab = self._tables
             rhs[:, batch.n_nodes:batch.n_nodes + batch.n_vsrc] = (
@@ -353,18 +355,35 @@ class _LockstepEngine:
             rhs += ieq @ batch.cap_rhs_incidence
         return rhs
 
-    def solve(self, a_base, rhs, x, gmin, t):
+    def solve(self, requests, gmin):
+        """Every request ``(t, a_base, rhs, x, rows)`` of a round in one
+        stacked Newton call.  Returns, per request, its rows' solution,
+        or the :class:`ConvergenceError` of a request whose rows did
+        not all converge."""
         batch = self.compiled
-        x_new, conv = newton_solve_batch(batch, a_base, rhs, x, gmin=gmin,
-                                         time=t)
+        if len(requests) == 1:
+            ((_, a_base, rhs, x, rows),) = requests
+            rows = self._rows[rows]
+        else:  # one row per request, ``rows`` a slice of one
+            _, a_base, rhs, x, rows = zip(*requests)
+            a_base, rhs, x = map(np.concatenate, (a_base, rhs, x))
+            rows = np.r_[rows]
+        x_new, conv = newton_solve_batch(batch, a_base, rhs, x, rows,
+                                         gmin=gmin)
         if not conv.all():
-            # gmin-continuation ladder for the failing subset only, from
+            # gmin-continuation ladder for the failing rows only, from
             # the previous accepted state (the diverged iterate is
             # discarded, exactly like the scalar retry path).
             bad = np.flatnonzero(~conv)
-            x_new[bad] = gmin_ladder_batch(batch, a_base[bad], rhs[bad],
-                                           x[bad], bad, gmin, time=t)
-        return x_new
+            x_new[bad], conv[bad] = gmin_ladder_batch(
+                batch, a_base[bad], rhs[bad], x[bad], rows[bad], gmin)
+        # a request's rows step together, so one failed row fails it
+        parts = ([(x_new, conv)] if len(requests) == 1
+                 else zip(x_new[:, None], conv[:, None]))
+        return [x if ok.all() else ConvergenceError(
+                    "batched Newton failed to converge for {} of {} samples"
+                    .format(np.count_nonzero(~ok), ok.size), time=t)
+                for (t, *_), (x, ok) in zip(requests, parts)]
 
 
 # ----------------------------------------------------------------------
@@ -382,32 +401,23 @@ def _initial_state(engine, x0, shape, gmin):
     return x.reshape(engine.shape)
 
 
-def _simulate(engine, x, tstop, dt, method, gmin, nodes, adaptive, dt_min,
-              dt_max, lte_tol):
-    """Integrate from state ``x`` to ``tstop`` on either grid.
+def _steps(engine, grid, rows, x, method, size, cols):
+    """The stepping loop of one time grid over population ``rows`` from
+    their state ``x``.
 
-    Returns one :class:`Waveform` per sample, restricted to ``nodes``
-    (None keeps every node).
+    A generator: it yields each implicit solve ``(t, a_base, rhs, x,
+    rows)``, is sent the solution or thrown its
+    :class:`ConvergenceError`, and returns the accepted times and the
+    ``(times, rows, cols)`` array of every accepted state's ``cols``.
     """
     compiled = engine.compiled
     n_nodes = compiled.n_nodes
-    nodes = compiled.node_order if nodes is None else list(nodes)
-    index = [compiled.index_of(node) for node in nodes]
-    cols = np.array([i for i in index if i >= 0], dtype=int)
-    if adaptive:
-        grid = _StepController(tstop, dt, dt_min, dt_max, lte_tol)
-        grid.register_breakpoints(collect_breakpoints(engine.stimuli(),
-                                                      tstop))
-        record("adaptive_runs")
-    else:
-        grid = _FixedGrid(tstop, dt)
-        engine.tabulate(grid.times)
-
+    adaptive = isinstance(grid, _StepController)
     # Accepted points go into preallocated arrays (sized for the fixed
     # grid, doubled when an adaptive run outgrows them): keeping one
     # small array alive per step measurably slowed the Newton solves.
-    times = np.empty(_fixed_step_count(tstop, dt) + 1)
-    kept = np.empty(times.shape + x.shape[:-1] + cols.shape)
+    times = np.empty(size)
+    kept = np.empty((size, x.size // x.shape[-1], cols.size))
     times[0] = 0.0
     kept[0] = x.take(cols, axis=-1)
     count = 1
@@ -421,8 +431,14 @@ def _simulate(engine, x, tstop, dt, method, gmin, nodes, adaptive, dt_min,
         h, t_new = grid.propose(len(hist_t))
         if h != h_prev:
             geq_scale = (1.0 if method == BACKWARD_EULER else 2.0) / h
-            a_base = compiled.companion_base(method, geq_scale)
-            geq = compiled.cap_c * geq_scale
+            if rows == slice(None):
+                # cached and identity-stable: the reuse Newton keeps its
+                # LU while ``a_base`` is the same object
+                a_base = compiled.companion_base(method, geq_scale)
+            else:  # one row of a lockstep population
+                a_base = (compiled.a_static[rows]
+                          + compiled.cap_companion_matrix(geq_scale, rows))
+            geq = compiled.cap_c[rows] * geq_scale
             h_prev = h
 
         ieq = None
@@ -432,10 +448,10 @@ def _simulate(engine, x, tstop, dt, method, gmin, nodes, adaptive, dt_min,
                 ieq = geq * vcap_prev
             else:
                 ieq = geq * vcap_prev + icap_prev
-        rhs = engine.rhs(t_new, grid.accepted + 1, ieq)
+        rhs = engine.rhs(t_new, grid.accepted + 1, ieq, rows)
 
         try:
-            x_new = engine.solve(a_base, rhs, x, gmin, t_new)
+            x_new = yield t_new, a_base, rhs, x, rows
         except ConvergenceError:
             # A non-converging trial step is a rejection like any other:
             # halve and retry (implicit steps converge more easily the
@@ -450,7 +466,7 @@ def _simulate(engine, x, tstop, dt, method, gmin, nodes, adaptive, dt_min,
             x_pred = _predict(hist_t, hist_x, t_new)
             if x_pred is not None and n_nodes:
                 err = float(np.max(np.abs((x_new - x_pred)[..., :n_nodes])))
-                if err > lte_tol and not grid.reject(h):
+                if err > grid.lte_tol and not grid.reject(h):
                     continue
 
         landed = grid.accept(h, err)
@@ -470,15 +486,63 @@ def _simulate(engine, x, tstop, dt, method, gmin, nodes, adaptive, dt_min,
         count += 1
         if adaptive:
             _push_history(hist_t, hist_x, t_new, x, landed)
+    return times[:count], kept[:count]
 
-    times = times[:count]
-    kept = kept[:count].reshape(count, engine.n_samples, cols.size)
+
+def _simulate(engine, x, tstop, dt, method, gmin, nodes, adaptive, dt_min,
+              dt_max, lte_tol):
+    """Integrate from state ``x`` to ``tstop`` on either grid.
+
+    The fixed grid is one grid for the whole population.  On the
+    adaptive grid every row of a lockstep population has its own
+    controller, so its time base and values depend on nothing but the
+    row; each round solves every unfinished row at its own time and
+    step in one Newton call.  Returns one :class:`Waveform` per sample,
+    restricted to ``nodes`` (None keeps every node).
+    """
+    compiled = engine.compiled
+    nodes = compiled.node_order if nodes is None else list(nodes)
+    index = [compiled.index_of(node) for node in nodes]
+    cols = np.array([i for i in index if i >= 0], dtype=int)
+    rows = [slice(None)]
+    if adaptive:
+        if engine.n_samples > 1:
+            rows = [slice(r, r + 1) for r in range(engine.n_samples)]
+        grids = [_StepController(tstop, dt, dt_min, dt_max, lte_tol,
+                                 collect_breakpoints(engine.stimuli(r), tstop))
+                 for r in rows]
+        record("adaptive_runs", len(rows))
+    else:
+        grids = [_FixedGrid(tstop, dt)]
+        engine.tabulate(grids[0].times)
+
+    size = _fixed_step_count(tstop, dt) + 1
+    loops = [_steps(engine, grid, r, x[r], method, size, cols)
+             for grid, r in zip(grids, rows)]
+    pending = {loop: next(loop) for loop in loops}
+    finished = {}
+    while pending:
+        try:
+            outcomes = engine.solve(list(pending.values()), gmin)
+        except ConvergenceError as exc:  # the scalar engine's one row
+            outcomes = [exc]
+        for loop, outcome in zip(list(pending), outcomes):
+            try:
+                pending[loop] = (loop.throw(outcome)
+                                 if isinstance(outcome, ConvergenceError)
+                                 else loop.send(outcome))
+            except StopIteration as stop:
+                del pending[loop]
+                finished[loop] = stop.value
+
     waveforms = []
-    for sample in range(engine.n_samples):
-        columns = iter(kept[:, sample, :].T)
-        waveforms.append(Waveform(times, {
-            node: np.zeros_like(times) if i < 0 else next(columns)
-            for node, i in zip(nodes, index)}))
+    for loop in loops:
+        times, kept = finished[loop]
+        for row in kept.transpose(1, 2, 0):
+            columns = iter(row)
+            waveforms.append(Waveform(times, {
+                node: np.zeros_like(times) if i < 0 else next(columns)
+                for node, i in zip(nodes, index)}))
     return waveforms
 
 
@@ -537,19 +601,15 @@ def run_transient_batch(circuits, tstop, dt, method=TRAPEZOIDAL,
 
     The population size picks the Newton engine.  A population of one
     runs the scalar reuse Newton, exactly like :func:`run_transient`.
-    Larger populations advance through the same time grid in lockstep
-    on exact Newton: each iteration assembles all still-active samples
-    with precomputed flat stamp-index maps and performs one stacked
-    solve (see :mod:`repro.spice.batch`).  Semantics (integration
-    method, damped Newton, per-step gmin-continuation retry) mirror the
-    scalar engine per sample; the equivalence suite pins the two within
-    1e-6 V.
-
-    With ``adaptive=True`` a lockstep population advances on one shared
-    non-uniform grid (the union grid): per-sample LTE estimates feed a
-    single step-size controller, so a step is accepted only when *every*
-    sample's error clears ``lte_tol`` and the grid lands on the union of
-    all samples' stimulus breakpoints.
+    Larger populations advance in lockstep on exact Newton: each
+    iteration assembles all still-active rows with precomputed flat
+    stamp-index maps and performs one stacked solve (see
+    :mod:`repro.spice.batch`).  On the fixed grid the rows share one
+    grid; with ``adaptive=True`` each row keeps its own time, step and
+    breakpoints, so a row's waveform does not depend on the rest of the
+    population.  Semantics (integration method, damped Newton, per-step
+    gmin-continuation retry) mirror the scalar engine per sample; the
+    equivalence suite pins the two within 1e-6 V.
 
     Parameters mirror :func:`run_transient` except ``solver``, which
     the population size decides; ``circuits`` is a list of symbolic

@@ -135,6 +135,7 @@ class TestLoneChunkRow:
     which of its chunk mates missed the cache."""
 
     DT = 2e-11
+    ADAPTIVE = False
 
     def test_remainder_row_runs_lockstep(self):
         from repro.montecarlo import sample_population
@@ -143,9 +144,11 @@ class TestLoneChunkRow:
         samples = sample_population(3, base_seed=1)
         report = RunReport()
         _, delays = calibrate_delay_test(samples, dt=self.DT, batch_size=2,
-                                         report=report)
+                                         report=report,
+                                         adaptive=self.ADAPTIVE)
         _, full = calibrate_delay_test([samples[2], samples[0]],
-                                       dt=self.DT, batch_size=2)
+                                       dt=self.DT, batch_size=2,
+                                       adaptive=self.ADAPTIVE)
         # the scalar reuse Newton is the only engine that reuses an LU
         assert report.lu_reuses == 0
         assert delays[2] == full[0]
@@ -160,12 +163,21 @@ class TestLoneChunkRow:
         trace = str(tmp_path / "trace.jsonl")
         runtime = Runtime(cache=str(tmp_path / "cache"), trace=trace)
         _, cold = calibrate_delay_test(samples, dt=self.DT, batch_size=2,
-                                       runtime=runtime)
+                                       runtime=runtime,
+                                       adaptive=self.ADAPTIVE)
         (key,) = [event["key"] for event in read_trace(trace)
                   if event["event"] == "task" and event["index"] == 3]
         os.remove(runtime.cache._path(key))
         report = RunReport()
         _, warm = calibrate_delay_test(samples, dt=self.DT, batch_size=2,
-                                       runtime=runtime, report=report)
+                                       runtime=runtime, report=report,
+                                       adaptive=self.ADAPTIVE)
         assert (report.cache_hits, report.cache_misses) == (3, 1)
         assert warm == cold
+
+
+class TestLoneAdaptiveChunkRow(TestLoneChunkRow):
+    """The same on the adaptive grid, where every row of a lockstep
+    population steps on its own time grid."""
+
+    ADAPTIVE = True

@@ -174,9 +174,8 @@ class TestPinnedMeasurements:
 
 
 class TestStackedChunk:
-    """On the fixed grid a chunk's samples x R points run as one
-    lockstep population; on the adaptive grid each R point runs as its
-    own population."""
+    """A chunk's samples x R points run as one lockstep population on
+    either grid."""
 
     PATH = dict(gate_kinds=("inv",) * 3)
     R = [2e3, 8e3, 30e3]
@@ -224,7 +223,7 @@ class TestStackedChunk:
             assert got == pytest.approx(alone, abs=1e-15)
 
     @pytest.mark.parametrize("adaptive, populations", [
-        (False, [6]), (True, [2, 2, 2])])
+        (False, [6]), (True, [6])])
     def test_transients_per_chunk(self, monkeypatch, adaptive,
                                   populations):
         from repro.core import pulse

@@ -197,8 +197,8 @@ class TestCalibrationRowKeySensitivity:
 
 class TestEngineTag:
     """A row's key ends with the Newton token of the engine its chunk
-    runs: lockstep when a chunk's items times their grid points (fixed
-    grid), or its items alone (adaptive grid), number more than one."""
+    runs: lockstep when a chunk's items times their grid points number
+    more than one, on either grid."""
 
     def test_population_of_one_is_scalar(self, row_key, base):
         """A one-point row of one sample runs the scalar engine; two
@@ -212,10 +212,14 @@ class TestEngineTag:
             resistances=(4e3, 8e3), batch_size=2)
 
     def test_sweep_row_key_follows_the_population(self, row_key):
-        """On the adaptive grid each R point is its own population, so
-        the batch size alone decides."""
-        assert row_key(resistances=(4e3, 8e3), adaptive=True) != row_key(
+        """On the adaptive grid too a chunk's items times their R points
+        make the population: a two-point row runs lockstep at either
+        batch size, a one-point row only when two samples share its
+        chunk."""
+        assert row_key(resistances=(4e3, 8e3), adaptive=True) == row_key(
             resistances=(4e3, 8e3), adaptive=True, batch_size=2)
+        assert row_key(adaptive=True) != row_key(adaptive=True,
+                                                 batch_size=2)
 
 
 #: the default-configuration keys of every row kind

@@ -80,6 +80,21 @@ class TestThroughput:
         assert "completed samples/s" in text
         assert "1xValueError" in text
 
+    def test_format_report_shows_resumed_line_only_when_nonzero(self):
+        """Cache hits alone are no resume: the line reports the
+        manifest-backed ``resumed`` count, which another campaign's
+        cache entries do not raise."""
+        hits = RunReport()
+        for _ in range(4):
+            hits.record_hit()
+        assert "resumed" not in hits.format_report()
+
+        resumed = RunReport()
+        for index in range(4):
+            resumed.record_hit(resumed=index < 3)
+        resumed.record_outcome(_ok())
+        assert "  resumed: 3 of 5 tasks" in resumed.format_report()
+
 
 class TestSolverFolding:
     def test_counters_fold_from_outcome_snapshots(self):

@@ -5,8 +5,8 @@ Deselected from the default run (marker ``smoke``); run it with::
     PYTHONPATH=src python -m pytest -m smoke tests/smoke
 
 A serial reference campaign, a cold ``--jobs 2`` campaign under worker
-kills and cache corruption, and a ``--resume`` run over the corrupted
-cache must print the same tables.  ``tests/chaos/`` pins the runtime's
+kills and cache corruption, and a warm run over the corrupted cache
+must print the same tables.  ``tests/chaos/`` pins the runtime's
 counters (crash and rebuild accounting, solver totals, trace-vs-report
 agreement) on a synthetic task; this test checks what only the CLI run
 shows: ``--chaos`` reaches both the worker pool and the cache, and the
@@ -46,7 +46,7 @@ def test_chaos_campaign_matches_serial_run(capsys, tmp_path):
                                "--cache-dir", cache,
                                "--chaos", "kill=0.2,corrupt=0.1,seed=7")
     warm_out, warm = _campaign(capsys, tmp_path, "warm", "--jobs", "2",
-                               "--cache-dir", cache, "--resume")
+                               "--cache-dir", cache)
 
     assert _tables(cold_out) == _tables(serial_out)
     assert _tables(warm_out) == _tables(serial_out)

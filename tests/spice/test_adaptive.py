@@ -130,7 +130,7 @@ class TestBreakpointCollection:
 class TestAdaptiveBatchEngine:
     def test_batch_matches_scalar_adaptive(self):
         """Lockstep adaptive == scalar adaptive for identical samples
-        (same controller, same union grid)."""
+        (each row runs the scalar run's controller on its own grid)."""
         scalar = run_transient(rc_circuit(), 6e-9, 20e-12, adaptive=True)
         batched = run_transient_batch([rc_circuit(), rc_circuit()], 6e-9,
                                       20e-12, adaptive=True)
@@ -139,11 +139,130 @@ class TestAdaptiveBatchEngine:
             np.testing.assert_allclose(wf["out"], scalar["out"],
                                        atol=1e-9)
 
-    def test_batch_union_grid_covers_tstop(self):
+    def test_batch_rows_cover_tstop(self):
         wfs = run_transient_batch([rc_circuit(1e3), rc_circuit(2e3)],
                                   6e-9, 20e-12, adaptive=True)
-        assert wfs[0].t[-1] >= 6e-9 * (1 - 1e-12)
-        np.testing.assert_allclose(wfs[0].t, wfs[1].t)
+        for wf in wfs:
+            assert wf.t[-1] >= 6e-9 * (1 - 1e-12)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_ground_only_record(self, adaptive):
+        """Recording ground alone still returns each row's time base."""
+        wfs = run_transient_batch([rc_circuit(1e3), rc_circuit(2e3)],
+                                  6e-9, 20e-12, record=["0"],
+                                  adaptive=adaptive)
+        wfs.append(run_transient(rc_circuit(), 6e-9, 20e-12, record=["0"],
+                                 adaptive=adaptive))
+        for wf in wfs:
+            assert wf.t[-1] >= 6e-9 * (1 - 1e-12)
+            assert not wf["0"].any()
+
+
+class TestRowGrids:
+    """Every row of an adaptive lockstep population steps on its own
+    time grid, so its values, time base and solver effort depend on
+    nothing but the row."""
+
+    DT = 5e-12
+
+    @staticmethod
+    def _path(sample, r):
+        from repro.faults import ExternalOpen
+
+        return build_instance(sample=sample, fault=ExternalOpen(2, r))
+
+    @pytest.mark.parametrize("measure", ["pulse", "delay"])
+    def test_row_equals_it_among_copies(self, measure):
+        """Each row of a six-row population equals, bit for bit, the
+        same row run as a two-row population of copies (how a chunk's
+        lone row runs)."""
+        from repro.montecarlo import sample_population
+
+        def run(paths):
+            if measure == "pulse":
+                return measure_output_pulse_batch(paths, W_IN, dt=self.DT,
+                                                  adaptive=True)
+            return measure_path_delay_batch(paths, dt=self.DT,
+                                            adaptive=True)
+
+        points = [(sample, r)
+                  for sample in sample_population(3, base_seed=4)
+                  for r in (3e3, 20e3)]
+        values, waveforms = run([self._path(*point) for point in points])
+        for point, value, waveform in zip(points, values, waveforms):
+            alone, copies = run([self._path(*point), self._path(*point)])
+            assert alone[0] == value
+            np.testing.assert_array_equal(copies[0].t, waveform.t)
+
+    def test_batch_size_moves_no_row(self):
+        """An adaptive sweep reads and books the same at any batch size:
+        a population books what its rows would book alone."""
+        from repro.core import sweep_pulse_measurements
+        from repro.faults import ExternalOpen
+        from repro.montecarlo import sample_population
+        from repro.runtime import RunReport
+
+        def sweep(batch_size):
+            report = RunReport()
+            rows = sweep_pulse_measurements(
+                sample_population(3, base_seed=2), ExternalOpen(2, 4e3),
+                [4e3, 20e3], W_IN, dt=1e-11, adaptive=True,
+                batch_size=batch_size, report=report)
+            return rows, [report.newton_solves, report.adaptive_runs,
+                          report.adaptive_accepted, report.adaptive_rejected]
+
+        assert sweep(3) == sweep(1)
+
+
+class TestRowFailure:
+    """A row whose Newton solve and gmin ladder both fail rejects only
+    its own step; on the fixed grid the failure propagates."""
+
+    @staticmethod
+    def _fail_row_zero_once(monkeypatch, at_call):
+        """Make row 0 fail the ``at_call``-th lockstep solve and every
+        ladder; returns the call counters."""
+        import repro.spice.transient as transient
+
+        real_newton = transient.newton_solve_batch
+        real_ladder = transient.gmin_ladder_batch
+        calls = {"newton": 0, "ladder": 0}
+
+        def newton(batch, a_base, rhs, x0, sample_idx=None, **kwargs):
+            x, conv = real_newton(batch, a_base, rhs, x0, sample_idx,
+                                  **kwargs)
+            calls["newton"] += 1
+            if calls["newton"] == at_call:
+                conv[np.asarray(sample_idx) == 0] = False
+            return x, conv
+
+        def ladder(*args, **kwargs):
+            calls["ladder"] += 1
+            x, conv = real_ladder(*args, **kwargs)
+            return x, np.zeros_like(conv)
+
+        monkeypatch.setattr(transient, "newton_solve_batch", newton)
+        monkeypatch.setattr(transient, "gmin_ladder_batch", ladder)
+        return calls
+
+    def test_failed_row_rejects_only_its_own_step(self, monkeypatch):
+        circuits = [rc_circuit(1e3), rc_circuit(2e3)]
+        clean = run_transient_batch(circuits, 6e-9, 20e-12, adaptive=True)
+        calls = self._fail_row_zero_once(monkeypatch, at_call=20)
+        failed = run_transient_batch(circuits, 6e-9, 20e-12, adaptive=True)
+        assert calls["ladder"] == 1
+        np.testing.assert_array_equal(failed[1].t, clean[1].t)
+        np.testing.assert_array_equal(failed[1]["out"], clean[1]["out"])
+        assert not np.array_equal(failed[0].t, clean[0].t)
+        assert failed[0].t[-1] >= 6e-9 * (1 - 1e-12)
+
+    def test_fixed_grid_failure_propagates(self, monkeypatch):
+        from repro.spice.errors import ConvergenceError
+
+        self._fail_row_zero_once(monkeypatch, at_call=20)
+        with pytest.raises(ConvergenceError):
+            run_transient_batch([rc_circuit(1e3), rc_circuit(2e3)], 6e-9,
+                                20e-12)
 
 
 class TestPaperBenchEquivalence:

@@ -51,20 +51,18 @@ class TestParser:
         assert args.sites is None
         assert args.cache_dir == ".repro_cache"
         assert not args.no_cache
-        assert not args.resume
         assert args.task_timeout is None
         assert args.report_json is None
 
     def test_campaign_runtime_flags(self):
         args = build_parser().parse_args(
             ["campaign", "--jobs", "2", "--samples", "4", "--sites", "6",
-             "--cache-dir", "/tmp/c", "--resume", "--task-timeout", "30",
+             "--cache-dir", "/tmp/c", "--task-timeout", "30",
              "--report-json", "report.json"])
         assert args.jobs == 2
         assert args.samples == 4
         assert args.sites == 6
         assert args.cache_dir == "/tmp/c"
-        assert args.resume
         assert args.task_timeout == 30.0
         assert args.report_json == "report.json"
 
