@@ -27,12 +27,6 @@ from .pulse_model import GatePulseModel, PathPulseModel
 from .simulator import GateTiming, NetDelayDefect, TimingSimulator
 
 
-#: cache-key token of the :meth:`DefectCalibration.from_electrical`
-#: recipe: its delays and width searches run as lockstep populations,
-#: whose delays differ from one-circuit transients by about 1e-16 s
-_CALIBRATION_RECIPE = "lockstep-populations"
-
-
 class DefectCalibration:
     """Electrically calibrated map: resistance -> defect behaviour.
 
@@ -133,6 +127,7 @@ class DefectCalibration:
         from ..faults import (ExternalOpen, InternalOpen, PULL_DOWN,
                               PULL_UP, inject, set_fault_resistance)
         from ..runtime import CacheMiss, stable_hash
+        from ..spice.transient import LOCKSTEP_NEWTON_CACHE_TOKEN
 
         resistances = sorted(float(r) for r in resistances)
         cache = None if runtime is None else runtime.cache
@@ -140,9 +135,11 @@ class DefectCalibration:
         if cache is not None:
             resolved_tech = (default_technology() if tech is None
                              else tech)
+            # its delays and width searches run as lockstep populations,
+            # so the key names the lockstep arithmetic
             key = stable_hash("defect-calibration", kind, resistances,
                               resolved_tech, stage, dt, path_kwargs,
-                              _CALIBRATION_RECIPE)
+                              LOCKSTEP_NEWTON_CACHE_TOKEN)
             try:
                 return cls.from_dict(cache.get(key))
             except CacheMiss:

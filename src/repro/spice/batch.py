@@ -4,19 +4,23 @@ Every Monte Carlo experiment in the paper evaluates a population of
 *topologically identical* circuits: only the parameter draws (device
 betas, thresholds, capacitances) and the injected fault resistance differ
 between samples.  :class:`BatchCompiledCircuit` lowers such a population
-into stacked numpy arrays — ``(S, n, n)`` base matrices, ``(S, n_mos)``
-device-parameter vectors, ``(S, n_caps)`` capacitor vectors — so an
-entire population advances through a transient in lockstep:
+into stacked numpy arrays — ``(S, n, n)`` base matrices, ``(4, S, n_mos)``
+device parameters, ``(S, n_caps)`` capacitor vectors — so an entire
+population advances through a transient in lockstep:
 
-* assembly uses *precomputed flat stamp-index maps*: every MOSFET Norton
-  stamp and capacitor companion entry knows its flattened ``row*n + col``
-  destination up front (entries touching ground are routed to a discard
-  bin), so per-iteration assembly is one ``np.bincount`` over the whole
-  batch instead of per-element ``np.add.at`` scatters;
+* assembly uses *one fixed stamp table*: every MOSFET's eight Norton
+  stamp entries (six matrix, two rhs) know their destination in a row's
+  flat ``n*n + n + 1`` buffer up front, entries touching ground go to
+  its last slot, a discard bin, and the source/drain orientation of a
+  device rides in its stamped values, so the destinations never change
+  with the operating point.  Per Newton iteration the devices are
+  evaluated with the branchless
+  :func:`~repro.spice.mosfet.evaluate_level1_fast` kernel and matrix
+  and rhs of every row are scattered by one ``np.bincount``;
 * each Newton iteration re-stamps every still-active sample and
   performs ONE stacked ``np.linalg.solve`` over them; converged samples
-  drop out of the batch via a per-sample active mask
-  (:func:`newton_solve_batch`).
+  drop out of the batch, whose per-row arrays are compacted only when
+  a row leaves (:func:`newton_solve_batch`).
 
 The lockstep Newton is exact Newton: it keeps no factorization and
 bypasses no device between iterations.  Factorization reuse, which pays
@@ -34,7 +38,7 @@ import numpy as np
 from ..runtime.stats import current_stats
 from .errors import ConvergenceError, NetlistError
 from .mna import _COMPANION_CACHE_MAX, CompiledCircuit
-from .mosfet import evaluate_level1, evaluate_level1_fast
+from .mosfet import evaluate_level1_fast
 
 
 class BatchCompiledCircuit:
@@ -84,12 +88,23 @@ class BatchCompiledCircuit:
         self.mos_g = template.mos_g
         self.mos_s = template.mos_s
         self.mos_sign = template.mos_sign
-        self.mos_beta = np.stack([c.mos_beta for c in compiled])
-        self.mos_vt = np.stack([c.mos_vt for c in compiled])
-        self.mos_lam = np.stack([c.mos_lam for c in compiled])
+        #: ``(4, S, n_mos)``: every device's polarity sign, beta, vt and
+        #: lambda, one gather away from the parameters of any subset of
+        #: rows (the sign is stacked too: the kernel runs faster on
+        #: equal shapes than on a broadcast)
+        self.mos_params = np.stack([
+            np.tile(self.mos_sign, (len(compiled), 1)),
+            np.stack([c.mos_beta for c in compiled]),
+            np.stack([c.mos_vt for c in compiled]),
+            np.stack([c.mos_lam for c in compiled])])
+        _, self.mos_beta, self.mos_vt, self.mos_lam = self.mos_params
         self.n_mos = template.n_mos
 
-        self._build_stamp_maps()
+        #: ``(n, n)`` identity on the node rows, zero on the source
+        #: branch rows: where the Newton gmin goes
+        self.node_eye = np.diag((np.arange(self.n) < self.n_nodes) * 1.0)
+
+        self._build_stamp_table()
         self._build_cap_maps()
         self._build_isrc_incidence()
         self._companion_cache = {}
@@ -120,7 +135,7 @@ class BatchCompiledCircuit:
         return self.template.index_of(node)
 
     # ------------------------------------------------------------------
-    # Flat stamp-index maps
+    # Flat stamp tables
     # ------------------------------------------------------------------
 
     def _flat_mat(self, rows, cols):
@@ -131,34 +146,36 @@ class BatchCompiledCircuit:
         valid = np.logical_and(rows >= 0, cols >= 0)
         return np.where(valid, rows * self.n + cols, self.n * self.n)
 
-    def _build_stamp_maps(self):
-        """Matrix/rhs destinations for both source/drain orientations.
+    def _build_stamp_table(self):
+        """The one MOSFET scatter table of the population.
 
-        The level-1 evaluation swaps source and drain per device so that
-        ``vds >= 0``; which orientation applies depends on the operating
-        point, so both index tables are precomputed and selected per
-        iteration with the ``a_is_drain`` flag.
+        Row k of a stack assembles into a flat buffer of ``width = n*n
+        + n + 1`` slots at offset ``k * width``: its matrix row-major,
+        its rhs, and a last slot that every entry touching ground is
+        discarded into.  The table holds eight destinations per device,
+        entry-major in the order of :func:`_stamp_values`: the matrix
+        entries (d,g) (d,d) (d,s) (s,g) (s,d) (s,s), then the rhs entries
+        d and s.  The table of a k-row stack is the first ``k * 8 *
+        n_mos`` entries of the population's.
         """
+        n = self.n
+        width = n * n + n + 1
         d, g, s = self.mos_d, self.mos_g, self.mos_s
-        self._mos_mat_idx = {}
-        self._mos_rhs_idx = {}
-        for key, (a_idx, b_idx) in (("d", (d, s)), ("s", (s, d))):
-            # Column order matches the value stack in stamp_mosfets:
-            # (a,g)+gm  (a,a)+gds+gmin  (a,b)-(gm+gds)
-            # (b,g)-gm  (b,a)-gds       (b,b)+gm+gds+gmin
-            self._mos_mat_idx[key] = np.stack([
-                self._flat_mat(a_idx, g),
-                self._flat_mat(a_idx, a_idx),
-                self._flat_mat(a_idx, b_idx),
-                self._flat_mat(b_idx, g),
-                self._flat_mat(b_idx, a_idx),
-                self._flat_mat(b_idx, b_idx),
-            ], axis=-1)
-            # rhs rows: a gets -ieq, b gets +ieq; discard bin is n.
-            self._mos_rhs_idx[key] = np.stack([
-                np.where(a_idx >= 0, a_idx, self.n),
-                np.where(b_idx >= 0, b_idx, self.n),
-            ], axis=-1)
+
+        def mat(row, col):
+            return np.where((row >= 0) & (col >= 0), row * n + col,
+                            width - 1)
+
+        def rhs(row):
+            return np.where(row >= 0, n * n + row, width - 1)
+
+        local = np.concatenate([mat(d, g), mat(d, d), mat(d, s),
+                                mat(s, g), mat(s, d), mat(s, s),
+                                rhs(d), rhs(s)])
+        self._mos_terminals = np.stack([d, g, s])
+        self._row_width = width
+        self._stamp_table = (np.arange(self.n_samples)[:, None] * width
+                             + local).ravel()
 
     def _build_cap_maps(self):
         p, q = self.cap_p, self.cap_n
@@ -192,27 +209,30 @@ class BatchCompiledCircuit:
     # ------------------------------------------------------------------
 
     def _scatter_matrix(self, a, idx, vals):
-        """Accumulate flat-indexed entries into the ``(m, n, n)`` stack
-        ``a``; the per-sample discard bin ``n*n`` is dropped."""
+        """Accumulate the ``(m, k, 4)`` capacitor entries ``vals`` into
+        the ``(m, n, n)`` stack ``a`` through the ``(k, 4)`` flat table
+        ``idx``; the per-sample discard bin ``n*n`` is dropped."""
         m = a.shape[0]
         nn1 = self.n * self.n + 1
-        offsets = (np.arange(m) * nn1)[:, None]
-        idx = idx.reshape(m, -1) if idx.ndim == 3 else idx.reshape(1, -1)
-        flat = (idx + offsets).ravel()
-        acc = np.bincount(flat, weights=vals.reshape(m, -1).ravel(),
-                          minlength=m * nn1)
+        flat = (idx.reshape(1, -1) + (np.arange(m) * nn1)[:, None]).ravel()
+        acc = np.bincount(flat, weights=vals.ravel(), minlength=m * nn1)
         a += acc.reshape(m, nn1)[:, :self.n * self.n].reshape(
             m, self.n, self.n)
 
-    def _scatter_rhs(self, rhs, idx, vals):
-        m = rhs.shape[0]
-        n1 = self.n + 1
-        offsets = (np.arange(m) * n1)[:, None]
-        idx = idx.reshape(m, -1) if idx.ndim == 3 else idx.reshape(1, -1)
-        flat = (idx + offsets).ravel()
-        acc = np.bincount(flat, weights=vals.reshape(m, -1).ravel(),
-                          minlength=m * n1)
-        rhs += acc.reshape(m, n1)[:, :self.n]
+    def _scatter(self, values):
+        """Scatter the ``(m, 8 * n_mos)`` stamp values of
+        :func:`_stamp_values` through the stamp table.  Returns the
+        ``(m, n, n)`` matrix and ``(m, n)`` rhs stacks, both views of one
+        fresh buffer."""
+        m = values.shape[0]
+        n, width = self.n, self._row_width
+        if values.size:
+            buf = np.bincount(self._stamp_table[:values.size],
+                              weights=values.ravel(),
+                              minlength=m * width).reshape(m, width)
+        else:  # bincount of nothing comes back as integers
+            buf = np.zeros((m, width))
+        return buf[:, :n * n].reshape(m, n, n), buf[:, n * n:n * n + n]
 
     # ------------------------------------------------------------------
     # Assembly helpers (batched mirrors of CompiledCircuit)
@@ -292,40 +312,20 @@ class BatchCompiledCircuit:
                 isrc[s, k] = src.stimulus.values_at(times)
         return vsrc, isrc
 
-    def stamp_mosfets(self, x, a, rhs, sample_idx=None, gmin=1e-12):
-        """Linearise and stamp every MOSFET of every sample in ``x``.
+    def stamp_mosfets(self, x, a_base, rhs_base, params, gmin=1e-12):
+        """Linearise every MOSFET of every row of ``x`` and stamp it.
 
-        ``x`` is ``(m, n)``; ``sample_idx`` maps its rows to population
-        rows for the device-parameter lookup (default: rows 0..m-1).
+        ``x`` is ``(m, n)`` and ``params`` the ``(4, m, n_mos)`` device
+        parameters of its rows (``mos_params[:, rows]``).  Returns fresh
+        ``(a, rhs)`` stacks: ``a_base``/``rhs_base`` plus the stamps.
         """
-        if self.n_mos == 0:
-            return
-        if sample_idx is None:
-            sample_idx = slice(None)
-        v = self.gather_voltages(x)
-        vd = v[:, self.mos_d]
-        vg = v[:, self.mos_g]
-        vs = v[:, self.mos_s]
-
-        i_ab, gm, gds, a_is_drain = evaluate_level1(
-            vd, vg, vs, self.mos_sign, self.mos_beta[sample_idx],
-            self.mos_vt[sample_idx], self.mos_lam[sample_idx])
-
-        va = np.where(a_is_drain, vd, vs)
-        vb = np.where(a_is_drain, vs, vd)
-        ieq = i_ab - gm * (vg - vb) - gds * (va - vb)
-
-        sel = a_is_drain[:, :, None]
-        mat_idx = np.where(sel, self._mos_mat_idx["d"],
-                           self._mos_mat_idx["s"])
-        mat_vals = np.stack([gm, gds + gmin, -(gm + gds),
-                             -gm, -gds, gm + gds + gmin], axis=-1)
-        self._scatter_matrix(a, mat_idx, mat_vals)
-
-        rhs_idx = np.where(sel, self._mos_rhs_idx["d"],
-                           self._mos_rhs_idx["s"])
-        rhs_vals = np.stack([-ieq, ieq], axis=-1)
-        self._scatter_rhs(rhs, rhs_idx, rhs_vals)
+        v = self.gather_voltages(x).take(self._mos_terminals, axis=1)
+        vd, vg, vs = v[:, 0], v[:, 1], v[:, 2]
+        a, rhs = self._scatter(_stamp_values(
+            vd, vg, vs, *evaluate_level1_fast(vd, vg, vs, *params), gmin))
+        a += a_base
+        rhs += rhs_base
+        return a, rhs
 
     # ------------------------------------------------------------------
     # Factorization-reuse helpers (stacked mirrors of CompiledCircuit).
@@ -360,8 +360,8 @@ class BatchCompiledCircuit:
         r_idx, c_idx = np.nonzero(moved)
         if r_idx.size:
             pr = rows[r_idx]
-            # same branchless kernel as the scalar fast path, so the
-            # two engines' cached linearisations agree bitwise
+            # same branchless kernel as both Newton engines, so their
+            # linearisations agree bitwise
             i_ab, gm, gds, a_is_drain = evaluate_level1_fast(
                 vd[r_idx, c_idx], vg[r_idx, c_idx], vs[r_idx, c_idx],
                 self.mos_sign[c_idx], self.mos_beta[pr, c_idx],
@@ -376,45 +376,59 @@ class BatchCompiledCircuit:
         state.dev_valid[rows] = True
         return int(moved.size - r_idx.size), moved.all(axis=1)
 
+    def _cached_stamps(self, state, rows, gmin):
+        """:meth:`_scatter` of the stamp values of ``rows``' cached
+        linearisation."""
+        return self._scatter(_stamp_values(
+            state.dev_vd[rows], state.dev_vg[rows], state.dev_vs[rows],
+            state.dev_i[rows], state.dev_gm[rows], state.dev_gds[rows],
+            state.dev_a_is_drain[rows], gmin))
+
     def stamp_jacobian_from_cache(self, a, state, rows, gmin=1e-12):
         """Stamp the small-signal (matrix-only) MOSFET entries for
         ``rows`` from the cached linearisation into the ``(m, n, n)``
         stack ``a`` — same entries :meth:`stamp_mosfets` writes."""
-        if self.n_mos == 0:
-            return
-        gm = state.dev_gm[rows]
-        gds = state.dev_gds[rows]
-        sel = state.dev_a_is_drain[rows][:, :, None]
-        mat_idx = np.where(sel, self._mos_mat_idx["d"],
-                           self._mos_mat_idx["s"])
-        mat_vals = np.stack([gm, gds + gmin, -(gm + gds),
-                             -gm, -gds, gm + gds + gmin], axis=-1)
-        self._scatter_matrix(a, mat_idx, mat_vals)
+        a += self._cached_stamps(state, rows, gmin)[0]
 
     def residual_from_cache(self, x, a_base, rhs_base, state, rows,
                             gmin=1e-12):
-        """Stacked KCL residual ``F(x)`` of the exact stamped system,
-        device currents taken from the cached linearisation (see
+        """Stacked KCL residual ``F(x) = A·x - rhs`` of the system
+        stamped from the cached linearisation, with the gmin diagonal
+        on node rows; exact at a cache refreshed at ``x`` (see
         :meth:`repro.spice.mna.CompiledCircuit.residual_from_cache`)."""
-        f = (a_base @ x[:, :, None])[:, :, 0] - rhs_base
+        a, rhs = self._cached_stamps(state, rows, gmin)
+        a += a_base
+        f = (a @ x[:, :, None])[:, :, 0] - rhs - rhs_base
         n_nodes = self.n_nodes
         f[:, :n_nodes] += gmin * x[:, :n_nodes]
-        if self.n_mos:
-            v = self.gather_voltages(x)
-            aid = state.dev_a_is_drain[rows]
-            node_a = np.where(aid, self.mos_d, self.mos_s)
-            node_b = np.where(aid, self.mos_s, self.mos_d)
-            arange = np.arange(x.shape[0])[:, None]
-            va = v[arange, node_a]
-            vb = v[arange, node_b]
-            i = state.dev_i[rows]
-            fa = i + gmin * va
-            fb = -i + gmin * vb
-            sel = aid[:, :, None]
-            rhs_idx = np.where(sel, self._mos_rhs_idx["d"],
-                               self._mos_rhs_idx["s"])
-            self._scatter_rhs(f, rhs_idx, np.stack([fa, fb], axis=-1))
         return f
+
+
+def _stamp_values(vd, vg, vs, i_ab, gm, gds, a_is_drain, gmin):
+    """Norton stamp values of every device, ``(m, 8 * n_mos)`` in the
+    order of the stamp table (see
+    :meth:`BatchCompiledCircuit._build_stamp_table`).
+
+    Takes the terminal voltages and the level-1 linearisation
+    ``(i_ab, gm, gds, a_is_drain)`` of :func:`evaluate_level1_fast`,
+    whose frame puts its *a* terminal at the higher channel end.  In the
+    fixed drain/source frame the channel current from d to s is
+    ``i_ds = ieq + G_g vg + G_d vd + G_s vs``: the frame's orientation
+    moves ``gm`` between the conductances, never the destinations.
+    Rows d and s of the matrix get ``±(G_g, G_d, G_s)`` plus ``gmin``
+    on their diagonal, the rhs ``∓ieq``.  ``ieq`` sums the frame's own
+    terms, ``gm`` times the gate drive and ``gds`` times the channel
+    drop, so it is as well conditioned as the per-device stamp.
+    """
+    gm_d = gm * a_is_drain  # gm when d is the frame's a terminal
+    gm_s = gm - gm_d  # gm when s is
+    g_g = gm_d - gm_s
+    g_d = gds + gm_s
+    g_s = gds + gm_d  # -G_s
+    ieq = (np.where(a_is_drain, i_ab, -i_ab) - gm_d * (vg - vs)
+           + gm_s * (vg - vd) - gds * (vd - vs))
+    return np.concatenate((g_g, g_d + gmin, -g_s, -g_g, -g_d, g_s + gmin,
+                           -ieq, ieq), axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -449,18 +463,18 @@ def newton_solve_batch(batch, a_base, rhs_base, x0, sample_idx=None,
     sample_iters = np.zeros(m, dtype=int)
     start = _time.perf_counter()
     converged = np.zeros(m, dtype=bool)
-    singular = np.zeros(m, dtype=bool)
-    diag = np.arange(n_nodes)
+    # The active stack: the rows still iterating, their state, bases and
+    # device parameters.  It is compacted when rows leave, so iterations
+    # gather nothing.  Its base carries the gmin diagonal on node rows,
+    # which guards against floating nodes.
     active = np.arange(m)
-    for _iteration in range(max_iter):
-        if active.size == 0:
-            break
-        sample_iters[active] += 1
-        a = a_base[active].copy()
-        rhs = rhs_base[active].copy()
-        batch.stamp_mosfets(x[active], a, rhs,
-                            sample_idx=sample_idx[active], gmin=gmin)
-        a[:, diag, diag] += gmin
+    xa = x
+    a_act = a_base + gmin * batch.node_eye
+    rhs_act = rhs_base
+    params = batch.mos_params[:, sample_idx]
+    for iteration in range(1, max_iter + 1):
+        a, rhs = batch.stamp_mosfets(xa, a_act, rhs_act, params, gmin)
+        singular = None
         try:
             # rhs needs an explicit trailing axis: (k, n) alone would be
             # read as one matrix by the (m,m),(m,n) gufunc signature.
@@ -468,25 +482,36 @@ def newton_solve_batch(batch, a_base, rhs_base, x0, sample_idx=None,
         except np.linalg.LinAlgError:
             # One singular sample poisons the stacked solve; fall back to
             # per-sample solves for this iteration and quarantine them.
-            x_new = np.empty_like(rhs)
-            for j in range(a.shape[0]):
+            x_new = xa.copy()
+            singular = np.zeros(len(xa), dtype=bool)
+            for j in range(len(xa)):
                 try:
                     x_new[j] = np.linalg.solve(a[j], rhs[j])
                 except np.linalg.LinAlgError:
-                    x_new[j] = x[active[j]]
-                    singular[active[j]] = True
-        dx = x_new - x[active]
-        if n_nodes:
-            vstep = np.abs(dx[:, :n_nodes]).max(axis=1)
-        else:
-            vstep = np.zeros(active.size)
+                    singular[j] = True
+        dx = x_new - xa
+        vstep = np.abs(dx[:, :n_nodes]).max(axis=1)
         over = vstep > damping
-        if np.any(over):
+        if over.any():
             dx[over] *= (damping / vstep[over])[:, None]
-        x[active] += dx
-        done = np.logical_and(vstep <= vtol, ~singular[active])
-        converged[active[done]] = True
-        active = active[np.logical_and(~done, ~singular[active])]
+        xa += dx
+        leave = vstep <= vtol  # quarantined rows too: they did not move
+        if leave.any():
+            gone = active[leave]
+            x[gone] = xa[leave]
+            sample_iters[gone] = iteration
+            converged[gone] = True
+            if singular is not None:
+                converged[active[singular]] = False
+            if gone.size == active.size:
+                break
+            keep = ~leave
+            active, xa, a_act, rhs_act = (
+                active[keep], xa[keep], a_act[keep], rhs_act[keep])
+            params = params[:, keep]
+    else:
+        x[active] = xa
+        sample_iters[active] = max_iter
     stats.count("newton_iterations", int(sample_iters.sum()))
     stats.add_phase("newton", _time.perf_counter() - start)
     stats.count_rows(sample_idx, sample_iters)

@@ -49,11 +49,20 @@ TRAPEZOIDAL = "trap"
 SOLVER_EXACT = "exact"
 SOLVER_REUSE = "reuse"
 
+#: revision of the lockstep engine's stepping and Newton arithmetic.
+#: Bump it with every change that moves lockstep values, even at
+#: rounding level, so a warm cache never serves rows an earlier solver
+#: computed.  2: one fixed stamp table and the branchless device kernel
+#: (rows before it carried no revision).
+LOCKSTEP_REVISION = 2
+
 #: cache-key tokens naming the Newton policy of each engine; every
 #: measurement row's key carries one of them (see
-#: ``repro.core.pulse.run_measurements``)
+#: ``repro.core.pulse.run_measurements``), and the defect table's key
+#: the lockstep one
 NEWTON_CACHE_TOKEN = "solver=" + SOLVER_REUSE
-LOCKSTEP_NEWTON_CACHE_TOKEN = "solver=" + SOLVER_EXACT
+LOCKSTEP_NEWTON_CACHE_TOKEN = "solver={};revision={}".format(
+    SOLVER_EXACT, LOCKSTEP_REVISION)
 
 #: default absolute LTE tolerance (volts).  Crossing-time accuracy is
 #: the LTE divided by the local slew; at the bench's ~0.05 V/ps edges,
@@ -602,8 +611,8 @@ def run_transient_batch(circuits, tstop, dt, method=TRAPEZOIDAL,
     The population size picks the Newton engine.  A population of one
     runs the scalar reuse Newton, exactly like :func:`run_transient`.
     Larger populations advance in lockstep on exact Newton: each
-    iteration assembles all still-active rows with precomputed flat
-    stamp-index maps and performs one stacked solve (see
+    iteration assembles all still-active rows through one fixed stamp
+    table and performs one stacked solve (see
     :mod:`repro.spice.batch`).  On the fixed grid the rows share one
     grid; with ``adaptive=True`` each row keeps its own time, step and
     breakpoints, so a row's waveform does not depend on the rest of the

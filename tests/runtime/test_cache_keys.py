@@ -226,7 +226,7 @@ class TestEngineTag:
 SWEEP_ROW_KEY = "98e76dd64d4131403b92ecbaad723b7b"
 PULSE_CALIBRATION_KEY = "002cd5e2f18fd5d0fa0a6febf289f1aa"
 DELAY_CALIBRATION_KEY = "39aa520b174692b3fa5352326774c30f"
-NOMINAL_CURVE_KEY = "01e155093dd92f185a9fcebb1d1c3b46"
+NOMINAL_CURVE_KEY = "e83402b23bac13b9b2094e852e33e5fd"
 
 
 class TestPinnedDefaultKeys:
@@ -246,8 +246,20 @@ class TestPinnedDefaultKeys:
     * Fig. 10 scatter row ``b0e0eee3…`` → ``723c33c8…``
 
     The defect table is no measurement row, and its key did not move
-    (see its test).  A changed literal here means every warm cache of
-    that configuration goes cold."""
+    then (see its test).
+
+    The lockstep token then gained a revision of the lockstep stepping
+    and Newton arithmetic (``LOCKSTEP_REVISION`` in
+    ``repro.spice.transient``, 2 for one fixed stamp table and the
+    branchless device kernel), which moved every lockstep-keyed literal
+    once more and left the scalar-keyed ones where they were:
+
+    * lockstep sweep row ``36d1aead…`` → ``1ceb4242…``
+    * nominal transfer curve ``01e15509…`` → ``e83402b2…``
+    * Fig. 10 scatter row ``723c33c8…`` → ``5b72f2b1…``
+
+    A changed literal here means every warm cache of that configuration
+    goes cold."""
 
     GRID = [0.30e-9, 0.50e-9]
     PATH = dict(gate_kinds=("inv",) * 3)
@@ -257,7 +269,7 @@ class TestPinnedDefaultKeys:
 
     def test_sweep_row_batched_engine(self, row_key):
         assert (row_key(batch_size=32)
-                == "36d1aead0b769625c93ab1a470b279e8")
+                == "1ceb42426ae8578334f6597b0bf70471")
 
     def test_sweep_row_adaptive_grid(self, row_key):
         assert (row_key(adaptive=True)
@@ -288,18 +300,21 @@ class TestPinnedDefaultKeys:
 
     def test_transfer_scatter_row(self, calibration_cache):
         assert calibration_cache.contains(
-            "723c33c831ebc41b9b4b53bcdc8832c6")
+            "5b72f2b134692b3d1d9c15a79009719d")
 
     def test_defect_calibration_table(self, tmp_path):
-        """The electrical defect table's key carries its recipe token,
+        """The electrical defect table's key carries a recipe token,
         which moved it once, when its delays and width searches began
-        to run as lockstep populations."""
+        to run as lockstep populations.  That token is now the lockstep
+        Newton token, which names the same fact with the revision of the
+        lockstep arithmetic; it moved the key once more (``5d73eeb6…`` →
+        ``c1a63086…``)."""
         from repro.logic import DefectCalibration
 
         runtime = Runtime(cache=str(tmp_path / "cache"))
         DefectCalibration.from_electrical("external", [4e3], dt=2e-11,
                                           runtime=runtime, **self.PATH)
-        assert runtime.cache.contains("5d73eeb665dc044202481f643a875e97")
+        assert runtime.cache.contains("c1a63086db1421c3a5f60b611ad0df2a")
 
 
 class TestWarmCache:

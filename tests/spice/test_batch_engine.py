@@ -146,3 +146,49 @@ class TestBatchLowering:
         wf_hi = run_transient_batch(circuits, tstop, DT, record=record)
         node = paths[0].output_node
         assert np.abs(wf_lo[0][node] - wf_hi[0][node]).max() > 0.1
+
+
+class TestCacheHelpers:
+    """The factorization-reuse helpers nothing in the package calls
+    (the benchmark tracer names them) stamp what
+    :meth:`BatchCompiledCircuit.stamp_mosfets` stamps, at a cache
+    refreshed at the same state."""
+
+    def test_helpers_match_stamp_at_refreshed_cache(self):
+        from types import SimpleNamespace
+
+        paths = [build_instance(sample=s)
+                 for s in sample_population(3, base_seed=5)]
+        batch = BatchCompiledCircuit([p.circuit for p in paths])
+        shape = (batch.n_samples, batch.n_mos)
+        state = SimpleNamespace(
+            bypass_tol=1e-6, dev_valid=np.zeros(batch.n_samples, dtype=bool),
+            dev_a_is_drain=np.zeros(shape, dtype=bool),
+            **{name: np.zeros(shape) for name in (
+                "dev_vd", "dev_vg", "dev_vs", "dev_i", "dev_gm",
+                "dev_gds")})
+        rows = np.array([2, 0])
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-0.2, 2.7, size=(rows.size, batch.n))
+        a_base = batch.companion_base("trap", 2.0 / DT)[rows]
+        rhs_base = rng.normal(scale=1e-4, size=(rows.size, batch.n))
+
+        bypassed, exact = batch.refresh_device_cache(
+            x, state, rows, np.zeros(rows.size, dtype=bool))
+        assert bypassed == 0 and exact.all()
+        a, rhs = batch.stamp_mosfets(x, a_base, rhs_base,
+                                     batch.mos_params[:, rows])
+
+        jacobian = a_base.copy()
+        batch.stamp_jacobian_from_cache(jacobian, state, rows)
+        np.testing.assert_allclose(jacobian, a, rtol=0,
+                                   atol=1e-12 * np.abs(a).max())
+
+        # F(x) = A x - rhs of the stamped system, gmin diagonal included
+        diag = np.arange(batch.n_nodes)
+        a[:, diag, diag] += 1e-12
+        terms = np.abs(a) @ np.abs(x)[:, :, None]
+        np.testing.assert_allclose(
+            batch.residual_from_cache(x, a_base, rhs_base, state, rows),
+            (a @ x[:, :, None])[:, :, 0] - rhs, rtol=0,
+            atol=1e-12 * max(terms.max(), np.abs(rhs).max()))
