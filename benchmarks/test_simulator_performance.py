@@ -147,10 +147,13 @@ def test_perf_campaign_runtime(tmp_path):
     task's samples x R points as one lockstep population (one stacked
     MNA solve per Newton iteration): the ``serial`` leg (one sample per
     task) as populations of 3, the ``batched`` leg as populations of
-    ``REPRO_BENCH_BATCH`` x 3.  The ``adaptive`` leg runs one sample per
-    task, its 3 R points as one lockstep population in which every row
-    steps on its own time grid, so its step counts stay per row.  Knobs:
-    ``REPRO_BENCH_SAMPLES``, ``REPRO_BENCH_JOBS``, ``REPRO_BENCH_BATCH``.
+    ``REPRO_BENCH_BATCH`` x 3.  The ``adaptive`` leg runs in the chunks
+    the runtime sizes (serially one population of every sample x 3 R
+    points), in which every row steps on its own time grid, so its step
+    counts stay per row.  The ``cache`` leg times a warm rerun against
+    the cold run that filled the cache and against a direct read of the
+    objects the cold run wrote.  Knobs: ``REPRO_BENCH_SAMPLES``,
+    ``REPRO_BENCH_JOBS``, ``REPRO_BENCH_BATCH``.
     """
     from repro.core.coverage import sweep_pulse_measurements
     from repro.faults import ExternalOpen
@@ -221,6 +224,21 @@ def test_perf_campaign_runtime(tmp_path):
         warm_total += warm_once
         warm_runs += 1
     warm_s = warm_total / warm_runs
+    # The same objects read straight from the cache, as often: the warm
+    # rerun's time over this is cache-side work on both sides.
+    objects = os.path.join(cached.cache.root, "objects")
+    keys = [name[:-len(".json")]
+            for _, _, names in os.walk(objects)
+            for name in names if name.endswith(".json")]
+    reads_total, read_passes = 0.0, 0
+    while reads_total < WARM_LEG_S:
+        t0 = time.perf_counter()
+        for key in keys:
+            cached.cache.get(key)
+        reads_total += time.perf_counter() - t0
+        read_passes += 1
+    reads_s = reads_total / read_passes
+    assert len(keys) == n_samples
 
     assert serial_rows == cold_rows == warm_rows
     # Populations of different sizes; the gate allows solver tolerance.
@@ -290,16 +308,21 @@ def test_perf_campaign_runtime(tmp_path):
             "warm_wall_time_s": warm_s,
             "warm_reruns": warm_runs,
             "warm_over_cold": warm_s / cold_s,
+            "objects_read": len(keys),
+            "reads_wall_time_s": reads_s,
+            "warm_over_reads": warm_s / reads_s,
         },
     }
     record_bench("campaign_runtime", report)
     print("\nBENCH_runtime.json: serial {:.1f}s, batched {:.1f}s "
           "(x{:.2f}), adaptive {:.1f}s (x{:.2f}, {:.0f} vs {} steps), "
-          "warm cache {:.1f} ms mean of {} ({:.2%} of cold)".format(
+          "warm cache {:.1f} ms mean of {} ({:.2%} of cold, x{:.2f} a "
+          "direct read of its {} objects)".format(
               serial_s, batched_s, serial_s / batched_s,
               adaptive_s, serial_s / adaptive_s,
               adaptive_steps_per_run, fixed_steps_per_run,
-              1e3 * warm_s, warm_runs, warm_s / cold_s))
+              1e3 * warm_s, warm_runs, warm_s / cold_s, warm_s / reads_s,
+              len(keys)))
 
     # The warm rerun must be dominated by cache lookups, not
     # re-simulation: well under 10% of the cold run.

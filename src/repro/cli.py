@@ -14,18 +14,9 @@ from .core.experiments import (ExperimentConfig, run_adaptive_coverage,
                                run_transfer_experiment,
                                run_waveform_experiment)
 from .reporting import ascii_plot, coverage_table, format_table
-from .runtime import check_batch_size
 
 #: exit codes: 0 ok, 2 argparse, 3 failed or timed-out tasks
 EXIT_FAILED = 3
-
-
-def _batch_size(text):
-    """``--batch-size``: a positive sample count."""
-    try:
-        return check_batch_size(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _report_exit(args, report):
@@ -72,8 +63,6 @@ def _cmd_coverage(args):
         config.n_jobs = args.jobs
     if args.cache_dir:
         config.cache_dir = args.cache_dir
-    if args.batch_size is not None:
-        config.batch_size = args.batch_size
     if args.adaptive:
         config.adaptive = True
     if args.trace:
@@ -300,11 +289,6 @@ def build_parser():
                         "0 = all CPUs)")
     p.add_argument("--cache-dir", default=None,
                    help="enable the on-disk result cache at this path")
-    p.add_argument("--batch-size", type=_batch_size, default=None,
-                   help="samples per task (default 1); a task's "
-                        "samples x R points run as one lockstep "
-                        "population, and cached rows are keyed by the "
-                        "engine they ran")
     p.add_argument("--adaptive", action="store_true",
                    help="LTE-controlled adaptive time grid "
                         "(default: REPRO_ADAPTIVE or fixed-step)")

@@ -22,11 +22,11 @@ post-silicon delay test (EffiTest):
   their Wilson interval excludes the target.
 
 Every (sample, R) measurement is dispatched through the campaign
-:class:`~repro.runtime.Runtime` (one task per measurement, or chunks
-of ``batch_size``) under the same content-addressed key scheme as the
-fixed-grid sweeps (single-point resistance grids), so escalation waves
-never recompute earlier samples, warm reruns resume from the cache,
-and serial vs process-pool waves report identical solver counters.
+:class:`~repro.runtime.Runtime` (in chunks the runtime sizes) under the
+same content-addressed key scheme as the fixed-grid sweeps
+(single-point resistance grids), so escalation waves never recompute
+earlier samples, warm reruns resume from the cache, and serial vs
+process-pool waves report identical values and solver counters.
 """
 
 import math
@@ -116,19 +116,18 @@ class _SweepMeasurer:
     is one item of a single-point resistance grid, so each (sample, R)
     pair lands under one stable content-addressed cache key no matter
     which wave (or which rerun) asks for it.  A whole wave is one
-    :func:`~repro.core.pulse.run_measurements` call of ``batch_size``
-    items per task, in request order; a chunk may span R points.
+    :func:`~repro.core.pulse.run_measurements` call, in request order;
+    a chunk may span R points.
     """
 
     def __init__(self, samples, fault, tech, dt, runtime, report,
-                 batch_size, adaptive, path_kwargs, label, measure_spec):
+                 adaptive, path_kwargs, label, measure_spec):
         self.samples = list(samples)
         self.spec, _ = build_sweep_payloads(
             [], fault, [], tech=tech, dt=dt, adaptive=adaptive,
             path_kwargs=path_kwargs, **measure_spec)
         self.runtime = Runtime() if runtime is None else runtime
         self.report = report
-        self.batch_size = batch_size
         self.label = label
         #: (sample, R) measurements requested so far (cached or fresh)
         self.requested = 0
@@ -143,8 +142,7 @@ class _SweepMeasurer:
             self.spec,
             [{"sample": self.samples[index], "resistances": [float(r)]}
              for index, r in requests],
-            runtime=self.runtime, report=self.report,
-            batch_size=self.batch_size, label=self.label)
+            runtime=self.runtime, report=self.report, label=self.label)
         return [float(row[0]) for row in rows]
 
 
@@ -221,7 +219,7 @@ def adaptive_sweep(samples, fault, resistances, decide,
                    refine_rel_tol=DEFAULT_REFINE_REL_TOL,
                    initial_points=DEFAULT_INITIAL_POINTS,
                    tech=None, dt=None, runtime=None, report=None,
-                   batch_size=1, adaptive=False, path_kwargs=None,
+                   adaptive=False, path_kwargs=None,
                    label="adaptive-sweep", measurer=None, **measure_spec):
     """Adaptive-precision coverage sweep over one fault family.
 
@@ -253,8 +251,8 @@ def adaptive_sweep(samples, fault, resistances, decide,
     report = RunReport(label) if report is None else report
     if measurer is None:
         measurer = _SweepMeasurer(
-            samples, fault, tech, dt, runtime, report, batch_size,
-            adaptive, path_kwargs, label, measure_spec)
+            samples, fault, tech, dt, runtime, report, adaptive,
+            path_kwargs, label, measure_spec)
 
     full_grid = sorted(set(float(r) for r in resistances))
     grid = subsample_grid(full_grid, initial_points)

@@ -61,8 +61,8 @@ class PulseTestCalibration:
 def calibrate_pulse_test(samples, fault=None, tech=None, kind="h",
                          w_in_grid=None, sensing_tolerance=0.1,
                          margin=0.03e-9, dt=None, omega_in=None,
-                         runtime=None, report=None, batch_size=1,
-                         adaptive=False, **path_kwargs):
+                         runtime=None, report=None, adaptive=False,
+                         **path_kwargs):
     """Select (ω_in*, ω_th*) for the path described by ``path_kwargs``.
 
     Steps (Sec. 5 rule + Sec. 4 yield constraint):
@@ -89,7 +89,7 @@ def calibrate_pulse_test(samples, fault=None, tech=None, kind="h",
              adaptive=adaptive, tech=tech, path_kwargs=path_kwargs,
              fault=fault),
         [{"sample": sample} for sample in samples], runtime=runtime,
-        report=report, batch_size=batch_size, label="pulse-calibration")
+        report=report, label="pulse-calibration")
     weakest = min(wouts)
     if weakest <= 0.0:
         raise ValueError(
@@ -103,8 +103,8 @@ def calibrate_pulse_test(samples, fault=None, tech=None, kind="h",
 
 def calibrate_delay_test(samples, fault=None, tech=None, direction="rise",
                          flipflop=None, skew_tolerance=0.1, dt=None,
-                         runtime=None, report=None, batch_size=1,
-                         adaptive=False, **path_kwargs):
+                         runtime=None, report=None, adaptive=False,
+                         **path_kwargs):
     """Calibrate the reduced-clock baseline on the same population.
 
     Returns ``(DelayFaultTest, fault_free_delays)``.
@@ -116,7 +116,7 @@ def calibrate_delay_test(samples, fault=None, tech=None, direction="rise",
              adaptive=adaptive, tech=tech, path_kwargs=path_kwargs,
              fault=fault),
         [{"sample": sample} for sample in samples], runtime=runtime,
-        report=report, batch_size=batch_size, label="delay-calibration")
+        report=report, label="delay-calibration")
     test = calibrate_t_star(delays, samples, flipflop,
                             skew_tolerance=skew_tolerance)
     return test, delays

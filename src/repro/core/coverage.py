@@ -20,7 +20,7 @@ import math
 from ..cells import default_technology
 from ..faults import FaultSpec
 from ..montecarlo import wilson_interval
-from ..runtime import DEFAULT_BATCH_SIZE, check_batch_size
+from ..runtime import check_batch_size
 from .pulse import run_measurements
 
 
@@ -171,19 +171,12 @@ def build_sweep_payloads(samples, fault, resistances, tech=None, dt=None,
 
 
 def _sweep_batch_size(engine, batch_size):
-    """The dispatch grain of a sweep: ``batch_size`` samples per task
-    (default 1).  ``engine`` is its older spelling: ``"scalar"`` is one
-    sample per task, ``"batched"`` defaults to
-    :data:`~repro.runtime.DEFAULT_BATCH_SIZE`."""
-    if engine not in (None, "scalar", "batched"):
+    """A sweep's explicit chunk width, or None: the runtime sizes the
+    chunks (see :func:`~repro.core.pulse.run_measurements`).
+    ``engine`` is None or ``"batched"``, with no effect."""
+    if engine not in (None, "batched"):
         raise ValueError("unknown engine {!r}".format(engine))
-    if batch_size is None:
-        batch_size = DEFAULT_BATCH_SIZE if engine == "batched" else 1
-    batch_size = check_batch_size(batch_size)
-    if engine == "scalar" and batch_size > 1:
-        raise ValueError("engine='scalar' runs one sample per task; got "
-                         "batch_size={}".format(batch_size))
-    return batch_size
+    return None if batch_size is None else check_batch_size(batch_size)
 
 
 def _sweep_rows(samples, fault, resistances, tech, dt, runtime, label,
@@ -191,13 +184,10 @@ def _sweep_rows(samples, fault, resistances, tech, dt, runtime, label,
                 **measure_spec):
     """Dispatch the per-sample measurement rows through the runtime.
 
-    Samples are grouped into chunks of ``batch_size``; each chunk is
-    one executor task, so batching composes with the process pool.  A
-    chunk's samples x R points run as one population on either grid: a
-    population of one runs the scalar Newton, a larger one the lockstep
-    engine, and a row's cache key names the engine so the two never
-    serve each other's cached rows (they agree only to tolerance, not
-    bit-exactly).
+    Each chunk of samples is one executor task, so chunking composes
+    with the process pool, and a chunk's samples x R points run as one
+    lockstep population on either grid.  A row's values and cache key
+    do not depend on its chunk.
     """
     spec, items = build_sweep_payloads(
         samples, fault, resistances, tech=tech, dt=dt, adaptive=adaptive,
@@ -214,9 +204,11 @@ def sweep_pulse_measurements(samples, fault_family, resistances,
     """Per-sample, per-R output pulse widths for a fault family.
 
     ``fault_family`` is a fault prototype (any resistance).  Each task
-    simulates ``batch_size`` samples (default 1); its samples x
-    ``resistances`` run in lockstep as one population.
-    ``engine="batched"`` is the older spelling of ``batch_size > 1``.
+    simulates a chunk of samples, sized by the runtime; its samples x
+    ``resistances`` run in lockstep as one population.  ``batch_size``
+    (an explicit chunk width) and ``engine`` (None or ``"batched"``,
+    with no effect) remain only because the end-to-end and runtime
+    benches pass them; both go when those benches change.
     """
     return _sweep_rows(samples, fault_family, resistances, tech, dt,
                        runtime, "pulse-sweep", report, path_kwargs,

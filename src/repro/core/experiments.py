@@ -15,7 +15,7 @@ from ..cells import default_technology
 from ..faults import (BridgingFault, ExternalOpen, InternalOpen, PULL_UP,
                       inject)
 from ..montecarlo import NominalModel, sample_population
-from ..runtime import Runtime, RunReport, check_batch_size
+from ..runtime import Runtime, RunReport
 from .adaptive_coverage import (DEFAULT_CI_WIDTH, DEFAULT_MIN_WAVE,
                                 DEFAULT_REFINE_REL_TOL,
                                 DEFAULT_REFINE_TARGETS, adaptive_sweep)
@@ -37,24 +37,21 @@ class ExperimentConfig:
     None leaves each to :meth:`Runtime.from_config
     <repro.runtime.Runtime.from_config>`, which reads ``REPRO_JOBS``,
     ``REPRO_CACHE_DIR`` and ``REPRO_TRACE`` (unset: serial, no cache,
-    no trace).  ``batch_size`` is the number of samples one calibration,
-    sweep or Fig. 10 scatter task simulates (default 1).  A task's
-    samples times its R points or widths run as one population, in
-    lockstep when it holds more than one instance, so only one-point
-    rows (calibrations) of one sample run the scalar Newton.  The
-    engine is decided per call, not per task, and each cached row's key
-    names it.  ``adaptive``
-    switches the transients of the Figs. 2/3/5, 6-9 and 10 drivers to
-    the LTE-controlled time grid (``REPRO_ADAPTIVE=1``); Fig. 11's
-    electrical steps (defect calibration, ω_in refinement) stay on the
-    fixed grid.  The Newton solver and the adaptive step tolerance are
-    not settings here: :mod:`repro.spice` fixes both.
+    no trace).  The runtime sizes every calibration, sweep and Fig. 10
+    scatter call's chunks from its worker count (see
+    :func:`~repro.core.pulse.run_measurements`); a chunk's samples
+    times their R points or widths run as one lockstep population.
+    ``adaptive`` switches the transients of the Figs. 2/3/5, 6-9 and 10
+    drivers to the LTE-controlled time grid (``REPRO_ADAPTIVE=1``);
+    Fig. 11's electrical steps (defect calibration, ω_in refinement)
+    stay on the fixed grid.  The Newton solver and the adaptive step
+    tolerance are not settings here: :mod:`repro.spice` fixes both.
     """
 
     def __init__(self, n_samples=16, dt=3e-12, seed=1, fault_stage=2,
                  rop_resistances=None, bridging_resistances=None,
                  n_paths=10, n_jobs=None, cache_dir=None,
-                 batch_size=1, adaptive=False, trace=None):
+                 adaptive=False, trace=None):
         self.n_samples = int(n_samples)
         self.dt = float(dt)
         self.seed = int(seed)
@@ -68,7 +65,6 @@ class ExperimentConfig:
         self.n_paths = int(n_paths)
         self.n_jobs = None if n_jobs is None else int(n_jobs)
         self.cache_dir = cache_dir
-        self.batch_size = check_batch_size(batch_size)
         self.adaptive = bool(adaptive)
         self.trace = None if trace is None else str(trace)
 
@@ -185,7 +181,7 @@ def _calibrate(config, samples, tech, runtime, report):
     """Both methods' calibration on the fault-free population, and the
     measurement settings the campaign's sweeps share with it."""
     settings = dict(tech=tech, dt=config.dt, runtime=runtime, report=report,
-                    batch_size=config.batch_size, adaptive=config.adaptive)
+                    adaptive=config.adaptive)
     calibration = calibrate_pulse_test(samples, **settings)
     dftest, _ = calibrate_delay_test(samples, **settings)
     return calibration, dftest, settings
@@ -378,8 +374,8 @@ def run_transfer_experiment(config=None, tech=None, probe_widths=None,
                                      adaptive=config.adaptive)
     rows = measure_transfer_rows(
         config.samples(), probe_widths, kind=kind, dt=config.dt, tech=tech,
-        runtime=runtime, batch_size=config.batch_size,
-        adaptive=config.adaptive, label="transfer-scatter")
+        runtime=runtime, adaptive=config.adaptive,
+        label="transfer-scatter")
     scatter = {w_in: [row[i] for row in rows]
                for i, w_in in enumerate(probe_widths)}
     return TransferExperiment(nominal, probe_widths, scatter)

@@ -8,8 +8,11 @@ These are the two measurements everything in the paper reduces to:
   (reduced-clock delay-fault testing).
 
 Every calibration, sweep and transfer row measures its population
-through one chunk task, :func:`_measure_chunk`, dispatched and cached
-under one key recipe by :func:`run_measurements`.
+through one chunk task, :func:`_measure_chunk`, dispatched, chunked
+and cached under one key recipe by :func:`run_measurements`.  Every
+measurement runs the lockstep engine of
+:func:`~repro.spice.run_transient_batch`, whatever its population
+size, so a row reads the same in any chunk.
 """
 
 import functools
@@ -22,7 +25,7 @@ from ..faults import inject
 from ..runtime import Runtime, stable_hash
 from ..runtime.stats import rows_booked_to
 from ..spice import run_transient_batch
-from ..spice.transient import LOCKSTEP_NEWTON_CACHE_TOKEN, NEWTON_CACHE_TOKEN
+from ..spice.transient import LOCKSTEP_NEWTON_CACHE_TOKEN
 
 #: default transient step; stimulus edges are >= 50 ps so 2 ps resolves
 #: them with >25 points per edge
@@ -33,6 +36,11 @@ GATE_DELAY_BUDGET = 0.35e-9
 
 #: settling margin after the last expected event
 WINDOW_MARGIN = 1.2e-9
+
+#: instances one chunk task runs as one population at most: the
+#: per-row cost of a lockstep population stops falling near 128 (7-gate
+#: path, DESIGN.md "Chunking")
+MAX_POPULATION = 128
 
 
 def build_instance(sample=None, fault=None, tech=None, **path_kwargs):
@@ -86,7 +94,7 @@ def measure_output_pulse(path, w_in, kind="h", dt=DEFAULT_DT, level=None,
     ``record_all=True`` keeps every node in the waveform (for the
     waveform-reproduction benches); otherwise only input and output are
     recorded.  This is :func:`measure_output_pulse_batch` of a one-path
-    population, which runs the scalar Newton.
+    population.
     """
     w_outs, waveforms = measure_output_pulse_batch(
         [path], w_in, kind=kind, dt=dt, level=level, record_all=record_all,
@@ -115,9 +123,9 @@ def measure_output_pulse_batch(paths, w_in, kind="h", dt=DEFAULT_DT,
     identical paths.
 
     ``w_in`` is one width for all paths or one per path.  The instances
-    share one transient (see :func:`~repro.spice.run_transient_batch`:
-    lockstep for more than one path) over a shared window, the widest
-    of the per-instance windows — the extra settle time is
+    share one lockstep transient (see
+    :func:`~repro.spice.run_transient_batch`) over a shared window, the
+    widest of the per-instance windows — the extra settle time is
     measurement-neutral.  Returns ``(w_outs, waveforms)`` lists aligned
     with ``paths``.
     """
@@ -196,7 +204,7 @@ def _grid(item):
     return item.get("resistances", item.get("widths", [None]))
 
 
-def _measure_chunk(spec, items, lockstep=False):
+def _measure_chunk(spec, items):
     """Chunk task of every calibration, sweep and transfer row.
 
     ``spec`` holds what the whole call shares: ``measure`` (``"pulse"``
@@ -207,23 +215,16 @@ def _measure_chunk(spec, items, lockstep=False):
     ``widths`` (``spec`` then has no ``omega_in``, and its fault is
     injected as given): one instance per grid point gives a row of
     values.  An item without a grid gives one value.  Each item has
-    its own grid, so a chunk may mix grid points; the grids only need
-    equally many.
+    its own grid, so a chunk may mix grid points; the grids have
+    equally many (:func:`run_measurements` checks).
 
-    The chunk's instances run as one population on either grid.  With
-    ``lockstep`` (the call's chunks run the lockstep engine, see
-    :func:`run_measurements`) a population of one instance runs as a
-    lockstep population of two copies of it and keeps the first row; a
-    lockstep row does not depend on its population.  Each population
-    row's solver effort is booked to its item.
+    The chunk's instances run as one lockstep population on either
+    grid, and a lockstep row does not depend on its population.  Each
+    population row's solver effort is booked to its item.
     """
     sweep = "resistances" in items[0]
     transfer = "widths" in items[0]
     grids = [_grid(item) for item in items]
-    n_points = {len(grid) for grid in grids}
-    if len(n_points) > 1:
-        raise ValueError("items of one chunk need equally many R points "
-                         "or widths, got {}".format(sorted(n_points)))
     fault = spec["fault"]
     n = len(grids[0])
     # instance k is grid point k % n of item k // n
@@ -234,46 +235,50 @@ def _measure_chunk(spec, items, lockstep=False):
                                    else fault),
                             **spec["path_kwargs"])
              for k, point in enumerate(points)]
-    rows = list(range(len(paths)))
-    if lockstep and len(rows) == 1:
-        rows *= 2
-    population_spec = (dict(spec, omega_in=[points[k] for k in rows])
-                       if transfer else spec)
-    with rows_booked_to([k // n for k in rows]):
-        values = _measure_paths(population_spec, [paths[k] for k in rows])
+    population_spec = dict(spec, omega_in=points) if transfer else spec
+    with rows_booked_to([k // n for k in range(len(paths))]):
+        values = _measure_paths(population_spec, paths)
     if not (sweep or transfer):
-        return values[:len(paths)]
+        return values
     return [values[i * n:(i + 1) * n] for i in range(len(items))]
 
 
-def run_measurements(spec, items, runtime=None, report=None, batch_size=1,
-                     label="measure"):
+def run_measurements(spec, items, runtime=None, report=None,
+                     batch_size=None, label="measure"):
     """Values of ``items`` measured under ``spec``, in item order.
 
     Dispatches :func:`_measure_chunk` through
-    :meth:`~repro.runtime.Runtime.run_batched`, ``batch_size`` items per
-    executor task.  With a result cache, each item is cached under
-    ``stable_hash("measurement-row", spec, item, newton)``: ``spec`` and
-    the item are everything the chunk task reads, and ``newton`` is
-    the Newton token of the engine the call's chunks run, which the
-    chunk task is told too.  A chunk runs ``batch_size x n_points``
-    instances as one population on either grid, lockstep when more
-    than one; the answer is the call's, not the chunk's, so a lone row
-    left over by the cache still runs the engine its key names.
-    ``label`` is telemetry only.  Raises the first failed chunk's
-    error.
+    :meth:`~repro.runtime.Runtime.run_batched`.  The runtime sizes the
+    chunks: ``ceil(len(items) / n_jobs)`` items each, so a serial call
+    is one chunk and a pool gives each worker one, capped at
+    :data:`MAX_POPULATION` instances and at least one item
+    (``batch_size`` items instead when given: the sweeps' explicit
+    chunk width).  The items' grids must have equally many points, so
+    that one width serves the call.  With a result cache, each item is
+    cached under ``stable_hash("measurement-row", spec, item,
+    newton)``: ``spec`` and the item are everything the chunk task
+    reads, and ``newton`` is the lockstep Newton token, which names the
+    revision of the lockstep arithmetic.  No row depends on its chunk,
+    so neither its value nor its key does.  ``label`` is telemetry
+    only.  Raises the first failed chunk's error.
     """
     runtime = Runtime() if runtime is None else runtime
-    lockstep = bool(items) and batch_size * len(_grid(items[0])) > 1
+    n_points = {len(_grid(item)) for item in items}
+    if len(n_points) > 1:
+        raise ValueError("items of one call need equally many R points "
+                         "or widths, got {}".format(sorted(n_points)))
+    if batch_size is None:
+        per_worker = -(-len(items) // runtime.executor.n_jobs)
+        batch_size = max(1, min(per_worker, MAX_POPULATION
+                                // max(n_points, default=1)))
     keys = None
     if runtime.cache is not None:
-        newton = (LOCKSTEP_NEWTON_CACHE_TOKEN if lockstep
-                  else NEWTON_CACHE_TOKEN)
-        keys = [stable_hash("measurement-row", spec, item, newton)
+        keys = [stable_hash("measurement-row", spec, item,
+                            LOCKSTEP_NEWTON_CACHE_TOKEN)
                 for item in items]
     run = runtime.run_batched(
-        functools.partial(_measure_chunk, spec, lockstep=lockstep), items,
-        keys=keys, batch_size=batch_size, label=label, report=report)
+        functools.partial(_measure_chunk, spec), items, keys=keys,
+        batch_size=batch_size, label=label, report=report)
     if run.errors:
         raise run.errors[min(run.errors)]
     return run.values

@@ -116,14 +116,14 @@ def characterize_transfer(path, w_in_values, kind="h", dt=None,
 
 def measure_transfer_rows(samples, widths, kind="h", dt=None, fault=None,
                           tech=None, path_kwargs=None, runtime=None,
-                          report=None, batch_size=1, adaptive=False,
+                          report=None, adaptive=False,
                           label="transfer-rows"):
     """One transfer row per sample: ``w_out`` of its instance, ``fault``
     injected as given, at every width in ``widths``.
 
-    Runs :func:`~repro.core.pulse.run_measurements` with ``batch_size``
-    samples per task (which keys each row); a task's samples x widths
-    run as one lockstep population.
+    Runs :func:`~repro.core.pulse.run_measurements` (which keys each
+    row and sizes the chunks); a chunk's samples x widths run as one
+    lockstep population.
     """
     tech = default_technology() if tech is None else tech
     path_kwargs = {} if path_kwargs is None else dict(path_kwargs)
@@ -132,7 +132,7 @@ def measure_transfer_rows(samples, widths, kind="h", dt=None, fault=None,
                 tech=tech, path_kwargs=path_kwargs, fault=fault)
     return run_measurements(
         spec, [{"sample": sample, "widths": widths} for sample in samples],
-        runtime=runtime, report=report, batch_size=batch_size, label=label)
+        runtime=runtime, report=report, label=label)
 
 
 def width_search(lo=0.05e-9, hi=1.0e-9, tol=5e-12, group=None):

@@ -15,12 +15,13 @@ choices parametrise it:
   polynomial predictor through the last accepted points; it
   overestimates the true trapezoidal LTE, which keeps the controller
   conservative where waveform measurements are taken.
-* **The Newton engine, picked by population size.**  One circuit runs
-  the scalar reuse Newton of :mod:`repro.spice.mna` (``solver="exact"``
-  of :func:`run_transient` selects its exact-Newton reference); a
-  population of several topologically identical circuits runs the
-  exact lockstep Newton of :mod:`repro.spice.batch`, on one grid when
-  fixed and on one grid per row when adaptive.
+* **The Newton engine, picked by entry point.**  :func:`run_transient`
+  runs one circuit on the scalar reuse Newton of :mod:`repro.spice.mna`
+  (``solver="exact"`` selects its exact-Newton reference);
+  :func:`run_transient_batch` runs a population of topologically
+  identical circuits, of any size, on the exact lockstep Newton of
+  :mod:`repro.spice.batch`, on one grid when fixed and on one grid per
+  row when adaptive.
 
 The fixed-step grid remains the reference; the equivalence suite
 (tests/spice/test_adaptive.py) pins adaptive waveform measurements
@@ -43,9 +44,9 @@ from .waveform import Waveform
 BACKWARD_EULER = "be"
 TRAPEZOIDAL = "trap"
 
-#: Newton policies: one circuit runs ``reuse``, with ``exact`` as the
-#: reference the equivalence tests compare it against; a lockstep
-#: population always runs ``exact``
+#: Newton policies of :func:`run_transient`: ``reuse``, with ``exact``
+#: as the reference the equivalence tests compare it against; a
+#: lockstep population always runs ``exact``
 SOLVER_EXACT = "exact"
 SOLVER_REUSE = "reuse"
 
@@ -56,11 +57,9 @@ SOLVER_REUSE = "reuse"
 #: (rows before it carried no revision).
 LOCKSTEP_REVISION = 2
 
-#: cache-key tokens naming the Newton policy of each engine; every
-#: measurement row's key carries one of them (see
-#: ``repro.core.pulse.run_measurements``), and the defect table's key
-#: the lockstep one
-NEWTON_CACHE_TOKEN = "solver=" + SOLVER_REUSE
+#: cache-key token naming the lockstep Newton and its revision; every
+#: measurement row's key (see ``repro.core.pulse.run_measurements``) and
+#: the defect table's key carry it
 LOCKSTEP_NEWTON_CACHE_TOKEN = "solver={};revision={}".format(
     SOLVER_EXACT, LOCKSTEP_REVISION)
 
@@ -319,6 +318,17 @@ class _ScalarEngine:
                                             gmin=gmin, time=t)]
 
 
+def _stack_product(a, b):
+    """``a @ b`` for an ``(m, k)`` stack ``a``, each row summed in the
+    order of the ``m > 1`` product.  numpy multiplies a one-row ``a``
+    by a matrix-vector routine whose summation order differs from the
+    matrix-matrix one at rounding level, so a one-row stack is
+    multiplied as two copies of itself."""
+    if len(a) == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
 class _LockstepEngine:
     """A population on the exact lockstep Newton of
     :mod:`repro.spice.batch`: one stacked solve per Newton iteration over
@@ -354,14 +364,17 @@ class _LockstepEngine:
         rhs = np.zeros((self._rows[rows].size, batch.n))
         if self._tables is None:
             batch.source_rhs(t, rhs, rows)
+            product = np.matmul  # one row at a time at any population size
         else:
             vsrc_tab, isrc_tab = self._tables
             rhs[:, batch.n_nodes:batch.n_nodes + batch.n_vsrc] = (
                 vsrc_tab[:, :, step])
+            product = _stack_product  # the whole population at once
             if batch.n_isrc:
-                rhs += isrc_tab[:, :, step] @ batch.isrc_rhs_incidence
+                rhs += product(isrc_tab[:, :, step],
+                               batch.isrc_rhs_incidence)
         if ieq is not None:
-            rhs += ieq @ batch.cap_rhs_incidence
+            rhs += product(ieq, batch.cap_rhs_incidence)
         return rhs
 
     def solve(self, requests, gmin):
@@ -399,15 +412,15 @@ class _LockstepEngine:
 # The time-stepping loop and its two entry points
 # ----------------------------------------------------------------------
 
-def _initial_state(engine, x0, shape, gmin):
+def _initial_state(engine, x0, gmin):
     """The DC operating point at t=0, or ``x0`` checked against the
-    caller's ``shape`` and laid out as the engine's state."""
+    engine's state shape."""
     if x0 is None:
         return engine.dc(gmin)
     x = np.array(x0, dtype=float)
-    if x.shape != shape:
+    if x.shape != engine.shape:
         raise AnalysisError("x0 has wrong shape")
-    return x.reshape(engine.shape)
+    return x
 
 
 def _steps(engine, grid, rows, x, method, size, cols):
@@ -597,7 +610,7 @@ def run_transient(circuit, tstop, dt, method=TRAPEZOIDAL, record=None,
         raise ValueError("unknown solver mode {!r}; expected {} or {}"
                          .format(solver, SOLVER_REUSE, SOLVER_EXACT))
     engine = _ScalarEngine(circuit, solver)
-    x = _initial_state(engine, x0, engine.shape, gmin)
+    x = _initial_state(engine, x0, gmin)
     return _simulate(engine, x, tstop, dt, method, gmin, record, adaptive,
                      dt_min, dt_max, lte_tol)[0]
 
@@ -608,11 +621,9 @@ def run_transient_batch(circuits, tstop, dt, method=TRAPEZOIDAL,
     """Simulate a population of topologically identical circuits from 0
     to ``tstop``.
 
-    The population size picks the Newton engine.  A population of one
-    runs the scalar reuse Newton, exactly like :func:`run_transient`.
-    Larger populations advance in lockstep on exact Newton: each
-    iteration assembles all still-active rows through one fixed stamp
-    table and performs one stacked solve (see
+    The population, of any size, advances in lockstep on exact Newton:
+    each iteration assembles all still-active rows through one fixed
+    stamp table and performs one stacked solve (see
     :mod:`repro.spice.batch`).  On the fixed grid the rows share one
     grid; with ``adaptive=True`` each row keeps its own time, step and
     breakpoints, so a row's waveform does not depend on the rest of the
@@ -620,19 +631,15 @@ def run_transient_batch(circuits, tstop, dt, method=TRAPEZOIDAL,
     gmin-continuation retry) mirror the scalar engine per sample; the
     equivalence suite pins the two within 1e-6 V.
 
-    Parameters mirror :func:`run_transient` except ``solver``, which
-    the population size decides; ``circuits`` is a list of symbolic
-    circuits and ``x0``, when given, is an ``(S, n)`` initial-state
-    stack.
+    Parameters mirror :func:`run_transient` except ``solver`` (the
+    lockstep engine runs exact Newton only); ``circuits`` is a list of
+    symbolic circuits and ``x0``, when given, is an ``(S, n)``
+    initial-state stack.
 
     Returns a list of :class:`Waveform`, aligned with ``circuits``.
     """
     _check_analysis(tstop, dt, method, adaptive)
-    circuits = list(circuits)
-    if len(circuits) == 1:
-        engine = _ScalarEngine(circuits[0], SOLVER_REUSE)
-    else:
-        engine = _LockstepEngine(circuits)
-    x = _initial_state(engine, x0, (len(circuits), engine.compiled.n), gmin)
+    engine = _LockstepEngine(list(circuits))
+    x = _initial_state(engine, x0, gmin)
     return _simulate(engine, x, tstop, dt, method, gmin, record, adaptive,
                      dt_min, dt_max, lte_tol)

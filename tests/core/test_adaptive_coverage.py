@@ -242,7 +242,7 @@ class TestValidation:
 
 
 class TestElectricalIntegration:
-    """One tiny real sweep through the runtime: scalar engine, short
+    """One tiny real sweep through the runtime: lockstep engine, short
     inverter chain, coarse step.  Pins payload wiring, report folding
     and cache-backed wave resume."""
 

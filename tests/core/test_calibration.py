@@ -129,10 +129,10 @@ class TestDelayCalibration:
 
 
 class TestLoneChunkRow:
-    """At ``batch_size > 1`` a chunk left with one calibration row (the
-    population's remainder, or the one row a cache lost) runs the
-    lockstep engine its key names, so a row's value does not depend on
-    which of its chunk mates missed the cache."""
+    """A chunk of one calibration row (a one-sample call, or the one
+    row a cache lost) runs the lockstep engine like any chunk, with no
+    padding, so a row's value does not depend on which of its chunk
+    mates missed the cache."""
 
     DT = 2e-11
     ADAPTIVE = False
@@ -142,16 +142,16 @@ class TestLoneChunkRow:
         from repro.runtime import RunReport
 
         samples = sample_population(3, base_seed=1)
-        report = RunReport()
-        _, delays = calibrate_delay_test(samples, dt=self.DT, batch_size=2,
-                                         report=report,
+        _, delays = calibrate_delay_test(samples, dt=self.DT,
                                          adaptive=self.ADAPTIVE)
-        _, full = calibrate_delay_test([samples[2], samples[0]],
-                                       dt=self.DT, batch_size=2,
-                                       adaptive=self.ADAPTIVE)
+        report = RunReport()
+        _, alone = calibrate_delay_test([samples[2]], dt=self.DT,
+                                        report=report,
+                                        adaptive=self.ADAPTIVE)
         # the scalar reuse Newton is the only engine that reuses an LU
+        assert report.newton_solves > 0
         assert report.lu_reuses == 0
-        assert delays[2] == full[0]
+        assert alone == [delays[2]]
 
     def test_lost_row_recomputes_to_the_cold_value(self, tmp_path):
         import os
@@ -162,14 +162,14 @@ class TestLoneChunkRow:
         samples = sample_population(4, base_seed=1)
         trace = str(tmp_path / "trace.jsonl")
         runtime = Runtime(cache=str(tmp_path / "cache"), trace=trace)
-        _, cold = calibrate_delay_test(samples, dt=self.DT, batch_size=2,
+        _, cold = calibrate_delay_test(samples, dt=self.DT,
                                        runtime=runtime,
                                        adaptive=self.ADAPTIVE)
         (key,) = [event["key"] for event in read_trace(trace)
                   if event["event"] == "task" and event["index"] == 3]
         os.remove(runtime.cache._path(key))
         report = RunReport()
-        _, warm = calibrate_delay_test(samples, dt=self.DT, batch_size=2,
+        _, warm = calibrate_delay_test(samples, dt=self.DT,
                                        runtime=runtime, report=report,
                                        adaptive=self.ADAPTIVE)
         assert (report.cache_hits, report.cache_misses) == (3, 1)

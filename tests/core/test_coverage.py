@@ -193,9 +193,9 @@ class TestVariableNCoverageCurve:
 
 
 class TestLegacyCallablePath:
-    """Sweeps honour the ``adaptive`` setting and run the reuse Newton
-    solver, and a fault family that is not a FaultSpec prototype is
-    rejected."""
+    """Sweeps honour the ``adaptive`` setting and run the lockstep
+    Newton solver, and a fault family that is not a FaultSpec prototype
+    is rejected."""
 
     PATH = dict(gate_kinds=("inv",) * 3)
 
@@ -216,12 +216,17 @@ class TestLegacyCallablePath:
             self._sweep(adaptive=True)
         assert stats.total("adaptive_runs") > 0
 
-    def test_reuse_solver_runs(self):
+    def test_lockstep_solver_runs(self):
+        """A one-sample, one-point sweep row is a population of one; it
+        runs the lockstep engine too (exact Newton, no reused LU, a
+        per-row ledger)."""
         from repro.runtime import stats_scope
 
         with stats_scope() as stats:
             self._sweep()
-        assert stats.total("lu_reuses") > 0
+        assert stats.total("newton_solves") > 0
+        assert stats.total("lu_reuses") == 0
+        assert stats.total("lu_factorizations") == 0
 
     def test_batched_engine_rejected(self):
         from repro.core.coverage import sweep_pulse_measurements
@@ -303,11 +308,29 @@ class TestChunkSignature:
             assert got == pytest.approx(want, abs=0.1e-12)
 
     def test_unequal_grid_lengths_rejected(self):
-        from repro.core.pulse import _measure_chunk
+        from repro.core.pulse import run_measurements
 
         spec, (item,) = self._sweep()
         with pytest.raises(ValueError, match="R points"):
-            _measure_chunk(spec, [item, dict(item, resistances=[8e3, 16e3])])
+            run_measurements(spec,
+                             [item, dict(item, resistances=[8e3, 16e3])])
+
+    @pytest.mark.parametrize("n_jobs, batch_size", [(1, 1), (2, None)])
+    def test_mixed_grids_rejected_at_any_chunking(self, n_jobs, batch_size):
+        """The check is per call: chunks of one item each, or one chunk
+        per worker, would each pass a per-chunk check, so whether a
+        mixed call ran would depend on the worker count."""
+        from types import SimpleNamespace
+
+        from repro.core.pulse import run_measurements
+        from repro.runtime import Runtime
+
+        spec, (item,) = self._sweep()
+        runtime = Runtime(executor=SimpleNamespace(n_jobs=n_jobs))
+        with pytest.raises(ValueError, match="R points"):
+            run_measurements(spec,
+                             [item, dict(item, resistances=[8e3, 16e3])],
+                             runtime=runtime, batch_size=batch_size)
 
     def test_compatible_chunks_pass_the_gate(self):
         """The gate is structural: items carry nothing but their sample
@@ -338,10 +361,13 @@ class TestEngineSelection:
 
     def test_batch_size_honoured_by_default_engine(self, tmp_path):
         """``batch_size`` alone used to be dropped: the default engine
-        ran one sample per task whatever it said."""
+        ran one sample per task whatever it said.  Without it the
+        runtime sizes the chunks: a serial call is one chunk."""
+        assert self._chunk_sizes(tmp_path / "b1.jsonl",
+                                 batch_size=1) == [1, 1]
         assert self._chunk_sizes(tmp_path / "b2.jsonl",
                                  batch_size=2) == [2, 2]
-        assert self._chunk_sizes(tmp_path / "b1.jsonl") == [1, 1]
+        assert self._chunk_sizes(tmp_path / "default.jsonl") == [2, 2]
 
     def test_non_positive_batch_size_rejected(self):
         from repro.core.coverage import sweep_pulse_measurements
@@ -354,17 +380,22 @@ class TestEngineSelection:
                                          0.4e-9, batch_size=batch_size)
 
     def test_scalar_engine_with_chunks_rejected(self):
+        """No measurement runs the scalar engine, so ``engine="scalar"``
+        is an unknown engine, with chunks of eight or any other width."""
         from repro.core.coverage import (sweep_delay_measurements,
                                          sweep_pulse_measurements)
         from repro.faults import ExternalOpen
 
         samples = sample_population(2)
-        with pytest.raises(ValueError, match="scalar"):
-            sweep_pulse_measurements(samples, ExternalOpen(2, 2e3), [2e3],
-                                     0.4e-9, engine="scalar", batch_size=8)
-        with pytest.raises(ValueError, match="scalar"):
-            sweep_delay_measurements(samples, ExternalOpen(2, 2e3), [2e3],
-                                     engine="scalar", batch_size=8)
+        for batch_size in (None, 1, 8):
+            with pytest.raises(ValueError, match="unknown engine"):
+                sweep_pulse_measurements(samples, ExternalOpen(2, 2e3),
+                                         [2e3], 0.4e-9, engine="scalar",
+                                         batch_size=batch_size)
+            with pytest.raises(ValueError, match="unknown engine"):
+                sweep_delay_measurements(samples, ExternalOpen(2, 2e3),
+                                         [2e3], engine="scalar",
+                                         batch_size=batch_size)
 
     def test_unknown_engine_rejected(self):
         from repro.core.coverage import sweep_pulse_measurements

@@ -20,7 +20,6 @@ class TestExperimentConfig:
         assert config.n_samples == 16
         assert len(config.rop_resistances) == 10
         assert config.fault_stage == 2
-        assert config.batch_size == 1
 
     def test_fast_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAST", "1")
@@ -39,8 +38,11 @@ class TestExperimentConfig:
         assert config.n_samples == 16
 
     def test_non_positive_batch_size_rejected(self):
-        for batch_size in (0, -1):
-            with pytest.raises(ValueError, match="batch_size"):
+        """``batch_size`` is no setting (the runtime sizes the chunks),
+        so every value is rejected."""
+        assert not hasattr(ExperimentConfig(), "batch_size")
+        for batch_size in (0, -1, 2):
+            with pytest.raises(TypeError, match="batch_size"):
                 ExperimentConfig(batch_size=batch_size)
 
     def test_samples_deterministic(self):
@@ -124,12 +126,12 @@ class TestTransferExperimentDriver:
         assert list(warm.nominal_curve.w_out) == list(cold.nominal_curve.w_out)
         assert warm.sample_wouts == cold.sample_wouts
 
-    def test_scatter_honours_batch_size(self, tmp_path):
-        """The scatter used to run one sample per task whatever
-        ``batch_size`` said."""
+    def test_scatter_is_one_chunk_serially(self, tmp_path):
+        """The scatter used to run one sample per task; the runtime now
+        puts a serial call's samples in one chunk."""
         trace = str(tmp_path / "trace.jsonl")
         config = ExperimentConfig(n_samples=2, dt=1e-11, n_jobs=1,
-                                  batch_size=2, trace=trace)
+                                  trace=trace)
         run_transfer_experiment(config, probe_widths=[0.40e-9])
         assert [event["chunk_size"] for event in read_trace(trace)
                 if event["event"] == "task"

@@ -131,25 +131,27 @@ class TestNewtonPolicy:
         environment asked for the exact solver used to run it, while the
         transfer-scatter and defect-calibration cache keys, which carry
         no solver token, filed its slightly different w_out under the
-        reuse rows' key."""
+        reuse rows' key.  A measurement runs the lockstep engine, one
+        row on exact Newton, whatever the environment says."""
         from repro.runtime import stats_scope
 
         w_default, _ = measure_output_pulse(build_instance(), 0.43e-9,
                                             dt=5e-12)
-        monkeypatch.setenv("REPRO_SOLVER", "exact")
+        monkeypatch.setenv("REPRO_SOLVER", "reuse")
         with stats_scope() as stats:
             w_env, _ = measure_output_pulse(build_instance(), 0.43e-9,
                                             dt=5e-12)
-        assert stats.total("lu_reuses") > 0
+        assert stats.total("lu_reuses") == 0
+        assert list(stats.samples) == [0]
         assert w_env == w_default
 
 
 class TestPinnedMeasurements:
     """The nominal path's measurements at dt = 5 ps, pinned to 1e-15 s.
 
-    Single-path measurements run as a population of one on the scalar
-    Newton; how they are routed must not move the numbers the
-    calibrations and sweeps are built from.
+    Single-path measurements run as a lockstep population of one; how
+    they are routed must not move the numbers the calibrations and
+    sweeps are built from.
     """
 
     W_IN = 0.43e-9

@@ -27,16 +27,19 @@ FAKE_VALUE = 1e-9
 
 
 class RecordingRuntime(Runtime):
-    """A cached runtime whose ``run_batched`` records the keys it is
-    handed, per label, and measures nothing: every point reads
-    :data:`FAKE_VALUE`."""
+    """A cached runtime whose ``run_batched`` records the keys and the
+    chunk width it is handed, per label, and measures nothing: every
+    point reads :data:`FAKE_VALUE`."""
 
-    def __init__(self, tmp_path):
-        super().__init__(cache=str(tmp_path / "cache"))
+    def __init__(self, tmp_path, executor=None):
+        super().__init__(executor=executor, cache=str(tmp_path / "cache"))
         self.keys = {}
+        self.widths = {}
 
-    def run_batched(self, fn, payloads, keys=None, label="campaign", **_):
+    def run_batched(self, fn, payloads, keys=None, label="campaign",
+                    batch_size=None, **_):
         self.keys.setdefault(label, []).extend(keys)
+        self.widths.setdefault(label, []).append(batch_size)
         grids = [p.get("resistances", p.get("widths")) for p in payloads]
         return CampaignRun([FAKE_VALUE if grid is None
                             else [FAKE_VALUE] * len(grid)
@@ -123,9 +126,6 @@ class TestTransferRowKeySensitivity:
         dict(kind="l"),
         dict(dt=5e-12),
         dict(path_kwargs={"fanout_loads": 3}),
-        # a two-width row runs lockstep at any batch size, so the batch
-        # size shows on a one-width row only
-        dict(batch_size=2, widths=[0.30e-9]),
         dict(adaptive=True),
     ], ids=lambda changes: next(iter(changes)))
     def test_input_changes_key(self, tmp_path, changes):
@@ -164,9 +164,6 @@ _CALIBRATION_CASES = [
     dict(fault=ExternalOpen(2, 8e3)),
     dict(dt=5e-12),
     dict(fanout_loads=3),
-    # a calibration row is one point, so a second item per chunk moves
-    # it to the lockstep engine
-    dict(batch_size=2),
     dict(adaptive=True),
 ]
 
@@ -195,37 +192,52 @@ class TestCalibrationRowKeySensitivity:
                 != _calibration_key(tmp_path, "delay"))
 
 
-class TestEngineTag:
-    """A row's key ends with the Newton token of the engine its chunk
-    runs: lockstep when a chunk's items times their grid points number
-    more than one, on either grid."""
+class TestChunkingLeavesKeys:
+    """Every row runs the lockstep engine in any chunk, a chunk of one
+    row included, so a row's key names neither an engine nor a chunk:
+    it is ``stable_hash("measurement-row", spec, item, token)`` with
+    the lockstep Newton token."""
 
-    def test_population_of_one_is_scalar(self, row_key, base):
-        """A one-point row of one sample runs the scalar engine; two
-        samples per chunk move it to the lockstep one."""
-        assert row_key(batch_size=2) != base
+    def test_key_recipe(self, base):
+        from repro.core.coverage import build_sweep_payloads
+        from repro.runtime import stable_hash
+        from repro.spice.transient import LOCKSTEP_NEWTON_CACHE_TOKEN
 
-    def test_stacked_grid_points_are_lockstep(self, row_key):
-        """A two-point fixed-grid row runs lockstep at either batch
-        size."""
-        assert row_key(resistances=(4e3, 8e3)) == row_key(
-            resistances=(4e3, 8e3), batch_size=2)
+        spec, (item,) = build_sweep_payloads(
+            [VariationModel(3)], ExternalOpen(2, 8e3), [4e3], dt=3e-12,
+            measure="pulse", omega_in=0.40e-9, kind="h")
+        assert base == stable_hash("measurement-row", spec, item,
+                                   LOCKSTEP_NEWTON_CACHE_TOKEN)
 
-    def test_sweep_row_key_follows_the_population(self, row_key):
-        """On the adaptive grid too a chunk's items times their R points
-        make the population: a two-point row runs lockstep at either
-        batch size, a one-point row only when two samples share its
-        chunk."""
-        assert row_key(resistances=(4e3, 8e3), adaptive=True) == row_key(
-            resistances=(4e3, 8e3), adaptive=True, batch_size=2)
-        assert row_key(adaptive=True) != row_key(adaptive=True,
+    def test_sweep_row_key_ignores_the_chunk_width(self, row_key, base):
+        assert row_key(batch_size=2) == base
+        assert row_key(adaptive=True) == row_key(adaptive=True,
                                                  batch_size=2)
+
+    def test_calibration_keys_ignore_the_worker_count(self, tmp_path):
+        """A serial runtime measures the three rows as one chunk, two
+        workers as chunks of two and one; the keys are the same."""
+        from types import SimpleNamespace
+
+        from repro.montecarlo import sample_population
+
+        samples = sample_population(3, base_seed=2)
+        runs = []
+        for n_jobs in (1, 2):
+            runtime = RecordingRuntime(
+                tmp_path, executor=SimpleNamespace(n_jobs=n_jobs))
+            calibrate_delay_test(samples, dt=3e-12, runtime=runtime)
+            runs.append(runtime)
+        serial, pool = runs
+        assert (serial.widths["delay-calibration"],
+                pool.widths["delay-calibration"]) == ([3], [2])
+        assert serial.keys == pool.keys
 
 
 #: the default-configuration keys of every row kind
-SWEEP_ROW_KEY = "98e76dd64d4131403b92ecbaad723b7b"
-PULSE_CALIBRATION_KEY = "002cd5e2f18fd5d0fa0a6febf289f1aa"
-DELAY_CALIBRATION_KEY = "39aa520b174692b3fa5352326774c30f"
+SWEEP_ROW_KEY = "1ceb42426ae8578334f6597b0bf70471"
+PULSE_CALIBRATION_KEY = "5c593eedda66fb3f56cf8092c1cbb2e3"
+DELAY_CALIBRATION_KEY = "19aa5cab8f396e9f368619d722e3505c"
 NOMINAL_CURVE_KEY = "e83402b23bac13b9b2094e852e33e5fd"
 
 
@@ -258,13 +270,24 @@ class TestPinnedDefaultKeys:
     * nominal transfer curve ``01e15509…`` → ``e83402b2…``
     * Fig. 10 scatter row ``723c33c8…`` → ``5b72f2b1…``
 
+    Then every row began to run the lockstep engine in any chunk, a
+    population of one included, so every key carries the lockstep
+    token.  That moved each scalar-keyed literal once more and left
+    the lockstep-keyed ones (and the defect table's) where they were:
+
+    * default sweep row ``98e76dd6…`` → ``1ceb4242…`` (the lockstep
+      sweep row's key)
+    * adaptive sweep row ``88dd55d3…`` → ``78aaf17f…``
+    * pulse calibration ``002cd5e2…`` → ``5c593eed…``
+    * delay calibration ``39aa520b…`` → ``19aa5cab…``
+
     A changed literal here means every warm cache of that configuration
     goes cold."""
 
     GRID = [0.30e-9, 0.50e-9]
     PATH = dict(gate_kinds=("inv",) * 3)
 
-    def test_sweep_row_scalar_fixed_grid(self, base):
+    def test_sweep_row_fixed_grid(self, base):
         assert base == SWEEP_ROW_KEY
 
     def test_sweep_row_batched_engine(self, row_key):
@@ -273,7 +296,7 @@ class TestPinnedDefaultKeys:
 
     def test_sweep_row_adaptive_grid(self, row_key):
         assert (row_key(adaptive=True)
-                == "88dd55d3c53da4dce18e3feca138ba10")
+                == "78aaf17fb557c557ef514256097a8f1c")
 
     @pytest.fixture(scope="class")
     def calibration_cache(self, tmp_path_factory):

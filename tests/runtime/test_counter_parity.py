@@ -102,3 +102,68 @@ class TestBatchedParity:
         assert pool.values == pytest.approx(serial.values, abs=1e-9)
         assert _counters(serial.report)["adaptive_accepted"] > 0
         assert _counters(pool.report) == _counters(serial.report)
+
+
+class TestChunkIndependence:
+    """Every row runs the lockstep engine in any chunk, so how the
+    runtime chunks a campaign moves none of its values, keys or
+    counters.  A serial runtime runs each call as one chunk, two
+    workers as two chunks (of two items and one for three samples)."""
+
+    R = [1e3, 6e3, 40e3]
+
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["fixed", "adaptive"])
+    def test_open_coverage_serial_vs_pool(self, adaptive):
+        from repro.core import ExperimentConfig, run_open_coverage
+
+        config = ExperimentConfig(n_samples=3, dt=1e-11,
+                                  rop_resistances=self.R,
+                                  adaptive=adaptive)
+        serial = run_open_coverage(
+            config, runtime=Runtime(executor=SerialExecutor()))
+        pool = run_open_coverage(
+            config, runtime=Runtime(
+                executor=ProcessPoolExecutor(n_jobs=2, retries=0)))
+        assert pool.pulse.raw == serial.pulse.raw
+        assert pool.delay.raw == serial.delay.raw
+        assert pool.calibration.omega_th == serial.calibration.omega_th
+        assert pool.dftest.t_star == serial.dftest.t_star
+        assert serial.report.newton_solves > 0
+        assert _counters(pool.report) == _counters(serial.report)
+
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["fixed", "adaptive"])
+    def test_one_point_rows_at_chunk_widths_one_and_three(self, tmp_path,
+                                                          adaptive):
+        """Calibration rows are one point each, so a chunk of width one
+        is a population of one instance."""
+        from repro.cells import default_technology
+        from repro.core.pulse import run_measurements
+        from repro.montecarlo import sample_population
+        from repro.runtime import read_trace
+        from repro.runtime.stats import SAMPLE_COUNTER_NAMES
+
+        spec = dict(measure="delay", direction="rise", dt=1e-11,
+                    adaptive=adaptive, tech=default_technology(),
+                    path_kwargs={"gate_kinds": ("inv",) * 3}, fault=None)
+        items = [{"sample": sample}
+                 for sample in sample_population(3, base_seed=4)]
+        runs = {}
+        for width in (1, 3):
+            trace = str(tmp_path / "trace{}.jsonl".format(width))
+            runtime = Runtime(cache=str(tmp_path / "cache{}".format(width)),
+                              trace=trace)
+            values = run_measurements(spec, items, runtime=runtime,
+                                      batch_size=width)
+            events = sorted((e for e in read_trace(trace)
+                             if e["event"] == "task"),
+                            key=lambda e: e["index"])
+            assert [e["chunk_size"] for e in events] == [width] * 3
+            runs[width] = (values, [e["key"] for e in events],
+                           [{name: e["stats"]["counters"][name]
+                             for name in SAMPLE_COUNTER_NAMES}
+                            for e in events])
+        assert runs[1] == runs[3]
+        assert all(counters["newton_solves"] > 0
+                   for counters in runs[1][2])
