@@ -33,15 +33,12 @@ import json
 import sys
 
 #: metric-name suffixes that are ratios (machine-independent).
-RATIO_HIGHER_IS_BETTER = ("speedup_vs_serial", "speedup_vs_exact",
-                          "step_reduction_vs_fixed",
+RATIO_HIGHER_IS_BETTER = ("speedup_vs_serial", "step_reduction_vs_fixed",
                           "transient_reduction_vs_fixed")
 RATIO_LOWER_IS_BETTER = ("warm_over_reads",)
 
 #: absolute throughput metrics, only compared with ``--absolute``.
-ABSOLUTE_HIGHER_IS_BETTER = ("samples_per_second",
-                             "runs_per_second_exact",
-                             "runs_per_second_reuse")
+ABSOLUTE_HIGHER_IS_BETTER = ("samples_per_second",)
 
 
 def walk_metrics(report, path=""):

@@ -4,12 +4,11 @@ These are the only benches where pytest-benchmark's statistics matter:
 they track the cost of the primitive operations every experiment is
 built from, so performance regressions in the MNA core show up here.
 
-``test_perf_campaign_runtime``, ``test_perf_adaptive_coverage`` and
-``test_perf_solver_fast_path`` also record their numbers in
-``BENCH_runtime.json`` at the repo root (serial vs parallel vs batched
-vs adaptive samples/sec, accepted/rejected adaptive step counts,
-cache-warm speedup, adaptive transient budget, solver speedups) through
-one writer, :func:`record_bench`: each bench replaces its own sections
+``test_perf_campaign_runtime`` and ``test_perf_adaptive_coverage`` also
+record their numbers in ``BENCH_runtime.json`` at the repo root (serial
+vs parallel vs batched vs adaptive samples/sec, accepted/rejected
+adaptive step counts, cache-warm speedup, adaptive transient budget)
+through one writer, :func:`record_bench`: each bench replaces its own sections
 and appends a timestamped record to the file's ``history`` list, so the
 file keeps the runtime's perf trajectory.
 Knobs: ``REPRO_BENCH_SAMPLES`` (population size, default 32),
@@ -19,11 +18,9 @@ Knobs: ``REPRO_BENCH_SAMPLES`` (population size, default 32),
 
 import datetime
 import json
-import math
 import os
 import time
 
-import numpy as np
 import pytest
 
 from repro.cells import build_path
@@ -430,86 +427,3 @@ def test_perf_adaptive_coverage():
     # The campaign must beat the matched-resolution blind grid by at
     # least 30% — the acceptance gate of the adaptive engine.
     assert result.total_measurements <= 0.7 * matched
-
-
-def test_perf_solver_fast_path():
-    """Factorization-reuse solver speedup on wide paths.
-
-    Runs the same single-sample transient on chains of 7/15/31 gates
-    with the ``exact`` (per-iteration LU) and ``reuse``
-    (frozen-factorization + device bypass) Newton solvers and records
-    the serial throughput ratio (best of the repeats per solver) in the
-    ``solver`` section of ``BENCH_runtime.json``.  The two solvers
-    alternate within each repeat, in flipped order every repeat, so
-    host drift slows both legs alike instead of moving their ratio.
-    The fast path matters most where the dense LU dominates, so the
-    gate is on the widest chain.  Knob: ``REPRO_BENCH_SOLVER_REPEATS``
-    (default 3).
-    """
-    from repro.core.pulse import build_instance, simulation_window
-    from repro.runtime import SolverStats, stats_scope
-    from repro.spice import run_transient
-
-    repeats = int(os.environ.get("REPRO_BENCH_SOLVER_REPEATS", "3"))
-    w_in = 0.40e-9
-    dt = 4e-12
-    scenarios = {}
-    worst_overall = 0.0
-
-    for n_gates in (7, 15, 31):
-        path = build_instance(gate_kinds=("inv",) * n_gates)
-        delay = path.set_input_pulse(w_in, kind="h")
-        tstop = simulation_window(path, w_in=w_in, stimulus_delay=delay)
-        solvers = ("exact", "reuse")
-        stats = {solver: SolverStats() for solver in solvers}
-        best = dict.fromkeys(solvers, math.inf)
-        waveforms = {}
-        for repeat in range(repeats):
-            for solver in solvers[::-1] if repeat % 2 else solvers:
-                t0 = time.perf_counter()
-                with stats_scope(stats[solver]):
-                    waveforms[solver] = run_transient(
-                        path.circuit, tstop, dt, record=[path.output_node],
-                        solver=solver)
-                best[solver] = min(best[solver], time.perf_counter() - t0)
-
-        exact_s, reuse_s = best["exact"], best["reuse"]
-        counters = stats["reuse"].snapshot()["counters"]
-
-        wf_exact, wf_reuse = waveforms["exact"], waveforms["reuse"]
-        worst = max(np.abs(wf_exact[n] - wf_reuse[n]).max()
-                    for n in wf_exact.signals)
-        worst_overall = max(worst_overall, worst)
-        assert worst <= 1e-6, (n_gates, worst)
-        assert counters["lu_reuses"] > 0
-        assert counters["devices_bypassed"] > 0
-
-        scenarios["chain_{}".format(n_gates)] = {
-            "n_gates": n_gates,
-            "exact_wall_time_s": exact_s,
-            "reuse_wall_time_s": reuse_s,
-            "speedup_vs_exact": exact_s / reuse_s,
-            "runs_per_second_exact": 1.0 / exact_s,
-            "runs_per_second_reuse": 1.0 / reuse_s,
-            "lu_factorizations": counters["lu_factorizations"] // repeats,
-            "lu_reuses": counters["lu_reuses"] // repeats,
-            "devices_bypassed": counters["devices_bypassed"] // repeats,
-            "max_abs_v_diff_vs_exact": worst,
-        }
-
-    section = {
-        "workload": {"sweep": "single-sample pulse transient",
-                     "gate_chains": [7, 15, 31], "dt": dt,
-                     "omega_in": w_in, "repeats": repeats},
-        "max_abs_v_diff_vs_exact": worst_overall,
-    }
-    section.update(scenarios)
-    record_bench("solver_fast_path", {"solver": section})
-    print("\nsolver bench: " + ", ".join(
-        "{} gates x{:.2f}".format(s["n_gates"], s["speedup_vs_exact"])
-        for s in scenarios.values()))
-
-    # Where the dense LU dominates, reuse must win decisively; on the
-    # short chain it must at least not regress (timing noise aside).
-    assert scenarios["chain_31"]["speedup_vs_exact"] >= 1.5
-    assert scenarios["chain_7"]["speedup_vs_exact"] >= 0.9

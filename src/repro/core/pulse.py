@@ -16,6 +16,7 @@ size, so a row reads the same in any chunk.
 """
 
 import functools
+import inspect
 import math
 
 import numpy as np
@@ -260,8 +261,15 @@ def run_measurements(spec, items, runtime=None, report=None,
     reads, and ``newton`` is the lockstep Newton token, which names the
     revision of the lockstep arithmetic.  No row depends on its chunk,
     so neither its value nor its key does.  ``label`` is telemetry
-    only.  Raises the first failed chunk's error.
+    only.  Raises ``TypeError`` for a ``spec["path_kwargs"]`` key that
+    :func:`~repro.cells.build_path` does not take, before anything is
+    keyed or run, and otherwise the first failed chunk's error.
     """
+    unknown = sorted(set(spec["path_kwargs"])
+                     - set(inspect.signature(build_path).parameters))
+    if unknown:
+        raise TypeError("build_path() got unexpected keyword argument(s) "
+                        "{}".format(", ".join(map(repr, unknown))))
     runtime = Runtime() if runtime is None else runtime
     n_points = {len(_grid(item)) for item in items}
     if len(n_points) > 1:

@@ -588,10 +588,19 @@ class ProcessPoolExecutor:
 
         try:
             order = []
-            for chunk in chunks:
-                future = pool.submit(
-                    _execute_chunk, fn, [payloads[i] for i in chunk],
-                    chunk, self.chaos, attempt)
+            for position, chunk in enumerate(chunks):
+                try:
+                    future = pool.submit(
+                        _execute_chunk, fn, [payloads[i] for i in chunk],
+                        chunk, self.chaos, attempt)
+                except BrokenProcessPool:
+                    # A worker died while chunks were still being
+                    # submitted: a pool fault like one mid-round.  The
+                    # chunks never submitted cannot have caused it, so
+                    # they re-dispatch on the fresh pool as innocent.
+                    kill = True
+                    self.pool_rebuilds += 1
+                    return drain_break() + chunks[position:]
                 futures[future] = chunk
                 order.append(future)
             waiting = set(futures)

@@ -5,8 +5,8 @@ JSON summaries and JSONL trace events.  Each carries a
 ``schema_version`` of the form
 ``"<major>.<minor>"``:
 
-* **major** bumps on incompatible shape changes (renamed/retyped
-  fields).  Readers reject records from an unknown major instead of
+* **major** bumps on incompatible shape changes (renamed, retyped or
+  removed fields).  Readers reject records from an unknown major instead of
   silently misreading them.
 * **minor** bumps on additive changes (new optional fields).  Readers
   accept any minor of a known major and ignore fields they do not know.
@@ -22,11 +22,15 @@ are grandfathered in as major 1 (their shape *is* the 1.x shape).
 #: ``cache_quarantined`` on summaries, ``crashes`` on trace task events;
 #: 1.3: additive ATPG counters — ``atpg_sensitizations`` /
 #: ``atpg_backtracks`` / ``atpg_gate_evaluations`` on summaries and in
-#: the stats counters of trace events)
-SCHEMA_VERSION = "1.3"
+#: the stats counters of trace events; 2.0: the four counters of the
+#: removed factorization-reuse Newton — LU factorizations, LU reuses,
+#: bypassed devices and forced exact passes — left summaries and the
+#: stats counters of trace events)
+SCHEMA_VERSION = "2.0"
 
-#: majors this tree knows how to read
-KNOWN_MAJORS = (1,)
+#: majors this tree knows how to read (a 1.x record carries the four
+#: removed counters as fields a 2.x reader ignores)
+KNOWN_MAJORS = (1, 2)
 
 
 class SchemaVersionError(ValueError):

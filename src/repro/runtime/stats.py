@@ -41,11 +41,6 @@ COUNTER_NAMES = (
     "adaptive_accepted",
     "adaptive_rejected",
     "ladder_retries",
-    # factorization-reuse fast path (repro.spice.mna.NewtonState)
-    "lu_factorizations",
-    "lu_reuses",
-    "devices_bypassed",
-    "bypass_forced_exact",
     # path-sensitization ATPG (repro.logic.atpg.sensitize_path)
     "atpg_sensitizations",
     "atpg_backtracks",

@@ -157,22 +157,6 @@ class RunReport:
         return self.solver.total("ladder_retries")
 
     @property
-    def lu_factorizations(self):
-        return self.solver.total("lu_factorizations")
-
-    @property
-    def lu_reuses(self):
-        return self.solver.total("lu_reuses")
-
-    @property
-    def devices_bypassed(self):
-        return self.solver.total("devices_bypassed")
-
-    @property
-    def bypass_forced_exact(self):
-        return self.solver.total("bypass_forced_exact")
-
-    @property
     def atpg_sensitizations(self):
         return self.solver.total("atpg_sensitizations")
 
@@ -225,10 +209,6 @@ class RunReport:
             "adaptive_accepted": self.adaptive_accepted,
             "adaptive_rejected": self.adaptive_rejected,
             "ladder_retries": self.ladder_retries,
-            "lu_factorizations": self.lu_factorizations,
-            "lu_reuses": self.lu_reuses,
-            "devices_bypassed": self.devices_bypassed,
-            "bypass_forced_exact": self.bypass_forced_exact,
             "atpg_sensitizations": self.atpg_sensitizations,
             "atpg_backtracks": self.atpg_backtracks,
             "atpg_gate_evaluations": self.atpg_gate_evaluations,
@@ -279,12 +259,6 @@ class RunReport:
                 "  adaptive: {} accepted / {} rejected steps in {} runs"
                 .format(s["adaptive_accepted"], s["adaptive_rejected"],
                         s["adaptive_runs"]))
-        if self.lu_factorizations or self.lu_reuses:
-            lines.append(
-                "  fast path: {} LU factorizations, {} reuses, "
-                "{} devices bypassed".format(
-                    s["lu_factorizations"], s["lu_reuses"],
-                    s["devices_bypassed"]))
         if self.atpg_sensitizations:
             lines.append(
                 "  atpg: {} sensitizations, {} backtracks, "

@@ -23,12 +23,12 @@ population advances through a transient in lockstep:
   a row leaves (:func:`newton_solve_batch`).
 
 The lockstep Newton is exact Newton: it keeps no factorization and
-bypasses no device between iterations.  Factorization reuse, which pays
-off for one circuit (:mod:`repro.spice.mna`), needs about twice the
-iterations in lockstep and a per-row LAPACK loop, and lost to the
-stacked exact solve at every population size measured.  The scalar
-engine remains the reference implementation; the equivalence suite pins
-the batched waveforms to it within 1e-6 V.
+bypasses no device between iterations.  It is the one transient Newton:
+:func:`repro.spice.transient.run_transient` runs one circuit as a
+population of one.  Its waveforms are pinned, within 1e-9 V, to a
+reference the removed scalar exact-Newton transient recorded
+(tests/spice/test_batch_engine.py), and :func:`solve_dc_batch` agrees
+with the scalar DC solve of :mod:`repro.spice.dcop` per circuit.
 """
 
 import time as _time
@@ -261,7 +261,7 @@ class BatchCompiledCircuit:
         """``a_static + cap_companion_matrix(geq_scale)`` stack, cached
         per ``(scheme, geq_scale)`` — the batched mirror of
         :meth:`repro.spice.mna.CompiledCircuit.companion_base` (shared,
-        read-only, identity-stable for LU warm starts)."""
+        read-only)."""
         key = (scheme, float(geq_scale))
         cache = self._companion_cache
         base = cache.pop(key, None)
@@ -328,9 +328,10 @@ class BatchCompiledCircuit:
         return a, rhs
 
     # ------------------------------------------------------------------
-    # Factorization-reuse helpers (stacked mirrors of CompiledCircuit).
-    # Nothing in the package calls them; the benchmark tracer
-    # (benchmarks/e2e/spans.py) still names all three.
+    # Device-cache helpers of the removed factorization-reuse Newton
+    # (stacked mirrors of CompiledCircuit's).  Nothing in the package
+    # calls them; the benchmark tracer (benchmarks/e2e/spans.py) still
+    # names all three.
     # ------------------------------------------------------------------
 
     def refresh_device_cache(self, x, state, rows, force_exact):
@@ -360,7 +361,7 @@ class BatchCompiledCircuit:
         r_idx, c_idx = np.nonzero(moved)
         if r_idx.size:
             pr = rows[r_idx]
-            # same branchless kernel as both Newton engines, so their
+            # the lockstep Newton's branchless kernel, so the two
             # linearisations agree bitwise
             i_ab, gm, gds, a_is_drain = evaluate_level1_fast(
                 vd[r_idx, c_idx], vg[r_idx, c_idx], vs[r_idx, c_idx],
@@ -522,7 +523,7 @@ def gmin_ladder_batch(batch, a_base, rhs_base, x0, sample_idx, gmin,
                       start_gmin=1e-3):
     """gmin continuation for a subset of samples that failed plain Newton.
 
-    Mirrors the scalar :func:`repro.spice.mna.gmin_continuation_solve`:
+    The stacked form of :func:`repro.spice.mna.gmin_continuation_solve`:
     walk gmin from ``start_gmin`` down to the target in decade steps,
     keeping each rung's solution only for the samples that converged on
     it, then solve at the target gmin.  All array arguments are already
@@ -531,8 +532,8 @@ def gmin_ladder_batch(batch, a_base, rhs_base, x0, sample_idx, gmin,
     """
     x = np.array(x0, dtype=float)
     stats = current_stats()
-    # One ladder escalation per failing sample, matching the scalar
-    # engine's one gmin_continuation_solve call per sample-step.
+    # One ladder escalation per failing sample, as one
+    # gmin_continuation_solve call books one.
     stats.count("ladder_retries", int(x.shape[0]))
     with stats.phase("ladder"):
         step_gmin = start_gmin

@@ -1,4 +1,4 @@
-"""Modified nodal analysis compiler and Newton solver core.
+"""Modified nodal analysis compiler and the one-circuit DC Newton.
 
 The compiler resolves a symbolic :class:`~repro.spice.netlist.Circuit` into
 dense numpy structures:
@@ -10,6 +10,13 @@ dense numpy structures:
 * MOSFET terminal index arrays plus per-device parameter vectors so the
   nonlinear evaluation is a single vectorised call per Newton iteration.
 
+:class:`~repro.spice.batch.BatchCompiledCircuit` stacks these per circuit
+of a population, and every transient runs on its lockstep Newton.  The
+damped exact Newton here (:func:`newton_solve`, with the gmin ladder of
+:func:`gmin_continuation_solve`) is the one-circuit DC solve behind
+:func:`repro.spice.dcop.operating_point` and
+:func:`repro.spice.dcop.dc_residual`.
+
 The unknown vector is ``x = [node voltages..., vsource branch currents...]``.
 Ground is index ``-1`` and is handled by appending a pinned 0.0 entry when
 gathering voltages and by masking stamps that land on it.
@@ -18,11 +25,8 @@ gathering voltages and by masking stamps that land on it.
 import time as _time
 
 import numpy as np
-# Raw LAPACK bindings: the high-level lu_factor/lu_solve wrappers spend
-# ~30 us per call on argument validation, which at MNA sizes (tens of
-# unknowns) costs more than the triangular solves they wrap.  getrf also
-# reports exact singularity via ``info`` instead of a warning, which is
-# the contract the solver needs anyway.
+# Nothing in the package calls these LAPACK bindings; the benchmark
+# tracer (benchmarks/e2e/spans.py) still names both.
 from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
 
 from ..runtime.stats import current_stats
@@ -31,61 +35,9 @@ from .errors import ConvergenceError, NetlistError
 from .mosfet import Mosfet, evaluate_level1, evaluate_level1_fast
 from .netlist import is_ground
 
-#: a device whose terminal voltages all moved less than this since its
-#: last evaluation keeps its cached linearisation (volts).  The final
-#: convergence check always re-evaluates every device, so the accepted
-#: solution satisfies the *exact* stamped system to ``vtol`` regardless.
-DEFAULT_BYPASS_TOL = 1e-6
-
-#: a Newton step that shrinks by less than this factor versus the
-#: previous one counts as a stall and triggers a Jacobian refactor.
-STALL_RATIO = 0.5
-
 #: companion-base variants kept per compiled circuit (adaptive stepping
-#: revisits a handful of step sizes; the cache makes their ``a_base``
-#: identity-stable so LU warm starts survive step-size oscillation).
+#: revisits a handful of step sizes)
 _COMPANION_CACHE_MAX = 8
-
-
-class NewtonState:
-    """Cross-timestep memory for the factorization-reuse fast path.
-
-    One instance accompanies one transient run (one sample).  It owns
-
-    * the frozen LU factorization of the last stamped Jacobian plus the
-      identity of the ``a_base`` and the ``gmin`` it was built for (the
-      LU is only reusable against the exact same companion system), and
-    * the per-device linearisation cache — terminal voltages at the last
-      evaluation and the resulting ``(i_ab, gm, gds, a_is_drain)`` — that
-      the device-bypass logic compares against.
-    """
-
-    def __init__(self, bypass_tol=DEFAULT_BYPASS_TOL):
-        self.bypass_tol = float(bypass_tol)
-        self.lu = None
-        self.lu_a_base = None
-        self.lu_gmin = None
-        self.dev_vd = None
-        self.dev_vg = None
-        self.dev_vs = None
-        self.dev_i = None
-        self.dev_gm = None
-        self.dev_gds = None
-        self.dev_a_is_drain = None
-        #: stacked [node_a..., node_b...] scatter targets (ground = -1),
-        #: maintained alongside the linearisation cache so the residual
-        #: and Jacobian assembly skip the per-iteration where() shuffle
-        self.node_ab = None
-
-    def lu_matches(self, a_base, gmin):
-        return (self.lu is not None and self.lu_a_base is a_base
-                and self.lu_gmin == gmin)
-
-    def invalidate(self):
-        """Drop the frozen factorization (device cache stays useful)."""
-        self.lu = None
-        self.lu_a_base = None
-        self.lu_gmin = None
 
 
 class CompiledCircuit:
@@ -230,11 +182,11 @@ class CompiledCircuit:
     def companion_base(self, scheme, geq_scale):
         """``a_static + cap_companion_matrix(geq_scale)``, cached.
 
-        Keyed per ``(scheme, geq_scale)`` so the transient drivers stop
-        re-summing the same companion system on every step/attempt (the
-        adaptive stepper revisits a handful of step sizes).  The returned
-        array is shared and marked read-only; its *identity* stability is
-        what lets :class:`NewtonState` keep a warm LU across timesteps.
+        Keyed per ``(scheme, geq_scale)``; the returned array is shared
+        and marked read-only.  Transients use the stacked mirror,
+        :meth:`repro.spice.batch.BatchCompiledCircuit.companion_base`;
+        nothing in the package calls this one, which the benchmark
+        tracer still names.
         """
         key = (scheme, float(geq_scale))
         cache = self._companion_cache
@@ -307,6 +259,23 @@ class CompiledCircuit:
             np.add.at(rhs, ia[ma], -ieq[ma])
         if np.any(mb):
             np.add.at(rhs, ib[mb], ieq[mb])
+
+    def mosfet_currents(self, x):
+        """Drain current of each MOSFET (positive into the drain) at ``x``."""
+        if self.n_mos == 0:
+            return np.zeros(0)
+        v = self.gather_voltages(x)
+        i_ab, _, _, a_is_drain = evaluate_level1(
+            v[self.mos_d], v[self.mos_g], v[self.mos_s],
+            self.mos_sign, self.mos_beta, self.mos_vt, self.mos_lam)
+        # i_ab flows a -> b; when a is the drain, drain current = +i_ab.
+        return np.where(a_is_drain, i_ab, -i_ab)
+
+    # ------------------------------------------------------------------
+    # Device-cache helpers of the removed factorization-reuse Newton.
+    # Nothing in the package calls them; the benchmark tracer
+    # (benchmarks/e2e/spans.py) still names all three.
+    # ------------------------------------------------------------------
 
     def refresh_device_cache(self, x, state, force_exact=False):
         """Update ``state``'s per-device linearisation cache around ``x``.
@@ -414,39 +383,14 @@ class CompiledCircuit:
             np.add.at(f, state.node_ab, contrib)
         return f[:n]
 
-    def mosfet_currents(self, x):
-        """Drain current of each MOSFET (positive into the drain) at ``x``."""
-        if self.n_mos == 0:
-            return np.zeros(0)
-        v = self.gather_voltages(x)
-        i_ab, _, _, a_is_drain = evaluate_level1(
-            v[self.mos_d], v[self.mos_g], v[self.mos_s],
-            self.mos_sign, self.mos_beta, self.mos_vt, self.mos_lam)
-        # i_ab flows a -> b; when a is the drain, drain current = +i_ab.
-        return np.where(a_is_drain, i_ab, -i_ab)
-
-
 def newton_solve(compiled, a_base, rhs_base, x0, gmin=1e-12,
-                 max_iter=120, vtol=1e-6, damping=0.8, time=None,
-                 state=None):
+                 max_iter=120, vtol=1e-6, damping=0.8, time=None):
     """Solve the nonlinear MNA system ``F(x) = 0`` by damped Newton.
 
     ``a_base``/``rhs_base`` hold every contribution that does not depend on
     ``x`` (linear elements, sources, capacitor companions).  Returns the
     converged solution.
-
-    With ``state`` (a :class:`NewtonState`) the
-    factorization-reuse/device-bypass fast path runs first; the exact
-    damped iteration below remains the guaranteed fallback, so
-    convergence behaviour is never worse than without ``state``.
     """
-    if state is not None:
-        try:
-            return _newton_solve_reuse(compiled, a_base, rhs_base, x0,
-                                       state, gmin, max_iter, vtol,
-                                       damping, time)
-        except ConvergenceError:
-            state.invalidate()
     x = np.array(x0, dtype=float)
     n_nodes = compiled.n_nodes
     stats = current_stats()
@@ -487,104 +431,6 @@ def newton_solve(compiled, a_base, rhs_base, x0, gmin=1e-12,
     finally:
         # Book iterations even on the failure path — diverging solves
         # are exactly the effort test-time tuning needs to see.
-        stats.count("newton_iterations", iterations)
-        stats.add_phase("newton", _time.perf_counter() - start)
-
-
-def _newton_solve_reuse(compiled, a_base, rhs_base, x0, state, gmin,
-                        max_iter, vtol, damping, time):
-    """Modified (Shamanskii) Newton with a frozen LU and device bypass.
-
-    Iterates ``x += -J₀⁻¹ F(x)`` where ``F`` is the residual of the exact
-    stamped system and ``J₀`` is the LU-factored Jacobian from the last
-    refactor — possibly warm-started from a previous timestep via
-    ``state``.  Policy:
-
-    * refactor when there is no LU valid for this ``(a_base, gmin)``, or
-      when the step fails to shrink by :data:`STALL_RATIO`;
-    * a stall right after a fresh refactor switches to refactoring every
-      iteration, which is algebraically exact Newton;
-    * convergence is only accepted on an iteration whose devices were all
-      evaluated exactly (``bypass_forced_exact`` counts the confirmation
-      passes this forces).
-    """
-    x = np.array(x0, dtype=float)
-    n_nodes = compiled.n_nodes
-    stats = current_stats()
-    stats.count("newton_solves")
-    iterations = 0
-    start = _time.perf_counter()
-    diag = np.arange(n_nodes)
-    refactor = not state.lu_matches(a_base, gmin)
-    always_refactor = False
-    force_exact = False
-    prev_vstep = np.inf
-    vstep = None
-    try:
-        for _iteration in range(max_iter):
-            iterations += 1
-            fully_exact = force_exact or state.dev_vd is None
-            bypassed = compiled.refresh_device_cache(
-                x, state, force_exact=fully_exact)
-            if bypassed:
-                stats.count("devices_bypassed", bypassed)
-            fresh = refactor or always_refactor
-            if fresh:
-                # Fortran order lets getrf factor in place, copy-free.
-                a = a_base.copy(order="F")
-                compiled.stamp_jacobian_from_cache(a, state, gmin=gmin)
-                a[diag, diag] += gmin
-                lu, piv, info = _getrf(a, overwrite_a=True)
-                if info != 0:
-                    raise ConvergenceError(
-                        "singular MNA matrix", iterations=iterations,
-                        time=time)
-                state.lu = (lu, piv)
-                state.lu_a_base = a_base
-                state.lu_gmin = gmin
-                stats.count("lu_factorizations")
-                refactor = False
-            else:
-                stats.count("lu_reuses")
-            f = compiled.residual_from_cache(x, a_base, rhs_base, state,
-                                             gmin=gmin)
-            lu, piv = state.lu
-            dx, info = _getrs(lu, piv, -f, overwrite_b=True)
-            if info != 0:  # pragma: no cover - getrf guards this
-                raise ConvergenceError(
-                    "singular MNA matrix", iterations=iterations,
-                    time=time)
-            vstep = np.abs(dx[:n_nodes]).max() if n_nodes else 0.0
-            if not np.isfinite(vstep):
-                raise ConvergenceError(
-                    "singular MNA matrix", iterations=iterations,
-                    time=time)
-            if vstep > damping:
-                dx *= damping / vstep
-            x = x + dx
-            if vstep <= vtol:
-                if fully_exact or bypassed == 0:
-                    return x
-                # Converged against cached linearisations: confirm with
-                # every device re-evaluated exactly before accepting.
-                stats.count("bypass_forced_exact")
-                force_exact = True
-                prev_vstep = np.inf
-                continue
-            if vstep > STALL_RATIO * prev_vstep:
-                if fresh:
-                    # Even a fresh Jacobian is not contracting; refactor
-                    # every remaining iteration (== exact Newton).
-                    always_refactor = True
-                refactor = True
-            prev_vstep = vstep
-        raise ConvergenceError(
-            "Newton failed to converge", iterations=iterations,
-            residual=0.0 if vstep is None else float(vstep), time=time)
-    except ConvergenceError:
-        state.invalidate()
-        raise
-    finally:
         stats.count("newton_iterations", iterations)
         stats.add_phase("newton", _time.perf_counter() - start)
 

@@ -161,7 +161,7 @@ def evaluate_level1(vd, vg, vs, sign, beta, vt, lam):
 
 
 def evaluate_level1_fast(vd, vg, vs, sign, beta, vt, lam):
-    """Branchless :func:`evaluate_level1` for the solver fast path.
+    """Branchless :func:`evaluate_level1`, the lockstep Newton's kernel.
 
     Same physics, fewer numpy kernels: the three regions collapse into
     one expression by clamping the overdrive at cutoff

@@ -15,13 +15,11 @@ choices parametrise it:
   polynomial predictor through the last accepted points; it
   overestimates the true trapezoidal LTE, which keeps the controller
   conservative where waveform measurements are taken.
-* **The Newton engine, picked by entry point.**  :func:`run_transient`
-  runs one circuit on the scalar reuse Newton of :mod:`repro.spice.mna`
-  (``solver="exact"`` selects its exact-Newton reference);
-  :func:`run_transient_batch` runs a population of topologically
-  identical circuits, of any size, on the exact lockstep Newton of
-  :mod:`repro.spice.batch`, on one grid when fixed and on one grid per
-  row when adaptive.
+* **The population.**  Every transient runs on the exact lockstep
+  Newton of :mod:`repro.spice.batch`: :func:`run_transient_batch`
+  takes a population of topologically identical circuits, of any
+  size, on one grid when fixed and on one grid per row when adaptive,
+  and :func:`run_transient` runs one circuit as a population of one.
 
 The fixed-step grid remains the reference; the equivalence suite
 (tests/spice/test_adaptive.py) pins adaptive waveform measurements
@@ -35,20 +33,11 @@ from ..runtime.stats import record
 from .batch import (BatchCompiledCircuit, gmin_ladder_batch,
                     newton_solve_batch, solve_dc_batch)
 from .errors import AnalysisError, ConvergenceError
-from .mna import (CompiledCircuit, NewtonState, gmin_continuation_solve,
-                  newton_solve)
-from .dcop import solve_dc
 from .sources import collect_breakpoints
 from .waveform import Waveform
 
 BACKWARD_EULER = "be"
 TRAPEZOIDAL = "trap"
-
-#: Newton policies of :func:`run_transient`: ``reuse``, with ``exact``
-#: as the reference the equivalence tests compare it against; a
-#: lockstep population always runs ``exact``
-SOLVER_EXACT = "exact"
-SOLVER_REUSE = "reuse"
 
 #: revision of the lockstep engine's stepping and Newton arithmetic.
 #: Bump it with every change that moves lockstep values, even at
@@ -57,11 +46,12 @@ SOLVER_REUSE = "reuse"
 #: (rows before it carried no revision).
 LOCKSTEP_REVISION = 2
 
-#: cache-key token naming the lockstep Newton and its revision; every
-#: measurement row's key (see ``repro.core.pulse.run_measurements``) and
-#: the defect table's key carry it
-LOCKSTEP_NEWTON_CACHE_TOKEN = "solver={};revision={}".format(
-    SOLVER_EXACT, LOCKSTEP_REVISION)
+#: cache-key token naming the lockstep Newton (exact Newton) and its
+#: revision; every measurement row's key (see
+#: ``repro.core.pulse.run_measurements``) and the defect table's key
+#: carry it, so its text must not change while the arithmetic does not
+LOCKSTEP_NEWTON_CACHE_TOKEN = "solver=exact;revision={}".format(
+    LOCKSTEP_REVISION)
 
 #: default absolute LTE tolerance (volts).  Crossing-time accuracy is
 #: the LTE divided by the local slew; at the bench's ~0.05 V/ps edges,
@@ -221,8 +211,8 @@ def _predict(hist_t, hist_x, t_new):
 
     Quadratic through the last three accepted points (matching the
     trapezoidal rule's second order), linear with only two, None with
-    fewer.  Works on both scalar ``(n,)`` and stacked ``(S, n)`` states
-    since the Lagrange weights are scalars.
+    fewer.  Works on any ``(m, n)`` state stack since the Lagrange
+    weights are scalars.
     """
     k = len(hist_t)
     if k < 2:
@@ -253,70 +243,8 @@ def _push_history(hist_t, hist_x, t_new, x_new, landed):
 
 
 # ----------------------------------------------------------------------
-# Newton engines
+# The Newton engine
 # ----------------------------------------------------------------------
-
-class _ScalarEngine:
-    """One circuit on the scalar Newton of :mod:`repro.spice.mna`.
-
-    An engine gives the time-stepping loop what differs between one
-    circuit and a population: the DC start, the source and capacitor
-    right-hand sides, and a round's implicit solves with their gmin
-    retry.  The lowered circuit (``compiled``) supplies the rest
-    through the interface :class:`~repro.spice.batch.BatchCompiledCircuit`
-    mirrors.  State vectors are ``(n,)`` here and ``(S, n)`` in the
-    lockstep engine; ``rows`` (a slice) are the population rows of one
-    grid.
-    """
-
-    n_samples = 1
-
-    def __init__(self, circuit, solver):
-        compiled = CompiledCircuit(circuit)
-        self.compiled = compiled
-        self.shape = (compiled.n,)
-        self.state = NewtonState() if solver == SOLVER_REUSE else None
-        # capacitor terminals off ground, and their node indices
-        self._mp, self._mq = compiled.cap_p >= 0, compiled.cap_n >= 0
-        self._cap_p = compiled.cap_p[self._mp]
-        self._cap_n = compiled.cap_n[self._mq]
-
-    def stimuli(self, rows):
-        compiled = self.compiled
-        return [src.stimulus
-                for src in compiled.vsources + compiled.isources]
-
-    def dc(self, gmin):
-        return solve_dc(self.compiled, t=0.0, gmin=gmin)
-
-    def tabulate(self, times):
-        """Sources are evaluated per step; nothing to precompute."""
-
-    def rhs(self, t, step, ieq, rows):
-        """Right-hand side at ``t``: sources plus the capacitor
-        companion currents ``ieq`` (None without capacitors)."""
-        compiled = self.compiled
-        rhs = np.zeros(compiled.n)
-        compiled.source_rhs(t, rhs)
-        if ieq is not None:
-            np.add.at(rhs, self._cap_p, ieq[self._mp])
-            np.subtract.at(rhs, self._cap_n, ieq[self._mq])
-        return rhs
-
-    def solve(self, requests, gmin):
-        """A round's one request ``(t, a_base, rhs, x, rows)``, solved."""
-        ((t, a_base, rhs, x, _),) = requests
-        try:
-            return [newton_solve(self.compiled, a_base, rhs, x, gmin=gmin,
-                                 time=t, state=self.state)]
-        except ConvergenceError:
-            # Retry with gmin continuation on the *same* companion system;
-            # switching instants occasionally need it.  Rungs that fail
-            # are skipped by the ladder; only the final solve at the
-            # target gmin is allowed to propagate.
-            return [gmin_continuation_solve(self.compiled, a_base, rhs, x,
-                                            gmin=gmin, time=t)]
-
 
 def _stack_product(a, b):
     """``a @ b`` for an ``(m, k)`` stack ``a``, each row summed in the
@@ -332,8 +260,14 @@ def _stack_product(a, b):
 class _LockstepEngine:
     """A population on the exact lockstep Newton of
     :mod:`repro.spice.batch`: one stacked solve per Newton iteration over
-    the still-active rows (see :class:`_ScalarEngine` for the
-    interface)."""
+    the still-active rows.
+
+    It gives the time-stepping loop the DC start, the source and
+    capacitor right-hand sides, and a round's implicit solves with
+    their gmin retry; the lowered population (``compiled``) supplies
+    the rest.  States are ``(S, n)`` stacks; ``rows`` (a slice) are the
+    population rows of one grid.
+    """
 
     def __init__(self, circuits):
         batch = BatchCompiledCircuit(circuits)
@@ -357,9 +291,11 @@ class _LockstepEngine:
         self._tables = self.compiled.source_tables(times)
 
     def rhs(self, t, step, ieq, rows):
-        """As :meth:`_ScalarEngine.rhs`, for ``rows``; the sources come
-        from the tables at grid index ``step`` when :meth:`tabulate`
-        ran (the fixed grid, whose one grid owns every row)."""
+        """Right-hand side of ``rows`` at ``t``: sources plus the
+        capacitor companion currents ``ieq`` (None without capacitors).
+        The sources come from the tables at grid index ``step`` when
+        :meth:`tabulate` ran (the fixed grid, whose one grid owns every
+        row)."""
         batch = self.compiled
         rhs = np.zeros((self._rows[rows].size, batch.n))
         if self._tables is None:
@@ -395,7 +331,7 @@ class _LockstepEngine:
         if not conv.all():
             # gmin-continuation ladder for the failing rows only, from
             # the previous accepted state (the diverged iterate is
-            # discarded, exactly like the scalar retry path).
+            # discarded).
             bad = np.flatnonzero(~conv)
             x_new[bad], conv[bad] = gmin_ladder_batch(
                 batch, a_base[bad], rhs[bad], x[bad], rows[bad], gmin)
@@ -439,9 +375,9 @@ def _steps(engine, grid, rows, x, method, size, cols):
     # grid, doubled when an adaptive run outgrows them): keeping one
     # small array alive per step measurably slowed the Newton solves.
     times = np.empty(size)
-    kept = np.empty((size, x.size // x.shape[-1], cols.size))
+    kept = np.empty((size, len(x), cols.size))
     times[0] = 0.0
-    kept[0] = x.take(cols, axis=-1)
+    kept[0] = x.take(cols, axis=1)
     count = 1
     hist_t = [0.0]
     hist_x = [x]
@@ -454,8 +390,7 @@ def _steps(engine, grid, rows, x, method, size, cols):
         if h != h_prev:
             geq_scale = (1.0 if method == BACKWARD_EULER else 2.0) / h
             if rows == slice(None):
-                # cached and identity-stable: the reuse Newton keeps its
-                # LU while ``a_base`` is the same object
+                # cached per step size: adaptive grids revisit a few
                 a_base = compiled.companion_base(method, geq_scale)
             else:  # one row of a lockstep population
                 a_base = (compiled.a_static[rows]
@@ -487,7 +422,7 @@ def _steps(engine, grid, rows, x, method, size, cols):
         if adaptive:
             x_pred = _predict(hist_t, hist_x, t_new)
             if x_pred is not None and n_nodes:
-                err = float(np.max(np.abs((x_new - x_pred)[..., :n_nodes])))
+                err = float(np.max(np.abs((x_new - x_pred)[:, :n_nodes])))
                 if err > grid.lte_tol and not grid.reject(h):
                     continue
 
@@ -504,7 +439,7 @@ def _steps(engine, grid, rows, x, method, size, cols):
             times = np.concatenate([times, np.empty_like(times)])
             kept = np.concatenate([kept, np.empty_like(kept)])
         times[count] = t_new
-        kept[count] = x.take(cols, axis=-1)
+        kept[count] = x.take(cols, axis=1)
         count += 1
         if adaptive:
             _push_history(hist_t, hist_x, t_new, x, landed)
@@ -544,10 +479,7 @@ def _simulate(engine, x, tstop, dt, method, gmin, nodes, adaptive, dt_min,
     pending = {loop: next(loop) for loop in loops}
     finished = {}
     while pending:
-        try:
-            outcomes = engine.solve(list(pending.values()), gmin)
-        except ConvergenceError as exc:  # the scalar engine's one row
-            outcomes = [exc]
+        outcomes = engine.solve(list(pending.values()), gmin)
         for loop, outcome in zip(list(pending), outcomes):
             try:
                 pending[loop] = (loop.throw(outcome)
@@ -570,9 +502,9 @@ def _simulate(engine, x, tstop, dt, method, gmin, nodes, adaptive, dt_min,
 
 def run_transient(circuit, tstop, dt, method=TRAPEZOIDAL, record=None,
                   gmin=1e-12, x0=None, adaptive=False, dt_min=None,
-                  dt_max=None, lte_tol=DEFAULT_LTE_TOL,
-                  solver=SOLVER_REUSE):
-    """Simulate ``circuit`` from 0 to ``tstop``.
+                  dt_max=None, lte_tol=DEFAULT_LTE_TOL):
+    """Simulate ``circuit`` from 0 to ``tstop``, as a population of one
+    of :func:`run_transient_batch`.
 
     Parameters
     ----------
@@ -587,8 +519,8 @@ def run_transient(circuit, tstop, dt, method=TRAPEZOIDAL, record=None,
     record:
         Node names to keep; ``None`` keeps all nodes.
     x0:
-        Initial state vector; defaults to the DC operating point at t=0
-        (with the sources evaluated at t=0).
+        Initial ``(n,)`` state vector; defaults to the DC operating
+        point at t=0 (with the sources evaluated at t=0).
     adaptive:
         Enable LTE-controlled stepping on a non-uniform grid whose
         steps land exactly on stimulus breakpoints.
@@ -597,22 +529,13 @@ def run_transient(circuit, tstop, dt, method=TRAPEZOIDAL, record=None,
         ``min(tstop, 32*dt)``).
     lte_tol:
         Per-step error tolerance in volts (adaptive only).
-    solver:
-        ``"reuse"`` (modified Newton with a warm LU factorization and
-        device bypass; the default) or ``"exact"`` (re-stamp and
-        re-factor every iteration; the reference the equivalence tests
-        compare against).
 
     Returns a :class:`Waveform` (non-uniform time base when adaptive).
     """
-    _check_analysis(tstop, dt, method, adaptive)
-    if solver not in (SOLVER_EXACT, SOLVER_REUSE):
-        raise ValueError("unknown solver mode {!r}; expected {} or {}"
-                         .format(solver, SOLVER_REUSE, SOLVER_EXACT))
-    engine = _ScalarEngine(circuit, solver)
-    x = _initial_state(engine, x0, gmin)
-    return _simulate(engine, x, tstop, dt, method, gmin, record, adaptive,
-                     dt_min, dt_max, lte_tol)[0]
+    return run_transient_batch(
+        [circuit], tstop, dt, method=method, record=record, gmin=gmin,
+        x0=None if x0 is None else [x0], adaptive=adaptive, dt_min=dt_min,
+        dt_max=dt_max, lte_tol=lte_tol)[0]
 
 
 def run_transient_batch(circuits, tstop, dt, method=TRAPEZOIDAL,
@@ -627,12 +550,10 @@ def run_transient_batch(circuits, tstop, dt, method=TRAPEZOIDAL,
     :mod:`repro.spice.batch`).  On the fixed grid the rows share one
     grid; with ``adaptive=True`` each row keeps its own time, step and
     breakpoints, so a row's waveform does not depend on the rest of the
-    population.  Semantics (integration method, damped Newton, per-step
-    gmin-continuation retry) mirror the scalar engine per sample; the
-    equivalence suite pins the two within 1e-6 V.
+    population.  Each Newton solve that fails to converge retries its
+    rows on a gmin-continuation ladder.
 
-    Parameters mirror :func:`run_transient` except ``solver`` (the
-    lockstep engine runs exact Newton only); ``circuits`` is a list of
+    Parameters mirror :func:`run_transient`; ``circuits`` is a list of
     symbolic circuits and ``x0``, when given, is an ``(S, n)``
     initial-state stack.
 

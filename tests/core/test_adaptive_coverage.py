@@ -278,7 +278,7 @@ class TestElectricalIntegration:
                                    Runtime, SerialExecutor)
 
         counters = ("newton_solves", "newton_iterations",
-                    "ladder_retries", "lu_factorizations", "lu_reuses")
+                    "ladder_retries")
         serial_report = RunReport("serial")
         serial = self._run(runtime=Runtime(executor=SerialExecutor()),
                            report=serial_report)

@@ -73,6 +73,31 @@ def _hang_if_marked(payload):
 PAYLOADS = [{"x": i} for i in range(7)]
 
 
+class _BreaksOnSubmit:
+    """A process pool whose ``submit`` raises ``BrokenProcessPool`` once
+    ``limit`` chunks are in, as a pool does when a worker dies between
+    two submissions."""
+
+    def __init__(self, pool, limit):
+        self._pool = pool
+        self._limit = limit
+
+    @property
+    def _processes(self):
+        return self._pool._processes
+
+    def submit(self, *args, **kwargs):
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not self._limit:
+            raise BrokenProcessPool("a worker died between submissions")
+        self._limit -= 1
+        return self._pool.submit(*args, **kwargs)
+
+    def shutdown(self, *args, **kwargs):
+        self._pool.shutdown(*args, **kwargs)
+
+
 @pytest.fixture(params=["serial", "pool"])
 def executor(request):
     if request.param == "serial":
@@ -218,6 +243,31 @@ class TestWorkerCrash:
                 continue
             assert outcome.ok, outcome
             assert outcome.value == outcome.index
+
+    def test_submit_time_break_requeues_unsubmitted_chunks(
+            self, monkeypatch):
+        """A pool that breaks while chunks are being submitted is a pool
+        fault like one mid-round: the submitted chunks are classified
+        as after any break, and the chunks never submitted run on a
+        fresh pool with no crash on their record."""
+        executor = ProcessPoolExecutor(n_jobs=2, chunk_size=1, retries=0)
+        make_pool = executor._make_pool
+        pools = []
+
+        def first_pool_breaks(n_tasks):
+            pools.append(make_pool(n_tasks))
+            if len(pools) == 1:
+                return _BreaksOnSubmit(pools[0], limit=3)
+            return pools[-1]
+
+        monkeypatch.setattr(executor, "_make_pool", first_pool_breaks)
+        outcomes = executor.map_tasks(_square, PAYLOADS)
+        serial = SerialExecutor().map_tasks(_square, PAYLOADS)
+        assert ([(o.index, o.ok, o.value) for o in outcomes]
+                == [(o.index, o.ok, o.value) for o in serial])
+        assert len(pools) == 2
+        assert executor.pool_rebuilds == 1
+        assert not any(o.crashed or o.crashes for o in outcomes)
 
     def test_repeat_crasher_quarantined_as_poison(self):
         executor = ProcessPoolExecutor(n_jobs=2, chunk_size=1,

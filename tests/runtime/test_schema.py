@@ -12,7 +12,7 @@ from repro.runtime.schema import parse_version
 class TestVersionParsing:
     def test_current_version_parses(self):
         major, minor = parse_version(SCHEMA_VERSION)
-        assert major == 1
+        assert major == 2
         assert minor >= 0
 
     def test_malformed_rejected(self):
@@ -28,7 +28,7 @@ class TestCheckSchemaVersion:
 
     def test_unknown_major_rejected(self):
         with pytest.raises(SchemaVersionError):
-            check_schema_version({"schema_version": "2.0"})
+            check_schema_version({"schema_version": "3.0"})
 
     def test_missing_version_grandfathered(self):
         # records written before versioning carry no field at all
@@ -44,6 +44,17 @@ class TestReportStamping:
         RunReport("x").to_json(path)
         summary = RunReport.load_summary(path)
         assert summary["schema_version"] == SCHEMA_VERSION
+
+    def test_load_summary_reads_major_1(self, tmp_path):
+        """2.0 removed the factorization-reuse counters; a 1.x summary
+        that still carries them loads as it was written."""
+        path = str(tmp_path / "report.json")
+        record = dict(RunReport("x").summary(), schema_version="1.3",
+                      lu_factorizations=1, lu_reuses=5, devices_bypassed=9,
+                      bypass_forced_exact=2)
+        with open(path, "w") as handle:
+            json.dump(record, handle)
+        assert RunReport.load_summary(path) == record
 
     def test_load_summary_rejects_future_major(self, tmp_path):
         path = str(tmp_path / "report.json")

@@ -1,13 +1,18 @@
-"""Scalar-vs-batched engine equivalence and batch-lowering contracts.
+"""Lockstep-engine waveforms against a pinned reference, and
+batch-lowering contracts.
 
-The scalar transient engine is the reference implementation; the
-lockstep engine must reproduce its waveforms within 1e-6 V on real
-workloads.  These tests pin that contract on the delay-line bench
-(fault-free population and a fault-resistance sweep) and check the
-batched measurement helpers and Newton accounting.
+Every transient runs on the lockstep engine.  Its waveforms are pinned,
+within 1e-9 V, to input- and output-node voltages the scalar
+exact-Newton transient recorded at a fixed subset of grid times before
+it was removed (``scalar_exact_reference.json``; the lockstep engine
+read about 3e-14 V from it then).  These tests pin that contract on the
+delay-line bench (fault-free population and a fault-resistance sweep)
+and check the batched measurement helpers and Newton accounting.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +24,15 @@ from repro.core.pulse import (build_instance, measure_output_pulse,
 from repro.faults import ExternalOpen, inject, set_fault_resistance
 from repro.montecarlo import sample_population
 from repro.runtime import stats_scope
-from repro.spice import (BatchCompiledCircuit, Circuit, run_transient,
-                         run_transient_batch)
+from repro.spice import BatchCompiledCircuit, Circuit, run_transient_batch
 from repro.spice.errors import NetlistError
 
 DT = 6e-12
 W_IN = 0.40e-9
+
+#: the scalar exact-Newton reference waveforms, per case
+SCALAR_EXACT = json.loads(
+    (Path(__file__).with_name("scalar_exact_reference.json")).read_text())
 
 
 def _pulse_window(paths):
@@ -33,27 +41,33 @@ def _pulse_window(paths):
                for path, delay in zip(paths, delays))
 
 
-def _assert_waveforms_match(paths, tstop, tol=1e-6):
-    """Batched waveforms match per-sample scalar runs within ``tol``."""
-    record = [paths[0].input_node, paths[0].output_node]
-    batched = run_transient_batch([p.circuit for p in paths], tstop, DT,
-                                  record=record)
+def assert_matches_scalar_exact(case, paths, tstop, dt, tol=1e-9):
+    """The lockstep waveforms of ``paths`` hold the pinned reference
+    ``case`` within ``tol`` volts at its grid times."""
+    reference = SCALAR_EXACT[case]
+    assert (tstop, dt) == (reference["tstop"], reference["dt"])
+    nodes = reference["nodes"]
+    waveforms = run_transient_batch([p.circuit for p in paths], tstop, dt,
+                                    record=nodes)
+    assert len(waveforms) == len(reference["waveforms"])
     worst = 0.0
-    for path, wf_b in zip(paths, batched):
-        wf_s = run_transient(path.circuit, tstop, DT, record=record)
-        np.testing.assert_allclose(wf_b.t, wf_s.t)
-        for node in record:
-            worst = max(worst, np.abs(wf_b[node] - wf_s[node]).max())
-    assert worst < tol, worst
+    for wf, pinned in zip(waveforms, reference["waveforms"]):
+        index = pinned["index"]
+        np.testing.assert_array_equal(wf.t[index], pinned["t"])
+        for node in nodes:
+            worst = max(worst, np.abs(wf[node][index]
+                                      - pinned["v"][node]).max())
+    assert worst <= tol, worst
     return worst
 
 
 class TestWaveformEquivalence:
     def test_seeded_population_matches_scalar(self):
-        """8-sample seeded population: lockstep == per-sample scalar."""
+        """8-sample seeded population against the scalar reference."""
         samples = sample_population(8, base_seed=1)
         paths = [build_instance(sample=s) for s in samples]
-        _assert_waveforms_match(paths, _pulse_window(paths))
+        assert_matches_scalar_exact("seeded_population", paths,
+                                    _pulse_window(paths), DT)
 
     def test_fault_resistance_sweep_matches_scalar(self):
         """Delay line with an external open across resistances: the
@@ -62,11 +76,13 @@ class TestWaveformEquivalence:
         for r in (2e3, 8e3, 32e3):
             base = build_instance()
             paths.append(inject(base, ExternalOpen(2, r)))
-        _assert_waveforms_match(paths, _pulse_window(paths))
+        assert_matches_scalar_exact("fault_resistance_sweep", paths,
+                                    _pulse_window(paths), DT)
 
     def test_singleton_batch_matches_scalar(self):
         paths = [build_instance()]
-        _assert_waveforms_match(paths, _pulse_window(paths))
+        assert_matches_scalar_exact("singleton", paths,
+                                    _pulse_window(paths), DT)
 
 
 class TestBatchedMeasurements:

@@ -177,7 +177,7 @@ class TestGminContinuationRetry:
             self, monkeypatch):
         """A hard switching instant where plain Newton fails *and* the
         ladder's first rungs fail must not abort run_transient."""
-        import repro.spice.mna as mna
+        import repro.spice.batch as batch_module
         import repro.spice.transient as transient
 
         c = Circuit()
@@ -192,33 +192,37 @@ class TestGminContinuationRetry:
 
         reference = run_transient(c, 0.3e-9, 2e-12, record=["y"])
 
-        real = newton_solve
-        forced = {"direct": 0}
+        real = batch_module.newton_solve_batch
+        forced = {"direct": 0, "rungs": 0}
 
-        def fail_mid_edge(compiled, a_base, rhs_base, x0, gmin=1e-12,
-                          **kwargs):
-            # the direct per-step solve fails once, mid input edge
-            t = kwargs.get("time")
-            if (t is not None and forced["direct"] == 0
-                    and t >= 51e-12):
+        def fail_mid_edge(batch, a_base, rhs_base, x0, *args, **kwargs):
+            # the direct per-step solve fails once, on the first step of
+            # the input edge (VIN's branch row of the rhs holds its value)
+            vin = batch.n_nodes + [
+                s.name for s in batch.template.vsources].index("VIN")
+            x, conv = real(batch, a_base, rhs_base, x0, *args, **kwargs)
+            if forced["direct"] == 0 and rhs_base[0, vin] > 0.0:
                 forced["direct"] += 1
-                raise ConvergenceError("forced step failure", time=t)
-            return real(compiled, a_base, rhs_base, x0, gmin=gmin,
-                        **kwargs)
+                conv[:] = False
+            return x, conv
 
-        def fail_heavy_rungs(compiled, a_base, rhs_base, x0, gmin=1e-12,
-                             **kwargs):
+        def fail_heavy_rungs(batch, a_base, rhs_base, x0, sample_idx=None,
+                             gmin=1e-12, **kwargs):
             # the retry ladder's heavy rungs fail too (the old "second
             # failure" that aborted the run)
+            x, conv = real(batch, a_base, rhs_base, x0,
+                           sample_idx=sample_idx, gmin=gmin, **kwargs)
             if gmin > 1e-6:
-                raise ConvergenceError("forced rung failure")
-            return real(compiled, a_base, rhs_base, x0, gmin=gmin,
-                        **kwargs)
+                forced["rungs"] += 1
+                conv[:] = False
+            return x, conv
 
-        monkeypatch.setattr(transient, "newton_solve", fail_mid_edge)
-        monkeypatch.setattr(mna, "newton_solve", fail_heavy_rungs)
+        monkeypatch.setattr(transient, "newton_solve_batch", fail_mid_edge)
+        monkeypatch.setattr(batch_module, "newton_solve_batch",
+                            fail_heavy_rungs)
         wf = run_transient(c, 0.3e-9, 2e-12, record=["y"])
         assert forced["direct"] == 1
+        assert forced["rungs"] >= 2
         assert np.abs(wf["y"] - reference["y"]).max() < 1e-4
 
 

@@ -1,9 +1,17 @@
 """DC operating-point tests against hand-computable circuits."""
 
+import numpy as np
 import pytest
 
-from repro.spice import Circuit, MosfetParams, operating_point
+from repro.core.pulse import build_instance
+from repro.faults import BridgingFault, ExternalOpen
+from repro.montecarlo import sample_population
+from repro.spice import (BatchCompiledCircuit, Circuit, MosfetParams,
+                         operating_point)
+from repro.spice.batch import solve_dc_batch
+from repro.spice.dcop import solve_dc
 from repro.spice.errors import NetlistError
+from repro.spice.mna import CompiledCircuit
 
 
 class TestLinear:
@@ -107,3 +115,41 @@ class TestNmosStack:
         c.add_nmos("M1", "d", "g", "0", "0", 2e-6, 0.25e-6, p)
         op = operating_point(c)
         assert op["d"] == pytest.approx(2.5, abs=1e-3)
+
+
+
+def _monte_carlo_paths():
+    return [build_instance(sample=s)
+            for s in sample_population(8, base_seed=2)]
+
+
+def _open_paths():
+    return [build_instance(fault=ExternalOpen(2, 4e3))]
+
+
+def _bridged_paths():
+    return [build_instance(fault=BridgingFault(2, r)) for r in (1e3, 8e3)]
+
+
+class TestLockstepMatchesScalarDc:
+    """The two Newton implementations agree on DC: each row of a
+    lockstep ``solve_dc_batch`` equals the scalar ``solve_dc`` of its
+    circuit.  ``bridging_critical_resistance`` compares batched rows
+    against ``operating_point``'s scalar solve."""
+
+    @pytest.mark.parametrize("input_level", [0, 1])
+    @pytest.mark.parametrize("paths", [
+        _monte_carlo_paths, _open_paths, _bridged_paths],
+        ids=["monte_carlo", "external_open", "bridging"])
+    def test_rows_match_scalar(self, paths, input_level):
+        paths = paths()
+        for path in paths:
+            path.set_input(path.tech.vdd if input_level else 0.0)
+        batch = BatchCompiledCircuit([path.circuit for path in paths])
+        rows = solve_dc_batch(batch)
+        for path, row in zip(paths, rows):
+            compiled = CompiledCircuit(path.circuit)
+            x = solve_dc(compiled)
+            assert compiled.node_order == batch.node_order
+            assert np.abs(row[:batch.n_nodes]
+                          - x[:compiled.n_nodes]).max() <= 1e-9
