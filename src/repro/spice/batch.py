@@ -178,11 +178,22 @@ class BatchCompiledCircuit:
                              + local).ravel()
 
     def _build_cap_maps(self):
+        """The capacitor scatter table, like the stamp table: row k of a
+        stack scatters its four entries per capacitor, (p,p) (q,q) (p,q)
+        (q,p), into a flat buffer of ``n*n + 1`` slots at offset ``k *
+        (n*n + 1)``, ground entries into the last slot; the table of a
+        k-row stack is the first ``k * 4 * n_caps`` entries."""
         p, q = self.cap_p, self.cap_n
-        self._cap_mat_idx = np.stack([
+        local = np.stack([
             self._flat_mat(p, p), self._flat_mat(q, q),
-            self._flat_mat(p, q), self._flat_mat(q, p)], axis=-1)
-        self._cap_mat_sign = np.array([1.0, 1.0, -1.0, -1.0])
+            self._flat_mat(p, q), self._flat_mat(q, p)], axis=-1).ravel()
+        self._cap_table = (np.arange(self.n_samples)[:, None]
+                           * (self.n * self.n + 1) + local).ravel()
+        #: each row's four signed capacitances per capacitor, in table
+        #: order (a sign commutes exactly with the step's scale)
+        self._cap_signed = (self.cap_c[:, :, None]
+                            * [1.0, 1.0, -1.0, -1.0]).reshape(
+                                self.n_samples, -1)
         # Companion-current scatter as a dense incidence matrix so the
         # per-step rhs update is a single matmul: rhs += ieq @ inc.
         inc = np.zeros((self.n_caps, self.n))
@@ -207,17 +218,6 @@ class BatchCompiledCircuit:
     # ------------------------------------------------------------------
     # bincount-based scatter assembly
     # ------------------------------------------------------------------
-
-    def _scatter_matrix(self, a, idx, vals):
-        """Accumulate the ``(m, k, 4)`` capacitor entries ``vals`` into
-        the ``(m, n, n)`` stack ``a`` through the ``(k, 4)`` flat table
-        ``idx``; the per-sample discard bin ``n*n`` is dropped."""
-        m = a.shape[0]
-        nn1 = self.n * self.n + 1
-        flat = (idx.reshape(1, -1) + (np.arange(m) * nn1)[:, None]).ravel()
-        acc = np.bincount(flat, weights=vals.ravel(), minlength=m * nn1)
-        a += acc.reshape(m, nn1)[:, :self.n * self.n].reshape(
-            m, self.n, self.n)
 
     def _scatter(self, values):
         """Scatter the ``(m, 8 * n_mos)`` stamp values of
@@ -248,14 +248,17 @@ class BatchCompiledCircuit:
         return v
 
     def cap_companion_matrix(self, geq_scale, rows=slice(None)):
-        """Companion-conductance stack of ``rows``, ``geq = C * scale``."""
-        geq = self.cap_c[rows] * geq_scale
-        a = np.zeros((len(geq), self.n, self.n))
-        if self.n_caps == 0:
-            return a
-        vals = geq[:, :, None] * self._cap_mat_sign
-        self._scatter_matrix(a, self._cap_mat_idx, vals)
-        return a
+        """Companion-conductance stack of ``rows``, ``geq = C * scale``
+        (``geq_scale`` one scale, or an ``(m, 1)`` column of one per
+        row), scattered through the capacitor table by one
+        ``bincount``."""
+        vals = self._cap_signed[rows] * geq_scale
+        m, nn1 = len(vals), self.n * self.n + 1
+        if not vals.size:  # bincount of nothing comes back as integers
+            return np.zeros((m, self.n, self.n))
+        acc = np.bincount(self._cap_table[:vals.size], weights=vals.ravel(),
+                          minlength=m * nn1)
+        return acc.reshape(m, nn1)[:, :-1].reshape(m, self.n, self.n)
 
     def companion_base(self, scheme, geq_scale):
         """``a_static + cap_companion_matrix(geq_scale)`` stack, cached
@@ -281,10 +284,17 @@ class BatchCompiledCircuit:
         return v[:, self.cap_p] - v[:, self.cap_n]
 
     def source_rhs(self, t, rhs, rows=slice(None)):
-        """Add the source contributions at ``t`` of population ``rows``."""
-        for j, s in enumerate(range(self.n_samples)[rows]):
-            for k, src in enumerate(self._vsources[s]):
-                rhs[j, self.n_nodes + k] += src.stimulus.value_at(t)
+        """Add the source contributions of population ``rows`` (a slice
+        or an index sequence) at ``t``, one time for every row or a
+        sequence of one per row."""
+        samples = (range(self.n_samples)[rows] if isinstance(rows, slice)
+                   else rows)
+        times = [t] * len(samples) if np.isscalar(t) else t
+        if self.n_vsrc:
+            rhs[:, self.n_nodes:self.n_nodes + self.n_vsrc] += [
+                [src.stimulus.value_at(t) for src in self._vsources[s]]
+                for s, t in zip(samples, times)]
+        for j, (s, t) in enumerate(zip(samples, times)):
             for k, src in enumerate(self._isources[s]):
                 value = src.stimulus.value_at(t)
                 p = self.template.isrc_p[k]

@@ -21,6 +21,17 @@ choices parametrise it:
   size, on one grid when fixed and on one grid per row when adaptive,
   and :func:`run_transient` runs one circuit as a population of one.
 
+The loop advances a population in rounds; each round solves every
+unfinished row once, all in one Newton call.  On the fixed grid
+(:class:`_FixedGrid`) every row shares the round's time and step.  On
+the adaptive grid one controller (:class:`_RowGrids`) serves the whole
+population: each row's decisions (propose with breakpoint landing,
+accept with bounded growth, reject by halving, the ``dt_min`` floor)
+are its own :class:`_StepController`'s, in scalar Python, while the
+companion matrices, right-hand sides, predictor, LTE and state updates
+run once per round over the round's rows.  A row's values, time base
+and counters are the same in any population.
+
 The fixed-step grid remains the reference; the equivalence suite
 (tests/spice/test_adaptive.py) pins adaptive waveform measurements
 within measurement tolerance of a 4x finer fixed grid while using
@@ -86,44 +97,18 @@ def _fixed_step_count(tstop, dt):
 
 
 # ----------------------------------------------------------------------
-# Time grids
+# Step control
 # ----------------------------------------------------------------------
 
-class _FixedGrid:
-    """The uniform reference grid, driven like :class:`_StepController`.
-
-    Every step is ``dt`` and lands on a ``linspace`` point; nothing is
-    ever rejected, so a convergence failure propagates.
-    """
-
-    def __init__(self, tstop, dt):
-        self.n_steps = _fixed_step_count(tstop, dt)
-        self.times = np.linspace(0.0, self.n_steps * dt, self.n_steps + 1)
-        self.dt = dt
-        self.accepted = 0
-
-    def done(self):
-        return self.accepted == self.n_steps
-
-    def propose(self, history):
-        return self.dt, self.times[self.accepted + 1]
-
-    def accept(self, h, err):
-        self.accepted += 1
-        return False
-
-    def reject(self, h):
-        return True
-
-
 class _StepController:
-    """LTE step-size controller with breakpoint landing.
+    """LTE step-size controller with breakpoint landing, one per row.
 
-    Owns the current time, the next proposed step and the breakpoint
-    cursor.  The time-stepping loop drives it: ``propose`` a trial step,
-    attempt the implicit solve, then either ``accept`` (bounded growth
-    from the error estimate) or ``reject`` (halving; a step already at
-    the ``dt_min`` floor is force-accepted instead of looping forever).
+    Owns the row's current time, its next proposed step and its
+    breakpoint cursor.  The time-stepping loop drives it: ``propose`` a
+    trial step, attempt the implicit solve, then either ``accept``
+    (bounded growth from the error estimate) or ``reject`` (halving; a
+    step already at the ``dt_min`` floor is force-accepted instead of
+    looping forever).
     """
 
     def __init__(self, tstop, dt, dt_min, dt_max, lte_tol, breakpoints):
@@ -145,8 +130,6 @@ class _StepController:
         self.breakpoints = list(breakpoints)
         self._next_break = 0
         self._target = None
-        self.accepted = 0
-        self.rejected = 0
 
     def done(self):
         return self.t >= self.tstop * (1.0 - 1e-12)
@@ -179,8 +162,6 @@ class _StepController:
         """Commit the step; returns True when it landed on a breakpoint
         (the caller must reset its predictor history across the
         discontinuity)."""
-        self.accepted += 1
-        record("adaptive_accepted")
         landed = self._target is not None
         if landed:
             self.t = self._target
@@ -200,50 +181,61 @@ class _StepController:
         floor and the caller must force-accept (or re-raise) instead."""
         if h <= self.dt_min * (1.0 + 1e-9):
             return True
-        self.rejected += 1
-        record("adaptive_rejected")
         self.h = max(h * 0.5, self.dt_min)
         return False
 
 
-def _predict(hist_t, hist_x, t_new):
-    """Polynomial extrapolation of the state to ``t_new``.
+def _index(positions, m):
+    """Increasing ``positions`` in an ``m``-row stack as an index: a
+    slice when they cover every row, so the stack is viewed, not
+    copied."""
+    return slice(None) if len(positions) == m else np.array(positions,
+                                                            dtype=int)
 
-    Quadratic through the last three accepted points (matching the
-    trapezoidal rule's second order), linear with only two, None with
-    fewer.  Works on any ``(m, n)`` state stack since the Lagrange
-    weights are scalars.
+
+def _predict(hist_t, hist_x, t_new):
+    """Polynomial extrapolation of each row's state to its trial time.
+
+    ``hist_t`` holds each row's last ``k`` accepted times and ``hist_x``
+    the ``k`` ``(m, n)`` state stacks there, oldest first; ``t_new``
+    holds each row's trial time.  Quadratic through three points
+    (matching the trapezoidal rule's second order), linear through two.
+    Each row's Lagrange weights are its own, in float arithmetic; the
+    extrapolation is one expression over the stacks.
     """
-    k = len(hist_t)
-    if k < 2:
-        return None
-    if k >= 3:
-        t0, t1, t2 = hist_t[-3], hist_t[-2], hist_t[-1]
-        w0 = (t_new - t1) * (t_new - t2) / ((t0 - t1) * (t0 - t2))
-        w1 = (t_new - t0) * (t_new - t2) / ((t1 - t0) * (t1 - t2))
-        w2 = (t_new - t0) * (t_new - t1) / ((t2 - t0) * (t2 - t1))
-        return w0 * hist_x[-3] + w1 * hist_x[-2] + w2 * hist_x[-1]
-    t0, t1 = hist_t[-2], hist_t[-1]
-    w = (t_new - t0) / (t1 - t0)
+    if len(hist_x) >= 3:
+        w = np.array([((t - t1) * (t - t2) / ((t0 - t1) * (t0 - t2)),
+                       (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2)),
+                       (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1)))
+                      for (t0, t1, t2), t in zip(hist_t, t_new)])
+        return (w[:, 0, None] * hist_x[-3] + w[:, 1, None] * hist_x[-2]
+                + w[:, 2, None] * hist_x[-1])
+    w = np.array([(t - t0) / (t1 - t0)
+                  for (t0, t1), t in zip(hist_t, t_new)])[:, None]
     return (1.0 - w) * hist_x[-2] + w * hist_x[-1]
 
 
-def _push_history(hist_t, hist_x, t_new, x_new, landed):
-    """Append an accepted point; a breakpoint landing restarts the
-    history because the stimulus derivative is discontinuous there."""
-    if landed:
-        hist_t[:] = [t_new]
-        hist_x[:] = [x_new]
-    else:
-        hist_t.append(t_new)
-        hist_x.append(x_new)
-        if len(hist_t) > 3:
-            del hist_t[0]
-            del hist_x[0]
+def _push_history(hist_t, hist_x, accepted, t_new, x_new, landed):
+    """Append each accepted row's point to its history, which keeps the
+    last three: ``hist_t``, per row, a list of times, and ``hist_x``
+    three ``(m, n)`` state stacks, oldest first.  ``accepted`` lists the
+    rows' positions, and ``t_new`` and ``x_new`` hold every row's trial
+    point.  Returns the new state stacks (``x_new`` among them when
+    every row was accepted).  A breakpoint landing restarts a row's
+    history, because the stimulus derivative is discontinuous there.
+    """
+    for j, restart in zip(accepted, landed):
+        hist_t[j] = [t_new[j]] if restart else hist_t[j][-2:] + [t_new[j]]
+    if len(accepted) == len(hist_t):
+        return hist_x[1:] + [x_new]
+    shift = np.zeros((len(hist_t), 1), dtype=bool)
+    shift[accepted] = True
+    return [np.where(shift, newer, older)
+            for older, newer in zip(hist_x, hist_x[1:] + [x_new])]
 
 
 # ----------------------------------------------------------------------
-# The Newton engine
+# Time grids
 # ----------------------------------------------------------------------
 
 def _stack_product(a, b):
@@ -257,246 +249,315 @@ def _stack_product(a, b):
     return a @ b
 
 
-class _LockstepEngine:
-    """A population on the exact lockstep Newton of
-    :mod:`repro.spice.batch`: one stacked solve per Newton iteration over
-    the still-active rows.
+def _geq_scale(method, h):
+    """Companion conductance per farad of a step ``h``."""
+    return (1.0 if method == BACKWARD_EULER else 2.0) / h
 
-    It gives the time-stepping loop the DC start, the source and
-    capacitor right-hand sides, and a round's implicit solves with
-    their gmin retry; the lowered population (``compiled``) supplies
-    the rest.  States are ``(S, n)`` stacks; ``rows`` (a slice) are the
-    population rows of one grid.
+
+class _FixedGrid:
+    """The uniform reference grid, one for the whole population.
+
+    Every round steps every row by ``dt`` onto the next ``linspace``
+    point.  The companion matrices are the cached
+    :meth:`~repro.spice.batch.BatchCompiledCircuit.companion_base`, the
+    sources come from tables over the whole grid, and nothing is ever
+    rejected, so a convergence failure propagates.
     """
 
-    def __init__(self, circuits):
-        batch = BatchCompiledCircuit(circuits)
-        self.compiled = batch
-        self.n_samples = batch.n_samples
-        self.shape = (batch.n_samples, batch.n)
-        self._rows = np.arange(batch.n_samples)
-        self._tables = None
+    def __init__(self, compiled, x, tstop, dt, method, cols):
+        self.compiled = compiled
+        n_steps = _fixed_step_count(tstop, dt)
+        self.times = np.linspace(0.0, n_steps * dt, n_steps + 1)
+        self.step = 0
+        self.rows = np.arange(len(x))
+        geq_scale = _geq_scale(method, dt)
+        self.a_base = compiled.companion_base(method, geq_scale)
+        self.geq = compiled.cap_c * geq_scale
+        self.vsrc, self.isrc = compiled.source_tables(self.times)
+        self.cols = cols
+        self.kept = np.empty((n_steps + 1, len(x), cols.size))
+        self.kept[0] = x[:, cols]
 
-    def stimuli(self, rows):
-        batch = self.compiled
-        return [src.stimulus for s in self._rows[rows]
-                for src in batch._vsources[s] + batch._isources[s]]
+    def done(self):
+        return self.step == len(self.times) - 1
 
-    def dc(self, gmin):
-        return solve_dc_batch(self.compiled, t=0.0, gmin=gmin)
+    def propose(self):
+        """``(rows, t, a_base, geq)`` of the round: every row, at the
+        next grid point."""
+        return self.rows, self.times[self.step + 1], self.a_base, self.geq
 
-    def tabulate(self, times):
-        """Source-waveform tables over the whole fixed grid (kills the
-        per-step Python loop over samples and sources)."""
-        self._tables = self.compiled.source_tables(times)
-
-    def rhs(self, t, step, ieq, rows):
-        """Right-hand side of ``rows`` at ``t``: sources plus the
-        capacitor companion currents ``ieq`` (None without capacitors).
-        The sources come from the tables at grid index ``step`` when
-        :meth:`tabulate` ran (the fixed grid, whose one grid owns every
-        row)."""
-        batch = self.compiled
-        rhs = np.zeros((self._rows[rows].size, batch.n))
-        if self._tables is None:
-            batch.source_rhs(t, rhs, rows)
-            product = np.matmul  # one row at a time at any population size
-        else:
-            vsrc_tab, isrc_tab = self._tables
-            rhs[:, batch.n_nodes:batch.n_nodes + batch.n_vsrc] = (
-                vsrc_tab[:, :, step])
-            product = _stack_product  # the whole population at once
-            if batch.n_isrc:
-                rhs += product(isrc_tab[:, :, step],
-                               batch.isrc_rhs_incidence)
+    def rhs(self, t, ieq):
+        """Sources from the tables plus the companion currents ``ieq``,
+        the whole population in one product each."""
+        compiled = self.compiled
+        k = self.step + 1
+        rhs = np.zeros((compiled.n_samples, compiled.n))
+        rhs[:, compiled.n_nodes:compiled.n_nodes + compiled.n_vsrc] = (
+            self.vsrc[:, :, k])
+        if compiled.n_isrc:
+            rhs += _stack_product(self.isrc[:, :, k],
+                                  compiled.isrc_rhs_incidence)
         if ieq is not None:
-            rhs += product(ieq, batch.cap_rhs_incidence)
+            rhs += _stack_product(ieq, compiled.cap_rhs_incidence)
         return rhs
 
-    def solve(self, requests, gmin):
-        """Every request ``(t, a_base, rhs, x, rows)`` of a round in one
-        stacked Newton call.  Returns, per request, its rows' solution,
-        or the :class:`ConvergenceError` of a request whose rows did
-        not all converge."""
-        batch = self.compiled
-        if len(requests) == 1:
-            ((_, a_base, rhs, x, rows),) = requests
-            rows = self._rows[rows]
-        else:  # one row per request, ``rows`` a slice of one
-            _, a_base, rhs, x, rows = zip(*requests)
-            a_base, rhs, x = map(np.concatenate, (a_base, rhs, x))
-            rows = np.r_[rows]
-        x_new, conv = newton_solve_batch(batch, a_base, rhs, x, rows,
-                                         gmin=gmin)
+    def settle(self, t, x_new, conv):
+        """Accept the round, every row, or raise if any row failed.
+        Returns ``(accepted, kept)`` as :meth:`_RowGrids.settle` does:
+        every row, and no row finishing before the others."""
         if not conv.all():
-            # gmin-continuation ladder for the failing rows only, from
-            # the previous accepted state (the diverged iterate is
-            # discarded).
-            bad = np.flatnonzero(~conv)
-            x_new[bad], conv[bad] = gmin_ladder_batch(
-                batch, a_base[bad], rhs[bad], x[bad], rows[bad], gmin)
-        # a request's rows step together, so one failed row fails it
-        parts = ([(x_new, conv)] if len(requests) == 1
-                 else zip(x_new[:, None], conv[:, None]))
-        return [x if ok.all() else ConvergenceError(
-                    "batched Newton failed to converge for {} of {} samples"
-                    .format(np.count_nonzero(~ok), ok.size), time=t)
-                for (t, *_), (x, ok) in zip(requests, parts)]
+            raise ConvergenceError(
+                "batched Newton failed to converge for {} of {} samples"
+                .format(np.count_nonzero(~conv), conv.size), time=t)
+        self.step += 1
+        self.kept[self.step] = x_new[:, self.cols]
+        return slice(None), None
+
+    def outputs(self):
+        """Per row, its time base and ``(cols, times)`` kept values."""
+        return [(self.times, kept) for kept in self.kept.transpose(1, 2, 0)]
+
+
+class _RowGrids:
+    """The adaptive grid: one :class:`_StepController` per row of the
+    population, so a row's time base and values depend on nothing but
+    the row.
+
+    Every round advances every unfinished row once.  The decisions
+    (propose, accept, reject, the predictor weights) are each row's
+    own, in scalar Python; the array work runs once per round over the
+    round's rows: companion matrices of the rows whose step changed,
+    right-hand sides, the predictor and LTE over the history stacks, and
+    the output writes.  The per-row state holds the unfinished rows
+    only, in population order, and is compacted when a row reaches
+    ``tstop``, so a round's stacks are that state itself.
+    """
+
+    def __init__(self, compiled, x, tstop, dt, method, cols, dt_min,
+                 dt_max, lte_tol):
+        n_rows, n = x.shape
+        self.compiled = compiled
+        self.method = method
+        self.cols = cols
+        self.controllers = [
+            _StepController(tstop, dt, dt_min, dt_max, lte_tol,
+                            collect_breakpoints(self._stimuli(row), tstop))
+            for row in range(n_rows)]
+        record("adaptive_runs", n_rows)
+        self.n_rows = n_rows
+        #: population index of each unfinished row; ``whole`` until the
+        #: first row finishes (positions are population indices then)
+        self.rows = np.arange(n_rows)
+        self.whole = True
+        #: each row's companion matrix and conductances, and the step
+        #: they were built for
+        self.a_base = np.empty((n_rows, n, n))
+        self.geq = np.empty((n_rows, compiled.n_caps))
+        self.built = [None] * n_rows
+        #: the round's trial steps, one per unfinished row
+        self.h = ()
+        #: the predictor history (see :func:`_push_history`)
+        self.hist_t = [[0.0] for _ in range(n_rows)]
+        self.hist_x = [np.zeros((n_rows, n)), np.zeros((n_rows, n)), x]
+        #: accepted points, one ``(rows, times, values)`` block a round
+        self.log = [(self.rows, np.zeros(n_rows), x[:, cols])]
+
+    def _stimuli(self, row):
+        compiled = self.compiled
+        return [src.stimulus for src in
+                compiled._vsources[row] + compiled._isources[row]]
+
+    def done(self):
+        return not self.controllers
+
+    def propose(self):
+        """``(rows, t, a_base, geq)`` of the round: every unfinished row,
+        at its own trial time."""
+        self.h, t = zip(*[controller.propose(len(times))
+                          for controller, times
+                          in zip(self.controllers, self.hist_t)])
+        changed = [j for j, (h, built) in enumerate(zip(self.h, self.built))
+                   if h != built]
+        if changed:
+            compiled = self.compiled
+            at = _index(changed, len(t))
+            rows = at if self.whole else self.rows[at]
+            scale = np.array([_geq_scale(self.method, self.h[j])
+                              for j in changed])[:, None]
+            self.a_base[at] = (compiled.a_static[rows]
+                               + compiled.cap_companion_matrix(scale, rows))
+            self.geq[at] = compiled.cap_c[rows] * scale
+            for j in changed:
+                self.built[j] = self.h[j]
+        return self.rows, t, self.a_base, self.geq
+
+    def rhs(self, t, ieq):
+        """Each row's sources at its own time plus its companion currents
+        ``ieq``, the capacitor product taken row by row."""
+        compiled = self.compiled
+        rhs = np.zeros((len(t), compiled.n))
+        compiled.source_rhs(t, rhs, self.rows.tolist())
+        if ieq is not None:
+            rhs += np.matmul(ieq[:, None, :],
+                             compiled.cap_rhs_incidence)[:, 0]
+        return rhs
+
+    def _errors(self, t, x_new, conv):
+        """Each converged row's LTE estimate, the largest node deviation
+        from its predictor (None while its history is too short)."""
+        err = [None] * len(t)
+        n_nodes = self.compiled.n_nodes
+        if not n_nodes:
+            return err
+        for k in (3, 2):
+            group = [j for j, (ok, times) in enumerate(zip(conv, self.hist_t))
+                     if ok and len(times) == k]
+            if not group:
+                continue
+            at = _index(group, len(t))
+            x_pred = _predict([self.hist_t[j] for j in group],
+                              [stack[at] for stack in self.hist_x[-k:]],
+                              [t[j] for j in group])
+            deviation = np.abs(x_new[at, :n_nodes] - x_pred[:, :n_nodes])
+            for j, e in zip(group, deviation.max(axis=1).tolist()):
+                err[j] = e
+        return err
+
+    def settle(self, t, x_new, conv):
+        """Accept or reject each row's step.
+
+        A row whose solve failed rejects its step, and so does one whose
+        LTE exceeds the tolerance.  At the ``dt_min`` floor a failed
+        solve raises, naming the row, and an LTE rejection is
+        force-accepted.  Returns ``(accepted, kept)``: the positions in
+        the round of the accepted rows, and of the rows still
+        unfinished (None when every row is).
+        """
+        conv = conv.tolist()
+        err = self._errors(t, x_new, conv)
+        accepted, landed, rejected, finished = [], [], 0, False
+        try:
+            for j, (controller, h, ok, e) in enumerate(
+                    zip(self.controllers, self.h, conv, err)):
+                if not ok:
+                    if controller.reject(h):
+                        raise ConvergenceError(
+                            "Newton failed to converge for row {} of {} "
+                            "at t = {:.6g} s".format(
+                                self.rows[j], self.n_rows, t[j]), time=t[j])
+                    rejected += 1
+                elif (e is not None and e > controller.lte_tol
+                      and not controller.reject(h)):
+                    rejected += 1
+                else:
+                    landed.append(controller.accept(h, e))
+                    accepted.append(j)
+                    finished = finished or controller.done()
+        finally:
+            record("adaptive_accepted", len(accepted))
+            record("adaptive_rejected", rejected)
+        self.hist_x = _push_history(self.hist_t, self.hist_x, accepted, t,
+                                    x_new, landed)
+        at = _index(accepted, len(t))
+        self.log.append((self.rows[at], [t[j] for j in accepted],
+                         x_new[at][:, self.cols]))
+        if not finished:
+            return at, None
+        kept = [j for j, controller in enumerate(self.controllers)
+                if not controller.done()]
+        for name in ("controllers", "built", "hist_t"):
+            setattr(self, name, [getattr(self, name)[j] for j in kept])
+        kept = np.array(kept, dtype=int)
+        self.hist_x = [stack[kept] for stack in self.hist_x]
+        for name in ("rows", "a_base", "geq"):
+            setattr(self, name, getattr(self, name)[kept])
+        self.whole = False
+        return at, kept
+
+    def outputs(self):
+        """Per row, its time base and ``(cols, times)`` kept values."""
+        rows, times, kept = (np.concatenate(part) for part in zip(*self.log))
+        order = np.argsort(rows, kind="stable")
+        bounds = np.cumsum(np.bincount(rows))[:-1]
+        return [(row_times, row_kept.T) for row_times, row_kept in zip(
+            np.split(times[order], bounds), np.split(kept[order], bounds))]
 
 
 # ----------------------------------------------------------------------
 # The time-stepping loop and its two entry points
 # ----------------------------------------------------------------------
 
-def _initial_state(engine, x0, gmin):
+def _initial_state(compiled, x0, gmin):
     """The DC operating point at t=0, or ``x0`` checked against the
-    engine's state shape."""
+    population's state shape."""
     if x0 is None:
-        return engine.dc(gmin)
+        return solve_dc_batch(compiled, t=0.0, gmin=gmin)
     x = np.array(x0, dtype=float)
-    if x.shape != engine.shape:
+    if x.shape != (compiled.n_samples, compiled.n):
         raise AnalysisError("x0 has wrong shape")
     return x
 
 
-def _steps(engine, grid, rows, x, method, size, cols):
-    """The stepping loop of one time grid over population ``rows`` from
-    their state ``x``.
+def _solve(compiled, a_base, rhs, x, rows, gmin):
+    """A round's implicit solves, population ``rows``, in one lockstep
+    Newton call, with a gmin-continuation ladder for the rows that fail
+    it, from their previous accepted state (the diverged iterate is
+    discarded).  Returns ``(x_new, converged)``."""
+    x_new, conv = newton_solve_batch(compiled, a_base, rhs, x, rows,
+                                     gmin=gmin)
+    if not conv.all():
+        bad = np.flatnonzero(~conv)
+        x_new[bad], conv[bad] = gmin_ladder_batch(
+            compiled, a_base[bad], rhs[bad], x[bad], rows[bad], gmin)
+    return x_new, conv
 
-    A generator: it yields each implicit solve ``(t, a_base, rhs, x,
-    rows)``, is sent the solution or thrown its
-    :class:`ConvergenceError`, and returns the accepted times and the
-    ``(times, rows, cols)`` array of every accepted state's ``cols``.
+
+def _simulate(compiled, x, grid, method, gmin):
+    """Integrate the population from state ``x`` on ``grid``.
+
+    One loop serves both grids.  Each round the grid proposes its rows
+    with their times, companion matrices and conductances; all of them
+    are solved in one Newton call; the grid settles the solves, and the
+    states of the rows it accepted advance.  The loop's state stacks
+    (``x`` and the capacitor voltages and currents) hold the grid's
+    rows, compacted with them, and are replaced, never written in place.
     """
-    compiled = engine.compiled
-    n_nodes = compiled.n_nodes
-    adaptive = isinstance(grid, _StepController)
-    # Accepted points go into preallocated arrays (sized for the fixed
-    # grid, doubled when an adaptive run outgrows them): keeping one
-    # small array alive per step measurably slowed the Newton solves.
-    times = np.empty(size)
-    kept = np.empty((size, len(x), cols.size))
-    times[0] = 0.0
-    kept[0] = x.take(cols, axis=1)
-    count = 1
-    hist_t = [0.0]
-    hist_x = [x]
-    vcap_prev = compiled.cap_branch_voltages(x)
-    icap_prev = np.zeros_like(vcap_prev)  # caps carry no current at DC
-    h_prev = None
-
+    vcap = compiled.cap_branch_voltages(x)
+    icap = np.zeros_like(vcap)  # caps carry no current at DC
     while not grid.done():
-        h, t_new = grid.propose(len(hist_t))
-        if h != h_prev:
-            geq_scale = (1.0 if method == BACKWARD_EULER else 2.0) / h
-            if rows == slice(None):
-                # cached per step size: adaptive grids revisit a few
-                a_base = compiled.companion_base(method, geq_scale)
-            else:  # one row of a lockstep population
-                a_base = (compiled.a_static[rows]
-                          + compiled.cap_companion_matrix(geq_scale, rows))
-            geq = compiled.cap_c[rows] * geq_scale
-            h_prev = h
-
+        rows, t, a_base, geq = grid.propose()
         ieq = None
         if compiled.n_caps:
             # capacitor companion current sources
-            if method == BACKWARD_EULER:
-                ieq = geq * vcap_prev
-            else:
-                ieq = geq * vcap_prev + icap_prev
-        rhs = engine.rhs(t_new, grid.accepted + 1, ieq, rows)
-
-        try:
-            x_new = yield t_new, a_base, rhs, x, rows
-        except ConvergenceError:
-            # A non-converging trial step is a rejection like any other:
-            # halve and retry (implicit steps converge more easily the
-            # shorter they get).  At the floor, and on the fixed grid,
-            # the error propagates.
-            if grid.reject(h):
-                raise
-            continue
-
-        err = None
-        if adaptive:
-            x_pred = _predict(hist_t, hist_x, t_new)
-            if x_pred is not None and n_nodes:
-                err = float(np.max(np.abs((x_new - x_pred)[:, :n_nodes])))
-                if err > grid.lte_tol and not grid.reject(h):
-                    continue
-
-        landed = grid.accept(h, err)
-        x = x_new
-        vcap = compiled.cap_branch_voltages(x)
-        if compiled.n_caps:
-            if method == BACKWARD_EULER:
-                icap_prev = geq * (vcap - vcap_prev)
-            else:
-                icap_prev = geq * (vcap - vcap_prev) - icap_prev
-        vcap_prev = vcap
-        if count == len(times):
-            times = np.concatenate([times, np.empty_like(times)])
-            kept = np.concatenate([kept, np.empty_like(kept)])
-        times[count] = t_new
-        kept[count] = x.take(cols, axis=1)
-        count += 1
-        if adaptive:
-            _push_history(hist_t, hist_x, t_new, x, landed)
-    return times[:count], kept[:count]
+            ieq = geq * vcap
+            if method != BACKWARD_EULER:
+                ieq += icap
+        x_new, conv = _solve(compiled, a_base, grid.rhs(t, ieq), x, rows,
+                             gmin)
+        done, kept = grid.settle(t, x_new, conv)
+        x_new = x_new[done]
+        v = compiled.cap_branch_voltages(x_new)
+        i_new = geq[done] * (v - vcap[done])
+        if method != BACKWARD_EULER:
+            i_new -= icap[done]
+        if isinstance(done, slice):  # every row of the round accepted
+            x, vcap, icap = x_new, v, i_new
+        else:  # fresh stacks: the history may hold the previous ones
+            x, vcap, icap = x.copy(), vcap.copy(), icap.copy()
+            x[done], vcap[done], icap[done] = x_new, v, i_new
+        if kept is not None:
+            x, vcap, icap = x[kept], vcap[kept], icap[kept]
+    return grid.outputs()
 
 
-def _simulate(engine, x, tstop, dt, method, gmin, nodes, adaptive, dt_min,
-              dt_max, lte_tol):
-    """Integrate from state ``x`` to ``tstop`` on either grid.
-
-    The fixed grid is one grid for the whole population.  On the
-    adaptive grid every row of a lockstep population has its own
-    controller, so its time base and values depend on nothing but the
-    row; each round solves every unfinished row at its own time and
-    step in one Newton call.  Returns one :class:`Waveform` per sample,
-    restricted to ``nodes`` (None keeps every node).
-    """
-    compiled = engine.compiled
-    nodes = compiled.node_order if nodes is None else list(nodes)
-    index = [compiled.index_of(node) for node in nodes]
-    cols = np.array([i for i in index if i >= 0], dtype=int)
-    rows = [slice(None)]
-    if adaptive:
-        if engine.n_samples > 1:
-            rows = [slice(r, r + 1) for r in range(engine.n_samples)]
-        grids = [_StepController(tstop, dt, dt_min, dt_max, lte_tol,
-                                 collect_breakpoints(engine.stimuli(r), tstop))
-                 for r in rows]
-        record("adaptive_runs", len(rows))
-    else:
-        grids = [_FixedGrid(tstop, dt)]
-        engine.tabulate(grids[0].times)
-
-    size = _fixed_step_count(tstop, dt) + 1
-    loops = [_steps(engine, grid, r, x[r], method, size, cols)
-             for grid, r in zip(grids, rows)]
-    pending = {loop: next(loop) for loop in loops}
-    finished = {}
-    while pending:
-        outcomes = engine.solve(list(pending.values()), gmin)
-        for loop, outcome in zip(list(pending), outcomes):
-            try:
-                pending[loop] = (loop.throw(outcome)
-                                 if isinstance(outcome, ConvergenceError)
-                                 else loop.send(outcome))
-            except StopIteration as stop:
-                del pending[loop]
-                finished[loop] = stop.value
-
+def _waveforms(outputs, nodes, index):
+    """One :class:`Waveform` per row, restricted to ``nodes``."""
     waveforms = []
-    for loop in loops:
-        times, kept = finished[loop]
-        for row in kept.transpose(1, 2, 0):
-            columns = iter(row)
-            waveforms.append(Waveform(times, {
-                node: np.zeros_like(times) if i < 0 else next(columns)
-                for node, i in zip(nodes, index)}))
+    for times, kept in outputs:
+        columns = iter(kept)
+        waveforms.append(Waveform(times, {
+            node: np.zeros_like(times) if i < 0 else next(columns)
+            for node, i in zip(nodes, index)}))
     return waveforms
 
 
@@ -560,7 +621,15 @@ def run_transient_batch(circuits, tstop, dt, method=TRAPEZOIDAL,
     Returns a list of :class:`Waveform`, aligned with ``circuits``.
     """
     _check_analysis(tstop, dt, method, adaptive)
-    engine = _LockstepEngine(list(circuits))
-    x = _initial_state(engine, x0, gmin)
-    return _simulate(engine, x, tstop, dt, method, gmin, record, adaptive,
-                     dt_min, dt_max, lte_tol)
+    compiled = BatchCompiledCircuit(list(circuits))
+    x = _initial_state(compiled, x0, gmin)
+    nodes = compiled.node_order if record is None else list(record)
+    index = [compiled.index_of(node) for node in nodes]
+    cols = np.array([i for i in index if i >= 0], dtype=int)
+    if adaptive:
+        grid = _RowGrids(compiled, x, tstop, dt, method, cols, dt_min,
+                         dt_max, lte_tol)
+    else:
+        grid = _FixedGrid(compiled, x, tstop, dt, method, cols)
+    return _waveforms(_simulate(compiled, x, grid, method, gmin), nodes,
+                      index)

@@ -19,7 +19,7 @@ from repro.core.pulse import (DEFAULT_DT, build_instance,
                               measure_path_delay, measure_path_delay_batch,
                               simulation_window)
 from repro.runtime import stats_scope
-from repro.spice import (BACKWARD_EULER, Circuit, Pulse, Pwl,
+from repro.spice import (BACKWARD_EULER, Circuit, Dc, Pulse, Pwl,
                          run_transient, run_transient_batch)
 from repro.spice.errors import AnalysisError
 from repro.spice.sources import collect_breakpoints
@@ -129,15 +129,15 @@ class TestBreakpointCollection:
 
 class TestAdaptiveBatchEngine:
     def test_batch_matches_scalar_adaptive(self):
-        """Lockstep adaptive == scalar adaptive for identical samples
-        (each row runs the scalar run's controller on its own grid)."""
-        scalar = run_transient(rc_circuit(), 6e-9, 20e-12, adaptive=True)
+        """Each row of a two-row population of identical circuits equals,
+        bit for bit, the circuit run alone as a population of one (every
+        row steps on its own grid)."""
+        alone = run_transient(rc_circuit(), 6e-9, 20e-12, adaptive=True)
         batched = run_transient_batch([rc_circuit(), rc_circuit()], 6e-9,
                                       20e-12, adaptive=True)
         for wf in batched:
-            np.testing.assert_allclose(wf.t, scalar.t)
-            np.testing.assert_allclose(wf["out"], scalar["out"],
-                                       atol=1e-9)
+            np.testing.assert_array_equal(wf.t, alone.t)
+            np.testing.assert_array_equal(wf["out"], alone["out"])
 
     def test_batch_rows_cover_tstop(self):
         wfs = run_transient_batch([rc_circuit(1e3), rc_circuit(2e3)],
@@ -213,6 +213,47 @@ class TestRowGrids:
 
         assert sweep(3) == sweep(1)
 
+    def test_mixed_rows_equal_rows_alone(self):
+        """Rows whose stimuli differ in every way the controller has to
+        handle each equal, bit for bit, the same row run alone, and the
+        population books the sum of what its rows book alone: pulses
+        with different delays and one periodic pulse (breakpoint lists
+        of different lengths), a ``Dc`` row without breakpoints that
+        finishes in few rounds, and a 1 ps edge, whose landing step is
+        shorter than ``dt_min``."""
+        stimuli = [
+            Pulse(0.0, 1.0, delay=0.5e-9, rise=0.1e-9, width=1e-9),
+            Pulse(0.0, 1.0, delay=1.7e-9, rise=0.2e-9, width=0.5e-9,
+                  period=1.5e-9),
+            Dc(0.7),
+            Pulse(0.0, 1.0, delay=1e-9, rise=1e-12, width=1e-9)]
+        counters = ("newton_solves", "newton_iterations", "adaptive_runs",
+                    "adaptive_accepted", "adaptive_rejected")
+
+        def run(rows):
+            circuits = []
+            for k in rows:
+                circuit = Circuit("rc")
+                circuit.add_vsource("V1", "in", "0", stimuli[k])
+                circuit.add_resistor("R1", "in", "out", 1e3 * (1 + k))
+                circuit.add_capacitor("C1", "out", "0", 1e-12)
+                circuits.append(circuit)
+            with stats_scope() as stats:
+                waveforms = run_transient_batch(circuits, 6e-9, 20e-12,
+                                                adaptive=True)
+            return waveforms, [stats.total(name) for name in counters]
+
+        population, booked = run(range(len(stimuli)))
+        summed = [0] * len(counters)
+        for k, waveform in enumerate(population):
+            (alone,), alone_booked = run([k])
+            np.testing.assert_array_equal(waveform.t, alone.t)
+            for node in ("in", "out"):
+                np.testing.assert_array_equal(waveform[node], alone[node])
+            summed = [a + b for a, b in zip(summed, alone_booked)]
+        assert booked == summed
+        assert booked[3] > 0 and booked[4] > 0
+
 
 class TestRowFailure:
     """A row whose Newton solve and gmin ladder both fail rejects only
@@ -255,6 +296,35 @@ class TestRowFailure:
         np.testing.assert_array_equal(failed[1]["out"], clean[1]["out"])
         assert not np.array_equal(failed[0].t, clean[0].t)
         assert failed[0].t[-1] >= 6e-9 * (1 - 1e-12)
+
+    def test_floor_failure_names_its_row(self, monkeypatch):
+        """A row that fails every solve halves its step down to the
+        ``dt_min`` floor, where the error names the row, the population
+        size and the row's time."""
+        import repro.spice.transient as transient
+        from repro.spice.errors import ConvergenceError
+
+        real_newton = transient.newton_solve_batch
+        real_ladder = transient.gmin_ladder_batch
+
+        def newton(batch, a_base, rhs, x0, sample_idx=None, **kwargs):
+            x, conv = real_newton(batch, a_base, rhs, x0, sample_idx,
+                                  **kwargs)
+            conv[np.asarray(sample_idx) == 0] = False
+            return x, conv
+
+        def ladder(*args, **kwargs):
+            x, conv = real_ladder(*args, **kwargs)
+            return x, np.zeros_like(conv)
+
+        monkeypatch.setattr(transient, "newton_solve_batch", newton)
+        monkeypatch.setattr(transient, "gmin_ladder_batch", ladder)
+        with pytest.raises(ConvergenceError,
+                           match=r"row 0 of 2 at t = 1\.25e-12 s") as info:
+            run_transient_batch([rc_circuit(1e3), rc_circuit(2e3)], 6e-9,
+                                20e-12, adaptive=True)
+        # 20 ps halved four times reaches the dt/16 floor
+        assert info.value.time == 20e-12 / 16
 
     def test_fixed_grid_failure_propagates(self, monkeypatch):
         from repro.spice.errors import ConvergenceError
@@ -299,19 +369,19 @@ class TestPaperBenchEquivalence:
         assert accepted * 2 <= fixed_steps
 
     def test_batched_measurements_match_scalar_adaptive(self):
+        """w_out and d_p of each path of a three-path population equal,
+        bit for bit, the path measured alone as a population of one."""
         from repro.montecarlo import sample_population
 
         samples = sample_population(3, base_seed=5)
         paths = [build_instance(sample=s) for s in samples]
-        w_scalar = [measure_output_pulse(p, W_IN, adaptive=True)[0]
-                    for p in paths]
+        w_alone = [measure_output_pulse(p, W_IN, adaptive=True)[0]
+                   for p in paths]
         w_batch, _ = measure_output_pulse_batch(paths, W_IN,
                                                 adaptive=True)
-        for a, b in zip(w_scalar, w_batch):
-            assert b == pytest.approx(a, abs=0.2e-12)
+        assert w_batch == w_alone
 
-        d_scalar = [measure_path_delay(p, adaptive=True)[0]
-                    for p in paths]
+        d_alone = [measure_path_delay(p, adaptive=True)[0]
+                   for p in paths]
         d_batch, _ = measure_path_delay_batch(paths, adaptive=True)
-        for a, b in zip(d_scalar, d_batch):
-            assert b == pytest.approx(a, abs=0.2e-12)
+        assert d_batch == d_alone
