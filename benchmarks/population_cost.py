@@ -4,7 +4,7 @@
 Usage::
 
     python benchmarks/population_cost.py [--populations 1 8 64 96 128 256]
-                                         [--repeats 3]
+                                         [--repeats 3] [--mixed 6]
 
 Measures one ``measure_output_pulse_batch`` population of the 7-gate
 path with an ``ExternalOpen(2)`` at 4, 12 and 30 kOhm (row ``i`` is
@@ -17,6 +17,14 @@ grids back to back.  Prints, per population size, the seconds per row
 of both grids and their ratio (adaptive / fixed).  This is the probe
 behind DESIGN.md's "Chunking" table, which sets
 ``repro.core.pulse.MAX_POPULATION``.
+
+Then, per grid, ``--mixed`` pulse rows (the first instances of the
+population, driven as above) and as many delay rows (the same
+instances, driven by one rising input transition), each row stopping
+at its own window, run as one ``run_transient_batch`` population and
+as the two populations apart (how a campaign measured its pulse and
+delay sweeps before they shared one call).  Prints the seconds per row
+of both and their ratio (mixed / apart).
 """
 
 import argparse
@@ -31,9 +39,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from repro.core.pulse import (  # noqa: E402
-    build_instance, measure_output_pulse_batch)
+    build_instance, measure_output_pulse_batch, simulation_window)
 from repro.faults import ExternalOpen  # noqa: E402
 from repro.montecarlo import sample_population  # noqa: E402
+from repro.spice import run_transient_batch  # noqa: E402
 
 RESISTANCES = (4e3, 12e3, 30e3)
 W_IN = 430e-12
@@ -62,6 +71,51 @@ def seconds_per_row(paths, repeats):
     return best[False] / len(paths), best[True] / len(paths)
 
 
+def driven(paths, kind):
+    """``(circuits, stops)`` of copies of ``paths`` driven by the
+    430 ps pulse (``kind="pulse"``) or by one rising transition, each
+    stopping at its own window."""
+    circuits, stops = [], []
+    for path in paths:
+        path = path.copy()
+        if kind == "pulse":
+            delay = path.set_input_pulse(W_IN)
+            stops.append(simulation_window(path, w_in=W_IN,
+                                           stimulus_delay=delay))
+        else:
+            delay = path.set_input_transition("rise")
+            stops.append(simulation_window(path, stimulus_delay=delay))
+        circuits.append(path.circuit)
+    return circuits, stops
+
+
+def mixed_against_apart(paths, repeats):
+    """Best-of-``repeats`` CPU seconds per row, per grid, of the pulse
+    and delay rows of ``paths`` as one population and as two."""
+    pulse, delay = driven(paths, "pulse"), driven(paths, "delay")
+    record = [paths[0].input_node, paths[0].output_node]
+
+    def run(parts, adaptive):
+        for circuits, stops in parts:
+            run_transient_batch(circuits, max(stops), DT, record=record,
+                                adaptive=adaptive, stops=stops)
+
+    mixed = [(pulse[0] + delay[0], pulse[1] + delay[1])]
+    best = {}
+    for _ in range(repeats):
+        for adaptive in (False, True):
+            for name, parts in (("mixed", mixed), ("apart", [pulse, delay])):
+                start = time.process_time()
+                run(parts, adaptive)
+                key = (adaptive, name)
+                best[key] = min(best.get(key, float("inf")),
+                                time.process_time() - start)
+    rows = 2 * len(paths)
+    return {adaptive: (best[adaptive, "mixed"] / rows,
+                       best[adaptive, "apart"] / rows)
+            for adaptive in (False, True)}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--populations", type=int, nargs="+",
@@ -69,14 +123,24 @@ def main(argv=None):
                         help="population sizes to measure")
     parser.add_argument("--repeats", type=int, default=3,
                         help="runs per measurement; the best counts")
+    parser.add_argument("--mixed", type=int, default=6,
+                        help="pulse rows, and as many delay rows, of the "
+                             "mixed population")
     args = parser.parse_args(argv)
-    if args.repeats < 1 or min(args.populations) < 1:
-        parser.error("populations and repeats must be positive")
+    if args.repeats < 1 or min(args.populations + [args.mixed]) < 1:
+        parser.error("populations, repeats and mixed must be positive")
     print("population  fixed s/row  adaptive s/row  adaptive/fixed")
     for size in args.populations:
         fixed, adaptive = seconds_per_row(population(size), args.repeats)
         print("{:>10d}  {:>11.4f}  {:>14.4f}  {:>14.2f}".format(
             size, fixed, adaptive, adaptive / fixed), flush=True)
+    print("\n{0} pulse + {0} delay rows, each to its own window".format(
+        args.mixed))
+    print("grid      mixed s/row  apart s/row  mixed/apart")
+    costs = mixed_against_apart(population(args.mixed), args.repeats)
+    for adaptive, (mixed, apart) in costs.items():
+        print("{:<8s}  {:>11.4f}  {:>11.4f}  {:>11.2f}".format(
+            "adaptive" if adaptive else "fixed", mixed, apart, mixed / apart))
 
 
 if __name__ == "__main__":

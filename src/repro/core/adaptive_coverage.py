@@ -26,7 +26,10 @@ Every (sample, R) measurement is dispatched through the campaign
 same content-addressed key scheme as the fixed-grid sweeps
 (single-point resistance grids), so escalation waves never recompute
 earlier samples, warm reruns resume from the cache, and serial vs
-process-pool waves report identical values and solver counters.
+process-pool waves report identical values and solver counters.  A
+sweep's wave loop is a generator (:func:`sweep_waves`), so sweeps that
+do not depend on each other advance together, one runtime call per
+round of waves (:func:`adaptive_sweeps`); each reads as it does alone.
 """
 
 import math
@@ -34,7 +37,7 @@ import math
 from ..montecarlo import wilson_excludes, wilson_halfwidth
 from ..runtime import Runtime, RunReport
 from .coverage import CoverageCurve, build_sweep_payloads
-from .pulse import run_measurements
+from .pulse import run_measurement_groups
 
 #: default per-point Wilson half-width target (the fixed-grid campaign's
 #: worst case at S = 16 is ~0.20, so 0.15 is a strictly tighter promise)
@@ -116,8 +119,9 @@ class _SweepMeasurer:
     is one item of a single-point resistance grid, so each (sample, R)
     pair lands under one stable content-addressed cache key no matter
     which wave (or which rerun) asks for it.  A whole wave is one
-    :func:`~repro.core.pulse.run_measurements` call, in request order;
-    a chunk may span R points.
+    measurement group of :func:`~repro.core.pulse.run_measurement_groups`,
+    in request order; a chunk may span R points, and the waves of
+    several sweeps may share one call (:func:`_measure_waves`).
     """
 
     def __init__(self, samples, fault, tech, dt, runtime, report,
@@ -132,18 +136,59 @@ class _SweepMeasurer:
         #: (sample, R) measurements requested so far (cached or fresh)
         self.requested = 0
 
+    def group(self, requests):
+        """``[(sample_index, r), ...]`` as this sweep's measurement
+        group ``(label, spec, items)``."""
+        self.requested += len(requests)
+        return (self.label, self.spec,
+                [{"sample": self.samples[index], "resistances": [float(r)]}
+                 for index, r in requests])
+
     def measure(self, requests):
         """Measure ``[(sample_index, r), ...]``; values in request order."""
         requests = list(requests)
         if not requests:
             return []
-        self.requested += len(requests)
-        rows = run_measurements(
-            self.spec,
-            [{"sample": self.samples[index], "resistances": [float(r)]}
-             for index, r in requests],
-            runtime=self.runtime, report=self.report, label=self.label)
-        return [float(row[0]) for row in rows]
+        (values,) = _measure_waves([self], [requests])
+        return values
+
+
+def _measure_waves(measurers, waves):
+    """One wave of each sweep in one runtime call: ``waves[k]`` lists
+    ``measurers[k]``'s requests.  Returns their values, per sweep in
+    request order.  The call runs on the first measurer's runtime and
+    books to its report."""
+    first = measurers[0]
+    groups = run_measurement_groups(
+        [measurer.group(requests)
+         for measurer, requests in zip(measurers, waves)],
+        runtime=first.runtime, report=first.report)
+    return [[float(row[0]) for row in rows] for rows in groups]
+
+
+def _advance_together(sweeps, measure):
+    """Run the wave generators ``sweeps`` (see :func:`sweep_waves`)
+    together, one round per wave: each round hands ``measure`` the next
+    wave of every unfinished sweep, as ``[(index, requests), ...]``,
+    and sends each sweep the values ``measure`` returns for it, in that
+    order.  Returns each sweep's result."""
+    results = [None] * len(sweeps)
+    pending = {}
+
+    def send(index, values):
+        try:
+            pending[index] = sweeps[index].send(values)
+        except StopIteration as stop:
+            pending.pop(index, None)
+            results[index] = stop.value
+
+    for index in range(len(sweeps)):
+        send(index, None)
+    while pending:
+        round_ = sorted(pending.items())
+        for (index, _), values in zip(round_, measure(round_)):
+            send(index, values)
+    return results
 
 
 class AdaptiveSweepResult:
@@ -233,9 +278,73 @@ def adaptive_sweep(samples, fault, resistances, decide,
     :func:`~repro.core.coverage.build_sweep_payloads`
     (``measure="pulse", omega_in=..., kind=...`` or
     ``measure="delay", direction=...``).  ``measurer`` overrides the
-    runtime-backed dispatcher (tests inject a synthetic one).
+    runtime-backed dispatcher (tests inject a synthetic one).  The
+    sweep is :func:`sweep_waves` run alone.
 
     Returns an :class:`AdaptiveSweepResult`.
+    """
+    report = RunReport(label) if report is None else report
+    waves = sweep_waves(samples, resistances, decide, report, label,
+                        ci_width=ci_width, min_wave=min_wave,
+                        refine_targets=refine_targets,
+                        refine_rel_tol=refine_rel_tol,
+                        initial_points=initial_points)
+    if measurer is None:
+        measurer = _SweepMeasurer(
+            samples, fault, tech, dt, runtime, report, adaptive,
+            path_kwargs, label, measure_spec)
+    (result,) = _advance_together(
+        [waves], lambda round_: [measurer.measure(requests)
+                                 for _, requests in round_])
+    return result
+
+
+def adaptive_sweeps(samples, fault, resistances, sweeps,
+                    ci_width=DEFAULT_CI_WIDTH, min_wave=DEFAULT_MIN_WAVE,
+                    refine_targets=DEFAULT_REFINE_TARGETS,
+                    refine_rel_tol=DEFAULT_REFINE_REL_TOL,
+                    initial_points=DEFAULT_INITIAL_POINTS, tech=None,
+                    dt=None, runtime=None, report=None, adaptive=False,
+                    path_kwargs=None):
+    """Several runtime-backed adaptive sweeps of one fault family,
+    advanced together (:func:`_advance_together`): each round measures
+    the next wave of every unfinished sweep in one runtime call
+    (:func:`_measure_waves`).
+
+    ``sweeps`` lists ``(label, decide, measure_spec)`` per sweep, as
+    :func:`adaptive_sweep` takes them; the other arguments are shared.
+    Each sweep's waves, values and cache keys are those it has alone.
+    Returns one :class:`AdaptiveSweepResult` per sweep.
+    """
+    report = RunReport("adaptive-sweeps") if report is None else report
+    waves = [sweep_waves(samples, resistances, decide, report, label,
+                         ci_width=ci_width, min_wave=min_wave,
+                         refine_targets=refine_targets,
+                         refine_rel_tol=refine_rel_tol,
+                         initial_points=initial_points)
+             for label, decide, _ in sweeps]
+    measurers = [_SweepMeasurer(samples, fault, tech, dt, runtime, report,
+                                adaptive, path_kwargs, label, measure_spec)
+                 for label, _, measure_spec in sweeps]
+    return _advance_together(waves, lambda round_: _measure_waves(
+        [measurers[index] for index, _ in round_],
+        [requests for _, requests in round_]))
+
+
+def sweep_waves(samples, resistances, decide, report, label,
+                ci_width=DEFAULT_CI_WIDTH, min_wave=DEFAULT_MIN_WAVE,
+                refine_targets=DEFAULT_REFINE_TARGETS,
+                refine_rel_tol=DEFAULT_REFINE_REL_TOL,
+                initial_points=DEFAULT_INITIAL_POINTS):
+    """The waves of one adaptive sweep (see :func:`adaptive_sweep`), as
+    a generator; a bad setting raises here, before it starts.
+
+    Each ``send`` of a wave's values, in request order (None to start),
+    returns the next wave's ``[(sample_index, r), ...]`` requests; the
+    generator returns the :class:`AdaptiveSweepResult` once the sweep
+    needs no more.  Every wave is booked to ``report``.  Because a
+    wave's requests depend only on earlier values, the waves of several
+    sweeps can be measured together (:func:`_advance_together`).
     """
     samples = list(samples)
     n_total = len(samples)
@@ -248,16 +357,18 @@ def adaptive_sweep(samples, fault, resistances, decide,
     refine_rel_tol = float(refine_rel_tol)
     if refine_rel_tol <= 0.0:
         raise ValueError("refine_rel_tol must be positive")
-    report = RunReport(label) if report is None else report
-    if measurer is None:
-        measurer = _SweepMeasurer(
-            samples, fault, tech, dt, runtime, report, adaptive,
-            path_kwargs, label, measure_spec)
+    return _waves(samples, resistances, decide, report, label, ci_width,
+                  min_wave, refine_targets, refine_rel_tol, initial_points)
 
+
+def _waves(samples, resistances, decide, report, label, ci_width,
+           min_wave, refine_targets, refine_rel_tol, initial_points):
+    """The body of :func:`sweep_waves`."""
+    n_total = len(samples)
     full_grid = sorted(set(float(r) for r in resistances))
     grid = subsample_grid(full_grid, initial_points)
     points = {r: PointState(r) for r in grid}
-    waves = [0]
+    waves = 0
 
     def coverage(point):
         return point.hits(decide, samples) / point.n
@@ -277,6 +388,7 @@ def adaptive_sweep(samples, fault, resistances, decide,
                 and wilson_excludes(hits, point.n, target))
 
     def run_waves(wave_points, target=None):
+        nonlocal waves
         active = [p for p in wave_points if not resolved(p, target)]
         while active:
             plan, requests = [], []
@@ -285,19 +397,19 @@ def adaptive_sweep(samples, fault, resistances, decide,
                 plan.append((point, goal))
                 requests.extend((i, point.r)
                                 for i in range(point.n, goal))
-            values = measurer.measure(requests)
+            values = yield requests
             position = 0
             for point, goal in plan:
                 count = goal - point.n
                 point.values.extend(values[position:position + count])
                 position += count
                 point.waves += 1
-            waves[0] += 1
+            waves += 1
             report.record_wave()
             active = [p for p in active if not resolved(p, target)]
 
     # Phase 1: drive every initial-grid point to its precision target.
-    run_waves(list(points.values()))
+    yield from run_waves(list(points.values()))
 
     # Phase 2: bisect each target's crossing interval geometrically.
     crossings = {}
@@ -321,7 +433,7 @@ def adaptive_sweep(samples, fault, resistances, decide,
             if mid is None:
                 mid = PointState(r_mid, refined=True)
                 points[r_mid] = mid
-            run_waves([mid], target=target)
+            yield from run_waves([mid], target=target)
             if (coverage(mid) >= target) == lo_above:
                 lo = mid
             else:
@@ -331,4 +443,4 @@ def adaptive_sweep(samples, fault, resistances, decide,
                              "detected_at": detected.r}
 
     return AdaptiveSweepResult(points.values(), samples, crossings,
-                               label, waves[0], grid, full_grid)
+                               label, waves, grid, full_grid)

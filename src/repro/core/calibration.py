@@ -12,10 +12,18 @@ Section 4's conservative, yield-first procedure:
 from ..cells import default_technology
 from ..dft import FlipFlopTiming, calibrate_t_star
 from ..montecarlo import NominalModel
-from .pulse import run_measurements
+from .pulse import run_measurement_groups
 from .sensing import PulseDetector
-from .transfer import (TransferCurve, default_w_in_grid,
-                       measure_transfer_rows, recommended_w_in)
+from .transfer import (TransferCurve, default_w_in_grid, recommended_w_in,
+                       transfer_rows)
+
+
+#: default sensing-threshold fluctuation the pulse test stays
+#: yield-safe under (Sec. 4: 10 %)
+SENSING_TOLERANCE = 0.1
+
+#: default clock-period droop the delay test stays yield-safe under
+SKEW_TOLERANCE = 0.1
 
 
 def nominal_transfer_curve(w_in_grid, kind="h", dt=None, fault=None,
@@ -30,11 +38,20 @@ def nominal_transfer_curve(w_in_grid, kind="h", dt=None, fault=None,
     enters its cache key), so an adaptive calibration picks ω_in* on
     the same time grid as the population it calibrates.
     """
-    (w_out,) = measure_transfer_rows(
-        [NominalModel()], w_in_grid, kind=kind, dt=dt, fault=fault,
-        tech=tech, path_kwargs=path_kwargs, runtime=runtime, report=report,
-        adaptive=adaptive, label="nominal-transfer")
+    ((w_out,),) = run_measurement_groups(
+        [nominal_transfer_row(w_in_grid, kind=kind, dt=dt, fault=fault,
+                              tech=tech, path_kwargs=path_kwargs,
+                              adaptive=adaptive)],
+        runtime=runtime, report=report)
     return TransferCurve(w_in_grid, w_out, kind=kind)
+
+
+def nominal_transfer_row(w_in_grid, kind="h", dt=None, fault=None,
+                         tech=None, path_kwargs=None, adaptive=False):
+    """The measurement group of :func:`nominal_transfer_curve`."""
+    return transfer_rows([NominalModel()], w_in_grid, kind=kind, dt=dt,
+                         fault=fault, tech=tech, path_kwargs=path_kwargs,
+                         adaptive=adaptive, label="nominal-transfer")
 
 
 class PulseTestCalibration:
@@ -58,8 +75,52 @@ class PulseTestCalibration:
                                              self.omega_th * 1e12)
 
 
+def pulse_calibration_rows(samples, omega_in, fault=None, tech=None,
+                           kind="h", dt=None, adaptive=False,
+                           path_kwargs=None):
+    """The measurement group of the fault-free population's
+    ``w_out(ω_in*)``: ``(label, spec, items)`` for
+    :func:`~repro.core.pulse.run_measurement_groups`."""
+    return ("pulse-calibration",
+            dict(measure="pulse", omega_in=float(omega_in), kind=kind,
+                 dt=dt, adaptive=adaptive,
+                 tech=default_technology() if tech is None else tech,
+                 path_kwargs={} if path_kwargs is None else path_kwargs,
+                 fault=fault),
+            [{"sample": sample} for sample in samples])
+
+
+def delay_calibration_rows(samples, fault=None, tech=None,
+                           direction="rise", dt=None, adaptive=False,
+                           path_kwargs=None):
+    """The measurement group of the fault-free population's path
+    delays (see :func:`pulse_calibration_rows`)."""
+    return ("delay-calibration",
+            dict(measure="delay", direction=direction, dt=dt,
+                 adaptive=adaptive,
+                 tech=default_technology() if tech is None else tech,
+                 path_kwargs={} if path_kwargs is None else path_kwargs,
+                 fault=fault),
+            [{"sample": sample} for sample in samples])
+
+
+def _pulse_test(omega_in, curve, wouts, sensing_tolerance):
+    """Step 3 of :func:`calibrate_pulse_test`: ω_th* from the weakest
+    fault-free ``w_out``."""
+    weakest = min(wouts)
+    if weakest <= 0.0:
+        raise ValueError(
+            "a fault-free instance dampens the calibrated pulse; "
+            "omega_in={:.0f}ps sits in the forbidden attenuation region"
+            .format(omega_in * 1e12))
+    detector = PulseDetector(weakest / (1.0 + sensing_tolerance))
+    return PulseTestCalibration(omega_in, detector, curve, wouts,
+                                sensing_tolerance)
+
+
 def calibrate_pulse_test(samples, fault=None, tech=None, kind="h",
-                         w_in_grid=None, sensing_tolerance=0.1,
+                         w_in_grid=None,
+                         sensing_tolerance=SENSING_TOLERANCE,
                          margin=0.03e-9, dt=None, omega_in=None,
                          runtime=None, report=None, adaptive=False,
                          **path_kwargs):
@@ -83,26 +144,17 @@ def calibrate_pulse_test(samples, fault=None, tech=None, kind="h",
         adaptive=adaptive)
     if omega_in is None:
         omega_in = recommended_w_in(curve, margin=margin)
-
-    wouts = run_measurements(
-        dict(measure="pulse", omega_in=float(omega_in), kind=kind, dt=dt,
-             adaptive=adaptive, tech=tech, path_kwargs=path_kwargs,
-             fault=fault),
-        [{"sample": sample} for sample in samples], runtime=runtime,
-        report=report, label="pulse-calibration")
-    weakest = min(wouts)
-    if weakest <= 0.0:
-        raise ValueError(
-            "a fault-free instance dampens the calibrated pulse; "
-            "omega_in={:.0f}ps sits in the forbidden attenuation region"
-            .format(omega_in * 1e12))
-    detector = PulseDetector(weakest / (1.0 + sensing_tolerance))
-    return PulseTestCalibration(omega_in, detector, curve, wouts,
-                                sensing_tolerance)
+    (wouts,) = run_measurement_groups(
+        [pulse_calibration_rows(samples, omega_in, fault=fault, tech=tech,
+                                kind=kind, dt=dt, adaptive=adaptive,
+                                path_kwargs=path_kwargs)],
+        runtime=runtime, report=report)
+    return _pulse_test(omega_in, curve, wouts, sensing_tolerance)
 
 
 def calibrate_delay_test(samples, fault=None, tech=None, direction="rise",
-                         flipflop=None, skew_tolerance=0.1, dt=None,
+                         flipflop=None, skew_tolerance=SKEW_TOLERANCE,
+                         dt=None,
                          runtime=None, report=None, adaptive=False,
                          **path_kwargs):
     """Calibrate the reduced-clock baseline on the same population.
@@ -110,13 +162,36 @@ def calibrate_delay_test(samples, fault=None, tech=None, direction="rise",
     Returns ``(DelayFaultTest, fault_free_delays)``.
     """
     flipflop = FlipFlopTiming() if flipflop is None else flipflop
-    tech = default_technology() if tech is None else tech
-    delays = run_measurements(
-        dict(measure="delay", direction=direction, dt=dt,
-             adaptive=adaptive, tech=tech, path_kwargs=path_kwargs,
-             fault=fault),
-        [{"sample": sample} for sample in samples], runtime=runtime,
-        report=report, label="delay-calibration")
+    (delays,) = run_measurement_groups(
+        [delay_calibration_rows(samples, fault=fault, tech=tech,
+                                direction=direction, dt=dt,
+                                adaptive=adaptive, path_kwargs=path_kwargs)],
+        runtime=runtime, report=report)
     test = calibrate_t_star(delays, samples, flipflop,
                             skew_tolerance=skew_tolerance)
     return test, delays
+
+
+def calibrate_both_tests(samples, tech=None, dt=None, runtime=None,
+                         report=None, adaptive=False):
+    """Both tests calibrated at their defaults, as
+    :func:`calibrate_pulse_test` and :func:`calibrate_delay_test` would
+    each, in two runtime calls: the nominal transfer row with the
+    delay-calibration rows, which wait for nothing, then the
+    pulse-calibration rows at the ω_in* of the nominal curve.  Returns
+    ``(PulseTestCalibration, DelayFaultTest)``."""
+    tech = default_technology() if tech is None else tech
+    w_in_grid = default_w_in_grid(tech)
+    settings = dict(tech=tech, dt=dt, adaptive=adaptive)
+    (w_out,), delays = run_measurement_groups(
+        [nominal_transfer_row(w_in_grid, **settings),
+         delay_calibration_rows(samples, **settings)],
+        runtime=runtime, report=report)
+    curve = TransferCurve(w_in_grid, w_out)
+    omega_in = recommended_w_in(curve)
+    (wouts,) = run_measurement_groups(
+        [pulse_calibration_rows(samples, omega_in, **settings)],
+        runtime=runtime, report=report)
+    return (_pulse_test(omega_in, curve, wouts, SENSING_TOLERANCE),
+            calibrate_t_star(delays, samples, FlipFlopTiming(),
+                             skew_tolerance=SKEW_TOLERANCE))

@@ -144,7 +144,7 @@ def build_sweep_payloads(samples, fault, resistances, tech=None, dt=None,
     (:mod:`repro.core.adaptive_coverage`) both build their sweeps
     here, so a row computed through either path lands under the same
     content-addressed cache key (see
-    :func:`~repro.core.pulse.run_measurements`).  ``fault`` must be a
+    :func:`~repro.core.pulse.run_measurement_groups`).  ``fault`` must be a
     picklable :class:`~repro.faults.models.FaultSpec` prototype
     (``TypeError`` otherwise).  ``measure_spec`` is ``measure="pulse",
     omega_in=..., kind=...`` or ``measure="delay", direction=...``
@@ -172,28 +172,46 @@ def build_sweep_payloads(samples, fault, resistances, tech=None, dt=None,
 
 def _sweep_batch_size(engine, batch_size):
     """A sweep's explicit chunk width, or None: the runtime sizes the
-    chunks (see :func:`~repro.core.pulse.run_measurements`).
+    chunks (see :func:`~repro.core.pulse.run_measurement_groups`).
     ``engine`` is None or ``"batched"``, with no effect."""
     if engine not in (None, "batched"):
         raise ValueError("unknown engine {!r}".format(engine))
     return None if batch_size is None else check_batch_size(batch_size)
 
 
-def _sweep_rows(samples, fault, resistances, tech, dt, runtime, label,
-                report, path_kwargs, batch_size, adaptive=False,
-                **measure_spec):
-    """Dispatch the per-sample measurement rows through the runtime.
+def pulse_sweep_rows(samples, fault_family, resistances, omega_in,
+                     kind="h", tech=None, dt=None, adaptive=False,
+                     **path_kwargs):
+    """The measurement group of :func:`sweep_pulse_measurements`:
+    ``(label, spec, items)`` for
+    :func:`~repro.core.pulse.run_measurement_groups`."""
+    return ("pulse-sweep",) + build_sweep_payloads(
+        samples, fault_family, resistances, tech=tech, dt=dt,
+        adaptive=adaptive, path_kwargs=path_kwargs, measure="pulse",
+        omega_in=float(omega_in), kind=kind)
+
+
+def delay_sweep_rows(samples, fault_family, resistances, direction="rise",
+                     tech=None, dt=None, adaptive=False, **path_kwargs):
+    """The measurement group of :func:`sweep_delay_measurements`."""
+    return ("delay-sweep",) + build_sweep_payloads(
+        samples, fault_family, resistances, tech=tech, dt=dt,
+        adaptive=adaptive, path_kwargs=path_kwargs, measure="delay",
+        direction=direction)
+
+
+def _sweep(group, runtime, report, engine, batch_size):
+    """Dispatch one sweep's rows through the runtime.
 
     Each chunk of samples is one executor task, so chunking composes
     with the process pool, and a chunk's samples x R points run as one
     lockstep population on either grid.  A row's values and cache key
     do not depend on its chunk.
     """
-    spec, items = build_sweep_payloads(
-        samples, fault, resistances, tech=tech, dt=dt, adaptive=adaptive,
-        path_kwargs=path_kwargs, **measure_spec)
+    label, spec, items = group
     return run_measurements(spec, items, runtime=runtime, report=report,
-                            batch_size=batch_size, label=label)
+                            batch_size=_sweep_batch_size(engine, batch_size),
+                            label=label)
 
 
 def sweep_pulse_measurements(samples, fault_family, resistances,
@@ -210,11 +228,10 @@ def sweep_pulse_measurements(samples, fault_family, resistances,
     with no effect) remain only because the end-to-end and runtime
     benches pass them; both go when those benches change.
     """
-    return _sweep_rows(samples, fault_family, resistances, tech, dt,
-                       runtime, "pulse-sweep", report, path_kwargs,
-                       _sweep_batch_size(engine, batch_size),
-                       adaptive=adaptive, measure="pulse",
-                       omega_in=float(omega_in), kind=kind)
+    return _sweep(pulse_sweep_rows(samples, fault_family, resistances,
+                                   omega_in, kind=kind, tech=tech, dt=dt,
+                                   adaptive=adaptive, **path_kwargs),
+                  runtime, report, engine, batch_size)
 
 
 def sweep_delay_measurements(samples, fault_family, resistances,
@@ -224,11 +241,10 @@ def sweep_delay_measurements(samples, fault_family, resistances,
                              **path_kwargs):
     """Per-sample, per-R path delays for a fault family (``engine`` and
     ``batch_size`` as in :func:`sweep_pulse_measurements`)."""
-    return _sweep_rows(samples, fault_family, resistances, tech, dt,
-                       runtime, "delay-sweep", report, path_kwargs,
-                       _sweep_batch_size(engine, batch_size),
-                       adaptive=adaptive, measure="delay",
-                       direction=direction)
+    return _sweep(delay_sweep_rows(samples, fault_family, resistances,
+                                   direction=direction, tech=tech, dt=dt,
+                                   adaptive=adaptive, **path_kwargs),
+                  runtime, report, engine, batch_size)
 
 
 def pulse_decision(detector, factor=1.0):

@@ -18,13 +18,12 @@ from ..montecarlo import NominalModel, sample_population
 from ..runtime import Runtime, RunReport
 from .adaptive_coverage import (DEFAULT_CI_WIDTH, DEFAULT_MIN_WAVE,
                                 DEFAULT_REFINE_REL_TOL,
-                                DEFAULT_REFINE_TARGETS, adaptive_sweep)
-from .calibration import (calibrate_delay_test, calibrate_pulse_test,
-                          nominal_transfer_curve)
-from .coverage import (delay_coverage, delay_decision, pulse_coverage,
-                       pulse_decision, sweep_delay_measurements,
-                       sweep_pulse_measurements)
-from .pulse import build_instance, measure_output_pulse
+                                DEFAULT_REFINE_TARGETS, adaptive_sweeps)
+from .calibration import calibrate_both_tests, nominal_transfer_curve
+from .coverage import (delay_coverage, delay_decision, delay_sweep_rows,
+                       pulse_coverage, pulse_decision, pulse_sweep_rows)
+from .pulse import (build_instance, measure_output_pulse,
+                    run_measurement_groups)
 from .transfer import default_w_in_grid, measure_transfer_rows
 
 
@@ -39,8 +38,10 @@ class ExperimentConfig:
     ``REPRO_CACHE_DIR`` and ``REPRO_TRACE`` (unset: serial, no cache,
     no trace).  The runtime sizes every calibration, sweep and Fig. 10
     scatter call's chunks from its worker count (see
-    :func:`~repro.core.pulse.run_measurements`); a chunk's samples
-    times their R points or widths run as one lockstep population.
+    :func:`~repro.core.pulse.run_measurement_groups`); a chunk's
+    samples times their R points or widths run as one lockstep
+    population, and so do the independent measurements of one
+    campaign phase, which share a call.
     ``adaptive`` switches the transients of the Figs. 2/3/5, 6-9 and 10
     drivers to the LTE-controlled time grid (``REPRO_ADAPTIVE=1``);
     Fig. 11's electrical steps (defect calibration, ω_in refinement)
@@ -178,29 +179,31 @@ class CoverageExperiment:
 
 
 def _calibrate(config, samples, tech, runtime, report):
-    """Both methods' calibration on the fault-free population, and the
+    """Both methods' calibration on the fault-free population
+    (:func:`~repro.core.calibration.calibrate_both_tests`), and the
     measurement settings the campaign's sweeps share with it."""
-    settings = dict(tech=tech, dt=config.dt, runtime=runtime, report=report,
-                    adaptive=config.adaptive)
-    calibration = calibrate_pulse_test(samples, **settings)
-    dftest, _ = calibrate_delay_test(samples, **settings)
+    settings = dict(tech=tech, dt=config.dt, adaptive=config.adaptive)
+    calibration, dftest = calibrate_both_tests(
+        samples, runtime=runtime, report=report, **settings)
     return calibration, dftest, settings
 
 
 def _run_coverage(config, tech, fault_proto, resistances, label,
                   runtime):
     """Shared body of the Figs. 6-9 drivers: calibrate both methods on
-    the fault-free population, then sweep one fault prototype."""
+    the fault-free population, then sweep one fault prototype, its
+    pulse and delay rows in one runtime call."""
     samples = config.samples()
     runtime = config.runtime() if runtime is None else runtime
     report = RunReport(label)
 
     calibration, dftest, settings = _calibrate(config, samples, tech,
                                                runtime, report)
-    raw_pulse = sweep_pulse_measurements(
-        samples, fault_proto, resistances, calibration.omega_in, **settings)
-    raw_delay = sweep_delay_measurements(samples, fault_proto, resistances,
-                                         **settings)
+    raw_pulse, raw_delay = run_measurement_groups(
+        [pulse_sweep_rows(samples, fault_proto, resistances,
+                          calibration.omega_in, **settings),
+         delay_sweep_rows(samples, fault_proto, resistances, **settings)],
+        runtime=runtime, report=report)
     return CoverageExperiment(
         resistances,
         pulse_coverage(raw_pulse, samples, resistances, calibration),
@@ -286,11 +289,14 @@ def run_adaptive_coverage(config=None, tech=None, runtime=None,
     Calibrates both tests exactly like :func:`run_open_coverage` /
     :func:`run_bridging_coverage`, then replaces the blind fixed-grid
     population sweeps with :func:`~repro.core.adaptive_coverage
-    .adaptive_sweep`: escalating sample waves per R point (stop at
+    .adaptive_sweep`'s: escalating sample waves per R point (stop at
     Wilson half-width <= ``ci_width``) and geometric bisection of the
     ``refine_targets`` coverage crossings to ``refine_rel_tol``.  The
     primary (factor 1.0) decision drives the allocation; the other
     ``threshold_factors`` curves are derived from the same raw values.
+    The pulse and delay sweeps advance together
+    (:func:`~repro.core.adaptive_coverage.adaptive_sweeps`), one runtime
+    call per round of waves.
     """
     config = ExperimentConfig.from_env() if config is None else config
     samples = config.samples()
@@ -309,17 +315,16 @@ def run_adaptive_coverage(config=None, tech=None, runtime=None,
 
     calibration, dftest, settings = _calibrate(config, samples, tech,
                                                runtime, report)
-    sweep_kwargs = dict(settings, ci_width=ci_width, min_wave=min_wave,
-                        refine_targets=refine_targets,
-                        refine_rel_tol=refine_rel_tol)
-    pulse_sweep = adaptive_sweep(
-        samples, proto, grid, pulse_decision(calibration.detector)[1],
-        label=label + "-pulse", measure="pulse",
-        omega_in=float(calibration.omega_in), kind="h", **sweep_kwargs)
-    delay_sweep = adaptive_sweep(
-        samples, proto, grid, delay_decision(dftest)[1],
-        label=label + "-delay", measure="delay", direction="rise",
-        **sweep_kwargs)
+    pulse_sweep, delay_sweep = adaptive_sweeps(
+        samples, proto, grid,
+        [(label + "-pulse", pulse_decision(calibration.detector)[1],
+          dict(measure="pulse", omega_in=float(calibration.omega_in),
+               kind="h")),
+         (label + "-delay", delay_decision(dftest)[1],
+          dict(measure="delay", direction="rise"))],
+        ci_width=ci_width, min_wave=min_wave,
+        refine_targets=refine_targets, refine_rel_tol=refine_rel_tol,
+        runtime=runtime, report=report, **settings)
 
     pulse_curves, delay_curves = {}, {}
     for factor in threshold_factors:

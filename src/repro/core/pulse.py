@@ -9,10 +9,16 @@ These are the two measurements everything in the paper reduces to:
 
 Every calibration, sweep and transfer row measures its population
 through one chunk task, :func:`_measure_chunk`, dispatched, chunked
-and cached under one key recipe by :func:`run_measurements`.  Every
-measurement runs the lockstep engine of
-:func:`~repro.spice.run_transient_batch`, whatever its population
-size, so a row reads the same in any chunk.
+and cached under one key recipe by :func:`run_measurement_groups`,
+which takes one or more independent measurements at once
+(:func:`run_measurements` is its call of one).  A chunk's instances
+that share topology, dt and time grid run as one lockstep population
+of :func:`~repro.spice.run_transient_batch`, whatever their
+measurements, each to its own window; the batch measurements of a path
+list (:func:`measure_output_pulse_batch`,
+:func:`measure_path_delay_batch`) take the same path.  A lockstep row
+depends on nothing but itself, so a row reads the same in any chunk
+and beside any other measurement.
 """
 
 import functools
@@ -26,6 +32,7 @@ from ..faults import inject
 from ..runtime import Runtime, stable_hash
 from ..runtime.stats import rows_booked_to
 from ..spice import run_transient_batch
+from ..spice.mna import CompiledCircuit
 from ..spice.transient import LOCKSTEP_NEWTON_CACHE_TOKEN
 
 #: default transient step; stimulus edges are >= 50 ps so 2 ps resolves
@@ -124,32 +131,19 @@ def measure_output_pulse_batch(paths, w_in, kind="h", dt=DEFAULT_DT,
     identical paths.
 
     ``w_in`` is one width for all paths or one per path.  The instances
-    share one lockstep transient (see
-    :func:`~repro.spice.run_transient_batch`) over a shared window, the
-    widest of the per-instance windows — the extra settle time is
-    measurement-neutral.  Returns ``(w_outs, waveforms)`` lists aligned
-    with ``paths``.
+    share one lockstep transient (see :func:`_measure_rows`) over a
+    shared window, the widest of the per-instance windows — the extra
+    settle time is measurement-neutral.  Returns ``(w_outs, waveforms)``
+    lists aligned with ``paths``.
     """
     paths = list(paths)
     widths = list(w_in) if np.ndim(w_in) else [w_in] * len(paths)
     if len(widths) != len(paths):
         raise ValueError("need one pulse width per path, got {} for {} "
                          "paths".format(len(widths), len(paths)))
-    delays = [path.set_input_pulse(w, kind=kind)
-              for path, w in zip(paths, widths)]
-    tstop = max(simulation_window(path, w_in=w, stimulus_delay=delay)
-                for path, w, delay in zip(paths, widths, delays))
-    record = (None if record_all
-              else [paths[0].input_node, paths[0].output_node])
-    waveforms = run_transient_batch([path.circuit for path in paths],
-                                    tstop, dt, record=record,
-                                    adaptive=adaptive)
-    w_outs = []
-    for path, waveform in zip(paths, waveforms):
-        lv = path.tech.vdd_half if level is None else level
-        polarity = output_pulse_polarity(path, kind)
-        w_outs.append(waveform.widest_pulse(path.output_node, lv, polarity))
-    return w_outs, waveforms
+    return _measure_rows(_one_window(
+        [_drive_pulse(path, w, kind, level) for path, w in zip(paths, widths)],
+        dt, adaptive), record_all=record_all)
 
 
 def measure_path_delay_batch(paths, direction="rise", dt=DEFAULT_DT,
@@ -167,35 +161,83 @@ def measure_path_delay_batch(paths, direction="rise", dt=DEFAULT_DT,
     if len(directions) != len(paths):
         raise ValueError("need one direction per path, got {} for {} "
                          "paths".format(len(directions), len(paths)))
-    stim_delays = [path.set_input_transition(d)
-                   for path, d in zip(paths, directions)]
-    tstop = max(simulation_window(path, stimulus_delay=delay)
-                for path, delay in zip(paths, stim_delays))
-    record = [paths[0].input_node, paths[0].output_node]
-    waveforms = run_transient_batch([path.circuit for path in paths],
-                                    tstop, dt, record=record,
-                                    adaptive=adaptive)
-    delays = []
-    for path, waveform in zip(paths, waveforms):
-        lv = path.tech.vdd_half if level is None else level
+    return _measure_rows(_one_window(
+        [_drive_transition(path, d, level)
+         for path, d in zip(paths, directions)], dt, adaptive))
+
+
+# ----------------------------------------------------------------------
+# Measurement rows: a driven instance, its window and how it is read
+# ----------------------------------------------------------------------
+
+def _drive_pulse(path, w_in, kind, level):
+    """Drive ``path`` with an input pulse of width ``w_in``.  Returns
+    ``(path, window, read)``: ``read(waveform)`` is its ``w_out``."""
+    delay = path.set_input_pulse(w_in, kind=kind)
+    lv = path.tech.vdd_half if level is None else level
+    polarity = output_pulse_polarity(path, kind)
+
+    def read(waveform):
+        return waveform.widest_pulse(path.output_node, lv, polarity)
+
+    return (path, simulation_window(path, w_in=w_in, stimulus_delay=delay),
+            read)
+
+
+def _drive_transition(path, direction, level):
+    """Drive ``path`` with one input transition.  Returns ``(path,
+    window, read)``: ``read(waveform)`` is its delay, ``math.inf`` when
+    the output never crosses the level."""
+    delay = path.set_input_transition(direction)
+    lv = path.tech.vdd_half if level is None else level
+
+    def read(waveform):
         d = waveform.propagation_delay(path.input_node, path.output_node,
                                        lv)
-        delays.append(math.inf if d is None else d)
-    return delays, waveforms
+        return math.inf if d is None else d
+
+    return path, simulation_window(path, stimulus_delay=delay), read
 
 
-def _measure_paths(spec, paths):
-    """One shared transient of ``paths`` under ``spec``'s measurement."""
-    dt = DEFAULT_DT if spec["dt"] is None else spec["dt"]
-    if spec["measure"] == "pulse":
-        values, _ = measure_output_pulse_batch(
-            paths, spec["omega_in"], kind=spec["kind"], dt=dt,
-            adaptive=spec["adaptive"])
-    else:
-        values, _ = measure_path_delay_batch(
-            paths, direction=spec["direction"], dt=dt,
-            adaptive=spec["adaptive"])
-    return [float(value) for value in values]
+def _one_window(driven, dt, adaptive):
+    """Rows of ``driven`` instances that all stop at the widest of
+    their windows (see :func:`_measure_rows`)."""
+    stop = max(window for _, window, _ in driven)
+    return [(path, stop, dt, adaptive, read) for path, _, read in driven]
+
+
+def _measure_rows(rows, record_all=False):
+    """Simulate and read ``rows``, each ``(path, stop, dt, adaptive,
+    read)``: a driven instance, its stop time, its time grid and the
+    reader of its value.
+
+    The rows that share topology, ``dt`` and grid run as one lockstep
+    population of :func:`~repro.spice.run_transient_batch`, each to its
+    own stop, and a lockstep row does not depend on its population.
+    Each population row's solver effort is booked to its position in
+    ``rows``.  Only input and output are recorded unless
+    ``record_all``.  Returns ``(values, waveforms)`` in row order.
+    """
+    compiled = [CompiledCircuit(path.circuit) for path, *_ in rows]
+    populations = {}
+    for k, (circuit, (_, _, dt, adaptive, _)) in enumerate(
+            zip(compiled, rows)):
+        populations.setdefault((circuit.topology(), dt, adaptive),
+                               []).append(k)
+    waveforms = [None] * len(rows)
+    for (_, dt, adaptive), members in populations.items():
+        first = rows[members[0]][0]
+        stops = [rows[k][1] for k in members]
+        with rows_booked_to(members):
+            population = run_transient_batch(
+                [compiled[k] for k in members], max(stops), dt,
+                record=(None if record_all
+                        else [first.input_node, first.output_node]),
+                adaptive=adaptive, stops=stops)
+        for k, waveform in zip(members, population):
+            waveforms[k] = waveform
+    return ([read(waveform) for (*_, read), waveform in zip(rows, waveforms)],
+            waveforms)
 
 
 def _grid(item):
@@ -205,88 +247,162 @@ def _grid(item):
     return item.get("resistances", item.get("widths", [None]))
 
 
-def _measure_chunk(spec, items):
+def _item_rows(spec, item):
+    """The rows of one item under ``spec``: one instance per grid point
+    (see :func:`_measure_chunk`), each driven for ``spec``'s
+    measurement, all stopping at the item's window, the widest of its
+    instances'."""
+    points = _grid(item)
+    fault = spec["fault"]
+    paths = [build_instance(sample=item["sample"], tech=spec["tech"],
+                            fault=(fault.with_resistance(point)
+                                   if "resistances" in item else fault),
+                            **spec["path_kwargs"])
+             for point in points]
+    if spec["measure"] == "pulse":
+        widths = (points if "widths" in item
+                  else [spec["omega_in"]] * len(points))
+        driven = [_drive_pulse(path, w, spec["kind"], None)
+                  for path, w in zip(paths, widths)]
+    else:
+        driven = [_drive_transition(path, spec["direction"], None)
+                  for path in paths]
+    dt = DEFAULT_DT if spec["dt"] is None else spec["dt"]
+    return _one_window(driven, dt, spec["adaptive"])
+
+
+#: the payload field naming an item's measurement (its index in the
+#: call's specs)
+MEASUREMENT = "measurement"
+
+
+def _measure_chunk(specs, payloads):
     """Chunk task of every calibration, sweep and transfer row.
 
-    ``spec`` holds what the whole call shares: ``measure`` (``"pulse"``
-    with ``omega_in`` and ``kind``, or ``"delay"`` with ``direction``),
-    ``dt``, ``adaptive``, ``tech``, ``path_kwargs`` and ``fault``.  An
-    item holds its ``sample`` and, for a sweep row, the ``resistances``
-    its fault steps through, or, for a transfer row, the input
-    ``widths`` (``spec`` then has no ``omega_in``, and its fault is
-    injected as given): one instance per grid point gives a row of
-    values.  An item without a grid gives one value.  Each item has
-    its own grid, so a chunk may mix grid points; the grids have
-    equally many (:func:`run_measurements` checks).
+    ``specs`` holds the call's measurements, each what its items share:
+    ``measure`` (``"pulse"`` with ``omega_in`` and ``kind``, or
+    ``"delay"`` with ``direction``), ``dt``, ``adaptive``, ``tech``,
+    ``path_kwargs`` and ``fault``.  A payload is an item tagged with
+    the index of its spec (:data:`MEASUREMENT`).  An item holds its
+    ``sample`` and, for a sweep row, the ``resistances`` its fault
+    steps through, or, for a transfer row, the input ``widths`` (its
+    spec then has no ``omega_in``, and its fault is injected as given):
+    one instance per grid point gives a row of values.  An item without
+    a grid gives one value.
 
-    The chunk's instances run as one lockstep population on either
-    grid, and a lockstep row does not depend on its population.  Each
-    population row's solver effort is booked to its item.
+    Every instance of the chunk is built first; then the instances that
+    share topology, dt and grid run as one lockstep population
+    (:func:`_measure_rows`), each item's instances to the item's own
+    window, and each is read by its own spec.  A lockstep row depends
+    on nothing but its item, and each population row's solver effort is
+    booked to its item.
     """
-    sweep = "resistances" in items[0]
-    transfer = "widths" in items[0]
-    grids = [_grid(item) for item in items]
-    fault = spec["fault"]
-    n = len(grids[0])
-    # instance k is grid point k % n of item k // n
-    points = [point for grid in grids for point in grid]
-    paths = [build_instance(sample=items[k // n]["sample"],
-                            tech=spec["tech"],
-                            fault=(fault.with_resistance(point) if sweep
-                                   else fault),
-                            **spec["path_kwargs"])
-             for k, point in enumerate(points)]
-    population_spec = dict(spec, omega_in=points) if transfer else spec
-    with rows_booked_to([k // n for k in range(len(paths))]):
-        values = _measure_paths(population_spec, paths)
-    if not (sweep or transfer):
-        return values
-    return [values[i * n:(i + 1) * n] for i in range(len(items))]
+    rows, owners = [], []
+    for position, payload in enumerate(payloads):
+        item_rows = _item_rows(specs[payload[MEASUREMENT]], payload)
+        rows.extend(item_rows)
+        owners.extend([position] * len(item_rows))
+    with rows_booked_to(owners):
+        values, _ = _measure_rows(rows)
+    values = iter(values)
+    chunk = []
+    for payload in payloads:
+        row = [float(next(values)) for _ in _grid(payload)]
+        gridded = "resistances" in payload or "widths" in payload
+        chunk.append(row if gridded else row[0])
+    return chunk
 
 
 def run_measurements(spec, items, runtime=None, report=None,
                      batch_size=None, label="measure"):
-    """Values of ``items`` measured under ``spec``, in item order.
+    """Values of ``items`` measured under ``spec``, in item order: the
+    one-measurement call of :func:`run_measurement_groups`.
 
-    Dispatches :func:`_measure_chunk` through
-    :meth:`~repro.runtime.Runtime.run_batched`.  The runtime sizes the
-    chunks: ``ceil(len(items) / n_jobs)`` items each, so a serial call
-    is one chunk and a pool gives each worker one, capped at
-    :data:`MAX_POPULATION` instances and at least one item
-    (``batch_size`` items instead when given: the sweeps' explicit
-    chunk width).  The items' grids must have equally many points, so
-    that one width serves the call.  With a result cache, each item is
-    cached under ``stable_hash("measurement-row", spec, item,
-    newton)``: ``spec`` and the item are everything the chunk task
-    reads, and ``newton`` is the lockstep Newton token, which names the
-    revision of the lockstep arithmetic.  No row depends on its chunk,
-    so neither its value nor its key does.  ``label`` is telemetry
-    only.  Raises ``TypeError`` for a ``spec["path_kwargs"]`` key that
-    :func:`~repro.cells.build_path` does not take, before anything is
-    keyed or run, and otherwise the first failed chunk's error.
+    ``batch_size`` gives an explicit chunk width in items (the sweeps'
+    explicit width) instead of the runtime's.  ``label`` is telemetry
+    only.
     """
-    unknown = sorted(set(spec["path_kwargs"])
-                     - set(inspect.signature(build_path).parameters))
-    if unknown:
-        raise TypeError("build_path() got unexpected keyword argument(s) "
-                        "{}".format(", ".join(map(repr, unknown))))
+    (values,) = run_measurement_groups([(label, spec, items)],
+                                       runtime=runtime, report=report,
+                                       batch_size=batch_size)
+    return values
+
+
+def run_measurement_groups(groups, runtime=None, report=None,
+                           batch_size=None):
+    """Values of several independent measurements in one runtime call.
+
+    ``groups`` lists ``(label, spec, items)`` triples; returns one list
+    of values per group, in item order.  Every item runs through the
+    chunk task :func:`_measure_chunk` by
+    :meth:`~repro.runtime.Runtime.run_batched`, so the groups' rows
+    share chunks and, where their topology, dt and grid agree, lockstep
+    populations.  The runtime sizes the chunks by instance count: a
+    worker's share of the call's instances, rounded up to whole items
+    of the most points, at most :data:`MAX_POPULATION` instances, and
+    never splitting an item (``batch_size`` items of the most points
+    instead when given).  The items of one group must have equally
+    many grid points.  With a result cache, each item is cached under
+    ``stable_hash("measurement-row", spec, item, newton)``: ``spec``
+    and the item are everything the chunk task reads, and ``newton`` is
+    the lockstep Newton token, which names the revision of the lockstep
+    arithmetic.  No row depends on its chunk or on the other groups,
+    so neither its value nor its key does.  Labels are telemetry only:
+    each item's trace events carry its group's label, and an error
+    names the measurements of the items it failed.  Raises
+    ``TypeError`` for a ``spec["path_kwargs"]`` key that
+    :func:`~repro.cells.build_path` does not take, before anything is
+    keyed or run, and otherwise the first failed item's error.
+    """
     runtime = Runtime() if runtime is None else runtime
-    n_points = {len(_grid(item)) for item in items}
-    if len(n_points) > 1:
-        raise ValueError("items of one call need equally many R points "
-                         "or widths, got {}".format(sorted(n_points)))
+    labels, specs, payloads, sizes = [], [], [], []
+    keys = None if runtime.cache is None else []
+    for index, (label, spec, items) in enumerate(groups):
+        unknown = sorted(set(spec["path_kwargs"])
+                         - set(inspect.signature(build_path).parameters))
+        if unknown:
+            raise TypeError("build_path() got unexpected keyword "
+                            "argument(s) {}".format(
+                                ", ".join(map(repr, unknown))))
+        n_points = {len(_grid(item)) for item in items}
+        if len(n_points) > 1:
+            raise ValueError("items of one measurement need equally many R "
+                             "points or widths, got {}".format(
+                                 sorted(n_points)))
+        specs.append(spec)
+        for item in items:
+            labels.append(label)
+            payloads.append(dict(item, **{MEASUREMENT: index}))
+            sizes.append(len(_grid(item)))
+            if keys is not None:
+                keys.append(stable_hash("measurement-row", spec, item,
+                                        LOCKSTEP_NEWTON_CACHE_TOKEN))
+    widest = max(sizes, default=1)
     if batch_size is None:
-        per_worker = -(-len(items) // runtime.executor.n_jobs)
-        batch_size = max(1, min(per_worker, MAX_POPULATION
-                                // max(n_points, default=1)))
-    keys = None
-    if runtime.cache is not None:
-        keys = [stable_hash("measurement-row", spec, item,
-                            LOCKSTEP_NEWTON_CACHE_TOKEN)
-                for item in items]
+        per_worker = -(-sum(sizes) // (runtime.executor.n_jobs * widest))
+        budget = min(widest * per_worker, MAX_POPULATION)
+    else:
+        budget = widest * batch_size
     run = runtime.run_batched(
-        functools.partial(_measure_chunk, spec), items, keys=keys,
-        batch_size=batch_size, label=label, report=report)
+        functools.partial(_measure_chunk, tuple(specs)), payloads,
+        keys=keys, batch_size=max(1, budget), weights=sizes,
+        label="+".join(dict.fromkeys(label for label, _, _ in groups)),
+        labels=labels, report=report)
     if run.errors:
-        raise run.errors[min(run.errors)]
-    return run.values
+        raise _attributed(run.errors, labels)
+    values = iter(run.values)
+    return [[next(values) for _ in items] for _, _, items in groups]
+
+
+def _attributed(errors, labels):
+    """The first failed item's error, with a note naming the
+    measurements of every item that failed with it."""
+    error = errors[min(errors)]
+    failed = [labels[index] for index, other in sorted(errors.items())
+              if other is error]
+    # what ``add_note`` does (Python 3.11+), on every supported version
+    error.__notes__ = getattr(error, "__notes__", []) + [
+        "failed measurement rows: " + ", ".join(
+            "{} x{}".format(label, failed.count(label))
+            for label in dict.fromkeys(failed))]
+    return error

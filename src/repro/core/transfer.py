@@ -25,7 +25,7 @@ import numpy as np
 
 from ..cells import default_technology
 from .pulse import (DEFAULT_DT, measure_output_pulse,
-                    measure_output_pulse_batch, run_measurements)
+                    measure_output_pulse_batch, run_measurement_groups)
 from .search import BracketSearch, bisect_populations
 
 
@@ -114,6 +114,21 @@ def characterize_transfer(path, w_in_values, kind="h", dt=None,
     return TransferCurve(w_in_values, w_out, kind=kind)
 
 
+def transfer_rows(samples, widths, kind="h", dt=None, fault=None,
+                  tech=None, path_kwargs=None, adaptive=False,
+                  label="transfer-rows"):
+    """The measurement group of :func:`measure_transfer_rows`:
+    ``(label, spec, items)`` for
+    :func:`~repro.core.pulse.run_measurement_groups`."""
+    tech = default_technology() if tech is None else tech
+    path_kwargs = {} if path_kwargs is None else dict(path_kwargs)
+    widths = [float(w) for w in widths]
+    spec = dict(measure="pulse", kind=kind, dt=dt, adaptive=adaptive,
+                tech=tech, path_kwargs=path_kwargs, fault=fault)
+    return label, spec, [{"sample": sample, "widths": widths}
+                         for sample in samples]
+
+
 def measure_transfer_rows(samples, widths, kind="h", dt=None, fault=None,
                           tech=None, path_kwargs=None, runtime=None,
                           report=None, adaptive=False,
@@ -121,18 +136,16 @@ def measure_transfer_rows(samples, widths, kind="h", dt=None, fault=None,
     """One transfer row per sample: ``w_out`` of its instance, ``fault``
     injected as given, at every width in ``widths``.
 
-    Runs :func:`~repro.core.pulse.run_measurements` (which keys each
-    row and sizes the chunks); a chunk's samples x widths run as one
-    lockstep population.
+    Runs :func:`~repro.core.pulse.run_measurement_groups` (which keys
+    each row and sizes the chunks); a chunk's samples x widths run as
+    one lockstep population.
     """
-    tech = default_technology() if tech is None else tech
-    path_kwargs = {} if path_kwargs is None else dict(path_kwargs)
-    widths = [float(w) for w in widths]
-    spec = dict(measure="pulse", kind=kind, dt=dt, adaptive=adaptive,
-                tech=tech, path_kwargs=path_kwargs, fault=fault)
-    return run_measurements(
-        spec, [{"sample": sample, "widths": widths} for sample in samples],
-        runtime=runtime, report=report, label=label)
+    (rows,) = run_measurement_groups(
+        [transfer_rows(samples, widths, kind=kind, dt=dt, fault=fault,
+                       tech=tech, path_kwargs=path_kwargs,
+                       adaptive=adaptive, label=label)],
+        runtime=runtime, report=report)
+    return rows
 
 
 def width_search(lo=0.05e-9, hi=1.0e-9, tol=5e-12, group=None):

@@ -44,6 +44,21 @@ def check_batch_size(batch_size):
     return int(batch_size)
 
 
+def _chunked(indices, budget, weights=None):
+    """``indices`` in order, cut into chunks of at most ``budget`` total
+    weight (``weights[i]`` per payload ``i``, default 1 each); a chunk
+    holds at least one payload."""
+    chunks, load = [], budget
+    for index in indices:
+        weight = 1 if weights is None else weights[index]
+        if load + weight > budget:
+            chunks.append([])
+            load = 0
+        chunks[-1].append(index)
+        load += weight
+    return chunks
+
+
 def _map_payloads(fn, payloads):
     """Chunk task of :meth:`Runtime.run`: ``fn`` over each payload."""
     return [fn(payload) for payload in payloads]
@@ -165,8 +180,9 @@ class Runtime:
     # Trace sink
     # ------------------------------------------------------------------
 
-    def _trace_chunk(self, label, chunk, keys, outcome):
-        """Emit one ``task`` event per *item* of an executed chunk.
+    def _trace_chunk(self, labels, chunk, keys, outcome):
+        """Emit one ``task`` event per *item* of an executed chunk,
+        labelled ``labels[index]``.
 
         Each item carries its own slice of the chunk's effort: the
         per-sample attribution recorded by the lockstep engine (rows in
@@ -190,7 +206,7 @@ class Runtime:
                          else None)
             self.trace.emit({
                 "event": "task",
-                "label": label,
+                "label": labels[index],
                 "index": index,
                 "key": keys[index] if keys is not None else None,
                 "ok": outcome.ok,
@@ -282,7 +298,8 @@ class Runtime:
                                 progress=progress)
 
     def run_batched(self, fn, payloads, keys=None, batch_size=None,
-                    label="campaign", report=None, progress=None):
+                    label="campaign", report=None, progress=None,
+                    weights=None, labels=None):
         """Map a *chunk* task over ``payloads`` in lockstep batches.
 
         ``fn`` receives a **list** of payloads and must return a list of
@@ -295,12 +312,18 @@ class Runtime:
         chunk, and every item of a completed chunk is persisted under
         its own key.  A failed chunk marks all of its items failed.
         ``batch_size`` (default :data:`DEFAULT_BATCH_SIZE`) must be a
-        positive integer.
+        positive integer: the payloads a chunk holds or, with
+        ``weights`` (one positive weight per payload), the weight it
+        holds at most; a chunk takes the pending payloads in order and
+        never fewer than one.  ``labels`` names each payload's trace
+        events (default: ``label``, which also names the report and the
+        checkpoint).
         """
         payloads = list(payloads)
         n = len(payloads)
         batch_size = check_batch_size(
             DEFAULT_BATCH_SIZE if batch_size is None else batch_size)
+        labels = [label] * n if labels is None else list(labels)
         report = RunReport(label) if report is None else report
         report.start(self.executor)
         values = [FAILED] * n
@@ -315,8 +338,7 @@ class Runtime:
         robustness = self._robustness_baseline()
         checkpoint, pending = self._scan_cache(keys, values, n, label,
                                                report, settle)
-        chunks = [pending[i:i + batch_size]
-                  for i in range(0, len(pending), batch_size)]
+        chunks = _chunked(pending, batch_size, weights)
 
         def unpack(outcome):
             """Chunk values, or an exception when the chunk is unusable."""
@@ -342,7 +364,7 @@ class Runtime:
                     self.cache.put(keys[index], value)
                     self._chaos_corrupt(keys[index])
                     checkpoint.mark_done(keys[index])
-            self._trace_chunk(label, chunk, keys, outcome)
+            self._trace_chunk(labels, chunk, keys, outcome)
             settle(len(chunk))
 
         try:

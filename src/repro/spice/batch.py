@@ -61,8 +61,13 @@ class BatchCompiledCircuit:
         if not compiled:
             raise NetlistError("batch needs at least one circuit")
         template = compiled[0]
+        topology = template.topology()
         for k, other in enumerate(compiled[1:], start=1):
-            self._check_topology(template, other, k)
+            if other.topology() != topology:
+                raise NetlistError(
+                    "sample {} is not topologically identical to sample "
+                    "0; batched lowering needs a structurally uniform "
+                    "population".format(k))
 
         self.template = template
         self.n_samples = len(compiled)
@@ -110,26 +115,6 @@ class BatchCompiledCircuit:
         self._companion_cache = {}
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _check_topology(template, other, index):
-        same = (other.n == template.n
-                and other.n_nodes == template.n_nodes
-                and other.node_order == template.node_order
-                and np.array_equal(other.cap_p, template.cap_p)
-                and np.array_equal(other.cap_n, template.cap_n)
-                and np.array_equal(other.mos_d, template.mos_d)
-                and np.array_equal(other.mos_g, template.mos_g)
-                and np.array_equal(other.mos_s, template.mos_s)
-                and np.array_equal(other.mos_sign, template.mos_sign)
-                and np.array_equal(other.isrc_p, template.isrc_p)
-                and np.array_equal(other.isrc_n, template.isrc_n)
-                and len(other.vsources) == len(template.vsources))
-        if not same:
-            raise NetlistError(
-                "sample {} is not topologically identical to sample 0; "
-                "batched lowering needs a structurally uniform population"
-                .format(index))
 
     def index_of(self, node):
         return self.template.index_of(node)
@@ -304,22 +289,23 @@ class BatchCompiledCircuit:
                 if q >= 0:
                     rhs[j, q] += value
 
-    def source_tables(self, times):
-        """Per-sample stimulus values over the whole time grid.
+    def source_tables(self, times, rows=None):
+        """Stimulus values of population ``rows`` (default: every row)
+        over the whole time grid ``times``.
 
-        Returns ``(vsrc_tab, isrc_tab)`` with shapes ``(S, n_vsrc, T)``
-        and ``(S, n_isrc, T)``; precomputing them removes every per-step
+        Returns ``(vsrc_tab, isrc_tab)`` with shapes ``(m, n_vsrc, T)``
+        and ``(m, n_isrc, T)``; precomputing them removes every per-step
         Python loop over sources from the transient hot path.
         """
         times = np.asarray(times, dtype=float)
-        vsrc = np.zeros((self.n_samples, self.n_vsrc, times.size))
-        for s, sources in enumerate(self._vsources):
-            for k, src in enumerate(sources):
-                vsrc[s, k] = src.stimulus.values_at(times)
-        isrc = np.zeros((self.n_samples, self.n_isrc, times.size))
-        for s, sources in enumerate(self._isources):
-            for k, src in enumerate(sources):
-                isrc[s, k] = src.stimulus.values_at(times)
+        rows = range(self.n_samples) if rows is None else list(rows)
+        vsrc = np.zeros((len(rows), self.n_vsrc, times.size))
+        isrc = np.zeros((len(rows), self.n_isrc, times.size))
+        for j, s in enumerate(rows):
+            for k, src in enumerate(self._vsources[s]):
+                vsrc[j, k] = src.stimulus.values_at(times)
+            for k, src in enumerate(self._isources[s]):
+                isrc[j, k] = src.stimulus.values_at(times)
         return vsrc, isrc
 
     def stamp_mosfets(self, x, a_base, rhs_base, params, gmin=1e-12):

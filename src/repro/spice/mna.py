@@ -67,6 +67,17 @@ class CompiledCircuit:
 
     # ------------------------------------------------------------------
 
+    def topology(self):
+        """What every row of a lockstep population must share, as a
+        hashable value: the node order and the incidence of every
+        source, capacitor and MOSFET (with its polarity).  Element
+        values may differ between rows; a capacitor of zero value is no
+        capacitor, so values can change the topology too."""
+        return (tuple(self.node_order), self.n_vsrc) + tuple(
+            part.tobytes() for part in (
+                self.cap_p, self.cap_n, self.mos_d, self.mos_g, self.mos_s,
+                self.mos_sign, self.isrc_p, self.isrc_n))
+
     def index_of(self, node):
         """Matrix index of ``node`` (-1 for ground)."""
         if is_ground(node):

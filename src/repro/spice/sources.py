@@ -92,26 +92,21 @@ class Pulse(Stimulus):
 
     def values_at(self, t):
         """Vectorised evaluation (used by the batched engine's
-        precomputed source-waveform tables)."""
+        precomputed source-waveform tables), bit for bit
+        :meth:`value_at`: the same subtractions and the same interval
+        tests, in its order."""
         t = np.asarray(t, dtype=float)
         tau = t - self.delay
         if self.period is not None:
             tau = np.where(tau >= 0.0, np.mod(tau, self.period), tau)
-        rise_end = self.rise
-        flat_end = self.rise + self.width
-        fall_end = flat_end + self.fall
-        values = np.full(tau.shape, self.v1)
-        rising = np.logical_and(tau >= 0.0, tau < rise_end)
-        values = np.where(
-            rising, self.v1 + (self.v2 - self.v1) * tau / self.rise, values)
-        values = np.where(
-            np.logical_and(tau >= rise_end, tau < flat_end), self.v2, values)
-        falling = np.logical_and(tau >= flat_end, tau < fall_end)
-        values = np.where(
-            falling,
-            self.v2 + (self.v1 - self.v2) * (tau - flat_end) / self.fall,
-            values)
-        return values
+        plateau = tau - self.rise
+        falling = plateau - self.width
+        return np.select(
+            [tau < 0.0, tau < self.rise, plateau < self.width,
+             falling < self.fall],
+            [self.v1, self.v1 + (self.v2 - self.v1) * tau / self.rise,
+             self.v2, self.v2 + (self.v1 - self.v2) * falling / self.fall],
+            default=self.v1)
 
     def breakpoints(self, tstop):
         corners = []

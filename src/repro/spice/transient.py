@@ -18,19 +18,21 @@ choices parametrise it:
 * **The population.**  Every transient runs on the exact lockstep
   Newton of :mod:`repro.spice.batch`: :func:`run_transient_batch`
   takes a population of topologically identical circuits, of any
-  size, on one grid when fixed and on one grid per row when adaptive,
-  and :func:`run_transient` runs one circuit as a population of one.
+  size, each row on its own grid and to its own stop (``stops``), and
+  :func:`run_transient` runs one circuit as a population of one.
 
 The loop advances a population in rounds; each round solves every
-unfinished row once, all in one Newton call.  On the fixed grid
-(:class:`_FixedGrid`) every row shares the round's time and step.  On
-the adaptive grid one controller (:class:`_RowGrids`) serves the whole
+unfinished row once, all in one Newton call, and a row leaves the
+round's stacks once it reaches its stop.  On the fixed grid
+(:class:`_FixedGrid`) every row steps by ``dt`` on the ``linspace`` of
+its own stop, so rows of equal stops share the round's time.  On the
+adaptive grid one controller (:class:`_RowGrids`) serves the whole
 population: each row's decisions (propose with breakpoint landing,
 accept with bounded growth, reject by halving, the ``dt_min`` floor)
 are its own :class:`_StepController`'s, in scalar Python, while the
 companion matrices, right-hand sides, predictor, LTE and state updates
 run once per round over the round's rows.  A row's values, time base
-and counters are the same in any population.
+and counters are the same in any population, with any mates' stops.
 
 The fixed-step grid remains the reference; the equivalence suite
 (tests/spice/test_adaptive.py) pins adaptive waveform measurements
@@ -54,8 +56,9 @@ TRAPEZOIDAL = "trap"
 #: Bump it with every change that moves lockstep values, even at
 #: rounding level, so a warm cache never serves rows an earlier solver
 #: computed.  2: one fixed stamp table and the branchless device kernel
-#: (rows before it carried no revision).
-LOCKSTEP_REVISION = 2
+#: (rows before it carried no revision).  3: the fixed grid's pulse
+#: tables read as the scalar ``Pulse.value_at`` does, bit for bit.
+LOCKSTEP_REVISION = 3
 
 #: cache-key token naming the lockstep Newton (exact Newton) and its
 #: revision; every measurement row's key (see
@@ -255,43 +258,66 @@ def _geq_scale(method, h):
 
 
 class _FixedGrid:
-    """The uniform reference grid, one for the whole population.
+    """The uniform reference grid.
 
-    Every round steps every row by ``dt`` onto the next ``linspace``
-    point.  The companion matrices are the cached
+    Each row steps by ``dt`` on its own ``linspace`` from 0 past its
+    stop (:func:`_fixed_step_count` steps); rows with equal step counts
+    share one time base.  Every round steps every unfinished row onto
+    its next grid point, and a row leaves the stacks at its last one.
+    The companion matrices are the cached
     :meth:`~repro.spice.batch.BatchCompiledCircuit.companion_base`, the
-    sources come from tables over the whole grid, and nothing is ever
+    sources come from tables over each row's grid, and nothing is ever
     rejected, so a convergence failure propagates.
     """
 
-    def __init__(self, compiled, x, tstop, dt, method, cols):
+    def __init__(self, compiled, x, stops, dt, method, cols):
         self.compiled = compiled
-        n_steps = _fixed_step_count(tstop, dt)
-        self.times = np.linspace(0.0, n_steps * dt, n_steps + 1)
+        #: each row's step count, and its time base (one per count)
+        self.n_steps = np.array([_fixed_step_count(stop, dt)
+                                 for stop in stops])
+        bases = {n: np.linspace(0.0, n * dt, n + 1)
+                 for n in sorted(set(self.n_steps.tolist()))}
+        self.times = [bases[n] for n in self.n_steps.tolist()]
+        #: the longest row's time base, which names the rounds
+        self.clock = bases[max(bases)]
         self.step = 0
+        #: population index of each unfinished row, and those rows as
+        #: an index of the population (a slice while they are all)
         self.rows = np.arange(len(x))
+        self.live = slice(None)
+        #: the step at which the next row finishes
+        self.next_stop = int(self.n_steps.min())
         geq_scale = _geq_scale(method, dt)
         self.a_base = compiled.companion_base(method, geq_scale)
         self.geq = compiled.cap_c * geq_scale
-        self.vsrc, self.isrc = compiled.source_tables(self.times)
+        if len(bases) == 1:
+            self.vsrc, self.isrc = compiled.source_tables(self.clock)
+        else:
+            self.vsrc = np.zeros((len(x), compiled.n_vsrc, self.clock.size))
+            self.isrc = np.zeros((len(x), compiled.n_isrc, self.clock.size))
+            for n, times in bases.items():
+                rows = np.flatnonzero(self.n_steps == n)
+                (self.vsrc[rows, :, :n + 1],
+                 self.isrc[rows, :, :n + 1]) = compiled.source_tables(times,
+                                                                      rows)
         self.cols = cols
-        self.kept = np.empty((n_steps + 1, len(x), cols.size))
+        self.kept = np.empty((self.clock.size, len(x), cols.size))
         self.kept[0] = x[:, cols]
 
     def done(self):
-        return self.step == len(self.times) - 1
+        return not len(self.rows)
 
     def propose(self):
-        """``(rows, t, a_base, geq)`` of the round: every row, at the
-        next grid point."""
-        return self.rows, self.times[self.step + 1], self.a_base, self.geq
+        """``(rows, t, a_base, geq)`` of the round: every unfinished
+        row, at its next grid point (``t`` is the longest row's)."""
+        return self.rows, self.clock[self.step + 1], self.a_base, self.geq
 
     def rhs(self, t, ieq):
         """Sources from the tables plus the companion currents ``ieq``,
-        the whole population in one product each."""
+        the round's rows in one product each."""
         compiled = self.compiled
         k = self.step + 1
-        rhs = np.zeros((compiled.n_samples, compiled.n))
+        rhs = np.zeros((len(self.rows), compiled.n))
         rhs[:, compiled.n_nodes:compiled.n_nodes + compiled.n_vsrc] = (
             self.vsrc[:, :, k])
         if compiled.n_isrc:
@@ -304,18 +330,28 @@ class _FixedGrid:
     def settle(self, t, x_new, conv):
         """Accept the round, every row, or raise if any row failed.
         Returns ``(accepted, kept)`` as :meth:`_RowGrids.settle` does:
-        every row, and no row finishing before the others."""
+        every row, and the positions of the rows still unfinished (None
+        when no row reached its last point)."""
         if not conv.all():
             raise ConvergenceError(
                 "batched Newton failed to converge for {} of {} samples"
                 .format(np.count_nonzero(~conv), conv.size), time=t)
         self.step += 1
-        self.kept[self.step] = x_new[:, self.cols]
-        return slice(None), None
+        self.kept[self.step, self.live] = x_new[:, self.cols]
+        if self.step < self.next_stop:
+            return slice(None), None
+        kept = np.flatnonzero(self.n_steps > self.step)
+        for name in ("rows", "n_steps", "a_base", "geq", "vsrc", "isrc"):
+            setattr(self, name, getattr(self, name)[kept])
+        self.live = self.rows
+        if kept.size:
+            self.next_stop = int(self.n_steps.min())
+        return slice(None), kept
 
     def outputs(self):
         """Per row, its time base and ``(cols, times)`` kept values."""
-        return [(self.times, kept) for kept in self.kept.transpose(1, 2, 0)]
+        return [(times, self.kept[:times.size, row].T)
+                for row, times in enumerate(self.times)]
 
 
 class _RowGrids:
@@ -329,20 +365,20 @@ class _RowGrids:
     round's rows: companion matrices of the rows whose step changed,
     right-hand sides, the predictor and LTE over the history stacks, and
     the output writes.  The per-row state holds the unfinished rows
-    only, in population order, and is compacted when a row reaches
-    ``tstop``, so a round's stacks are that state itself.
+    only, in population order, and is compacted when a row reaches its
+    stop, so a round's stacks are that state itself.
     """
 
-    def __init__(self, compiled, x, tstop, dt, method, cols, dt_min,
+    def __init__(self, compiled, x, stops, dt, method, cols, dt_min,
                  dt_max, lte_tol):
         n_rows, n = x.shape
         self.compiled = compiled
         self.method = method
         self.cols = cols
         self.controllers = [
-            _StepController(tstop, dt, dt_min, dt_max, lte_tol,
-                            collect_breakpoints(self._stimuli(row), tstop))
-            for row in range(n_rows)]
+            _StepController(stop, dt, dt_min, dt_max, lte_tol,
+                            collect_breakpoints(self._stimuli(row), stop))
+            for row, stop in enumerate(stops)]
         record("adaptive_runs", n_rows)
         self.n_rows = n_rows
         #: population index of each unfinished row; ``whole`` until the
@@ -601,35 +637,44 @@ def run_transient(circuit, tstop, dt, method=TRAPEZOIDAL, record=None,
 
 def run_transient_batch(circuits, tstop, dt, method=TRAPEZOIDAL,
                         record=None, gmin=1e-12, x0=None, adaptive=False,
-                        dt_min=None, dt_max=None, lte_tol=DEFAULT_LTE_TOL):
+                        dt_min=None, dt_max=None, lte_tol=DEFAULT_LTE_TOL,
+                        stops=None):
     """Simulate a population of topologically identical circuits from 0
-    to ``tstop``.
+    to ``tstop``, or each row to its own stop.
 
     The population, of any size, advances in lockstep on exact Newton:
     each iteration assembles all still-active rows through one fixed
     stamp table and performs one stacked solve (see
-    :mod:`repro.spice.batch`).  On the fixed grid the rows share one
-    grid; with ``adaptive=True`` each row keeps its own time, step and
-    breakpoints, so a row's waveform does not depend on the rest of the
+    :mod:`repro.spice.batch`).  Each row steps on its own grid: the
+    fixed ``linspace`` of its stop, or with ``adaptive=True`` its own
+    time, step and breakpoints; a row that reaches its stop leaves the
+    population.  So a row's waveform does not depend on the rest of the
     population.  Each Newton solve that fails to converge retries its
     rows on a gmin-continuation ladder.
 
     Parameters mirror :func:`run_transient`; ``circuits`` is a list of
     symbolic circuits and ``x0``, when given, is an ``(S, n)``
-    initial-state stack.
+    initial-state stack.  ``stops``, when given, holds each row's stop
+    time, none of them past ``tstop`` (the longest row's stop); by
+    default every row stops at ``tstop``.
 
     Returns a list of :class:`Waveform`, aligned with ``circuits``.
     """
     _check_analysis(tstop, dt, method, adaptive)
     compiled = BatchCompiledCircuit(list(circuits))
+    if stops is None:
+        stops = [tstop] * compiled.n_samples
+    elif (len(stops) != compiled.n_samples
+          or not all(0 < stop <= tstop for stop in stops)):
+        raise AnalysisError("need one stop in (0, tstop] per circuit")
     x = _initial_state(compiled, x0, gmin)
     nodes = compiled.node_order if record is None else list(record)
     index = [compiled.index_of(node) for node in nodes]
     cols = np.array([i for i in index if i >= 0], dtype=int)
     if adaptive:
-        grid = _RowGrids(compiled, x, tstop, dt, method, cols, dt_min,
+        grid = _RowGrids(compiled, x, stops, dt, method, cols, dt_min,
                          dt_max, lte_tol)
     else:
-        grid = _FixedGrid(compiled, x, tstop, dt, method, cols)
+        grid = _FixedGrid(compiled, x, stops, dt, method, cols)
     return _waveforms(_simulate(compiled, x, grid, method, gmin), nodes,
                       index)

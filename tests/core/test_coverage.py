@@ -276,33 +276,36 @@ class TestChunkSignature:
             samples, ExternalOpen(2, 8e3), [8e3], dt=8e-12,
             measure="pulse", omega_in=0.40e-9, kind="h")
 
+    @staticmethod
+    def _chunk(spec, items):
+        """The chunk task of a one-measurement call over ``items``."""
+        from repro.core.pulse import MEASUREMENT, _measure_chunk
+
+        return _measure_chunk((spec,), [dict(item, **{MEASUREMENT: 0})
+                                        for item in items])
+
     def test_chunk_mixing_r_points_matches_per_point_chunks(self):
         """Each sample steps through its own resistance grid, so one
         chunk may span R points (the adaptive waves rely on it)."""
-        from repro.core.pulse import _measure_chunk
-
         spec, (low,) = self._sweep()
         high = dict(low, resistances=[30e3])
-        mixed = _measure_chunk(spec, [low, high])
-        alone = _measure_chunk(spec, [low]) + _measure_chunk(spec, [high])
+        mixed = self._chunk(spec, [low, high])
+        alone = self._chunk(spec, [low]) + self._chunk(spec, [high])
         assert mixed[0][0] != pytest.approx(mixed[1][0], abs=1e-12)
-        for got, want in zip(mixed, alone):
-            assert got[0] == pytest.approx(want[0], abs=1e-12)
+        assert mixed == alone
 
     def test_transfer_chunk_mixing_widths_matches_per_item_chunks(self):
-        """A transfer row steps its instance through its own widths, so
-        one lockstep chunk may mix them."""
-        from repro.core.pulse import _measure_chunk
-
+        """A transfer row steps its instance through its own widths, and
+        stops at its own window, so one lockstep chunk may mix them:
+        each row reads, bit for bit, as in a chunk of its own."""
         spec, (item,) = self._sweep()
         spec = dict(spec, fault=None)
         del spec["omega_in"]
         narrow = {"sample": item["sample"], "widths": [0.30e-9, 0.40e-9]}
         wide = dict(narrow, widths=[0.45e-9, 0.50e-9])
-        mixed = _measure_chunk(spec, [narrow, wide])
-        alone = _measure_chunk(spec, [narrow]) + _measure_chunk(spec, [wide])
-        for got, want in zip(mixed, alone):
-            assert got == pytest.approx(want, abs=0.1e-12)
+        mixed = self._chunk(spec, [narrow, wide])
+        alone = self._chunk(spec, [narrow]) + self._chunk(spec, [wide])
+        assert mixed == alone
 
     def test_unequal_grid_lengths_rejected(self):
         from repro.core.pulse import run_measurements

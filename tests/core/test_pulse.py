@@ -236,7 +236,9 @@ class TestStackedChunk:
             return real(circuits, *args, **kwargs)
 
         monkeypatch.setattr(pulse, "run_transient_batch", counting)
-        pulse._measure_chunk(*self._chunk(adaptive=adaptive))
+        spec, items = self._chunk(adaptive=adaptive)
+        pulse._measure_chunk((spec,), [dict(item, **{pulse.MEASUREMENT: 0})
+                                       for item in items])
         assert sizes == populations
 
     def test_item_counters_sum_to_chunk_totals(self, traced):

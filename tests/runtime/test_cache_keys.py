@@ -235,10 +235,10 @@ class TestChunkingLeavesKeys:
 
 
 #: the default-configuration keys of every row kind
-SWEEP_ROW_KEY = "1ceb42426ae8578334f6597b0bf70471"
-PULSE_CALIBRATION_KEY = "5c593eedda66fb3f56cf8092c1cbb2e3"
-DELAY_CALIBRATION_KEY = "19aa5cab8f396e9f368619d722e3505c"
-NOMINAL_CURVE_KEY = "e83402b23bac13b9b2094e852e33e5fd"
+SWEEP_ROW_KEY = "8f2619a1bff6cf99e12f00fde435ba18"
+PULSE_CALIBRATION_KEY = "6dab40180efbe7fbd29394b80783bce1"
+DELAY_CALIBRATION_KEY = "4d616fd570f27adb5d7ae13df2a3f0ae"
+NOMINAL_CURVE_KEY = "c59f8ff4fb24509778511c3d968aaca0"
 
 
 class TestPinnedDefaultKeys:
@@ -281,6 +281,20 @@ class TestPinnedDefaultKeys:
     * pulse calibration ``002cd5e2…`` → ``5c593eed…``
     * delay calibration ``39aa520b…`` → ``19aa5cab…``
 
+    Then the fixed grid's pulse tables began to read as the scalar
+    ``Pulse.value_at`` does, bit for bit, which moved fixed-grid values
+    at rounding level, so ``LOCKSTEP_REVISION`` went to 3 and every
+    literal here moved once more, the adaptive row's and the defect
+    table's too (the token is one for both grids):
+
+    * sweep row ``1ceb4242…`` → ``8f2619a1…``
+    * adaptive sweep row ``78aaf17f…`` → ``1f77f184…``
+    * pulse calibration ``5c593eed…`` → ``6dab4018…``
+    * delay calibration ``19aa5cab…`` → ``4d616fd5…``
+    * nominal transfer curve ``e83402b2…`` → ``c59f8ff4…``
+    * Fig. 10 scatter row ``5b72f2b1…`` → ``228620cd…``
+    * defect table ``c1a63086…`` → ``3b9e5846…``
+
     A changed literal here means every warm cache of that configuration
     goes cold."""
 
@@ -292,11 +306,11 @@ class TestPinnedDefaultKeys:
 
     def test_sweep_row_batched_engine(self, row_key):
         assert (row_key(batch_size=32)
-                == "1ceb42426ae8578334f6597b0bf70471")
+                == "8f2619a1bff6cf99e12f00fde435ba18")
 
     def test_sweep_row_adaptive_grid(self, row_key):
         assert (row_key(adaptive=True)
-                == "78aaf17fb557c557ef514256097a8f1c")
+                == "1f77f1846c92c005a446c77c6c27d04c")
 
     @pytest.fixture(scope="class")
     def calibration_cache(self, tmp_path_factory):
@@ -323,7 +337,7 @@ class TestPinnedDefaultKeys:
 
     def test_transfer_scatter_row(self, calibration_cache):
         assert calibration_cache.contains(
-            "5b72f2b134692b3d1d9c15a79009719d")
+            "228620cdcbe59e2673e7bcca3d51399c")
 
     def test_defect_calibration_table(self, tmp_path):
         """The electrical defect table's key carries a recipe token,
@@ -331,13 +345,13 @@ class TestPinnedDefaultKeys:
         to run as lockstep populations.  That token is now the lockstep
         Newton token, which names the same fact with the revision of the
         lockstep arithmetic; it moved the key once more (``5d73eeb6…`` →
-        ``c1a63086…``)."""
+        ``c1a63086…``), and revision 3 once more (→ ``3b9e5846…``)."""
         from repro.logic import DefectCalibration
 
         runtime = Runtime(cache=str(tmp_path / "cache"))
         DefectCalibration.from_electrical("external", [4e3], dt=2e-11,
                                           runtime=runtime, **self.PATH)
-        assert runtime.cache.contains("c1a63086db1421c3a5f60b611ad0df2a")
+        assert runtime.cache.contains("3b9e584626b0d6086b56a20c85bec0dd")
 
 
 class TestWarmCache:

@@ -77,6 +77,53 @@ class TestPulse:
             Pulse(0, 1, period=0.0)
 
 
+class TestPulseTables:
+    """The vectorised form, which fills the fixed grid's source tables,
+    reads every time bit for bit as the scalar form, which the adaptive
+    grid and the DC operating point read."""
+
+    @staticmethod
+    def _path_pulse(w_in):
+        """The input pulse of the 7-gate path at width ``w_in``."""
+        from repro.cells import build_path
+
+        path = build_path()
+        path.set_input_pulse(w_in)
+        return path.circuit.element(path.input_source).stimulus
+
+    @staticmethod
+    def _assert_tables_match(pulse, times):
+        table = pulse.values_at(times)
+        scalar = np.array([pulse.value_at(t) for t in times.tolist()])
+        mismatched = np.flatnonzero(table != scalar)
+        assert not mismatched.size, (
+            "{} of {} points differ, first at t = {!r}".format(
+                mismatched.size, times.size, times[mismatched[0]]))
+
+    @pytest.mark.parametrize("dt", [2e-12, 5e-12, 10e-12])
+    def test_path_pulse_on_fixed_grids(self, dt):
+        """The workloads' own stimulus (430 ps) on the fixed grids the
+        benches run; the one-sum form differed at one point of these
+        three grids."""
+        from repro.spice.transient import _fixed_step_count
+
+        n = _fixed_step_count(6e-9, dt)
+        self._assert_tables_match(self._path_pulse(0.43e-9),
+                                  np.linspace(0.0, n * dt, n + 1))
+
+    @pytest.mark.parametrize("pulse", [
+        Pulse(0.0, 1.8, delay=0.24e-9, rise=60e-12, width=370e-12),
+        Pulse(1.8, 0.0, delay=0.1e-9, rise=35e-12, width=0.2e-9,
+              fall=45e-12),
+        Pulse(0.0, 1.0, delay=0.2e-9, rise=70e-12, width=330e-12,
+              period=0.9e-9),
+        Pulse(0.3, 1.2, delay=0.0, rise=0.1e-9, width=0.25e-9,
+              fall=0.15e-9, period=0.7e-9)],
+        ids=["one-shot", "low-going", "periodic", "periodic-asymmetric"])
+    def test_dense_uniform_grid(self, pulse):
+        self._assert_tables_match(pulse, np.linspace(0.0, 5e-9, 200001))
+
+
 class TestPwl:
     def test_interpolates_between_points(self):
         p = Pwl([(0.0, 0.0), (1.0, 2.0)])

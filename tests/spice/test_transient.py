@@ -232,3 +232,86 @@ class TestPopulationOfOne:
                                    atol=1e-12)
         with pytest.raises(AnalysisError):
             run_transient_batch([rc_circuit()], 1e-7, 1e-9, x0=np.zeros(3))
+
+
+class TestRowStops:
+    """Each row of a population may stop at its own time: it keeps the
+    grid of its own stop and leaves the stacks there, so it reads, bit
+    for bit, as the same row run alone, and books what it books alone.
+    """
+
+    DT = 1e-11
+
+    @staticmethod
+    def _rows():
+        """``(kind, setting)`` per row: pulse rows of three widths and
+        delay rows of both directions, the longest row not first."""
+        return [("pulse", 0.30e-9), ("delay", "rise"), ("pulse", 0.60e-9),
+                ("delay", "fall"), ("pulse", 0.45e-9)]
+
+    @staticmethod
+    def _row(kind, setting):
+        """A three-inverter path driven for ``kind`` and its stop."""
+        from repro.cells import build_path
+        from repro.core.pulse import simulation_window
+
+        path = build_path(gate_kinds=("inv",) * 3)
+        if kind == "pulse":
+            delay = path.set_input_pulse(setting)
+            return path, simulation_window(path, w_in=setting,
+                                           stimulus_delay=delay)
+        delay = path.set_input_transition(setting)
+        return path, simulation_window(path, stimulus_delay=delay)
+
+    def _run(self, rows, adaptive):
+        from repro.runtime import stats_scope
+        from repro.spice import run_transient_batch
+
+        paths, stops = zip(*(self._row(*row) for row in rows))
+        with stats_scope() as stats:
+            waveforms = run_transient_batch(
+                [path.circuit for path in paths], max(stops), self.DT,
+                adaptive=adaptive, stops=list(stops))
+        return waveforms, stops, stats
+
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["fixed", "adaptive"])
+    def test_row_equals_it_alone(self, adaptive):
+        rows = self._rows()
+        population, stops, stats = self._run(rows, adaptive)
+        assert stops.index(max(stops)) not in (0, len(rows) - 1)
+        assert len(set(stops)) == 4
+        ledger = stats.samples
+        for k, (row, waveform) in enumerate(zip(rows, population)):
+            (alone,), _, alone_stats = self._run([row], adaptive)
+            np.testing.assert_array_equal(waveform.t, alone.t)
+            assert waveform.nodes() == alone.nodes()
+            for node in alone.nodes():
+                np.testing.assert_array_equal(waveform[node], alone[node])
+            assert ledger[k] == alone_stats.samples[0]
+            assert waveform.t[-1] >= stops[k] * (1 - 1e-12)
+            assert waveform.t[-1] < stops[k] + self.DT
+
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["fixed", "adaptive"])
+    def test_population_books_its_rows_alone(self, adaptive):
+        names = ("newton_solves", "newton_iterations", "adaptive_runs",
+                 "adaptive_accepted", "adaptive_rejected")
+        rows = self._rows()
+        _, _, stats = self._run(rows, adaptive)
+        summed = dict.fromkeys(names, 0)
+        for row in rows:
+            _, _, alone = self._run([row], adaptive)
+            for name in names:
+                summed[name] += alone.total(name)
+        assert {name: stats.total(name) for name in names} == summed
+
+    def test_stops_past_tstop_rejected(self):
+        from repro.spice import run_transient_batch
+
+        with pytest.raises(AnalysisError, match="stop"):
+            run_transient_batch([rc_circuit(), rc_circuit()], 1e-7, 1e-9,
+                                stops=[1e-7, 2e-7])
+        with pytest.raises(AnalysisError, match="stop"):
+            run_transient_batch([rc_circuit(), rc_circuit()], 1e-7, 1e-9,
+                                stops=[1e-7])
