@@ -118,18 +118,38 @@ def test_perf_logic_event_simulation(benchmark):
 
 
 def test_perf_atpg_sensitization(benchmark):
-    """One PODEM sensitization on the c432-class netlist."""
-    from repro.logic import generate_c432_like, paths_through, sensitize_path
+    """PODEM over every candidate path of the C432 site set of the
+    ``c432_campaign`` workload at the campaign's backtrack limit: the
+    searches that fail (some on the limit) included, where most of the
+    search time goes.  The paths and the totals of their searches come
+    from the recorded reference of ``tests/logic/test_exactness.py``."""
+    from repro.logic import generate_c432_like, sensitize_path
+    from repro.runtime.stats import stats_scope
 
-    netlist = generate_c432_like()
-    from repro.core.experiments import _pick_fault_site
-    net = _pick_fault_site(netlist)
-    path = paths_through(netlist, net, max_paths=4)[0]
+    reference_file = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "tests", "logic",
+        "podem_reference.json")
+    with open(reference_file) as handle:
+        reference = json.load(handle)
+    netlist = generate_c432_like(seed=reference["seed"])
+    paths = [record["path"] for record in reference["paths"]]
+    limit = reference["max_backtracks"]
 
-    result = benchmark(sensitize_path, netlist, path)
-    # the picked site may or may not sensitize on its first path; the
-    # bench tracks cost, not outcome
-    assert result is None or result.assignment is not None
+    def run():
+        with stats_scope() as stats:
+            for path in paths:
+                try:
+                    sensitize_path(netlist, path, max_backtracks=limit)
+                except ValueError:
+                    pass  # a side input on the path
+        return stats
+
+    stats = benchmark.pedantic(run, rounds=3, iterations=1)
+    totals = reference["totals"]
+    assert stats.total("atpg_sensitizations") == totals["sensitizations"]
+    assert stats.total("atpg_backtracks") == totals["backtracks"]
+    assert stats.total("atpg_gate_evaluations") == (
+        totals["gate_evaluations"])
 
 
 def test_perf_campaign_runtime(tmp_path):

@@ -31,7 +31,7 @@ from ..cells import build_path, default_technology
 from ..faults import inject
 from ..runtime import Runtime, stable_hash
 from ..runtime.stats import rows_booked_to
-from ..spice import run_transient_batch
+from ..spice import BatchCompiledCircuit, run_transient_batch
 from ..spice.mna import CompiledCircuit
 from ..spice.transient import LOCKSTEP_NEWTON_CACHE_TOKEN
 
@@ -218,26 +218,39 @@ def _measure_rows(rows, record_all=False):
     ``rows``.  Only input and output are recorded unless
     ``record_all``.  Returns ``(values, waveforms)`` in row order.
     """
-    compiled = [CompiledCircuit(path.circuit) for path, *_ in rows]
-    populations = {}
-    for k, (circuit, (_, _, dt, adaptive, _)) in enumerate(
-            zip(compiled, rows)):
-        populations.setdefault((circuit.topology(), dt, adaptive),
-                               []).append(k)
+    members, circuits = _populations(rows)
     waveforms = [None] * len(rows)
-    for (_, dt, adaptive), members in populations.items():
-        first = rows[members[0]][0]
-        stops = [rows[k][1] for k in members]
-        with rows_booked_to(members):
-            population = run_transient_batch(
-                [compiled[k] for k in members], max(stops), dt,
+    for key, population in members.items():
+        _, dt, adaptive = key
+        first = rows[population[0]][0]
+        stops = [rows[k][1] for k in population]
+        with rows_booked_to(population):
+            # the batch takes the population's circuits over and keeps
+            # only its template through the transient (built here, so
+            # that no list of them waits on this frame during the call)
+            measured = run_transient_batch(
+                BatchCompiledCircuit(circuits.pop(key)), max(stops), dt,
                 record=(None if record_all
                         else [first.input_node, first.output_node]),
                 adaptive=adaptive, stops=stops)
-        for k, waveform in zip(members, population):
+        for k, waveform in zip(population, measured):
             waveforms[k] = waveform
     return ([read(waveform) for (*_, read), waveform in zip(rows, waveforms)],
             waveforms)
+
+
+def _populations(rows):
+    """``rows`` (see :func:`_measure_rows`) grouped by topology, ``dt``
+    and grid: two dicts on the same keys, of the rows' indices and of
+    their compiled circuits (a function of its own, so that no loop
+    name of the caller keeps a compiled circuit alive)."""
+    members, circuits = {}, {}
+    for k, (path, _, dt, adaptive, _) in enumerate(rows):
+        circuit = CompiledCircuit(path.circuit)
+        key = (circuit.topology(), dt, adaptive)
+        members.setdefault(key, []).append(k)
+        circuits.setdefault(key, []).append(circuit)
+    return members, circuits
 
 
 def _grid(item):

@@ -10,15 +10,23 @@ for path DF test generation can easily be modified".
 The implementation is a compact PODEM: objectives are justified by
 backtracing to primary inputs, with chronological backtracking on
 conflicts.  Implication is event-driven and confined to the objectives'
-fan-in cone (the only nets the conflict check and the backtrace read):
-one 3-valued value map lives for the whole search, and each PI
-assignment, flip or unassignment re-evaluates only the cone gates whose
-inputs changed, in topological order.
+fan-in cone (the only nets the conflict check and the backtrace read).
+Each search numbers that cone once, in topological order: a net's id is
+its rank, and it has a kind code, a tuple of input ids and a list of
+reader ids, so the search runs on lists of ints, not on names and
+:class:`~repro.logic.netlist.Gate` objects.  One 3-valued value list
+lives for the whole search, and each PI assignment, flip or unassignment
+re-evaluates only the cone gates whose inputs changed, in topological
+order, each once.  The decisions and backtracks equal those of a full
+re-simulation after every decision, and the gate evaluations too are
+pinned by a recorded reference (``tests/logic/test_exactness.py``
+checks both).
 """
 
 import heapq
 
 from ..runtime.stats import current_stats
+from .netlist import CONTROLLING, GATE_TYPES, INVERTING
 from .paths import path_gates
 
 
@@ -83,178 +91,229 @@ def sensitize_path(netlist, path_nets, max_backtracks=2000,
     Returns a :class:`SensitizationResult` or ``None`` when the path is
     (found) unsensitizable within the backtrack limit.  The search's
     effort (one sensitization, its backtracks and implication gate
-    evaluations) is booked on the active
-    :class:`~repro.runtime.stats.SolverStats`.
+    evaluations) and its time (phase ``"atpg"``) are booked on the
+    active :class:`~repro.runtime.stats.SolverStats`.
     """
     stats = current_stats()
     stats.count("atpg_sensitizations")
-    objectives = side_input_objectives(netlist, path_nets)
-    if extra_objectives:
-        for net, value in extra_objectives.items():
-            if objectives.get(net, value) != value:
-                return None
-            objectives[net] = value
+    with stats.phase("atpg"):
+        objectives = side_input_objectives(netlist, path_nets)
+        if extra_objectives:
+            for net, value in extra_objectives.items():
+                if objectives.get(net, value) != value:
+                    return None
+                objectives[net] = value
 
-    cone = _ConeImplication(netlist, objectives)
-    assignment, backtracks = _podem(netlist, cone, objectives,
-                                    max_backtracks)
-    stats.count("atpg_backtracks", backtracks)
-    stats.count("atpg_gate_evaluations", cone.evaluations)
+        cone = _Cone(netlist, objectives)
+        assignment, backtracks = _podem(
+            cone, [(cone.ids[net], want) for net, want in objectives.items()],
+            max_backtracks)
+        stats.count("atpg_backtracks", backtracks)
+        stats.count("atpg_gate_evaluations", cone.evaluations)
     if assignment is None:
         return None
     return SensitizationResult(path_nets, assignment, objectives,
                                backtracks)
 
 
-def _podem(netlist, cone, objectives, max_backtracks):
-    """The PODEM decision loop; returns ``(assignment or None,
-    backtracks)``."""
+def _podem(cone, objectives, max_backtracks):
+    """The PODEM decision loop over ``objectives``, ``(id, want)``
+    pairs; returns ``(assignment or None, backtracks)``.
+
+    The assignment maps PI names to values in decision order: the
+    decision stack, read bottom up.
+    """
     values = cone.values
-    assignment = {}
-    decision_stack = []  # (pi, tried_both)
+    decision_stack = []  # [pi id, tried_both]
     backtracks = 0
 
     while True:
-        conflict = any(values[net] is not None and values[net] != want
-                       for net, want in objectives.items())
-        if not conflict:
-            unresolved = [net for net, want in objectives.items()
-                          if values[net] is None]
-            if not unresolved:
-                return assignment, backtracks
-            target_net = unresolved[0]
-            pi, value = _backtrace(netlist, target_net,
-                                   objectives[target_net], values)
+        # one pass: the first violated objective ends it, and until
+        # then the first unresolved one is the next target
+        target = None
+        for net, want in objectives:
+            value = values[net]
+            if value is None:
+                if target is None:
+                    target = net, want
+            elif value != want:
+                break
+        else:
+            if target is None:
+                return ({cone.names[pi]: values[pi]
+                         for pi, _ in decision_stack}, backtracks)
+            pi, value = _backtrace(cone, *target)
             if pi is not None:
-                assignment[pi] = value
-                cone.assign({pi: value})
+                cone.assign(((pi, value),))
                 decision_stack.append([pi, False])
                 continue
-            conflict = True  # nothing left to justify with: treat as conflict
+            # nothing left to justify with: treat as a conflict
 
         # Conflict: chronological backtracking.
         backtracks += 1
         if backtracks > max_backtracks:
             return None, backtracks
-        changes = {}
+        changes = []
         while decision_stack:
             pi, tried_both = decision_stack[-1]
             if tried_both:
                 decision_stack.pop()
-                del assignment[pi]
-                changes[pi] = None
+                changes.append((pi, None))
             else:
                 decision_stack[-1][1] = True
-                assignment[pi] = 1 - assignment[pi]
-                changes[pi] = assignment[pi]
+                changes.append((pi, 1 - values[pi]))
                 break
         else:
             return None, backtracks  # exhausted the decision tree
         cone.assign(changes)
 
 
-class _ConeImplication:
-    """3-valued values of the fan-in cone of ``roots``, kept current
-    event by event.
+#: kind code of a cone net: ``_PI`` for a primary input (any undriven
+#: net), else one plus the index of its gate's kind in ``GATE_TYPES``
+_PI = 0
+_KIND_CODES = {kind: code for code, kind in enumerate(GATE_TYPES, 1)}
+#: per kind code, the netlist's controlling input value (None: the
+#: output is the inputs' parity) and output inversion
+_CONTROLLING = (None,) + tuple(CONTROLLING[kind] for kind in GATE_TYPES)
+_INVERTING = (0,) + tuple(int(INVERTING[kind]) for kind in GATE_TYPES)
+
+
+class _Cone:
+    """The fan-in cone of ``roots``, numbered in topological order, and
+    its 3-valued values, kept current event by event.
+
+    A cone net's id is its rank among the cone nets in the netlist's
+    topological order, so every gate's input ids are smaller than its
+    own.  ``names[id]`` is the net, ``kinds[id]`` its kind code,
+    ``inputs[id]`` its gate's input ids (in the gate's input order;
+    empty for a PI), ``readers[id]`` the ids of the cone gates that read
+    it, and ``values[id]`` its value (0, 1 or None for X).
 
     Every value starts at X (no PI assigned).  :meth:`assign` applies
-    PI changes and re-evaluates, in topological order, only the cone
-    gates an input of which changed, each once; ``evaluations`` counts
-    those gate evaluations.  The values equal a full
+    PI changes and re-evaluates, in id order, only the cone gates an
+    input of which changed, each once; ``evaluations`` counts those gate
+    evaluations.  The values equal a full
     :meth:`~repro.logic.netlist.LogicNetlist.evaluate3` of the same
     assignment on every cone net, since a cone net depends on cone PIs
     only.
     """
 
     def __init__(self, netlist, roots):
-        cone = set()
+        gates = {}
         stack = list(roots)
         while stack:
             net = stack.pop()
-            if net in cone:
+            if net in gates:
                 continue
-            cone.add(net)
-            gate = netlist.gate_driving(net)
+            gate = gates[net] = netlist.gate_driving(net)
             if gate is not None:
                 stack.extend(gate.inputs)
-        self.values = dict.fromkeys(cone)
-        self.rank = {}
-        self.readers = {net: [] for net in cone}
-        for rank, net in enumerate(netlist.topological_nets()):
-            if net not in cone:
+        self.names = [net for net in netlist.topological_nets()
+                      if net in gates]
+        self.ids = ids = {net: i for i, net in enumerate(self.names)}
+        self.kinds = []
+        self.inputs = []
+        self.readers = [[] for _ in self.names]
+        for i, net in enumerate(self.names):
+            gate = gates[net]
+            if gate is None:
+                self.kinds.append(_PI)
+                self.inputs.append(())
                 continue
-            self.rank[net] = rank
-            gate = netlist.gate_driving(net)
-            if gate is not None:
-                for net_in in gate.inputs:
-                    self.readers[net_in].append(gate)
+            self.kinds.append(_KIND_CODES[gate.kind])
+            inputs = tuple([ids[net_in] for net_in in gate.inputs])
+            self.inputs.append(inputs)
+            for j in inputs:
+                self.readers[j].append(i)
+        self.values = [None] * len(self.names)
         self.evaluations = 0
 
     def assign(self, changes):
-        """Apply ``{pi: value}`` (None: unassign) and propagate."""
-        values, rank, readers = self.values, self.rank, self.readers
-        values.update(changes)
-        queued = {gate.output: gate for pi in changes
-                  for gate in readers[pi]}
-        queue = [(rank[net], gate) for net, gate in queued.items()]
+        """Apply ``(pi id, value)`` changes (None: unassign) and
+        propagate.
+
+        The queue is a heap of gate ids.  A gate is pushed once per
+        changed input, but each gate pushed has a larger id than the
+        gate being evaluated, so ids pop in increasing order and the
+        copies of one id pop in a row: the first is evaluated, the rest
+        are skipped.
+        """
+        values, readers = self.values, self.readers
+        kinds, inputs = self.kinds, self.inputs
+        queue = []
+        for pi, value in changes:
+            values[pi] = value
+            queue.extend(readers[pi])
         heapq.heapify(queue)
+        heappop, heappush = heapq.heappop, heapq.heappush
+        evaluations = 0
+        last = -1
         while queue:
-            _, gate = heapq.heappop(queue)
-            self.evaluations += 1
-            out = gate.evaluate3([values[net] for net in gate.inputs])
-            if out == values[gate.output]:
+            gate = heappop(queue)
+            if gate == last:
                 continue
-            values[gate.output] = out
-            for reader in readers[gate.output]:
-                if reader.output not in queued:
-                    queued[reader.output] = reader
-                    heapq.heappush(queue, (rank[reader.output], reader))
+            last = gate
+            evaluations += 1
+            kind = kinds[gate]
+            control = _CONTROLLING[kind]
+            if control is None:
+                out = _INVERTING[kind]
+                for net in inputs[gate]:
+                    value = values[net]
+                    if value is None:
+                        out = None
+                        break
+                    out ^= value
+            else:
+                out = 1 - control
+                for net in inputs[gate]:
+                    value = values[net]
+                    if value == control:
+                        out = control
+                        break
+                    if value is None:
+                        out = None
+                if out is not None:
+                    out ^= _INVERTING[kind]
+            if out == values[gate]:
+                continue
+            values[gate] = out
+            for reader in readers[gate]:
+                heappush(queue, reader)
+        self.evaluations += evaluations
 
 
-def _backtrace(netlist, net, want, values):
-    """PODEM backtrace: walk from an objective to an unassigned PI.
+def _backtrace(cone, net, want):
+    """PODEM backtrace: walk from objective ``net`` (an id) to an
+    unassigned PI, each step to a gate's first X input.
 
-    Returns ``(pi, value)`` or ``(None, None)`` when every cone input is
-    already assigned (the objective cannot be influenced any more).
+    The value aimed for on that input is ``want`` through the gate's
+    inversion; through a parity gate (XOR, XNOR) it also completes the
+    parity of the assigned inputs, assuming the other X inputs (if
+    several) end up 0.  Returns ``(pi id, value)`` or ``(None, None)``
+    when every input on the way is already assigned (the objective
+    cannot be influenced any more).
     """
-    current, value = net, want
-    for _ in range(10000):
-        gate = netlist.gate_driving(current)
-        if gate is None:
-            if values[current] is None:
-                return current, value
+    kinds, inputs, values = cone.kinds, cone.inputs, cone.values
+    while True:
+        kind = kinds[net]
+        if kind == _PI:
+            if values[net] is None:
+                return net, want
             return None, None
-        current, value = _choose_gate_input(gate, value, values)
-        if current is None:
+        gate_inputs = inputs[net]
+        for net_in in gate_inputs:
+            if values[net_in] is None:
+                break
+        else:
             return None, None
-    raise RuntimeError("backtrace did not terminate")
-
-
-def _choose_gate_input(gate, want, values):
-    """Pick an X input of ``gate`` and the value to aim for on it."""
-    kind = gate.kind
-    xs = [i for i in gate.inputs if values[i] is None]
-    if not xs:
-        return None, None
-    if kind in ("not", "nand", "nor"):
-        inner = 1 - want
-    else:
-        inner = want
-    if kind in ("and", "nand"):
-        # output-inner 1 needs ALL ones (pick any X, aim 1);
-        # output-inner 0 needs ONE zero (pick any X, aim 0).
-        return xs[0], inner
-    if kind in ("or", "nor"):
-        # dual of AND: inner 1 needs one 1; inner 0 needs all 0.
-        return xs[0], inner
-    if kind in ("buf", "not"):
-        return xs[0], inner
-    # XOR/XNOR: aim for the parity completing the assigned inputs,
-    # assuming remaining X inputs (if several) end up 0.
-    assigned_ones = sum(values[i] for i in gate.inputs
-                        if values[i] is not None)
-    target_parity = want if kind == "xor" else 1 - want
-    return xs[0], (target_parity ^ (assigned_ones % 2)) & 1
+        want ^= _INVERTING[kind]
+        if _CONTROLLING[kind] is None:
+            for other in gate_inputs:
+                value = values[other]
+                if value is not None:
+                    want ^= value
+        net = net_in
 
 
 def find_sensitizable_path(netlist, net, max_paths=64, max_backtracks=2000):

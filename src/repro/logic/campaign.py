@@ -9,7 +9,7 @@ the circuit-level coverage as a function of the defect resistance.
 """
 
 from ..montecarlo import sample_population
-from ..runtime import Runtime, RunReport, stable_hash
+from ..runtime import Runtime, RunReport, stable_hashes
 from .fault_sim import characterize_path_for_test, minimum_detectable_resistance
 from .paths import paths_through
 from .pulse_model import path_model_from_netlist
@@ -210,10 +210,12 @@ def run_campaign(netlist, calibration, timing=None, samples=None,
                 for net in sites]
     keys = None
     if runtime.cache is not None:
-        keys = [stable_hash("fault-site", netlist, net, calibration,
-                            timing, samples, max_paths,
-                            sensing_tolerance)
-                for net in sites]
+        # stable_hash("fault-site", netlist, net, calibration, timing,
+        # samples, max_paths, sensing_tolerance), the shared parts
+        # lowered once for all sites
+        keys = stable_hashes(("fault-site", netlist), sites,
+                             (calibration, timing, samples, max_paths,
+                              sensing_tolerance))
     report = RunReport("campaign:{}".format(netlist.name))
     run = runtime.run(_site_task, payloads, keys=keys,
                       label="campaign:{}".format(netlist.name),

@@ -14,9 +14,11 @@ GATE_TYPES = ("and", "nand", "or", "nor", "not", "buf", "xor", "xnor")
 CONTROLLING = {"and": 0, "nand": 0, "or": 1, "nor": 1,
                "not": None, "buf": None, "xor": None, "xnor": None}
 
-#: output inversion parity per gate type
+#: output inversion per gate type, over the type's base function:
+#: AND or OR for the types with a controlling value, the inputs' parity
+#: for the rest (BUF and NOT are parity gates of one input)
 INVERTING = {"and": False, "nand": True, "or": False, "nor": True,
-             "not": True, "buf": False, "xor": None, "xnor": None}
+             "not": True, "buf": False, "xor": False, "xnor": True}
 
 
 class Gate:
@@ -97,6 +99,7 @@ class LogicNetlist:
         self.primary_outputs = []
         self._gates_by_output = {}
         self._topo_cache = None
+        self._graph_cache = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -108,7 +111,7 @@ class LogicNetlist:
         if net in self.primary_inputs:
             raise ValueError("duplicate primary input {!r}".format(net))
         self.primary_inputs.append(net)
-        self._topo_cache = None
+        self._structure_changed()
 
     def add_output(self, net):
         if net in self.primary_outputs:
@@ -123,7 +126,7 @@ class LogicNetlist:
                 "net {!r} is a primary input, cannot drive it".format(output))
         gate = Gate(name or "g_{}".format(output), kind, inputs, output)
         self._gates_by_output[output] = gate
-        self._topo_cache = None
+        self._structure_changed()
         return gate
 
     def replace_gate_input(self, output_net, old_input, new_input):
@@ -140,8 +143,20 @@ class LogicNetlist:
                 "{!r} is not an input of gate {}".format(old_input, gate.name))
         gate.inputs = tuple(new_input if net == old_input else net
                             for net in gate.inputs)
-        self._topo_cache = None
+        self._structure_changed()
         return gate
+
+    def _structure_changed(self):
+        """Drop the cached graph and topological order."""
+        self._topo_cache = None
+        self._graph_cache = None
+
+    def __getstate__(self):
+        # the cached graph stays out of the pickle; an unpickled copy
+        # (one per pool chunk) builds it once, on first use
+        state = dict(self.__dict__)
+        state["_graph_cache"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Queries
@@ -181,13 +196,20 @@ class LogicNetlist:
         return fanout
 
     def graph(self):
-        """networkx DiGraph over nets (edges: gate input -> gate output)."""
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nets())
-        for gate in self._gates_by_output.values():
-            for net in gate.inputs:
-                g.add_edge(net, gate.output)
-        return g
+        """networkx DiGraph over nets (edges: gate input -> gate output).
+
+        Built once and shared by every caller until the next
+        :meth:`add_input`, :meth:`add_gate` or
+        :meth:`replace_gate_input`, so it is frozen: mutating it raises.
+        """
+        if self._graph_cache is None:
+            g = nx.DiGraph()
+            g.add_nodes_from(self.nets())
+            for gate in self._gates_by_output.values():
+                for net in gate.inputs:
+                    g.add_edge(net, gate.output)
+            self._graph_cache = nx.freeze(g)
+        return self._graph_cache
 
     def topological_nets(self):
         """Nets in evaluation order; raises on combinational loops."""

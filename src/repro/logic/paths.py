@@ -10,36 +10,40 @@ from itertools import islice
 
 import networkx as nx
 
+from ..runtime.stats import current_stats
+
 
 def paths_through(netlist, net, max_paths=64, max_length=None):
     """PI -> PO structural paths through ``net``.
 
     Returns a list of net-name lists (each starts at a PI and ends at a
     PO).  At most ``max_paths`` paths are produced; ``max_length`` bounds
-    the *total* path length in nets.
+    the *total* path length in nets.  The time is booked as phase
+    ``"paths"`` on the active :class:`~repro.runtime.stats.SolverStats`.
     """
-    graph = netlist.graph()
-    if net not in graph:
-        raise ValueError("unknown net {!r}".format(net))
+    with current_stats().phase("paths"):
+        graph = netlist.graph()
+        if net not in graph:
+            raise ValueError("unknown net {!r}".format(net))
 
-    upstream = _segments(_cone(graph, nx.ancestors(graph, net) | {net}),
-                         sources=netlist.primary_inputs, target=net,
-                         max_count=max_paths, max_length=max_length,
-                         forward=False)
-    downstream = _segments(_cone(graph, nx.descendants(graph, net) | {net}),
-                           sources=netlist.primary_outputs, target=net,
-                           max_count=max_paths, max_length=max_length,
-                           forward=True)
-    paths = []
-    for up in upstream:
-        for down in downstream:
-            if max_length is not None and (
-                    len(up) + len(down) - 1 > max_length):
-                continue
-            paths.append(up + down[1:])
-            if len(paths) >= max_paths:
-                return paths
-    return paths
+        upstream = _segments(
+            _cone(graph, nx.ancestors(graph, net) | {net}),
+            sources=netlist.primary_inputs, target=net,
+            max_count=max_paths, max_length=max_length, forward=False)
+        downstream = _segments(
+            _cone(graph, nx.descendants(graph, net) | {net}),
+            sources=netlist.primary_outputs, target=net,
+            max_count=max_paths, max_length=max_length, forward=True)
+        paths = []
+        for up in upstream:
+            for down in downstream:
+                if max_length is not None and (
+                        len(up) + len(down) - 1 > max_length):
+                    continue
+                paths.append(up + down[1:])
+                if len(paths) >= max_paths:
+                    return paths
+        return paths
 
 
 def _cone(graph, nodes):

@@ -20,6 +20,8 @@ bottom-up/top-down synergy the paper's tool relies on.
 
 import numpy as np
 
+from ..runtime.stats import current_stats
+
 
 class GatePulseModel:
     """Piecewise-linear pulse transfer of one gate (one polarity)."""
@@ -130,14 +132,20 @@ def model_for_gate(gate, timing, span_fraction=0.6):
 
 
 def path_model_from_netlist(netlist, path_nets, timing, span_fraction=0.6):
-    """Pulse model for a structural path (list of nets, PI first)."""
-    models = []
-    for net in path_nets[1:]:
-        gate = netlist.gate_driving(net)
-        if gate is None:
-            raise ValueError("net {!r} on the path is undriven".format(net))
-        models.append(model_for_gate(gate, timing, span_fraction))
-    return PathPulseModel(models)
+    """Pulse model for a structural path (list of nets, PI first).
+
+    The time is booked as phase ``"pulse_model"`` on the active
+    :class:`~repro.runtime.stats.SolverStats`.
+    """
+    with current_stats().phase("pulse_model"):
+        models = []
+        for net in path_nets[1:]:
+            gate = netlist.gate_driving(net)
+            if gate is None:
+                raise ValueError(
+                    "net {!r} on the path is undriven".format(net))
+            models.append(model_for_gate(gate, timing, span_fraction))
+        return PathPulseModel(models)
 
 
 def calibrate_gate_model(kind, tech=None, fanout_loads=2,

@@ -55,6 +55,9 @@ class VariationModel:
         factors = _truncated_normal(rng, self.sigma_global,
                                     size=len(GLOBAL_FIELDS))
         self.global_factors = dict(zip(GLOBAL_FIELDS, factors))
+        #: ``{label: factor}`` of :meth:`timing_factor` (private, so the
+        #: cache token, which reads public attributes only, ignores it)
+        self._timing_factors = {}
 
     # ------------------------------------------------------------------
 
@@ -77,11 +80,27 @@ class VariationModel:
         return float(kp_f), float(vt_f), float(c_f)
 
     def timing_factor(self, label):
-        """Multiplicative fluctuation for a named timing quantity."""
+        """Multiplicative fluctuation for a named timing quantity.
+
+        A pure function of the seed and ``label``, drawn once per label
+        and instance: a campaign reads each gate's factors once per
+        candidate path and Monte Carlo sample.
+        """
         if self.sigma_timing == 0.0:
             return 1.0
-        rng = self._named_rng("time:" + label)
-        return float(_truncated_normal(rng, self.sigma_timing))
+        factor = self._timing_factors.get(label)
+        if factor is None:
+            rng = self._named_rng("time:" + label)
+            factor = float(_truncated_normal(rng, self.sigma_timing))
+            self._timing_factors[label] = factor
+        return factor
+
+    def __getstate__(self):
+        # the memo stays out of the pickle: a copy (one per pool chunk)
+        # draws its own factors, whatever the original has read
+        state = dict(self.__dict__)
+        state["_timing_factors"] = {}
+        return state
 
     def __repr__(self):
         return ("VariationModel(seed={}, sg={:g}, sl={:g}, st={:g})"

@@ -12,7 +12,7 @@ from .executors import (FAILED, PoisonTask, ProcessPoolExecutor,
                         SerialExecutor, TaskOutcome, TaskTimeout,
                         WorkerCrash, WorkerError, backoff_schedule,
                         default_n_jobs)
-from .hashing import canonical_token, stable_hash
+from .hashing import canonical_token, stable_hash, stable_hashes
 from .runner import (DEFAULT_BATCH_SIZE, DEFAULT_CACHE_DIR, CampaignRun,
                      Runtime, check_batch_size)
 from .schema import (SCHEMA_VERSION, SchemaVersionError,
@@ -30,7 +30,7 @@ __all__ = [
     "default_n_jobs", "backoff_schedule",
     "ChaosConfig", "ChaosSpecError", "KILL_EXIT_CODE",
     "ResultCache", "CacheMiss", "atomic_write", "CampaignCheckpoint",
-    "stable_hash", "canonical_token",
+    "stable_hash", "stable_hashes", "canonical_token",
     "SCHEMA_VERSION", "SchemaVersionError", "check_schema_version",
     "SolverStats", "stats_scope", "current_stats",
     "root_stats", "record", "TraceWriter", "read_trace",

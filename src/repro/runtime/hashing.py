@@ -57,8 +57,34 @@ def canonical_token(obj):
         "cannot build a stable cache token for {!r}".format(obj))
 
 
+def _encode(token):
+    return json.dumps(token, separators=(",", ":"), sort_keys=False)
+
+
 def stable_hash(*parts):
     """SHA-256 hex digest (truncated) of the canonical token of ``parts``."""
-    token = canonical_token(list(parts))
-    payload = json.dumps(token, separators=(",", ":"), sort_keys=False)
+    payload = _encode(canonical_token(list(parts)))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+
+
+def stable_hashes(head, varying, tail=()):
+    """``[stable_hash(*head, value, *tail) for value in varying]``, with
+    the shared parts lowered once.
+
+    A list's canonical JSON is its items' JSON joined by commas, so the
+    shared parts are encoded once, and each key hashes on from a copy
+    of the digest of everything before its own part.  Each key equals
+    the :func:`stable_hash` of its parts.
+    """
+    prefix = "[" + "".join(_encode(canonical_token(part)) + ","
+                           for part in head)
+    suffix = "".join("," + _encode(canonical_token(part))
+                     for part in tail) + "]"
+    shared = hashlib.sha256(prefix.encode("utf-8"))
+    keys = []
+    for value in varying:
+        digest = shared.copy()
+        digest.update((_encode(canonical_token(value)) + suffix)
+                      .encode("utf-8"))
+        keys.append(digest.hexdigest()[:32])
+    return keys

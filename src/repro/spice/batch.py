@@ -114,6 +114,9 @@ class BatchCompiledCircuit:
         self._build_isrc_incidence()
         self._companion_cache = {}
 
+    def __len__(self):
+        return self.n_samples
+
     # ------------------------------------------------------------------
 
     def index_of(self, node):

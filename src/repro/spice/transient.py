@@ -653,15 +653,19 @@ def run_transient_batch(circuits, tstop, dt, method=TRAPEZOIDAL,
     rows on a gmin-continuation ladder.
 
     Parameters mirror :func:`run_transient`; ``circuits`` is a list of
-    symbolic circuits and ``x0``, when given, is an ``(S, n)``
-    initial-state stack.  ``stops``, when given, holds each row's stop
+    symbolic circuits, or the
+    :class:`~repro.spice.batch.BatchCompiledCircuit` of the population
+    (which keeps only its template of the compiled circuits it was
+    built from), and ``x0``, when given, is an ``(S, n)`` initial-state
+    stack.  ``stops``, when given, holds each row's stop
     time, none of them past ``tstop`` (the longest row's stop); by
     default every row stops at ``tstop``.
 
     Returns a list of :class:`Waveform`, aligned with ``circuits``.
     """
     _check_analysis(tstop, dt, method, adaptive)
-    compiled = BatchCompiledCircuit(list(circuits))
+    compiled = (circuits if isinstance(circuits, BatchCompiledCircuit)
+                else BatchCompiledCircuit(list(circuits)))
     if stops is None:
         stops = [tstop] * compiled.n_samples
     elif (len(stops) != compiled.n_samples

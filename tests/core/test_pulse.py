@@ -254,3 +254,66 @@ class TestStackedChunk:
             per_item = [t["stats"]["counters"][name] for t in tasks]
             assert all(count > 0 for count in per_item)
             assert sum(per_item) == totals[name]
+
+
+class TestCompiledCircuitsHandedOver:
+    """``_measure_rows`` compiles every row first, to group the rows by
+    topology, then hands each population's circuits to its batch
+    without keeping them: through the transient, only the batch's
+    template stays alive (cycles aside, so the check runs with the
+    cyclic collector off)."""
+
+    def _alive_during_transients(self, monkeypatch, paths):
+        import gc
+        import weakref
+
+        from repro.core import pulse
+        from repro.spice import transient
+        from repro.spice.mna import CompiledCircuit
+
+        made = []
+
+        class Tracked(CompiledCircuit):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        seen = []
+        simulate = transient._simulate
+
+        def watching(compiled, *args, **kwargs):
+            seen.append([ref() is compiled.template if ref() is not None
+                         else None for ref in made])
+            return simulate(compiled, *args, **kwargs)
+
+        monkeypatch.setattr(pulse, "CompiledCircuit", Tracked)
+        monkeypatch.setattr(transient, "_simulate", watching)
+        gc.disable()
+        try:
+            w_outs, _ = measure_output_pulse_batch(paths, 0.40e-9, dt=2e-11)
+        finally:
+            gc.enable()
+        return seen, w_outs
+
+    def test_one_population_keeps_only_its_template(self, monkeypatch):
+        paths = [build_instance(sample=VariationModel(seed))
+                 for seed in (1, 2, 3)]
+        (alive,), w_outs = self._alive_during_transients(monkeypatch, paths)
+        # the template and two dead circuits
+        assert alive == [True, None, None]
+        unwatched, _ = measure_output_pulse_batch(
+            [build_instance(sample=VariationModel(seed))
+             for seed in (1, 2, 3)], 0.40e-9, dt=2e-11)
+        assert w_outs == unwatched
+
+    def test_later_populations_wait_compiled(self, monkeypatch):
+        fault = ExternalOpen(2, 8e3)
+        paths = [build_instance(sample=VariationModel(1)),
+                 build_instance(sample=VariationModel(1), fault=fault),
+                 build_instance(sample=VariationModel(2)),
+                 build_instance(sample=VariationModel(2), fault=fault)]
+        seen, _ = self._alive_during_transients(monkeypatch, paths)
+        # rows 0 and 2 run first, rows 1 and 3 wait; then the first
+        # population is gone and rows 1 and 3 run
+        assert seen == [[True, False, None, False],
+                        [None, True, None, None]]

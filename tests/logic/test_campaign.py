@@ -100,16 +100,18 @@ class TestRunCampaign:
 
 
 class TestAtpgEffort:
-    """The ATPG counters reach the run report and the trace, and a
-    process pool books the same counts as a serial run."""
+    """The ATPG counters and the logic layer's phase times reach the run
+    report and the trace, and a process pool books the same counts as a
+    serial run."""
 
     COUNTERS = ("atpg_sensitizations", "atpg_backtracks",
                 "atpg_gate_evaluations")
+    PHASES = ("atpg", "paths", "pulse_model")
 
     def test_serial_and_pool_book_equal_counts(self, calibration, samples,
                                                tmp_path):
         netlist = generate_c432_like()
-        reported, traced, text = {}, {}, {}
+        reported, traced, text, phases = {}, {}, {}, {}
         for name, executor in (
                 ("serial", SerialExecutor()),
                 ("pool", ProcessPoolExecutor(n_jobs=2, chunk_size=1))):
@@ -126,7 +128,12 @@ class TestAtpgEffort:
                                          for task in tasks)
                             for counter in self.COUNTERS}
             text[name] = result.report.format_report()
+            phases[name] = summary["solver_phase_s"]
         assert reported["serial"] == reported["pool"]
+        for name in ("serial", "pool"):
+            assert set(phases[name]) == set(self.PHASES), name
+            assert all(seconds > 0.0 for seconds in phases[name].values())
+            assert "  solver phases: atpg " in text[name]
         assert all(reported["serial"].values()), reported["serial"]
         # the per-task trace events add up to the report
         assert traced == reported

@@ -1,8 +1,11 @@
 """Gate-level netlist tests."""
 
+import pickle
+
+import networkx as nx
 import pytest
 
-from repro.logic import Gate, LogicNetlist, c17
+from repro.logic import Gate, LogicNetlist, c17, paths_through
 
 
 class TestGate:
@@ -174,3 +177,55 @@ class TestLoopsAndDepth:
             prev = "n{}".format(i)
         n.add_output(prev)
         assert n.depth() == 5
+
+
+class TestStructureCache:
+    """``graph()`` and ``topological_nets()`` are built once and shared;
+    each structural mutator drops both."""
+
+    def _warm(self):
+        n = LogicNetlist()
+        for pi in ("a", "b"):
+            n.add_input(pi)
+        n.add_gate("nand", ["a", "b"], "x")
+        n.add_output("x")
+        graph, order = n.graph(), n.topological_nets()
+        assert n.graph() is graph and n.topological_nets() is order
+        return n, graph, order
+
+    @pytest.mark.parametrize("mutate", [
+        lambda n: n.add_input("c"),
+        lambda n: n.add_gate("not", ["x"], "y"),
+        lambda n: n.replace_gate_input("x", "b", "a"),
+    ], ids=["add_input", "add_gate", "replace_gate_input"])
+    def test_mutators_invalidate(self, mutate):
+        n, graph, order = self._warm()
+        mutate(n)
+        assert n.graph() is not graph
+        assert n.topological_nets() is not order
+        assert set(n.graph().edges) == {
+            (net, gate.output) for gate in n.gates()
+            for net in gate.inputs}
+        assert set(n.topological_nets()) == set(n.nets())
+
+    def test_paths_see_a_rewire(self):
+        n, _, _ = self._warm()
+        n.add_input("c")
+        n.add_gate("not", ["c"], "y")
+        n.add_output("y")
+        assert paths_through(n, "x") == [["a", "x"], ["b", "x"]]
+        n.replace_gate_input("x", "b", "y")
+        assert paths_through(n, "x") == [["a", "x"], ["c", "y", "x"]]
+
+    def test_shared_graph_is_read_only(self):
+        n, graph, _ = self._warm()
+        with pytest.raises(nx.NetworkXError):
+            graph.add_edge("x", "a")
+
+    def test_pickle_carries_no_graph(self):
+        n, graph, order = self._warm()
+        state = pickle.loads(pickle.dumps(n))
+        assert state._graph_cache is None
+        assert state.topological_nets() == order
+        assert sorted(state.graph().edges) == sorted(graph.edges)
+        assert "_graph_cache" in vars(n) and n.graph() is graph

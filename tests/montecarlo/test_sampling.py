@@ -39,6 +39,40 @@ class TestDeterminism:
         m = VariationModel(seed=3)
         assert m.timing_factor("ff0.cq") == m.timing_factor("ff0.cq")
 
+    def test_memoized_timing_factors_equal_fresh_draws(self):
+        """A label's factor is drawn once per instance; read again, in
+        any order, it equals a fresh instance's first draw bit for
+        bit."""
+        labels = ["gate:g{}:{}".format(i, edge) for i in range(20)
+                  for edge in ("lh", "hl")]
+        m = VariationModel(seed=11)
+        first = [m.timing_factor(label) for label in labels]
+        again = [m.timing_factor(label) for label in reversed(labels)]
+        fresh = [VariationModel(seed=11).timing_factor(label)
+                 for label in labels]
+        assert [f.hex() for f in first] == [f.hex() for f in fresh]
+        assert again[::-1] == first
+
+    def test_memo_leaves_the_cache_token(self):
+        from repro.runtime import stable_hash
+
+        m = VariationModel(seed=11)
+        before = stable_hash(m)
+        m.timing_factor("ff0.cq")
+        m.timing_factor("gate:g1:lh")
+        assert stable_hash(m) == before == stable_hash(VariationModel(11))
+
+    def test_pickle_carries_no_memo(self):
+        import pickle
+
+        m = VariationModel(seed=11)
+        value = m.timing_factor("ff0.cq")
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy._timing_factors == {}
+        assert m._timing_factors == {"ff0.cq": value}
+        assert copy.timing_factor("ff0.cq") == value
+        assert copy.global_factors == m.global_factors
+
 
 class TestTruncation:
     def test_factors_within_three_sigma(self):

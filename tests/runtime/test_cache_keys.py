@@ -425,3 +425,64 @@ class TestRestartHit:
             [sys.executable, "-c", script], capture_output=True,
             text=True, check=True)
         assert out.stdout.strip() == "[[1.0]] 1 0"
+
+
+class SiteKeyRecorder(Runtime):
+    """A cached runtime that records the fault-site keys and nets of a
+    campaign, then runs it."""
+
+    def run(self, fn, payloads, keys=None, **kwargs):
+        self.keys = list(keys)
+        self.nets = [payload["net"] for payload in payloads]
+        return super().run(fn, payloads, keys=keys, **kwargs)
+
+
+class TestCampaignSiteKeys:
+    """``run_campaign`` lowers the parts its sites share once and hashes
+    each site's key on from them; the keys stay those of the one recipe
+    below, so caches written before keep hitting."""
+
+    @pytest.fixture
+    def campaign(self):
+        from repro.logic import DefectCalibration, c17
+        from repro.montecarlo import sample_population
+
+        calibration = DefectCalibration(
+            [500.0, 8e3, 128e3], [2e-12, 32e-12, 512e-12],
+            [2e-12, 32e-12, 512e-12], [1e-12, 20e-12, 320e-12],
+            "external")
+        return c17(), calibration, sample_population(2, base_seed=9)
+
+    @pytest.mark.parametrize("settings", [
+        {}, dict(max_paths=5, sensing_tolerance=0.2, site_stride=2)])
+    def test_site_key_recipe(self, tmp_path, campaign, settings):
+        from repro.logic import GateTiming, run_campaign
+        from repro.runtime import stable_hash
+
+        netlist, calibration, samples = campaign
+        runtime = SiteKeyRecorder(cache=str(tmp_path / "cache"))
+        run_campaign(netlist, calibration, samples=samples,
+                     runtime=runtime, **settings)
+        max_paths = settings.get("max_paths", 12)
+        tolerance = settings.get("sensing_tolerance", 0.1)
+        assert runtime.nets
+        assert runtime.keys == [
+            stable_hash("fault-site", netlist, net, calibration,
+                        GateTiming(), samples, max_paths, tolerance)
+            for net in runtime.nets]
+
+    def test_pinned_site_keys(self, tmp_path, campaign):
+        from repro.logic import run_campaign
+
+        netlist, calibration, samples = campaign
+        runtime = SiteKeyRecorder(cache=str(tmp_path / "cache"))
+        run_campaign(netlist, calibration, samples=samples,
+                     runtime=runtime)
+        assert dict(zip(runtime.nets, runtime.keys)) == {
+            "G10": "a6680771a1bc478e06ca7b0fb2ed068a",
+            "G11": "f5de7899ab5bceb303f99a98265cbe8e",
+            "G16": "95b32135be4a4d6d7057fb5d0eda628d",
+            "G19": "2694a6d9f8ab2775005d2da65a0a9257",
+            "G22": "935e03d614def368f1a161f9fb705527",
+            "G23": "9e3a6e9c041eaf41f49840a1c6187018",
+        }

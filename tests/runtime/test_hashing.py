@@ -9,7 +9,7 @@ import numpy as np
 from repro.cells import default_technology
 from repro.faults import ExternalOpen, InternalOpen, PULL_UP
 from repro.montecarlo import NominalModel, VariationModel
-from repro.runtime import canonical_token, stable_hash
+from repro.runtime import canonical_token, stable_hash, stable_hashes
 
 
 class TestCanonicalToken:
@@ -65,6 +65,18 @@ class TestStableHash:
         tech = default_technology()
         assert stable_hash(tech) == stable_hash(default_technology())
         assert stable_hash(tech) != stable_hash(tech.copy(vdd=2.4))
+
+    def test_shared_parts_lowered_once(self):
+        """``stable_hashes`` gives ``stable_hash``'s bytes, whichever
+        parts it shares."""
+        shared = [VariationModel(seed=1), {"dt": 3e-12}, [1.0, np.int64(2)]]
+        varying = ["N1", 0.25, None, ExternalOpen(2, 8e3), []]
+        for cut in range(len(shared) + 1):
+            head, tail = shared[:cut], shared[cut:]
+            assert stable_hashes(head, varying, tail) == [
+                stable_hash(*head, value, *tail) for value in varying]
+        assert stable_hashes((), ["x"]) == [stable_hash("x")]
+        assert stable_hashes(("a",), []) == []
 
     def test_stable_across_processes(self):
         """Same inputs must hash identically in a fresh interpreter
